@@ -14,6 +14,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import config as cfg
 from .errors import ConfigError, NormlabError
 from .expr import parse, to_source
@@ -129,20 +131,18 @@ def _run_marty_scan(config: dict, out: Path, fmt: str) -> int:
 def _run_rows(run, report):
     gap_by_index = dict(zip(report.indices[1:], report.cauchy_gaps))
     osc_by_index = dict(zip(report.indices, report.osc))
-    rows = []
-    for e in run.entries:
-        rows.append(
-            [
-                e.j,
-                abs(complex(sum(abs(c) ** 2 for c in e.z_j)) ** 0.5),
-                e.delta_j,
-                e.rho_j,
-                e.ratio,
-                osc_by_index.get(e.j, float("nan")),
-                gap_by_index.get(e.j, float("nan")),
-            ]
-        )
-    return rows
+    return [
+        [
+            e.j,
+            float(np.linalg.norm(e.z_j)),
+            e.delta_j,
+            e.rho_j,
+            e.ratio,
+            osc_by_index.get(e.j, float("nan")),
+            gap_by_index.get(e.j, float("nan")),
+        ]
+        for e in run.entries
+    ]
 
 
 _RUN_HEADER = ["j", "abs_z_j", "delta_j", "rho_j", "ratio", "osc_j", "cauchy_gap_j"]
@@ -162,21 +162,28 @@ def _report_json(run, report) -> dict:
     }
 
 
-def _run_rescale(config: dict, out: Path, fmt: str) -> int:
+# command -> (explicit scale rule, run builder, whether the limit's sharp
+# profile is checked); outputs are <command>_run.csv and <command>.json
+_RESCALINGS = {
+    "rescale": (False, zalcman_rescale, True),
+    "thm2": (True, explicit_rescale, False),
+}
+
+
+def _run_rescaling(config: dict, out: Path, fmt: str) -> int:
+    command = config["command"]
+    explicit, build_run, with_profile = _RESCALINGS[command]
     f = parse(config["function"], config["dimension"])
     domain = cfg.parse_domain(config["domain"])
-    spec = cfg.parse_sequence(config["sequence"], explicit=False)
-    radius = float(config["R"])
+    spec = cfg.parse_sequence(config["sequence"], explicit=explicit)
     grid_size = int(config.get("grid_size", 64))
     tol = float(config.get("tol", 1e-3))
     seed = int(config.get("seed", 0))
-    run = zalcman_rescale(f, domain, spec)
-    report = convergence_report(run, radius, grid_size, tol, seed)
-    profile = limit_sharp_check(report, grid_size, tol, seed)
-    if fmt in ("csv", "both"):
-        _write_csv(out / "rescale_run.csv", _RUN_HEADER, _run_rows(run, report))
-    if fmt in ("json", "both"):
-        payload = _report_json(run, report)
+    run = build_run(f, domain, spec)
+    report = convergence_report(run, float(config["R"]), grid_size, tol, seed)
+    payload = _report_json(run, report)
+    if with_profile:
+        profile = limit_sharp_check(report, grid_size, tol, seed)
         payload["sharp_profile"] = {
             "sharp_at_zero": profile.sharp_at_zero,
             "max_sharp": profile.max_sharp,
@@ -184,24 +191,10 @@ def _run_rescale(config: dict, out: Path, fmt: str) -> int:
             "passed": profile.passed,
             "vacuous": profile.vacuous,
         }
-        _write_json(out / "rescale.json", payload)
-    return EXIT_FLAGGED if run.hypothesis_flags else EXIT_OK
-
-
-def _run_thm2(config: dict, out: Path, fmt: str) -> int:
-    f = parse(config["function"], config["dimension"])
-    domain = cfg.parse_domain(config["domain"])
-    spec = cfg.parse_sequence(config["sequence"], explicit=True)
-    radius = float(config["R"])
-    grid_size = int(config.get("grid_size", 64))
-    tol = float(config.get("tol", 1e-3))
-    seed = int(config.get("seed", 0))
-    run = explicit_rescale(f, domain, spec)
-    report = convergence_report(run, radius, grid_size, tol, seed)
     if fmt in ("csv", "both"):
-        _write_csv(out / "thm2_run.csv", _RUN_HEADER, _run_rows(run, report))
+        _write_csv(out / f"{command}_run.csv", _RUN_HEADER, _run_rows(run, report))
     if fmt in ("json", "both"):
-        _write_json(out / "thm2.json", _report_json(run, report))
+        _write_json(out / f"{command}.json", payload)
     return EXIT_FLAGGED if run.hypothesis_flags else EXIT_OK
 
 
@@ -237,8 +230,8 @@ def _run_counterexample(config: dict, out: Path, fmt: str) -> int:
 _RUNNERS = {
     "sharp": _run_sharp,
     "marty-scan": _run_marty_scan,
-    "rescale": _run_rescale,
-    "thm2": _run_thm2,
+    "rescale": _run_rescaling,
+    "thm2": _run_rescaling,
     "counterexample": _run_counterexample,
 }
 

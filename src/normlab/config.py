@@ -8,13 +8,14 @@ Complex numbers are written as ``[re, im]`` pairs, points as arrays of pairs.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import jsonschema
 
 from .domains import Ball, Domain, Polydisc
-from .errors import ConfigError
-from .expr import CPoint
+from .errors import ConfigError, ExprSyntaxError
+from .expr import CPoint, parse
 from .metrics import SamplingPlan
 from .rescaling import ExplicitScale, SequenceSpec, ZalcmanScale
 
@@ -166,10 +167,18 @@ SCHEMAS: dict[str, dict] = {
 }
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)  # NaN, Infinity and too large a literal are not finite
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} in config")
+    return value
+
+
 def load_config(path: str) -> dict[str, Any]:
+    """Read a JSON config; NaN, Infinity and overflowing numbers are rejected."""
     try:
         with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(config, dict):
@@ -178,7 +187,8 @@ def load_config(path: str) -> dict[str, Any]:
 
 
 def validate_config(config: dict[str, Any]) -> str:
-    """Validate against the schema named by config['command']; returns it."""
+    """Validate against the schema named by config['command'] and parse the
+    config's function, if it has one; returns the command."""
     command = config.get("command")
     if command not in SCHEMAS:
         raise ConfigError(
@@ -188,6 +198,11 @@ def validate_config(config: dict[str, Any]) -> str:
         jsonschema.validate(config, SCHEMAS[command])
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config schema violation: {exc.message}") from exc
+    if "function" in config:
+        try:
+            parse(config["function"], config["dimension"])
+        except ExprSyntaxError as exc:
+            raise ConfigError(f"invalid function: {exc}") from exc
     return command
 
 

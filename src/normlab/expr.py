@@ -12,12 +12,23 @@ Grammar (variables ``z1``..``z9``, constants ``i``, ``pi``, ``e``)::
 Functions: ``exp``, ``sin``, ``cos``, ``log`` (principal branch).  Integer
 exponents only, so every parsed expression is single-valued holomorphic away
 from poles of ``/`` and negative powers, and away from log branch points.
-Complex literals are written arithmetically, e.g. ``2+3*i``.
+Complex literals are written arithmetically, e.g. ``2+3*i``; a literal that
+overflows to infinity is a syntax error.
+
+Depth is capped at ``MAX_DEPTH`` levels, well inside Python's recursion limit:
+parenthesized groups, function calls and unary minus may nest that deep, and
+so may the parsed tree, where each function call, unary minus, power and
+binary operator is one level (an operator chain ``a+b+...`` is as deep as it
+is long).  Deeper input raises ``ExprSyntaxError``.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
+import math
+import operator
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -33,6 +44,9 @@ from .errors import (
 
 # Divisors with modulus below this raise PoleError; log below it raises BranchError.
 POLE_THRESHOLD = 1e-300
+
+# Deepest nesting `parse` accepts (see the module docstring).
+MAX_DEPTH = 100
 
 CPoint = tuple[complex, ...]
 
@@ -101,48 +115,31 @@ class Jet:
 # Tokenizer / parser
 # --------------------------------------------------------------------------
 
-_OPERATORS = set("+-*/^()")
+# A number (digits and dots, optional exponent), a name or an operator, and
+# the whitespace after it.
+_TOKEN = re.compile(r"(?:([0-9.]+(?:[eE][-+0-9][0-9]*)?)|([^\W\d_]\w*)|([-+*/^()]))\s*")
 
 
 def _tokenize(source: str) -> list[tuple[str, object, int]]:
     """Returns (kind, payload, position) triples; kind in {num, name, op}."""
     tokens = []
-    pos = 0
-    n = len(source)
-    while pos < n:
-        ch = source[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in _OPERATORS:
-            tokens.append(("op", ch, pos))
-            pos += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            start = pos
-            while pos < n and (source[pos].isdigit() or source[pos] == "."):
-                pos += 1
-            # scientific notation
-            if pos < n and source[pos] in "eE" and pos + 1 < n and (
-                source[pos + 1].isdigit() or source[pos + 1] in "+-"
-            ):
-                pos += 2
-                while pos < n and source[pos].isdigit():
-                    pos += 1
-            text = source[start:pos]
+    pos = len(source) - len(source.lstrip())
+    while pos < len(source):
+        match = _TOKEN.match(source, pos)
+        if match is None:
+            raise ExprSyntaxError(f"unexpected character {source[pos]!r}", pos)
+        number, name, op = match.groups()
+        if number is not None:
             try:
-                value = float(text)
+                value = float(number)
             except ValueError:
-                raise ExprSyntaxError(f"malformed number {text!r}", start)
-            tokens.append(("num", value, start))
-            continue
-        if ch.isalpha():
-            start = pos
-            while pos < n and (source[pos].isalnum() or source[pos] == "_"):
-                pos += 1
-            tokens.append(("name", source[start:pos], start))
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", pos)
+                raise ExprSyntaxError(f"malformed number {number!r}", pos)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number {number!r} overflows", pos)
+            tokens.append(("num", value, pos))
+        else:
+            tokens.append(("name", name, pos) if name else ("op", op, pos))
+        pos = match.end()
     return tokens
 
 
@@ -152,15 +149,14 @@ def _fold_neg(child: Node) -> Node:
     return Neg(child)
 
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 def _fold_bin(op: str, left: Node, right: Node) -> Node:
     # Fold constant +,-,* so complex literals like 2+3*i parse to one Const
     # node (keeps the canonical printer's output stable under re-parsing).
-    if op in "+-*" and isinstance(left, Const) and isinstance(right, Const):
-        value = {
-            "+": left.value + right.value,
-            "-": left.value - right.value,
-            "*": left.value * right.value,
-        }[op]
+    if op in _ARITHMETIC and isinstance(left, Const) and isinstance(right, Const):
+        value = _ARITHMETIC[op](left.value, right.value)
         if cmath.isfinite(value):
             return Const(value)
     return BinOp(op, left, right)
@@ -172,6 +168,7 @@ class _Parser:
         self.dimension = dimension
         self.pos = 0
         self.end = length
+        self.nesting = 0
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -182,6 +179,14 @@ class _Parser:
             raise ExprSyntaxError("unexpected end of input", self.end)
         self.pos += 1
         return tok
+
+    def _nested(self, parse_inner, pos: int) -> Node:
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+        node = parse_inner()
+        self.nesting -= 1
+        return node
 
     def _expect_op(self, op: str):
         tok = self._next()
@@ -213,7 +218,7 @@ class _Parser:
         tok = self._peek()
         if tok and tok[0] == "op" and tok[1] == "-":
             self.pos += 1
-            return _fold_neg(self.factor())
+            return _fold_neg(self._nested(self.factor, tok[2]))
         return self.power()
 
     def power(self) -> Node:
@@ -243,7 +248,7 @@ class _Parser:
         if kind == "num":
             return Const(complex(payload))
         if kind == "op" and payload == "(":
-            node = self.expr()
+            node = self._nested(self.expr, pos)
             self._expect_op(")")
             return node
         if kind == "name":
@@ -252,7 +257,7 @@ class _Parser:
                 return Const(CONSTANTS[name])
             if name in FUNCTIONS:
                 self._expect_op("(")
-                arg = self.expr()
+                arg = self._nested(self.expr, pos)
                 self._expect_op(")")
                 return Func(name, arg)
             if name.startswith("z") and name[1:].isdigit():
@@ -276,7 +281,22 @@ def parse(source: str, dimension: int) -> HoloExpr:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
     tokens = _tokenize(source)
     root = _Parser(tokens, dimension, len(source)).parse()
+    if _tree_depth(root) > MAX_DEPTH:
+        raise ExprSyntaxError(f"expression tree deeper than {MAX_DEPTH} levels", 0)
     return HoloExpr(dimension, root)
+
+
+# node type -> the attributes holding its subtrees
+_SUBTREES = {Neg: ("child",), BinOp: ("left", "right"), Pow: ("base",), Func: ("arg",)}
+
+
+def _tree_depth(root: Node) -> int:
+    # Level by level, so that a tree too deep to recurse over is still measured.
+    depth, level = 0, [root]
+    while level:
+        depth += 1
+        level = [getattr(node, a) for node in level for a in _SUBTREES.get(type(node), ())]
+    return depth
 
 
 # --------------------------------------------------------------------------
@@ -310,144 +330,134 @@ def to_source(expr: HoloExpr) -> str:
 
 
 # --------------------------------------------------------------------------
-# Evaluation
+# Evaluation: one forward-mode walk over a batch of points
 # --------------------------------------------------------------------------
 
-def _check_finite(value: complex) -> complex:
-    if not (cmath.isfinite(value)):
-        raise EvaluationError(f"non-finite intermediate value {value!r}")
-    return value
+# Per-point status.  A point keeps its first failure in post-order, the order
+# in which evaluating that point alone meets it.
+OK, POLE, BRANCH, NONFINITE = 0, 1, 2, 3
+_FAILURES = {
+    POLE: (PoleError, "division or negative power of a near-zero value"),
+    BRANCH: (BranchError, "log applied at 0"),
+    NONFINITE: (EvaluationError, "non-finite value (overflow, or a non-finite input)"),
+}
 
 
-def _scalar_pow(base: complex, exponent: int) -> complex:
-    if exponent < 0 and abs(base) < POLE_THRESHOLD:
-        raise PoleError(f"negative power of near-zero base (|base|={abs(base):.3e})")
-    return _check_finite(base ** exponent)
+def status_error(status: int) -> EvaluationError:
+    """The exception a failing point's status stands for."""
+    cls, message = _FAILURES[int(status)]
+    return cls(message)
 
 
-def _eval_scalar(node: Node, z: CPoint) -> complex:
-    if isinstance(node, Var):
-        return z[node.index - 1]
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Neg):
-        return -_eval_scalar(node.child, z)
-    if isinstance(node, BinOp):
-        a = _eval_scalar(node.left, z)
-        b = _eval_scalar(node.right, z)
-        if node.op == "+":
-            return _check_finite(a + b)
-        if node.op == "-":
-            return _check_finite(a - b)
-        if node.op == "*":
-            return _check_finite(a * b)
-        if abs(b) < POLE_THRESHOLD:
-            raise PoleError(f"division by near-zero value (|b|={abs(b):.3e})")
-        return _check_finite(a / b)
-    if isinstance(node, Pow):
-        return _scalar_pow(_eval_scalar(node.base, z), node.exponent)
-    if isinstance(node, Func):
-        a = _eval_scalar(node.arg, z)
-        if node.name == "exp":
-            return _check_finite(cmath.exp(a))
-        if node.name == "sin":
-            return _check_finite(cmath.sin(a))
-        if node.name == "cos":
-            return _check_finite(cmath.cos(a))
-        # log: principal branch, undefined at 0
-        if abs(a) < POLE_THRESHOLD:
-            raise BranchError("log applied at 0")
-        return _check_finite(cmath.log(a))
-    raise TypeError(f"unknown node {node!r}")
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """Values, complex gradients and statuses of an expression at N points."""
 
+    value: np.ndarray  # (N,) complex
+    gradient: np.ndarray  # (N, n) complex; (N, 0) when gradients were not asked for
+    status: np.ndarray  # (N,) int8: OK or the point's first failure
 
-class _JetNum:
-    """Scratch value for forward-mode differentiation: value + gradient row."""
-
-    __slots__ = ("v", "g")
-
-    def __init__(self, v: complex, g: np.ndarray):
-        self.v = v
-        self.g = g  # shape (n,), complex
-
-    def check(self) -> "_JetNum":
-        if not cmath.isfinite(self.v) or not np.all(np.isfinite(self.g.view(float))):
-            raise EvaluationError("non-finite intermediate jet")
+    def check(self) -> "Batch":
+        """Raise the error of the first failing point; otherwise return self."""
+        failed = np.flatnonzero(self.status)
+        if failed.size:
+            raise status_error(self.status[failed[0]])
         return self
 
 
-def _eval_jet(node: Node, z: CPoint, n: int) -> _JetNum:
-    if isinstance(node, Var):
-        g = np.zeros(n, dtype=complex)
-        g[node.index - 1] = 1.0
-        return _JetNum(z[node.index - 1], g)
-    if isinstance(node, Const):
-        return _JetNum(node.value, np.zeros(n, dtype=complex))
-    if isinstance(node, Neg):
-        a = _eval_jet(node.child, z, n)
-        return _JetNum(-a.v, -a.g)
-    if isinstance(node, BinOp):
-        a = _eval_jet(node.left, z, n)
-        b = _eval_jet(node.right, z, n)
-        if node.op == "+":
-            return _JetNum(a.v + b.v, a.g + b.g).check()
-        if node.op == "-":
-            return _JetNum(a.v - b.v, a.g - b.g).check()
-        if node.op == "*":
-            return _JetNum(a.v * b.v, a.v * b.g + b.v * a.g).check()
-        if abs(b.v) < POLE_THRESHOLD:
-            raise PoleError(f"division by near-zero value (|b|={abs(b.v):.3e})")
-        return _JetNum(a.v / b.v, (a.g * b.v - a.v * b.g) / (b.v * b.v)).check()
-    if isinstance(node, Pow):
-        a = _eval_jet(node.base, z, n)
-        k = node.exponent
-        if k == 0:
-            return _JetNum(1.0 + 0j, np.zeros(n, dtype=complex))
-        if k < 0 and abs(a.v) < POLE_THRESHOLD:
-            raise PoleError(f"negative power of near-zero base (|base|={abs(a.v):.3e})")
-        value = a.v ** k
-        deriv = k * a.v ** (k - 1)
-        return _JetNum(value, deriv * a.g).check()
-    if isinstance(node, Func):
-        a = _eval_jet(node.arg, z, n)
-        if node.name == "exp":
-            v = cmath.exp(a.v)
-            return _JetNum(v, v * a.g).check()
-        if node.name == "sin":
-            return _JetNum(cmath.sin(a.v), cmath.cos(a.v) * a.g).check()
-        if node.name == "cos":
-            return _JetNum(cmath.cos(a.v), -cmath.sin(a.v) * a.g).check()
-        if abs(a.v) < POLE_THRESHOLD:
-            raise BranchError("log applied at 0")
-        return _JetNum(cmath.log(a.v), a.g / a.v).check()
-    raise TypeError(f"unknown node {node!r}")
+class _Walk:
+    """Post-order walk of one expression over a point batch.  Each node gives
+    (value (N,), gradient (N, width) or a broadcastable (width,) row)."""
+
+    def __init__(self, Z: np.ndarray, gradient: bool):
+        self.Z = Z
+        self.width = Z.shape[1] if gradient else 0
+        self.units = np.eye(Z.shape[1], self.width, dtype=complex)  # row k: grad z_k
+        self.zero = np.zeros(self.width, dtype=complex)
+        self.status = np.where(np.isfinite(Z).all(axis=1), OK, NONFINITE).astype(np.int8)
+
+    def mark(self, bad: np.ndarray, code: int) -> None:
+        if bad.any():
+            self.status[bad & (self.status == OK)] = code
+
+    def finite(self, v: np.ndarray, g: np.ndarray):
+        bad = ~np.isfinite(v)
+        if self.width:
+            bad |= ~np.isfinite(g).all(axis=-1)
+        self.mark(bad, NONFINITE)
+        return v, g
+
+    def chain(self, v: np.ndarray, derivative, g: np.ndarray):
+        # chain rule; the derivative is not computed when gradients are not asked for
+        return self.finite(v, derivative()[:, None] * g if self.width else g)
+
+    def __call__(self, node: Node):
+        if isinstance(node, Var):
+            return self.Z[:, node.index - 1], self.units[node.index - 1]
+        if isinstance(node, Const):
+            return np.full(len(self.Z), node.value), self.zero
+        if isinstance(node, Neg):
+            v, g = self(node.child)
+            return -v, -g
+        if isinstance(node, BinOp):
+            a, ga = self(node.left)
+            b, gb = self(node.right)
+            if node.op in "+-":
+                combine = _ARITHMETIC[node.op]
+                return self.finite(combine(a, b), combine(ga, gb))
+            if node.op == "*":
+                return self.finite(a * b, a[:, None] * gb + b[:, None] * ga)
+            self.mark(np.abs(b) < POLE_THRESHOLD, POLE)
+            v = a / b
+            return self.finite(v, (ga - v[:, None] * gb) / b[:, None])
+        if isinstance(node, Pow):
+            a, ga = self(node.base)
+            k = node.exponent
+            if k == 0:
+                return np.ones_like(a), self.zero
+            if k < 0:
+                self.mark(np.abs(a) < POLE_THRESHOLD, POLE)
+            return self.chain(a**k, lambda: k * a ** (k - 1), ga)
+        if isinstance(node, Func):
+            a, ga = self(node.arg)
+            if node.name == "exp":
+                v = np.exp(a)
+                return self.chain(v, lambda: v, ga)
+            if node.name == "sin":
+                return self.chain(np.sin(a), lambda: np.cos(a), ga)
+            if node.name == "cos":
+                return self.chain(np.cos(a), lambda: -np.sin(a), ga)
+            # log: principal branch, undefined at 0
+            self.mark(np.abs(a) < POLE_THRESHOLD, BRANCH)
+            return self.chain(np.log(a), lambda: 1.0 / a, ga)
+        raise TypeError(f"unknown node {node!r}")
 
 
-def _check_point(expr: HoloExpr, z: CPoint) -> CPoint:
-    if len(z) != expr.dimension:
+def evaluate_batch(expr: HoloExpr, points, gradient: bool = True) -> Batch:
+    """Value, complex gradient (when asked for) and status at each row of the
+    (N, n) point array.  A row with a non-finite coordinate is NONFINITE.
+    Floating-point warnings are silenced; the statuses carry them."""
+    Z = np.asarray(points, dtype=complex)
+    if Z.ndim != 2 or Z.shape[1] != expr.dimension:
         raise DimensionMismatchError(
-            f"point has dimension {len(z)}, expression expects {expr.dimension}"
+            f"points of shape {Z.shape}, expression expects dimension {expr.dimension}"
         )
-    return tuple(complex(c) for c in z)
+    walk = _Walk(Z, gradient)
+    with np.errstate(all="ignore"):
+        value, grad = walk(expr.root)
+    grad = np.broadcast_to(grad, (len(Z), walk.width)).copy()
+    return Batch(np.array(value, dtype=complex), grad, walk.status)
 
 
 def evaluate(expr: HoloExpr, z: CPoint) -> complex:
     """Evaluate the expression at a point of matching dimension."""
-    z = _check_point(expr, z)
-    try:
-        return _eval_scalar(expr.root, z)
-    except OverflowError as exc:
-        raise EvaluationError(f"overflow during evaluation: {exc}") from exc
+    return complex(evaluate_batch(expr, [z], gradient=False).check().value[0])
 
 
 def evaluate_jet(expr: HoloExpr, z: CPoint) -> Jet:
-    """Value and complex gradient at z, by forward-mode dual propagation."""
-    z = _check_point(expr, z)
-    try:
-        jet = _eval_jet(expr.root, z, expr.dimension)
-    except OverflowError as exc:
-        raise EvaluationError(f"overflow during evaluation: {exc}") from exc
-    return Jet(jet.v, tuple(jet.g))
+    """Value and complex gradient at z, by forward-mode differentiation."""
+    jet = evaluate_batch(expr, [z]).check()
+    return Jet(complex(jet.value[0]), tuple(jet.gradient[0].tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -457,21 +467,10 @@ def evaluate_jet(expr: HoloExpr, z: CPoint) -> Jet:
 def _substitute(node: Node, replacements: dict[int, Node]) -> Node:
     if isinstance(node, Var):
         return replacements[node.index]
-    if isinstance(node, Const):
-        return node
-    if isinstance(node, Neg):
-        return Neg(_substitute(node.child, replacements))
-    if isinstance(node, BinOp):
-        return BinOp(
-            node.op,
-            _substitute(node.left, replacements),
-            _substitute(node.right, replacements),
-        )
-    if isinstance(node, Pow):
-        return Pow(_substitute(node.base, replacements), node.exponent)
-    if isinstance(node, Func):
-        return Func(node.name, _substitute(node.arg, replacements))
-    raise TypeError(f"unknown node {node!r}")
+    subtrees = {
+        a: _substitute(getattr(node, a), replacements) for a in _SUBTREES.get(type(node), ())
+    }
+    return dataclasses.replace(node, **subtrees) if subtrees else node
 
 
 def affine_pullback(expr: HoloExpr, base: CPoint, scale: complex) -> HoloExpr:

@@ -4,8 +4,6 @@ the explicit Kobayashi metric on balls, and normality-constant scans."""
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -13,8 +11,8 @@ import numpy as np
 
 from . import domains
 from .domains import Ball, Domain
-from .errors import DomainError, EvaluationError
-from .expr import CPoint, HoloExpr, evaluate, evaluate_jet
+from .errors import DomainError
+from .expr import NONFINITE, OK, CPoint, HoloExpr, evaluate_batch, evaluate_jet, status_error
 from .sampling import scan_rays, sphere_directions
 
 
@@ -25,51 +23,79 @@ class SharpValue:
     value: float
 
 
-def levi_form_fd(
-    field: Callable[[CPoint], float], z: CPoint, v: CPoint, h: float
-) -> float:
-    """Five-point discrete Levi form of a real field along the complex line
+def _over_one_plus_square(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """x / (1 + a^2) for x, a >= 0, without overflowing a^2."""
+    with np.errstate(all="ignore"):
+        return np.where(a > 1.0, x / a / (a + 1.0 / a), x / (1.0 + a * a))
+
+
+def levi_batch(value: np.ndarray, gradient: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Levi form of log(1+|f|^2) from N values (N,) and gradients (N, n) of f
+    along m directions (m, n); shape (N, m).
+
+    For holomorphic f the mixed Hessian of log(1+|f|^2) is rank one and the
+    form collapses to |sum_k df/dz_k * v_k|^2 / (1+|f|^2)^2.
+    """
+    with np.errstate(all="ignore"):  # a form past the float range is inf
+        pairing = np.sum(gradient[:, None, :] * directions[None, :, :], axis=-1)
+        root = _over_one_plus_square(np.abs(pairing), np.abs(value)[:, None])
+        return root * root
+
+
+def sharp_batch(f: HoloExpr, points) -> np.ndarray:
+    """`sharp` at each row of an (N, n) point array, (N,); raises the error of
+    the first point that fails to evaluate."""
+    jets = evaluate_batch(f, points).check()
+    gradient_norm = np.hypot.reduce(np.abs(jets.gradient), axis=1)
+    return _over_one_plus_square(gradient_norm, np.abs(jets.value))
+
+
+def levi_form_fd(field: Callable, z: CPoint, v, h: float):
+    """Five-point discrete Levi form of a real field along the complex lines
     t -> z + t*v:
 
         [F(z+hv) + F(z-hv) + F(z+ihv) + F(z-ihv) - 4 F(z)] / (4 h^2)
 
     Second-order accurate in h for C^2 fields; exact for Hermitian quadratics.
+    `v` is one direction, giving a float, or an (m, n) array of directions,
+    giving (m,) values; the field is then called with (m, n) point arrays.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
     stencil = (
-        field(tuple(z + h * v))
-        + field(tuple(z - h * v))
-        + field(tuple(z + 1j * h * v))
-        + field(tuple(z - 1j * h * v))
-        - 4.0 * field(tuple(z))
+        field(z + h * v)
+        + field(z - h * v)
+        + field(z + 1j * h * v)
+        + field(z - 1j * h * v)
+        - 4.0 * field(z)
     )
     return stencil / (4.0 * h * h)
 
 
-def log1p_sq_field(f: HoloExpr) -> Callable[[CPoint], float]:
-    """The real field z -> log(1 + |f(z)|^2)."""
+def log1p_sq_field(f: HoloExpr) -> Callable:
+    """The real field z -> log(1 + |f(z)|^2), at one point (a float) or at
+    each row of an (m, n) point array."""
 
-    def field(z: CPoint) -> float:
-        w = evaluate(f, z)
-        return math.log1p(w.real * w.real + w.imag * w.imag)
+    def field(z):
+        z = np.asarray(z, dtype=complex)
+        w = evaluate_batch(f, z.reshape(-1, f.dimension), gradient=False).check().value
+        with np.errstate(all="ignore"):
+            square = w.real * w.real + w.imag * w.imag
+            # past |f| ~ 1e154 the square overflows, and 2 log|f| is exact there
+            out = np.where(np.isfinite(square), np.log1p(square), 2.0 * np.log(np.abs(w)))
+        return out if z.ndim == 2 else float(out[0])
 
     return field
 
 
 def levi_log1p_closed(f: HoloExpr, z: CPoint, v: CPoint) -> float:
-    """Levi form of log(1+|f|^2) at z along v, in closed form.
-
-    For holomorphic f the mixed Hessian of log(1+|f|^2) is rank one and the
-    form collapses to |sum_k df/dz_k * v_k|^2 / (1+|f|^2)^2, which is what
-    this returns; `levi_form_fd` on `log1p_sq_field` is the independent check.
-    """
+    """Levi form of log(1+|f|^2) at z along v, in closed form (`levi_batch`);
+    `levi_form_fd` on `log1p_sq_field` is the independent check."""
     jet = evaluate_jet(f, z)
-    pairing = sum(g * vk for g, vk in zip(jet.gradient, v))
-    denom = 1.0 + abs(jet.value) ** 2
-    return abs(pairing) ** 2 / (denom * denom)
+    levi = levi_batch(np.array([jet.value]), np.array([jet.gradient]), np.array([v], dtype=complex))
+    return float(levi[0, 0])
 
 
 def sharp(f: HoloExpr, z: CPoint) -> SharpValue:
@@ -79,9 +105,7 @@ def sharp(f: HoloExpr, z: CPoint) -> SharpValue:
     direction with the conjugate gradient.  For n=1 this is the classical
     spherical derivative |f'|/(1+|f|^2).
     """
-    jet = evaluate_jet(f, z)
-    grad_norm = math.sqrt(sum(abs(g) ** 2 for g in jet.gradient))
-    return SharpValue(grad_norm / (1.0 + abs(jet.value) ** 2))
+    return SharpValue(float(sharp_batch(f, [z])[0]))
 
 
 def sharp_fd(
@@ -89,13 +113,9 @@ def sharp_fd(
 ) -> float:
     """Brute-force oracle for `sharp`: max over sampled unit directions of
     sqrt(max(0, levi_form_fd(log(1+|f|^2), z, v, h)))."""
-    field = log1p_sq_field(f)
-    best = 0.0
-    for v in sphere_directions(f.dimension, sphere_samples, seed):
-        levi = levi_form_fd(field, z, tuple(v), h)
-        if levi > best:
-            best = levi
-    return math.sqrt(max(0.0, best))
+    dirs = sphere_directions(f.dimension, sphere_samples, seed)
+    levi = levi_form_fd(log1p_sq_field(f), z, dirs, h)
+    return math.sqrt(max(0.0, float(np.max(levi))))
 
 
 # --------------------------------------------------------------------------
@@ -204,70 +224,48 @@ def normality_scan(f: HoloExpr, domain: Domain, plan: SamplingPlan) -> Normality
     The max of levi / k_upper^2 over all samples is a certified lower bound
     on any constant C for which levi <= C * K^2 could hold; the per-shell
     trend makes divergence toward the boundary visible.  The verdict is
-    numerical evidence, not proof.
+    numerical evidence, not proof.  A sample whose Levi form or ratio is not
+    finite is skipped, as are all samples at a point that fails to evaluate.
     """
-    n = f.dimension
-    center = tuple(complex(c) for c in domain.center)
-    rays = scan_rays(n, plan.points_per_shell, plan.seed)
-    dirs = sphere_directions(n, plan.directions_per_point, plan.seed + 1)
-
-    def scan_point(task):
-        t, u = task
-        extent = domains.ray_extent(domain, tuple(u))
-        p = tuple(np.asarray(center) + (1.0 - t) * extent * u)
-        out, errs = [], []
-        try:
-            delta = domains.boundary_distance(domain, p)
-        except DomainError as exc:
-            return [], [f"point {p!r}: {exc}"]
-        for v in dirs:
-            try:
-                levi = levi_log1p_closed(f, p, tuple(v))
-            except EvaluationError as exc:
-                errs.append(f"point {p!r}, dir {tuple(v)!r}: {exc}")
-                continue
-            k_lo, k_up = kobayashi_domain_bounds(domain, p, tuple(v))
-            out.append(
-                ScanSample(
-                    point=p,
-                    direction=tuple(v),
-                    levi=levi,
-                    k_lower=k_lo,
-                    k_upper=k_up,
-                    ratio_lower=levi / (k_up * k_up),
-                    ratio_upper=levi / (k_lo * k_lo),
-                )
-            )
-        return out, (delta, errs)
-
-    tasks = [(t, u) for t in plan.shells for u in rays]
-    workers = max(1, int(os.environ.get("NORMLAB_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(scan_point, tasks))
-    else:
-        results = [scan_point(task) for task in tasks]
+    center = np.asarray(domain.center, dtype=complex)
+    rays = scan_rays(f.dimension, plan.points_per_shell, plan.seed)
+    dirs = sphere_directions(f.dimension, plan.directions_per_point, plan.seed + 1)
+    directions = [tuple(v) for v in dirs]
+    extents = [domains.ray_extent(domain, tuple(u)) for u in rays]
+    points = np.array(
+        [center + (1.0 - t) * extent * u for t in plan.shells for u, extent in zip(rays, extents)]
+    )
+    jets = evaluate_batch(f, points)
+    levi = levi_batch(jets.value, jets.gradient, dirs).tolist()
 
     samples: list[ScanSample] = []
     errors: list[str] = []
     skipped = 0
     trend: list[tuple[float, float, float]] = []
-    per_point = len(rays)
     for shell_idx, t in enumerate(plan.shells):
         shell_max = 0.0
         shell_delta = math.inf
-        for res, extra in results[shell_idx * per_point : (shell_idx + 1) * per_point]:
-            if not res and isinstance(extra, list):
-                errors.extend(extra)
+        for i in range(shell_idx * len(rays), (shell_idx + 1) * len(rays)):
+            p = tuple(points[i])
+            try:
+                shell_delta = min(shell_delta, domains.boundary_distance(domain, p))
+            except DomainError as exc:
+                errors.append(f"point {p!r}: {exc}")
                 skipped += len(dirs)
                 continue
-            delta, errs = extra
-            errors.extend(errs)
-            skipped += len(errs)
-            samples.extend(res)
-            shell_delta = min(shell_delta, delta)
-            if res:
-                shell_max = max(shell_max, max(s.ratio_lower for s in res))
+            if jets.status[i] != OK:
+                errors.append(f"point {p!r}: {status_error(jets.status[i])}")
+                skipped += len(dirs)
+                continue
+            for v, lv in zip(directions, levi[i]):
+                k_lo, k_up = kobayashi_domain_bounds(domain, p, v)
+                s = ScanSample(p, v, lv, k_lo, k_up, lv / (k_up * k_up), lv / (k_lo * k_lo))
+                if not all(map(math.isfinite, (s.levi, s.ratio_lower, s.ratio_upper))):
+                    errors.append(f"point {p!r}, dir {v!r}: {status_error(NONFINITE)}")
+                    skipped += 1
+                    continue
+                samples.append(s)
+                shell_max = max(shell_max, s.ratio_lower)
         trend.append((t, shell_max, shell_delta if math.isfinite(shell_delta) else 0.0))
 
     c_required = max((s.ratio_lower for s in samples), default=0.0)

@@ -13,9 +13,9 @@ import numpy as np
 
 from . import domains
 from .domains import Ball, Domain
-from .errors import DomainError, EvaluationError, NormlabError
-from .expr import CPoint, HoloExpr, affine_pullback, evaluate, parse
-from .metrics import sharp
+from .errors import DomainError, NormlabError
+from .expr import CPoint, HoloExpr, affine_pullback, evaluate_batch, parse
+from .metrics import sharp_batch
 from .sampling import ball_grid
 
 
@@ -99,15 +99,11 @@ def rescale_sharp_identity_check(
     (invariance of the Levi form under affine maps), so the deviation is
     rounding noise."""
     g = rescaled_function(f, center, rho)
-    worst = 0.0
-    base = np.asarray(center, dtype=complex)
-    for zeta in test_points:
-        lhs = sharp(g, zeta).value
-        rhs = rho * sharp(f, tuple(base + rho * np.asarray(zeta, dtype=complex))).value
-        scale = max(abs(lhs), abs(rhs))
-        if scale > 0:
-            worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
+    zeta = np.asarray(test_points, dtype=complex).reshape(-1, f.dimension)
+    lhs = sharp_batch(g, zeta)
+    rhs = rho * sharp_batch(f, np.asarray(center) + rho * zeta)
+    scale = np.maximum(lhs, rhs)  # where it is 0, so is the deviation
+    return float(np.max(np.abs(lhs - rhs) / np.where(scale > 0, scale, 1.0), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -142,10 +138,10 @@ def zalcman_rescale(f: HoloExpr, domain: Domain, spec: SequenceSpec) -> Rescalin
     """
     if not isinstance(spec.scale, ZalcmanScale):
         raise ValueError("zalcman_rescale requires the sharp-normalized scale rule")
+    sequence = [make_sequence(spec, domain, j) for j in spec.indices]
+    sharps = sharp_batch(f, [z_j for z_j, _, _ in sequence])
     entries = []
-    for j in spec.indices:
-        z_j, _, delta = make_sequence(spec, domain, j)
-        s = sharp(f, z_j).value
+    for j, (z_j, _, delta), s in zip(spec.indices, sequence, sharps.tolist()):
         if s <= 0.0:
             raise NormlabError(f"sharp(f, z_{j}) vanishes; rescaling scale undefined")
         rho = 1.0 / s
@@ -203,9 +199,11 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Finite-range locally-uniform-convergence evidence on |zeta| <= radius.
 
-    Verdict thresholds: constant-limit if the final oscillation and final
-    Cauchy gap are both <= tol; nonconstant-limit if the final gap is <= tol
-    but the final oscillation exceeds 10*tol; otherwise no-convergence.
+    g_j(zeta) = f(z_j + rho_j*zeta) is evaluated on the grid one index at a
+    time; an index with any failing grid point is excluded.  Verdict
+    thresholds: constant-limit if the final oscillation and final Cauchy gap
+    are both <= tol; nonconstant-limit if the final gap is <= tol but the final
+    oscillation exceeds 10*tol; otherwise no-convergence.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -214,13 +212,12 @@ def convergence_report(
     values: list[np.ndarray] = []
     excluded: list[int] = []
     for entry in run.entries:
-        try:
-            vals = np.array([evaluate(entry.g_j, tuple(z)) for z in grid])
-        except EvaluationError:
+        batch = evaluate_batch(run.f, np.asarray(entry.z_j) + entry.rho_j * grid, gradient=False)
+        if batch.status.any():
             excluded.append(entry.j)
             continue
         usable.append(entry.j)
-        values.append(vals)
+        values.append(batch.value)
     if not usable:
         raise NormlabError("no index in the run is evaluable on the grid")
     osc = [float(np.max(np.abs(vals - vals[0]))) for vals in values]
@@ -266,13 +263,10 @@ def limit_sharp_check(
     the report's verdict is nonconstant-limit."""
     g = report.limit_proxy
     grid = ball_grid(g.dimension, report.radius, grid_size, seed)
-    origin = tuple(np.zeros(g.dimension, dtype=complex))
-    s0 = sharp(g, origin).value
-    max_sharp, argmax = s0, origin
-    for z in grid:
-        s = sharp(g, tuple(z)).value
-        if s > max_sharp:
-            max_sharp, argmax = s, tuple(z)
+    points = np.vstack([np.zeros((1, g.dimension), dtype=complex), grid])
+    sharps = sharp_batch(g, points)
+    best = int(np.argmax(sharps))  # the first maximum: the origin unless beaten
+    s0, max_sharp, argmax = float(sharps[0]), float(sharps[best]), tuple(points[best])
     if report.verdict != "nonconstant-limit":
         return SharpProfile(s0, max_sharp, argmax, passed=None, vacuous=True)
     passed = abs(s0 - 1.0) <= tol and max_sharp <= 1.0 + tol
@@ -340,10 +334,10 @@ def remark_counterexample(
         rho_n = float(n) ** -2
         ratio = Fraction(1, n**2) / Fraction(1, n**3)  # == n exactly
         g_n = rescaled_function(f, (complex(z_n),), rho_n)
-        dev = max(abs(evaluate(g_n, tuple(z)) - 1.0) for z in grid)
+        values = evaluate_batch(f, z_n + rho_n * grid, gradient=False).check().value
         indices.append(n)
         ratios.append(float(ratio))
-        sup_dev.append(float(dev))
+        sup_dev.append(float(np.max(np.abs(values - 1.0))))
         bounds.append(float(n) ** -3 + float(n) ** -2 * radius)
         delta = 1.0 - z_n
         entries.append(RunEntry(n, (complex(z_n),), delta, rho_n, rho_n / delta, g_n))

@@ -226,3 +226,84 @@ def test_format_flag_csv_only(tmp_path):
     assert code == 0
     assert (out / "counterexample.csv").exists()
     assert not (out / "counterexample.json").exists()
+
+
+# --------------------------------------------------------------------------
+# Inputs that once ended in a traceback or a silently wrong run
+# --------------------------------------------------------------------------
+
+def _run_text(tmp_path, command, text):
+    path = tmp_path / "raw.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    return main([command, "--config", str(path), "--out", str(out)]), out
+
+
+def _strict_json(path):
+    def reject(token):
+        raise AssertionError(f"non-finite number {token} in {path.name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_nan_point_is_config_error(tmp_path):
+    text = '{"command": "sharp", "function": "z1", "dimension": 1, "points": [[[NaN, 0.3]]]}'
+    code, out = _run_text(tmp_path, "sharp", text)
+    assert code == 2
+    assert not (out / "sharp.json").exists()
+
+
+def test_infinite_radius_is_config_error(tmp_path):
+    text = (
+        '{"command": "marty-scan", "function": "z1*z2", "dimension": 2, '
+        '"domain": {"type": "ball", "center": [[0, 0], [0, 0]], "radius": Infinity}, '
+        '"plan": {"shells": [0.5, 0.25, 0.125], "points_per_shell": 8, '
+        '"directions_per_point": 4, "seed": 0}}'
+    )
+    assert _run_text(tmp_path, "marty-scan", text)[0] == 2
+    assert _run_text(tmp_path, "marty-scan", text.replace("Infinity", "1e999"))[0] == 2
+
+
+def test_deeply_nested_function_is_config_error(tmp_path, capsys):
+    config = {
+        "command": "sharp",
+        "function": "(" * 3000 + "z1" + ")" * 3000,
+        "dimension": 1,
+        "points": [[[0.3, 0.0]]],
+    }
+    assert _run(tmp_path, "sharp", config)[0] == 2
+    cfg = _write(tmp_path, "deep.json", config)
+    assert main(["check-config", "--config", cfg]) == 2
+    config["function"] = "+".join(["z1"] * 1500)
+    assert _run(tmp_path, "sharp", config)[0] == 2
+    config["function"] = "z1 +"
+    assert _run(tmp_path, "sharp", config)[0] == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_sharp_overflow_point(tmp_path):
+    config = {"command": "sharp", "function": "exp(z1)", "dimension": 1, "points": [[[400.0, 0.0]]]}
+    code, out = _run(tmp_path, "sharp", config)
+    assert code == 0
+    row = _strict_json(out / "sharp.json")["rows"][0]
+    assert row["sharp_closed"] == pytest.approx(math.exp(-400.0), rel=1e-12)
+
+
+def test_scan_overflow_to_inf(tmp_path):
+    config = {
+        "command": "marty-scan",
+        "function": "exp(10/(1-z1))*z2",
+        "dimension": 2,
+        "domain": {"type": "ball", "center": [[0, 0], [0, 0]], "radius": 1.0},
+        "plan": {
+            "shells": [2.0**-k for k in range(1, 9)],
+            "points_per_shell": 8,
+            "directions_per_point": 4,
+            "seed": 0,
+        },
+    }
+    code, out = _run(tmp_path, "marty-scan", config)
+    assert code == 0
+    payload = _strict_json(out / "marty_scan.json")
+    assert payload["skipped"] > 0
+    assert len(payload["samples"]) + payload["skipped"] == 8 * 8 * 4

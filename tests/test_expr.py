@@ -1,11 +1,17 @@
+import cmath
 import math
+import operator
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normlab import (
     BranchError,
     DimensionMismatchError,
+    EvaluationError,
     ExprSyntaxError,
     PoleError,
     affine_pullback,
@@ -14,7 +20,22 @@ from normlab import (
     parse,
     to_source,
 )
-from normlab.expr import BinOp, Func, Var
+from normlab.expr import (
+    BRANCH,
+    MAX_DEPTH,
+    NONFINITE,
+    OK,
+    POLE,
+    POLE_THRESHOLD,
+    BinOp,
+    Const,
+    Func,
+    Neg,
+    Pow,
+    Var,
+    evaluate_batch,
+    status_error,
+)
 
 
 def test_parse_single_variable():
@@ -225,3 +246,189 @@ def test_evaluate_overflow_raises():
 
     with pytest.raises(EvaluationError):
         evaluate(parse("exp(exp(z1))", 1), (20 + 0j,))
+
+
+# --------------------------------------------------------------------------
+# Batched evaluation
+# --------------------------------------------------------------------------
+
+def _hostile_expr(rng: random.Random, dim: int) -> str:
+    wrap = rng.choice(["{}", "1/({})", "log({})", "exp(exp({}))", "({})^-2"])
+    return wrap.format(_random_expr(rng, dim))
+
+
+def _hostile_points(rng: random.Random, dim: int, count: int) -> np.ndarray:
+    # exact zeros and large coordinates, so that poles, log branch points and
+    # overflow all occur
+    def coordinate():
+        if rng.random() < 0.3:
+            return complex(rng.choice([0.0, 1.0, -1.0, 2.0, 30.0, 800.0]))
+        return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+    return np.array([[coordinate() for _ in range(dim)] for _ in range(count)])
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=complex).tobytes() == np.asarray(b, dtype=complex).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3))
+def test_batch_rows_match_single_points_and_any_chunking(seed, dim):
+    rng = random.Random(seed)
+    expr = parse(_hostile_expr(rng, dim), dim)
+    points = _hostile_points(rng, dim, 17)
+    for gradient in (True, False):
+        whole = evaluate_batch(expr, points, gradient)
+        cut = rng.randint(0, len(points))
+        parts = [evaluate_batch(expr, points[:cut], gradient), evaluate_batch(expr, points[cut:], gradient)]
+        assert np.array_equal(whole.status, np.concatenate([p.status for p in parts]))
+        ok = whole.status == OK
+        assert _same_bits(whole.value[ok], np.concatenate([p.value for p in parts])[ok])
+        assert _same_bits(whole.gradient[ok], np.concatenate([p.gradient for p in parts])[ok])
+    jets = evaluate_batch(expr, points)
+    values = evaluate_batch(expr, points, gradient=False)
+    for i, z in enumerate(points):
+        if jets.status[i] == OK:
+            jet = evaluate_jet(expr, tuple(z))
+            assert _same_bits(jet.value, jets.value[i])
+            assert _same_bits(jet.gradient, jets.gradient[i])
+        if values.status[i] == OK:
+            assert _same_bits(evaluate(expr, tuple(z)), values.value[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3))
+def test_batch_status_matches_single_point_exception(seed, dim):
+    rng = random.Random(seed)
+    expr = parse(_hostile_expr(rng, dim), dim)
+    points = _hostile_points(rng, dim, 9)
+    for gradient, single in ((True, evaluate_jet), (False, evaluate)):
+        batch = evaluate_batch(expr, points, gradient)
+        for z, status in zip(points, batch.status):
+            if status == OK:
+                single(expr, tuple(z))
+                continue
+            with pytest.raises(EvaluationError) as info:
+                single(expr, tuple(z))
+            assert type(info.value) is type(status_error(status))
+
+
+def _reference(node, z):
+    # One point, one recursive walk in cmath: the reference for values and
+    # for which error a point raises (its first failure in post-order).
+    def finite(value):
+        if not cmath.isfinite(value):
+            raise EvaluationError("non-finite")
+        return value
+
+    if isinstance(node, Var):
+        return z[node.index - 1]
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Neg):
+        return -_reference(node.child, z)
+    if isinstance(node, Pow):
+        base = _reference(node.base, z)
+        if node.exponent < 0 and abs(base) < POLE_THRESHOLD:
+            raise PoleError("pole")
+        return finite(base**node.exponent)
+    if isinstance(node, Func):
+        a = _reference(node.arg, z)
+        if node.name == "log" and abs(a) < POLE_THRESHOLD:
+            raise BranchError("log at 0")
+        return finite(getattr(cmath, node.name)(a))
+    a, b = _reference(node.left, z), _reference(node.right, z)
+    if node.op == "/" and abs(b) < POLE_THRESHOLD:
+        raise PoleError("pole")
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+    return finite(ops[node.op](a, b))
+
+
+def test_batch_matches_scalar_reference():
+    rng = random.Random(2023)
+    for _ in range(300):
+        dim = rng.randint(1, 3)
+        expr = parse(_hostile_expr(rng, dim), dim)
+        points = _hostile_points(rng, dim, 8)
+        batch = evaluate_batch(expr, points, gradient=False)
+        for z, status, value in zip(points, batch.status, batch.value):
+            try:
+                want = _reference(expr.root, tuple(complex(c) for c in z))
+            except (EvaluationError, OverflowError) as exc:
+                expected = exc if isinstance(exc, EvaluationError) else EvaluationError()
+                assert status != OK and type(status_error(status)) is type(expected)
+                continue
+            assert status == OK
+            # rounding differs by operation order; large arguments of exp, sin
+            # and cos amplify it, up to a few 1e-12 on these inputs
+            assert abs(value - want) <= 1e-10 * (1 + abs(want))
+
+
+def test_mixed_batch_statuses():
+    # post-order: log(z1), then 1/z2, then exp(exp(z3))
+    f = parse("log(z1) + 1/z2 + exp(exp(z3))", 3)
+    nan = complex("nan")
+    points = [
+        (1, 1, 0),  # fine
+        (1, 0, 0),  # pole
+        (0, 1, 0),  # log(0)
+        (1, 1, 10),  # exp(exp(10)) overflows
+        (0, 0, 10),  # all three: the log comes first
+        (nan, 1, 0),  # non-finite input
+    ]
+    batch = evaluate_batch(f, points)
+    assert batch.status.tolist() == [OK, POLE, BRANCH, NONFINITE, BRANCH, NONFINITE]
+    assert batch.value[0] == 1.0 + math.exp(1.0)
+    with pytest.raises(PoleError):
+        batch.check()
+
+
+def test_batch_rejects_wrong_shape():
+    with pytest.raises(DimensionMismatchError):
+        evaluate_batch(parse("z1*z2", 2), np.zeros((4, 3), dtype=complex))
+
+
+def test_non_finite_input_raises():
+    f = parse("z1", 1)
+    for bad in (complex("nan"), complex("inf"), complex(0.5, float("nan"))):
+        with pytest.raises(EvaluationError):
+            evaluate(f, (bad,))
+        with pytest.raises(EvaluationError):
+            evaluate_jet(f, (bad,))
+
+
+def test_no_warnings_leak(recwarn):
+    batch = evaluate_batch(parse("1/z1 + exp(z1)^9", 1), [(0j,), (1e-310 + 0j,), (900 + 0j,)])
+    assert batch.status.tolist() == [POLE, POLE, NONFINITE]
+    assert not recwarn.list
+
+
+# --------------------------------------------------------------------------
+# Depth cap
+# --------------------------------------------------------------------------
+
+def test_depth_cap_parentheses_and_calls():
+    assert parse("(" * MAX_DEPTH + "z1" + ")" * MAX_DEPTH, 1).root == Var(1)
+    for depth in (MAX_DEPTH + 1, 3000):
+        with pytest.raises(ExprSyntaxError):
+            parse("(" * depth + "z1" + ")" * depth, 1)
+    with pytest.raises(ExprSyntaxError):
+        parse("exp(" * 3000 + "z1" + ")" * 3000, 1)
+    with pytest.raises(ExprSyntaxError):
+        parse("-" * 3000 + "z1", 1)
+
+
+def test_depth_cap_operator_chains():
+    chain = parse("+".join(["z1"] * MAX_DEPTH), 1)  # MAX_DEPTH levels deep
+    assert evaluate(chain, (1 + 0j,)) == MAX_DEPTH
+    product = parse("*".join(["z1"] * 40), 1)
+    assert parse(to_source(product), 1) == product
+    for terms in (MAX_DEPTH + 1, 1500):
+        with pytest.raises(ExprSyntaxError):
+            parse("+".join(["z1"] * terms), 1)
+
+
+def test_overflowing_literal_rejected():
+    with pytest.raises(ExprSyntaxError):
+        parse("1e400*z1", 1)

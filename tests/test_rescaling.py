@@ -209,6 +209,23 @@ def test_convergence_constant_function():
     assert all(gap == 0.0 for gap in report.cauchy_gaps)
 
 
+def test_convergence_excludes_index_with_a_grid_pole():
+    # g_2(zeta) = 1/(-1/2 + zeta/2) has its pole at zeta = 1, a grid point
+    spec = SequenceSpec(
+        anchor=(-1 + 0j,),
+        inward=(1 + 0j,),
+        c_p=1.0,
+        a=1.0,
+        scale=ExplicitScale(1.0, 1.0),
+        j_start=2,
+        j_end=6,
+    )
+    run = explicit_rescale(parse("1/z1", 1), UNIT_DISC, spec)
+    report = convergence_report(run, 1.0, 32, 1e-3)
+    assert report.excluded == (2,)
+    assert report.indices == (3, 4, 5, 6)
+
+
 def test_constant_limit_osc_nonincreasing_after_first_quartile():
     f = parse("z1", 1)
     spec = _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 50)
