@@ -19,7 +19,7 @@ import numpy as np
 from . import config as cfg
 from .errors import ConfigError, NormlabError
 from .expr import parse, to_source
-from .metrics import normality_scan, sharp, sharp_fd
+from .metrics import normality_scan, sharp_batch, sharp_fd
 from .rescaling import (
     convergence_report,
     explicit_rescale,
@@ -59,10 +59,9 @@ def _run_sharp(config: dict, out: Path, fmt: str) -> int:
     h = float(config.get("h", 1e-4))
     samples = int(config.get("sphere_samples", 256))
     seed = int(config.get("seed", 0))
+    points = [cfg.parse_point(raw) for raw in config["points"]]
     rows = []
-    for raw in config["points"]:
-        z = cfg.parse_point(raw)
-        s = sharp(f, z).value
+    for z, s in zip(points, sharp_batch(f, points).tolist()):
         s_fd = sharp_fd(f, z, samples, h, seed)
         rel_dev = abs(s - s_fd) / (1.0 + s)
         rows.append([z, s, s_fd, rel_dev])
@@ -110,6 +109,7 @@ def _run_marty_scan(config: dict, out: Path, fmt: str) -> int:
                 "c_required_lower_bound": est.c_required_lower_bound,
                 "verdict": est.verdict,
                 "skipped": est.skipped,
+                "errors": list(est.errors),
                 "shell_trend": [list(t) for t in est.shell_trend],
                 "samples": [
                     {

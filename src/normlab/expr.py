@@ -16,7 +16,8 @@ Complex literals are written arithmetically, e.g. ``2+3*i``; a literal that
 overflows to infinity is a syntax error.
 
 Depth is capped at ``MAX_DEPTH`` levels, well inside Python's recursion limit:
-parenthesized groups, function calls and unary minus may nest that deep, and
+parenthesized groups, function calls and unary minus (other than the sign of
+a number literal, which recurses no further) may nest that deep, and
 so may the parsed tree, where each function call, unary minus, power and
 binary operator is one level (an operator chain ``a+b+...`` is as deep as it
 is long).  Deeper input raises ``ExprSyntaxError``.
@@ -218,6 +219,9 @@ class _Parser:
         tok = self._peek()
         if tok and tok[0] == "op" and tok[1] == "-":
             self.pos += 1
+            following = self._peek()
+            if following and following[0] == "num":  # a signed literal: no recursion
+                return _fold_neg(self.power())
             return _fold_neg(self._nested(self.factor, tok[2]))
         return self.power()
 
@@ -303,30 +307,53 @@ def _tree_depth(root: Node) -> int:
 # Canonical printer
 # --------------------------------------------------------------------------
 
-def _print(node: Node) -> str:
-    # Fully parenthesized canonical form; round-trips through `parse`.
+# Grammar levels, loosest first: a printed child is parenthesized only when
+# its own level is looser than the level its position in the parent needs.
+_EXPR, _TERM, _FACTOR, _POWER, _ATOM = range(5)
+
+
+def _print_const(v: complex) -> tuple[str, int]:
+    # Written so that parsing folds the text back into one Const.
+    if v.imag == 0.0:
+        text = repr(v.real)
+        return text, _FACTOR if text.startswith("-") else _ATOM
+    if v.real == 0.0:
+        return f"{v.imag!r}*i", _TERM
+    sign = "+" if v.imag > 0 else "-"
+    return f"{v.real!r}{sign}{abs(v.imag)!r}*i", _EXPR
+
+
+def _print(node: Node) -> tuple[str, int]:
+    """Source text of the subtree and its grammar level."""
     if isinstance(node, Var):
-        return f"z{node.index}"
+        return f"z{node.index}", _ATOM
     if isinstance(node, Const):
-        v = node.value
-        if v.imag == 0.0:
-            return f"({v.real!r})"
-        return f"({v.real!r}+({v.imag!r})*i)"
+        return _print_const(node.value)
     if isinstance(node, Neg):
-        return f"(-{_print(node.child)})"
+        return f"-{_child(node.child, _FACTOR)}", _FACTOR
     if isinstance(node, BinOp):
-        return f"({_print(node.left)}{node.op}{_print(node.right)})"
+        # left-associative: the right operand binds one level tighter
+        level = _EXPR if node.op in "+-" else _TERM
+        return f"{_child(node.left, level)}{node.op}{_child(node.right, level + 1)}", level
     if isinstance(node, Pow):
-        e = node.exponent
-        return f"({_print(node.base)}^{e})" if e >= 0 else f"({_print(node.base)}^-{-e})"
+        return f"{_child(node.base, _ATOM)}^{node.exponent}", _POWER
     if isinstance(node, Func):
-        return f"{node.name}({_print(node.arg)})"
+        return f"{node.name}({_child(node.arg, _EXPR)})", _ATOM
     raise TypeError(f"unknown node {node!r}")
 
 
+def _child(node: Node, level: int) -> str:
+    text, own = _print(node)
+    return text if own >= level else f"({text})"
+
+
 def to_source(expr: HoloExpr) -> str:
-    """Canonical textual form; ``parse(to_source(e), e.dimension)`` is structurally e."""
-    return _print(expr.root)
+    """Canonical textual form with only the parentheses the grammar needs.
+
+    For every e that `parse` returns, ``parse(to_source(e), e.dimension)`` is
+    structurally e, and the text nests no deeper than e's tree does.
+    """
+    return _print(expr.root)[0]
 
 
 # --------------------------------------------------------------------------
@@ -437,7 +464,12 @@ def evaluate_batch(expr: HoloExpr, points, gradient: bool = True) -> Batch:
     """Value, complex gradient (when asked for) and status at each row of the
     (N, n) point array.  A row with a non-finite coordinate is NONFINITE.
     Floating-point warnings are silenced; the statuses carry them."""
-    Z = np.asarray(points, dtype=complex)
+    try:
+        Z = np.asarray(points, dtype=complex)
+    except ValueError as exc:  # rows of different lengths
+        raise DimensionMismatchError(
+            f"points of unequal lengths, expression expects dimension {expr.dimension}"
+        ) from exc
     if Z.ndim != 2 or Z.shape[1] != expr.dimension:
         raise DimensionMismatchError(
             f"points of shape {Z.shape}, expression expects dimension {expr.dimension}"

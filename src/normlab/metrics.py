@@ -225,12 +225,14 @@ def normality_scan(f: HoloExpr, domain: Domain, plan: SamplingPlan) -> Normality
     on any constant C for which levi <= C * K^2 could hold; the per-shell
     trend makes divergence toward the boundary visible.  The verdict is
     numerical evidence, not proof.  A sample whose Levi form or ratio is not
-    finite is skipped, as are all samples at a point that fails to evaluate.
+    finite is skipped, as are all samples at a point that fails to evaluate;
+    a skip in any of the last three shells makes the verdict inconclusive,
+    since the maxima that survived cannot speak for the skipped samples.
     """
     center = np.asarray(domain.center, dtype=complex)
     rays = scan_rays(f.dimension, plan.points_per_shell, plan.seed)
     dirs = sphere_directions(f.dimension, plan.directions_per_point, plan.seed + 1)
-    directions = [tuple(v) for v in dirs]
+    directions = [tuple(v) for v in dirs.tolist()]
     extents = [domains.ray_extent(domain, tuple(u)) for u in rays]
     points = np.array(
         [center + (1.0 - t) * extent * u for t in plan.shells for u, extent in zip(rays, extents)]
@@ -241,12 +243,14 @@ def normality_scan(f: HoloExpr, domain: Domain, plan: SamplingPlan) -> Normality
     samples: list[ScanSample] = []
     errors: list[str] = []
     skipped = 0
+    skipped_per_shell: list[int] = []
     trend: list[tuple[float, float, float]] = []
     for shell_idx, t in enumerate(plan.shells):
+        skipped_before = skipped
         shell_max = 0.0
         shell_delta = math.inf
         for i in range(shell_idx * len(rays), (shell_idx + 1) * len(rays)):
-            p = tuple(points[i])
+            p = tuple(points[i].tolist())
             try:
                 shell_delta = min(shell_delta, domains.boundary_distance(domain, p))
             except DomainError as exc:
@@ -267,9 +271,13 @@ def normality_scan(f: HoloExpr, domain: Domain, plan: SamplingPlan) -> Normality
                 samples.append(s)
                 shell_max = max(shell_max, s.ratio_lower)
         trend.append((t, shell_max, shell_delta if math.isfinite(shell_delta) else 0.0))
+        skipped_per_shell.append(skipped - skipped_before)
 
     c_required = max((s.ratio_lower for s in samples), default=0.0)
-    verdict = _trend_verdict([m for _, m, _ in trend])
+    if any(skipped_per_shell[-3:]):
+        verdict = "inconclusive"
+    else:
+        verdict = _trend_verdict([m for _, m, _ in trend])
     return NormalityEstimate(
         samples=tuple(samples),
         shell_trend=tuple(trend),

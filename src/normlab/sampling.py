@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import norm, qmc
 
 GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -25,8 +24,12 @@ def sphere_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
     - n = 2: Hopf lifts of a Fibonacci lattice on S^2, i.e. a low-discrepancy
       sweep of the phase-quotient CP^1 (plain sampling of S^3 would waste
       budget on the irrelevant global phase);
-    - n >= 3: scrambled Sobol points pushed through the Gaussian map and
-      normalized.
+    - n >= 3: an R_d Kronecker sequence in d = 2n dimensions, frac(s + k*alpha)
+      for k = 1..count with alpha_j = phi^-j, phi the positive root of
+      x^(d+1) = x + 1 (the root of largest real part, by Cauchy's bound) and
+      the shift s drawn from the seed; Box-Muller turns each coordinate pair
+      (u, w) into the complex Gaussian sqrt(-2 log(1-u)) exp(2 pi i w), and
+      the rows are normalized.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -42,10 +45,10 @@ def sphere_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
         v[:, 0] = np.cos(theta / 2.0)
         v[:, 1] = np.sin(theta / 2.0) * np.exp(1j * phi)
         return v
-    sob = qmc.Sobol(d=2 * n, scramble=True, seed=seed)
-    u = sob.random(count)
-    g = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
-    v = g[:, :n] + 1j * g[:, n:]
+    phi = max(np.roots([1.0] + [0.0] * (2 * n - 1) + [-1.0, -1.0]).real)
+    steps = np.arange(1, count + 1)[:, None] * phi ** -np.arange(1.0, 2 * n + 1)
+    x = (steps + np.random.default_rng(seed).random(2 * n)) % 1.0
+    v = np.sqrt(-2.0 * np.log1p(-x[:, :n])) * np.exp(2j * math.pi * x[:, n:])
     norms = np.linalg.norm(v, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return v / norms

@@ -212,6 +212,15 @@ def test_evaluation_error_exit_code(tmp_path):
     assert code == 3
 
 
+def test_sharp_points_of_unequal_lengths_exit_3(tmp_path, capsys):
+    # the closed form is computed for all points in one batch, which must not
+    # turn a point of the wrong dimension into a traceback
+    config = {"command": "sharp", "function": "z1*z2", "dimension": 2, "points": [[[1, 0], [1, 0]], [[1, 0]]]}
+    code, _ = _run(tmp_path, "sharp", config)
+    assert code == 3
+    assert "expects dimension 2" in capsys.readouterr().err
+
+
 def test_reproducible_outputs(tmp_path):
     config = _rescale_config()
     _, out1 = _run(tmp_path, "rescale", config, outdir="out1")
@@ -307,3 +316,5 @@ def test_scan_overflow_to_inf(tmp_path):
     payload = _strict_json(out / "marty_scan.json")
     assert payload["skipped"] > 0
     assert len(payload["samples"]) + payload["skipped"] == 8 * 8 * 4
+    assert payload["verdict"] == "inconclusive"
+    assert payload["errors"] and all("non-finite" in e for e in payload["errors"])

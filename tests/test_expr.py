@@ -30,6 +30,7 @@ from normlab.expr import (
     BinOp,
     Const,
     Func,
+    HoloExpr,
     Neg,
     Pow,
     Var,
@@ -227,12 +228,58 @@ def test_print_parse_roundtrip():
         "(z1+z2)^3 / (1 - z1*z2)",
         "2+3*i",
         "log(1+z1^2)",
+        "-" * 60 + "z1",
+        "z1*(-1-2*i) - (2-3*i)/z1 + (-2)^2 - -2^2",
+        "-(z1^2)^-3 * (z1-(z1-z1)) / (z1/(z1*z1))",
     ]
     for src in sources:
         dim = 2 if "z2" in src else 1
         first = parse(src, dim)
         again = parse(to_source(first), dim)
         assert first == again
+    assert to_source(parse("1-2*i", 1)) == "1.0-2.0*i"
+    assert to_source(parse("-" * 60 + "z1", 1)) == "-" * 60 + "z1"
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3))
+def test_print_parse_roundtrip_random(seed, dim):
+    expr = parse(_hostile_expr(random.Random(seed), dim), dim)
+    assert parse(to_source(expr), dim) == expr
+
+
+def _any_tree():
+    # arbitrary trees, constants of any sign and size included; not all are
+    # what `parse` returns (it folds constant arithmetic and signs)
+    leaves = st.one_of(
+        st.builds(Var, st.integers(1, 2)),
+        st.builds(Const, st.complex_numbers(allow_nan=False, allow_infinity=False)),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+            st.builds(Pow, children, st.integers(-3, 3)),
+            st.builds(Func, st.sampled_from(["exp", "sin", "cos", "log"]), children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_any_tree())
+def test_printed_trees_reparse_to_themselves(tree):
+    parsed = parse(to_source(HoloExpr(2, tree)), 2)
+    assert parse(to_source(parsed), 2) == parsed
+
+
+def test_roundtrip_at_the_depth_cap():
+    # MAX_DEPTH tree levels and MAX_DEPTH levels of nesting in this spelling;
+    # the printer writes the constant as (-1.0-2.0*i), whose sign does not nest
+    calls = MAX_DEPTH - 3
+    expr = parse("exp(" * calls + "-(z1*(0-1-2*i))" + ")" * calls, 1)
+    assert parse(to_source(expr), 1) == expr
 
 
 def test_jet_value_matches_evaluate():

@@ -317,3 +317,18 @@ def test_scan_skips_non_finite_samples():
     for s in est.samples:
         assert all(map(math.isfinite, (s.levi, s.ratio_lower, s.ratio_upper)))
     assert math.isfinite(est.c_required_lower_bound)
+    # the surviving maxima of the deepest shells decrease, but they cannot
+    # speak for the samples that were skipped there
+    m1, m2, m3 = [m for _, m, _ in est.shell_trend][-3:]
+    assert m1 >= m2 >= m3
+    assert est.verdict == "inconclusive"
+
+
+def test_scan_skips_before_the_last_three_shells_keep_the_trend_verdict():
+    # the same scan with the deepest shells first: every skip falls in the
+    # first three shells, and the verdict follows the trend again
+    ball = Ball((0j, 0j), 1.0)
+    plan = SamplingPlan(shells=tuple(2.0**-k for k in range(8, 0, -1)), points_per_shell=8, directions_per_point=4)
+    est = normality_scan(parse("exp(10/(1-z1))*z2", 2), ball, plan)
+    assert est.skipped > 0
+    assert est.verdict == "bounded-consistent"
