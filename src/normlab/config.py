@@ -7,6 +7,7 @@ Complex numbers are written as ``[re, im]`` pairs, points as arrays of pairs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Any
@@ -186,18 +187,45 @@ def load_config(path: str) -> dict[str, Any]:
     return config
 
 
+@functools.cache
+def _validator(command: str):
+    """The schema validator of one command, built on its first use.  The
+    schemas themselves are checked against the metaschema by the tests, not
+    on every validation."""
+    schema = SCHEMAS[command]
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def _coordinate_lists(config: dict[str, Any]) -> list[tuple[str, list]]:
+    """(name, list) for every list with one entry per coordinate."""
+    found = [(f"points[{k}]", point) for k, point in enumerate(config.get("points", []))]
+    for section, keys in (("domain", ("center", "radii")), ("sequence", ("anchor", "inward"))):
+        found += [
+            (f"{section}.{key}", config[section][key])
+            for key in keys
+            if key in config.get(section, {})
+        ]
+    return found
+
+
 def validate_config(config: dict[str, Any]) -> str:
-    """Validate against the schema named by config['command'] and parse the
-    config's function, if it has one; returns the command."""
+    """Validate against the schema named by config['command'], check every
+    point, center, radii, anchor and inward list against the dimension, and
+    parse the config's function, if it has one; returns the command."""
     command = config.get("command")
     if command not in SCHEMAS:
         raise ConfigError(
             f"config must carry a 'command' key, one of {sorted(SCHEMAS)}"
         )
-    try:
-        jsonschema.validate(config, SCHEMAS[command])
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_validator(command).iter_errors(config))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}")
+    if "dimension" in config:
+        for name, coordinates in _coordinate_lists(config):
+            if len(coordinates) != config["dimension"]:
+                raise ConfigError(
+                    f"{name} has length {len(coordinates)}, not the dimension {config['dimension']}"
+                )
     if "function" in config:
         try:
             parse(config["function"], config["dimension"])

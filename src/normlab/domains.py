@@ -53,36 +53,41 @@ class Polydisc:
 Domain = Ball | Polydisc
 
 
-def _check_dim(domain: Domain, p: CPoint):
-    if len(p) != domain.dimension:
-        raise DimensionMismatchError(
-            f"point has dimension {len(p)}, domain expects {domain.dimension}"
-        )
-
-
-def contains(domain: Domain, p: CPoint) -> bool:
-    """True iff p lies strictly inside the domain."""
-    _check_dim(domain, p)
-    d = _as_array(p) - _as_array(domain.center)
-    if isinstance(domain, Ball):
-        return float(np.linalg.norm(d)) < domain.radius
-    return bool(np.all(np.abs(d) < np.asarray(domain.radii)))
-
-
-def boundary_distance(domain: Domain, p: CPoint) -> float:
-    """Distance from an interior point to the boundary.
+def boundary_distance_batch(domain: Domain, points) -> np.ndarray:
+    """Distance from each row of an (N, n) point array to the boundary, (N,).
 
     For a ball this is the Euclidean distance r - |p - a|.  For a polydisc it
     is min_k (r_k - |p_k - a_k|): the largest rho with B(p, rho) inside every
     coordinate disc, not the Euclidean distance to the topological boundary.
+    A row is interior exactly where its distance is > 0; a row outside the
+    domain, on its boundary or with a non-finite coordinate is flagged by a
+    distance <= 0 or nan, not raised.
     """
-    _check_dim(domain, p)
-    if not contains(domain, p):
-        raise DomainError("point is not interior to the domain")
-    d = _as_array(p) - _as_array(domain.center)
+    p = np.asarray(points, dtype=complex)
+    if p.ndim != 2 or p.shape[1] != domain.dimension:
+        raise DimensionMismatchError(
+            f"points of shape {p.shape}, domain expects dimension {domain.dimension}"
+        )
+    d = p - _as_array(domain.center)
     if isinstance(domain, Ball):
-        return domain.radius - float(np.linalg.norm(d))
-    return float(np.min(np.asarray(domain.radii) - np.abs(d)))
+        return domain.radius - np.linalg.norm(d, axis=1)
+    return np.min(np.asarray(domain.radii) - np.abs(d), axis=1)
+
+
+def contains(domain: Domain, p: CPoint) -> bool:
+    """True iff p lies strictly inside the domain."""
+    return bool(boundary_distance_batch(domain, [p])[0] > 0)
+
+
+NOT_INTERIOR = "point is not interior to the domain"
+
+
+def boundary_distance(domain: Domain, p: CPoint) -> float:
+    """`boundary_distance_batch` at one interior point; DomainError elsewhere."""
+    distance = float(boundary_distance_batch(domain, [p])[0])
+    if not distance > 0:
+        raise DomainError(NOT_INTERIOR)
+    return distance
 
 
 def inscribed_ball(domain: Domain, p: CPoint) -> Ball:

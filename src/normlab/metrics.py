@@ -122,46 +122,72 @@ def sharp_fd(
 # Kobayashi metric on balls, sandwich bounds on general domains
 # --------------------------------------------------------------------------
 
-def _ball_frame(ball: Ball, z: CPoint, v: CPoint):
-    w = np.asarray(z, dtype=complex) - np.asarray(ball.center, dtype=complex)
-    vv = np.asarray(v, dtype=complex)
-    if np.linalg.norm(vv) == 0:
+def _ball_frame(offsets, radius, directions):
+    """Offsets w (N, n) of points from their ball centers, directions v
+    (m, n), |v|^2 (m,) and the slacks d^2 - |w|^2 (N,), checked."""
+    w = np.asarray(offsets, dtype=complex)
+    v = np.asarray(directions, dtype=complex)
+    v_sq = np.linalg.norm(v, axis=1) ** 2
+    if np.any(v_sq == 0):
         raise ValueError("direction v must be nonzero")
-    slack = ball.radius**2 - float(np.linalg.norm(w)) ** 2
-    if slack <= 0:
+    slack = np.asarray(radius, dtype=float) ** 2 - np.linalg.norm(w, axis=1) ** 2
+    if np.any(slack <= 0):
         raise DomainError("point is not strictly inside the ball")
-    return w, vv, slack
+    return w, v, v_sq, slack
+
+
+def kobayashi_ball_batch(offsets, radius, directions) -> np.ndarray:
+    """Exact Kobayashi metric of Euclidean balls, (N, m): row i is the point
+    at offset w = offsets[i] from the center of a ball of radius radius[i]
+    (or one radius for every row), along each of m directions (m, n):
+
+        sqrt((d^2 - |w|^2) |v|^2 + |(w, v)|^2) / (d^2 - |w|^2),
+
+    with (w, v) the Hermitian pairing (the modulus does not depend on which
+    slot carries the conjugation).  Raises ValueError on a zero direction and
+    DomainError when a point is not strictly inside its ball."""
+    w, v, v_sq, slack = _ball_frame(offsets, radius, directions)
+    pairing = np.sum(w[:, None, :] * np.conj(v)[None, :, :], axis=-1)
+    slack = slack[:, None]
+    return np.sqrt(slack * v_sq + np.abs(pairing) ** 2) / slack
 
 
 def kobayashi_ball(ball: Ball, z: CPoint, v: CPoint) -> float:
-    """Exact Kobayashi metric of a Euclidean ball:
-
-        sqrt((d^2 - |w|^2) |v|^2 + |(w, v)|^2) / (d^2 - |w|^2),   w = z - center,
-
-    with (w, v) the Hermitian pairing (the modulus does not depend on which
-    slot carries the conjugation)."""
-    w, vv, slack = _ball_frame(ball, z, v)
-    pairing = complex(np.sum(w * np.conj(vv)))
-    num = math.sqrt(slack * float(np.linalg.norm(vv)) ** 2 + abs(pairing) ** 2)
-    return num / slack
+    """`kobayashi_ball_batch` of one ball at one point along one direction."""
+    w = np.asarray(z, dtype=complex) - np.asarray(ball.center, dtype=complex)
+    return float(kobayashi_ball_batch([w], ball.radius, [v])[0, 0])
 
 
 def kobayashi_upper(ball: Ball, z: CPoint, v: CPoint) -> float:
     """Cauchy-Schwarz upper bound d |v| / (d^2 - |z-center|^2); equals
     `kobayashi_ball` in one variable and whenever z-center is parallel to v."""
-    _, vv, slack = _ball_frame(ball, z, v)
-    return ball.radius * float(np.linalg.norm(vv)) / slack
+    w = np.asarray(z, dtype=complex) - np.asarray(ball.center, dtype=complex)
+    _, _, v_sq, slack = _ball_frame([w], ball.radius, [v])
+    return ball.radius * math.sqrt(v_sq[0]) / float(slack[0])
+
+
+def kobayashi_domain_bounds_batch(domain: Domain, points, directions) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) sandwich for the Kobayashi metric of the domain at each
+    row of an (N, n) array of interior points along m directions, each (N, m).
+
+    Inclusion decreases the metric, so the inscribed ball at each point gives
+    the upper bound and the circumscribed ball the lower bound.  Raises
+    DomainError when a point is not interior.
+    """
+    points = np.asarray(points, dtype=complex)
+    distance = domains.boundary_distance_batch(domain, points)
+    if not np.all(distance > 0):
+        raise DomainError(domains.NOT_INTERIOR)
+    outer = domains.circumscribed_ball(domain)
+    upper = kobayashi_ball_batch(np.zeros_like(points), distance, directions)
+    lower = kobayashi_ball_batch(points - np.asarray(outer.center, dtype=complex), outer.radius, directions)
+    return lower, upper
 
 
 def kobayashi_domain_bounds(domain: Domain, z: CPoint, v: CPoint) -> tuple[float, float]:
-    """(lower, upper) sandwich for the Kobayashi metric of the domain.
-
-    Inclusion decreases the metric, so the inscribed ball at z gives the
-    upper bound and the circumscribed ball the lower bound.
-    """
-    upper = kobayashi_ball(domains.inscribed_ball(domain, z), z, v)
-    lower = kobayashi_ball(domains.circumscribed_ball(domain), z, v)
-    return lower, upper
+    """`kobayashi_domain_bounds_batch` at one point along one direction."""
+    lower, upper = kobayashi_domain_bounds_batch(domain, [z], [v])
+    return float(lower[0, 0]), float(upper[0, 0])
 
 
 # --------------------------------------------------------------------------
@@ -238,7 +264,20 @@ def normality_scan(f: HoloExpr, domain: Domain, plan: SamplingPlan) -> Normality
         [center + (1.0 - t) * extent * u for t in plan.shells for u, extent in zip(rays, extents)]
     )
     jets = evaluate_batch(f, points)
-    levi = levi_batch(jets.value, jets.gradient, dirs).tolist()
+    levi = levi_batch(jets.value, jets.gradient, dirs)
+    distance = domains.boundary_distance_batch(domain, points)
+    interior = distance > 0
+    usable = interior & (jets.status == OK)
+    k_lower = np.full(levi.shape, math.nan)
+    k_upper = np.full(levi.shape, math.nan)
+    k_lower[usable], k_upper[usable] = kobayashi_domain_bounds_batch(domain, points[usable], dirs)
+    with np.errstate(all="ignore"):
+        ratio_lower = levi / (k_upper * k_upper)
+        ratio_upper = levi / (k_lower * k_lower)
+    finite = np.isfinite(levi) & np.isfinite(ratio_lower) & np.isfinite(ratio_upper)
+    point_rows = points.tolist()
+    distance, interior, status = distance.tolist(), interior.tolist(), jets.status.tolist()
+    sample_rows = [a.tolist() for a in (levi, k_lower, k_upper, ratio_lower, ratio_upper, finite)]
 
     samples: list[ScanSample] = []
     errors: list[str] = []
@@ -250,26 +289,23 @@ def normality_scan(f: HoloExpr, domain: Domain, plan: SamplingPlan) -> Normality
         shell_max = 0.0
         shell_delta = math.inf
         for i in range(shell_idx * len(rays), (shell_idx + 1) * len(rays)):
-            p = tuple(points[i].tolist())
-            try:
-                shell_delta = min(shell_delta, domains.boundary_distance(domain, p))
-            except DomainError as exc:
-                errors.append(f"point {p!r}: {exc}")
+            p = tuple(point_rows[i])
+            if not interior[i]:
+                errors.append(f"point {p!r}: {domains.NOT_INTERIOR}")
                 skipped += len(dirs)
                 continue
-            if jets.status[i] != OK:
-                errors.append(f"point {p!r}: {status_error(jets.status[i])}")
+            shell_delta = min(shell_delta, distance[i])
+            if status[i] != OK:
+                errors.append(f"point {p!r}: {status_error(status[i])}")
                 skipped += len(dirs)
                 continue
-            for v, lv in zip(directions, levi[i]):
-                k_lo, k_up = kobayashi_domain_bounds(domain, p, v)
-                s = ScanSample(p, v, lv, k_lo, k_up, lv / (k_up * k_up), lv / (k_lo * k_lo))
-                if not all(map(math.isfinite, (s.levi, s.ratio_lower, s.ratio_upper))):
+            for v, lv, k_lo, k_up, r_lo, r_up, ok in zip(directions, *(a[i] for a in sample_rows)):
+                if not ok:
                     errors.append(f"point {p!r}, dir {v!r}: {status_error(NONFINITE)}")
                     skipped += 1
                     continue
-                samples.append(s)
-                shell_max = max(shell_max, s.ratio_lower)
+                samples.append(ScanSample(p, v, lv, k_lo, k_up, r_lo, r_up))
+                shell_max = max(shell_max, r_lo)
         trend.append((t, shell_max, shell_delta if math.isfinite(shell_delta) else 0.0))
         skipped_per_shell.append(skipped - skipped_before)
 

@@ -1,9 +1,13 @@
 import json
 import math
 
+import jsonschema
 import pytest
 
+from normlab import DimensionMismatchError, parse
 from normlab.cli import main
+from normlab.config import SCHEMAS
+from normlab.metrics import sharp_batch
 
 DISC = {"type": "ball", "center": [[0.0, 0.0]], "radius": 1.0}
 
@@ -212,13 +216,16 @@ def test_evaluation_error_exit_code(tmp_path):
     assert code == 3
 
 
-def test_sharp_points_of_unequal_lengths_exit_3(tmp_path, capsys):
-    # the closed form is computed for all points in one batch, which must not
-    # turn a point of the wrong dimension into a traceback
+def test_sharp_points_of_unequal_lengths_exit_2(tmp_path, capsys):
+    # a point of the wrong dimension is a config error, caught before the
+    # closed form is computed for all points in one batch; the batch itself
+    # raises DimensionMismatchError on such rows, never a numpy traceback
     config = {"command": "sharp", "function": "z1*z2", "dimension": 2, "points": [[[1, 0], [1, 0]], [[1, 0]]]}
     code, _ = _run(tmp_path, "sharp", config)
-    assert code == 3
-    assert "expects dimension 2" in capsys.readouterr().err
+    assert code == 2
+    assert "points[1] has length 1, not the dimension 2" in capsys.readouterr().err
+    with pytest.raises(DimensionMismatchError, match="expects dimension 2"):
+        sharp_batch(parse("z1*z2", 2), [(1, 1), (1,)])
 
 
 def test_reproducible_outputs(tmp_path):
@@ -253,6 +260,13 @@ def _strict_json(path):
         raise AssertionError(f"non-finite number {token} in {path.name}")
 
     return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_schemas_are_valid_under_their_metaschema(command):
+    # validation builds each validator once and does not re-check the schema
+    schema = SCHEMAS[command]
+    jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
 def test_nan_point_is_config_error(tmp_path):
@@ -318,3 +332,43 @@ def test_scan_overflow_to_inf(tmp_path):
     assert len(payload["samples"]) + payload["skipped"] == 8 * 8 * 4
     assert payload["verdict"] == "inconclusive"
     assert payload["errors"] and all("non-finite" in e for e in payload["errors"])
+
+
+def _scan_config(domain):
+    return {
+        "command": "marty-scan",
+        "function": "z1",
+        "dimension": 1,
+        "domain": domain,
+        "plan": {"shells": [0.5, 0.25, 0.125], "points_per_shell": 4, "directions_per_point": 4},
+    }
+
+
+def _rescaling_config(command, **sequence):
+    config = _rescale_config()
+    config["command"] = command
+    config["sequence"].update(sequence)
+    if command == "thm2":
+        config["sequence"].update(c_r=1.0, b=2.0)
+    return config
+
+
+# Each list with one entry per coordinate, given one coordinate too many.
+# Unchecked, the rescale and thm2 runs dropped the extra coordinate silently
+# and exited 0 or 4, and the scan failed late with exit 3.
+@pytest.mark.parametrize(
+    "config,name",
+    [
+        (_rescaling_config("rescale", anchor=[[1.0, 0.0], [0.0, 0.0]]), "sequence.anchor"),
+        (_rescaling_config("thm2", inward=[[-1.0, 0.0], [0.0, 0.0]]), "sequence.inward"),
+        (_scan_config({"type": "ball", "center": [[0.0, 0.0], [0.0, 0.0]], "radius": 1.0}), "domain.center"),
+        (_scan_config({"type": "polydisc", "center": [[0.0, 0.0]], "radii": [1.0, 1.0]}), "domain.radii"),
+        ({"command": "sharp", "function": "z1", "dimension": 1, "points": [[[0.1, 0.0], [0.2, 0.0]]]}, "points[0]"),
+    ],
+    ids=["rescale-anchor", "thm2-inward", "scan-center", "scan-radii", "sharp-point"],
+)
+def test_coordinate_list_of_wrong_length_is_config_error(tmp_path, capsys, config, name):
+    code, out = _run(tmp_path, config["command"], config)
+    assert code == 2
+    assert f"{name} has length 2, not the dimension 1" in capsys.readouterr().err
+    assert not out.exists()

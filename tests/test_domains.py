@@ -6,6 +6,7 @@ import pytest
 
 from normlab import (
     Ball,
+    DimensionMismatchError,
     DomainError,
     Polydisc,
     boundary_distance,
@@ -13,7 +14,7 @@ from normlab import (
     contains,
     inscribed_ball,
 )
-from normlab.domains import ray_extent
+from normlab.domains import boundary_distance_batch, ray_extent
 
 
 UNIT_DISC = Ball((0j,), 1.0)
@@ -54,6 +55,24 @@ def test_boundary_distance_values():
 def test_boundary_distance_outside_raises():
     with pytest.raises(DomainError):
         boundary_distance(UNIT_DISC, (2 + 0j,))
+
+
+@pytest.mark.parametrize("domain", [UNIT_BALL2, POLY])
+def test_boundary_distance_batch_flags_points_not_interior(domain):
+    points = [(0.5 + 0j, 0.25j), (3 + 0j, 0j), (1 + 0j, 0j), (complex("nan"), 0j), (0j, 0j)]
+    distance = boundary_distance_batch(domain, points)
+    assert (distance > 0).tolist() == [True, False, False, False, True]
+    assert (distance > 0).tolist() == [contains(domain, p) for p in points]
+    for p, d in zip(points, distance):
+        if d > 0:
+            assert d == boundary_distance(domain, p)
+        else:
+            with pytest.raises(DomainError):
+                boundary_distance(domain, p)
+    with pytest.raises(DimensionMismatchError):
+        boundary_distance_batch(domain, [(0j,)])
+    with pytest.raises(DimensionMismatchError):
+        boundary_distance(domain, (0j, 0j, 0j))
 
 
 def test_inscribed_ball_values():

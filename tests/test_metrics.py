@@ -3,11 +3,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normlab import (
     Ball,
+    DomainError,
     Polydisc,
     SamplingPlan,
+    boundary_distance,
+    circumscribed_ball,
     kobayashi_ball,
     kobayashi_domain_bounds,
     kobayashi_upper,
@@ -20,6 +25,9 @@ from normlab import (
     sharp_fd,
     sphere_directions,
 )
+from normlab import domains, metrics
+from normlab.domains import ray_extent
+from normlab.metrics import kobayashi_ball_batch, kobayashi_domain_bounds_batch
 
 UNIT_DISC = Ball((0j,), 1.0)
 
@@ -274,6 +282,99 @@ def test_domain_bounds_polydisc_ordering():
         assert lower <= upper
 
 
+def _kobayashi_reference(center, radius, z, v):
+    """The ball's Kobayashi metric in plain Python, the reference for the kernel."""
+    w = [a - c for a, c in zip(z, center)]
+    slack = radius**2 - sum(abs(x) ** 2 for x in w)
+    pairing = sum(a * b.conjugate() for a, b in zip(w, v))
+    return math.sqrt(slack * sum(abs(x) ** 2 for x in v) + abs(pairing) ** 2) / slack
+
+
+def _unit(rng, dim):
+    v = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim)]
+    norm = math.sqrt(sum(abs(c) ** 2 for c in v))
+    return tuple(c / norm for c in v)
+
+
+def _random_domain(rng, dim):
+    center = _random_point(rng, dim, 1.0)
+    if rng.random() < 0.5:
+        return Ball(center, rng.uniform(0.1, 3.0))
+    return Polydisc(center, tuple(rng.uniform(0.1, 3.0) for _ in range(dim)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3))
+def test_sandwich_batch_matches_single_samples_and_the_reference(seed, dim):
+    rng = random.Random(seed)
+    domain = _random_domain(rng, dim)
+    # interior points along random rays, the last one next to the boundary
+    fractions = [0.999 * rng.random() for _ in range(4)] + [1.0 - 2.0 ** -rng.randint(10, 40)]
+    points = []
+    for t in fractions:
+        u = _unit(rng, dim)
+        extent = ray_extent(domain, u)
+        points.append(tuple(c + t * extent * x for c, x in zip(domain.center, u)))
+    dirs = [_unit(rng, dim) for _ in range(5)]
+    lower, upper = kobayashi_domain_bounds_batch(domain, points, dirs)
+    assert lower.shape == upper.shape == (len(points), len(dirs))
+    outer = circumscribed_ball(domain)
+    for i, (p, t) in enumerate(zip(points, fractions)):
+        delta = boundary_distance(domain, p)
+        for j, v in enumerate(dirs):
+            lo, up = kobayashi_domain_bounds(domain, p, v)
+            assert lower[i, j] == pytest.approx(lo, rel=1e-12)
+            assert upper[i, j] == pytest.approx(up, rel=1e-12)
+            assert lo <= up
+            if t < 0.999:  # nearer the boundary both sides lose digits to d^2 - |w|^2
+                assert up == pytest.approx(_kobayashi_reference(p, delta, p, v), rel=1e-12)
+                assert lo == pytest.approx(_kobayashi_reference(outer.center, outer.radius, p, v), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3))
+def test_kobayashi_ball_unitary_invariance(seed, dim):
+    # z -> c' + U (z - c) maps B(c, r) onto B(c', r) and preserves its metric
+    rng = np.random.default_rng(seed)
+    gauss = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)  # noqa: E731
+    unitary, _ = np.linalg.qr(gauss(dim, dim))
+    center, image_center = gauss(dim), gauss(dim)
+    radius = rng.uniform(0.5, 2.0)
+    ball, image = Ball(tuple(center), radius), Ball(tuple(image_center), radius)
+    for _ in range(5):
+        w = gauss(dim)
+        w *= rng.uniform(0.0, 0.9) * radius / np.linalg.norm(w)
+        v = gauss(dim)
+        expected = kobayashi_ball(ball, tuple(center + w), tuple(v))
+        mapped = kobayashi_ball(image, tuple(image_center + unitary @ w), tuple(unitary @ v))
+        assert mapped == pytest.approx(expected, rel=1e-12)
+
+
+def test_kobayashi_kernels_reject_zero_directions_and_exterior_points():
+    ball = Ball((0j, 0j), 1.0)
+    inside, outside, zero, e1 = (0.5 + 0j, 0j), (3 + 0j, 0j), (0j, 0j), (1 + 0j, 0j)
+    for kernel in (kobayashi_ball, kobayashi_upper):
+        with pytest.raises(ValueError):
+            kernel(ball, inside, zero)
+        with pytest.raises(DomainError):
+            kernel(ball, outside, e1)
+        with pytest.raises(DomainError):
+            kernel(ball, e1, e1)  # on the sphere
+    with pytest.raises(ValueError):
+        kobayashi_ball_batch([inside], 1.0, [e1, zero])
+    with pytest.raises(DomainError):
+        kobayashi_ball_batch([inside, outside], 1.0, [e1])
+    for domain in (ball, Polydisc((0j, 0j), (1.0, 2.0))):
+        with pytest.raises(ValueError):
+            kobayashi_domain_bounds(domain, inside, zero)
+        with pytest.raises(DomainError):
+            kobayashi_domain_bounds(domain, outside, e1)
+        with pytest.raises(DomainError):
+            kobayashi_domain_bounds(domain, outside, zero)  # the point is checked first
+        with pytest.raises(DomainError):
+            kobayashi_domain_bounds_batch(domain, [inside, outside], [e1])
+
+
 # --------------------------------------------------------------------------
 # Normality scan
 # --------------------------------------------------------------------------
@@ -332,3 +433,24 @@ def test_scan_skips_before_the_last_three_shells_keep_the_trend_verdict():
     est = normality_scan(parse("exp(10/(1-z1))*z2", 2), ball, plan)
     assert est.skipped > 0
     assert est.verdict == "bounded-consistent"
+
+
+def test_scan_never_takes_the_per_sample_path(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("normality_scan called a single-point kernel")
+
+    for module, name in [
+        (metrics, "kobayashi_domain_bounds"),
+        (metrics, "kobayashi_ball"),
+        (domains, "boundary_distance"),
+        (domains, "inscribed_ball"),
+        (domains, "contains"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    # the shell at 1e-20 rounds onto the boundary, so its points are skipped
+    plan = SamplingPlan(shells=(1e-20, 0.5, 0.25, 0.125), points_per_shell=4, directions_per_point=4)
+    est = normality_scan(parse("z1*z2", 2), Polydisc((0j, 0j), (1.0, 2.0)), plan)
+    assert len(est.samples) == 3 * 4 * 4
+    assert est.skipped == 4 * 4
+    assert est.errors[0] == "point ((1+0j), 0j): point is not interior to the domain"
+    assert est.shell_trend[0][1:] == (0.0, 0.0)
