@@ -1,16 +1,18 @@
 """Command-line front end.
 
 Subcommands: sharp, marty-scan, rescale, thm2, counterexample, check-config.
-Exit codes: 0 success, 2 config error, 3 evaluation error, 4 run completed
-with hypothesis flags raised.  Identical config + seed gives byte-identical
-outputs.
+Exit codes: 0 success, 2 config error or an output that cannot be written,
+3 evaluation error, 4 run completed with hypothesis flags raised.  Identical
+config + seed gives byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -39,6 +41,41 @@ def _write_json(path: Path, payload) -> None:
         json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
         encoding="utf-8",
     )
+
+
+def _sample_row(dimension: int) -> str:
+    """One `marty_scan.json` sample as json.dumps(indent=2, sort_keys=True)
+    prints it inside the report's `samples` list, a %s in place of each float,
+    preceded by its newline and indentation."""
+    coords = [["%s", "%s"]] * dimension
+    sample = dict.fromkeys(("levi", "k_lower", "k_upper", "ratio_lower", "ratio_upper"), "%s")
+    text = json.dumps({"samples": [{**sample, "point": coords, "direction": coords}]},
+                      indent=2, sort_keys=True)
+    return text[text.index("[") + 1:text.rindex("\n  ]")].replace('"%s"', "%s")
+
+
+def _samples_json(samples, dimension: int) -> str:
+    """`marty_scan.json`'s `samples` list, byte for byte as json.dumps(indent=2,
+    sort_keys=True, allow_nan=False) prints it as a key of the report: the
+    floats of each sample in the row's key order (direction, k_lower, k_upper,
+    levi, point, ratio_lower, ratio_upper), through float.__repr__ as json
+    does, filled into the joined rows by one % format."""
+    if not samples:
+        return "[]"
+    floats: list[float] = []
+    for s in samples:
+        for c in s.direction:
+            c = complex(c)
+            floats += (c.real, c.imag)
+        floats += (s.k_lower, s.k_upper, s.levi)
+        for c in s.point:
+            c = complex(c)
+            floats += (c.real, c.imag)
+        floats += (s.ratio_lower, s.ratio_upper)
+    for x in itertools.filterfalse(math.isfinite, floats):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    rows = ",".join([_sample_row(dimension)] * len(samples))
+    return "[" + rows % tuple(map(float.__repr__, floats)) + "\n  ]"
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -102,8 +139,9 @@ def _run_marty_scan(config: dict, out: Path, fmt: str) -> int:
             [[t, m, d] for t, m, d in est.shell_trend],
         )
     if fmt in ("json", "both"):
-        _write_json(
-            out / "marty_scan.json",
+        # json's C encoder does not indent, and the pure-Python one would
+        # spend most of a scan's time on the samples
+        text = json.dumps(
             {
                 "function": config["function"],
                 "c_required_lower_bound": est.c_required_lower_bound,
@@ -111,20 +149,16 @@ def _run_marty_scan(config: dict, out: Path, fmt: str) -> int:
                 "skipped": est.skipped,
                 "errors": list(est.errors),
                 "shell_trend": [list(t) for t in est.shell_trend],
-                "samples": [
-                    {
-                        "point": cfg.point_to_json(s.point),
-                        "direction": cfg.point_to_json(s.direction),
-                        "levi": s.levi,
-                        "k_lower": s.k_lower,
-                        "k_upper": s.k_upper,
-                        "ratio_lower": s.ratio_lower,
-                        "ratio_upper": s.ratio_upper,
-                    }
-                    for s in est.samples
-                ],
+                "samples": [],
             },
+            indent=2,
+            sort_keys=True,
+            allow_nan=False,
         )
+        # a newline inside a string is escaped, so only the key itself matches
+        samples = _samples_json(est.samples, f.dimension)
+        text = text.replace('\n  "samples": []', '\n  "samples": ' + samples, 1)
+        (out / "marty_scan.json").write_text(text + "\n", encoding="utf-8")
     return EXIT_OK
 
 
@@ -274,12 +308,15 @@ def main(argv: list[str] | None = None) -> int:
             config["plan"]["seed"] = args.seed
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        out.mkdir(parents=True, exist_ok=True)
         return _RUNNERS[command](config, out, args.format)
     except NormlabError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVAL
+    except OSError as exc:  # the output directory or a file in it cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -219,7 +219,8 @@ class ScanSample:
     levi: float
     k_lower: float
     k_upper: float
-    ratio_lower: float  # levi / k_upper^2: certified lower bound on C at this sample
+    # levi / k_upper^2: lower bound on C at this sample, up to floating-point rounding
+    ratio_lower: float
     ratio_upper: float  # levi / k_lower^2
 
 
@@ -247,13 +248,15 @@ def _trend_verdict(maxima: list[float]) -> str:
 def normality_scan(f: HoloExpr, domain: Domain, plan: SamplingPlan) -> NormalityEstimate:
     """Scan Levi-form / Kobayashi ratios over shells approaching the boundary.
 
-    The max of levi / k_upper^2 over all samples is a certified lower bound
-    on any constant C for which levi <= C * K^2 could hold; the per-shell
-    trend makes divergence toward the boundary visible.  The verdict is
-    numerical evidence, not proof.  A sample whose Levi form or ratio is not
-    finite is skipped, as are all samples at a point that fails to evaluate;
-    a skip in any of the last three shells makes the verdict inconclusive,
-    since the maxima that survived cannot speak for the skipped samples.
+    The max of levi / k_upper^2 over all samples is a lower bound, up to
+    floating-point rounding, on any constant C for which levi <= C * K^2
+    could hold; the per-shell trend makes divergence toward the boundary
+    visible.  The verdict is numerical evidence, not proof.  A sample whose
+    Levi form or ratio is not finite is skipped, as are all samples at a
+    point that fails to evaluate; `errors` holds one message per point with
+    skips.  A skip in any of the last three shells makes the verdict
+    inconclusive, since the maxima that survived cannot speak for the
+    skipped samples.
     """
     center = np.asarray(domain.center, dtype=complex)
     rays = scan_rays(f.dimension, plan.points_per_shell, plan.seed)
@@ -299,13 +302,19 @@ def normality_scan(f: HoloExpr, domain: Domain, plan: SamplingPlan) -> Normality
                 errors.append(f"point {p!r}: {status_error(status[i])}")
                 skipped += len(dirs)
                 continue
+            non_finite = 0
             for v, lv, k_lo, k_up, r_lo, r_up, ok in zip(directions, *(a[i] for a in sample_rows)):
                 if not ok:
-                    errors.append(f"point {p!r}, dir {v!r}: {status_error(NONFINITE)}")
-                    skipped += 1
+                    non_finite += 1
                     continue
                 samples.append(ScanSample(p, v, lv, k_lo, k_up, r_lo, r_up))
                 shell_max = max(shell_max, r_lo)
+            if non_finite:
+                errors.append(
+                    f"point {p!r}: {non_finite} of {len(dirs)} directions skipped, "
+                    f"{status_error(NONFINITE)}"
+                )
+                skipped += non_finite
         trend.append((t, shell_max, shell_delta if math.isfinite(shell_delta) else 0.0))
         skipped_per_shell.append(skipped - skipped_before)
 

@@ -1,13 +1,16 @@
 import json
 import math
+import re
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from normlab import DimensionMismatchError, parse
-from normlab.cli import main
-from normlab.config import SCHEMAS
-from normlab.metrics import sharp_batch
+from normlab.cli import _samples_json, main
+from normlab.config import SCHEMAS, point_to_json
+from normlab.metrics import ScanSample, sharp_batch
 
 DISC = {"type": "ball", "center": [[0.0, 0.0]], "radius": 1.0}
 
@@ -332,6 +335,13 @@ def test_scan_overflow_to_inf(tmp_path):
     assert len(payload["samples"]) + payload["skipped"] == 8 * 8 * 4
     assert payload["verdict"] == "inconclusive"
     assert payload["errors"] and all("non-finite" in e for e in payload["errors"])
+    # one message per point with skips; a point that fails to evaluate skips
+    # all 4 of its directions, any other states how many it skipped
+    points = [e.split(": ")[0] for e in payload["errors"]]
+    assert len(points) == len(set(points))
+    counts = [re.search(r": (\d+) of 4 directions skipped", e) for e in payload["errors"]]
+    assert any(counts)
+    assert sum(int(m[1]) if m else 4 for m in counts) == payload["skipped"]
 
 
 def _scan_config(domain):
@@ -372,3 +382,111 @@ def test_coordinate_list_of_wrong_length_is_config_error(tmp_path, capsys, confi
     assert code == 2
     assert f"{name} has length 2, not the dimension 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["out-is-a-file", "output-is-a-directory"])
+def test_unwritable_output_is_exit_2(tmp_path, capsys, where):
+    config = _scan_config(DISC)
+    out = tmp_path / "out"
+    if where == "out-is-a-file":
+        out.write_text("")
+    else:
+        (out / "marty_scan.json").mkdir(parents=True)
+    code, _ = _run(tmp_path, "marty-scan", config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+
+
+# --------------------------------------------------------------------------
+# Every JSON report is json.dumps(indent=2, sort_keys=True) of its own content
+# --------------------------------------------------------------------------
+
+def _ball(n):
+    return {"type": "ball", "center": [[0.0, 0.0]] * n, "radius": 1.0}
+
+
+def _scan(function, n, **plan):
+    return {
+        "command": "marty-scan",
+        "function": function,
+        "dimension": n,
+        "domain": _ball(n),
+        "plan": {"shells": [0.5, 0.25, 0.125], "points_per_shell": 3,
+                 "directions_per_point": 2, **plan},
+    }
+
+
+@pytest.mark.parametrize(
+    "config,report",
+    [
+        ({"command": "sharp", "function": "z1*z2", "dimension": 2,
+          "points": [[[1.0, 0.0], [0.5, -0.25]]]}, "sharp.json"),
+        (_scan("sin(1/(1-z1))", 1), "marty_scan.json"),
+        (_scan("z1*z2-1e16*z2", 2, seed=3), "marty_scan.json"),
+        (_scan("z1+z2*z3^2", 3), "marty_scan.json"),
+        (_scan("1/(z1-z1)", 1), "marty_scan.json"),
+        (_rescale_config(), "rescale.json"),
+        (_rescaling_config("thm2"), "thm2.json"),
+        ({"command": "counterexample", "n_max": 5, "R": 1.0}, "counterexample.json"),
+    ],
+    ids=["sharp", "scan-1d", "scan-2d", "scan-3d", "scan-all-skipped", "rescale", "thm2",
+         "counterexample"],
+)
+def test_reports_are_canonical_json(tmp_path, config, report):
+    code, out = _run(tmp_path, config["command"], config)
+    assert code in (0, 4)  # the thm2 run of sin(1/(1-z1)) raises a hypothesis flag
+    text = (out / report).read_text(encoding="utf-8")
+    payload = json.loads(text)
+    assert json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n" == text
+    if config["command"] == "marty-scan":
+        skipped_all = config["function"] == "1/(z1-z1)"
+        assert (payload["samples"] == []) == skipped_all
+        assert payload["skipped"] == (3 * 3 * 2 if skipped_all else 0)
+
+
+def _stdlib_samples(samples):
+    # the reference: the dict form of each sample through the stdlib encoder
+    rows = [
+        {
+            "point": point_to_json(s.point),
+            "direction": point_to_json(s.direction),
+            "levi": s.levi,
+            "k_lower": s.k_lower,
+            "k_upper": s.k_upper,
+            "ratio_lower": s.ratio_lower,
+            "ratio_upper": s.ratio_upper,
+        }
+        for s in samples
+    ]
+    return json.dumps({"samples": rows}, indent=2, sort_keys=True, allow_nan=False)
+
+
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.7e308, -1.7e308])
+
+
+def _scan_samples(values):
+    def sample(n):
+        point = st.tuples(*[st.builds(complex, values, values)] * n)
+        return st.builds(ScanSample, point, point, values, values, values, values, values)
+
+    return st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.lists(sample(n), max_size=4)))
+
+
+@given(_scan_samples(_EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)))
+def test_samples_writer_matches_stdlib_json(case):
+    n, samples = case
+    assert '{\n  "samples": ' + _samples_json(samples, n) + "\n}" == _stdlib_samples(samples)
+
+
+@given(_scan_samples(st.sampled_from([math.nan, math.inf, -math.inf, 1.0])))
+def test_samples_writer_rejects_non_finite_as_stdlib_json(case):
+    n, samples = case
+    try:
+        expected = _stdlib_samples(samples)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _samples_json(samples, n)
+        assert "not JSON compliant" in str(exc)
+    else:
+        assert '{\n  "samples": ' + _samples_json(samples, n) + "\n}" == expected
