@@ -97,11 +97,10 @@ def _run_sharp(config: dict, out: Path, fmt: str) -> int:
     samples = int(config.get("sphere_samples", 256))
     seed = int(config.get("seed", 0))
     points = [cfg.parse_point(raw) for raw in config["points"]]
-    rows = []
-    for z, s in zip(points, sharp_batch(f, points).tolist()):
-        s_fd = sharp_fd(f, z, samples, h, seed)
-        rel_dev = abs(s - s_fd) / (1.0 + s)
-        rows.append([z, s, s_fd, rel_dev])
+    closed = sharp_batch(f, points)
+    oracle = sharp_fd(f, np.asarray(points, dtype=complex), samples, h, seed)
+    rel_dev = np.abs(closed - oracle) / (1.0 + closed)
+    rows = list(zip(points, closed.tolist(), oracle.tolist(), rel_dev.tolist()))
     if fmt in ("csv", "both"):
         _write_csv(
             out / "sharp.csv",

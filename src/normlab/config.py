@@ -24,6 +24,7 @@ _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _POSINT = {"type": "integer", "minimum": 1}
 _SEED = {"type": "integer", "minimum": 0}
+_GRID_SIZE = {"type": "integer", "minimum": 2}  # the origin and one ring at least
 _COMPLEX = {
     "type": "array",
     "items": _NUMBER,
@@ -130,7 +131,7 @@ SCHEMAS: dict[str, dict] = {
             "domain": _DOMAIN,
             "sequence": _sequence_schema(with_explicit_scale=False),
             "R": _POSITIVE,
-            "grid_size": _POSINT,
+            "grid_size": _GRID_SIZE,
             "tol": _POSITIVE,
             "seed": _SEED,
         },
@@ -146,7 +147,7 @@ SCHEMAS: dict[str, dict] = {
             "domain": _DOMAIN,
             "sequence": _sequence_schema(with_explicit_scale=True),
             "R": _POSITIVE,
-            "grid_size": _POSINT,
+            "grid_size": _GRID_SIZE,
             "tol": _POSITIVE,
             "seed": _SEED,
         },
@@ -159,7 +160,7 @@ SCHEMAS: dict[str, dict] = {
             "command": {"const": "counterexample"},
             "n_max": {"type": "integer", "minimum": 3},
             "R": _POSITIVE,
-            "grid_size": _POSINT,
+            "grid_size": _GRID_SIZE,
             "seed": _SEED,
         },
         "required": ["command", "n_max", "R"],
@@ -209,9 +210,10 @@ def _coordinate_lists(config: dict[str, Any]) -> list[tuple[str, list]]:
 
 
 def validate_config(config: dict[str, Any]) -> str:
-    """Validate against the schema named by config['command'], check every
-    point, center, radii, anchor and inward list against the dimension, and
-    parse the config's function, if it has one; returns the command."""
+    """Validate against the schema named by config['command'], check that a
+    sequence's j_start does not exceed its j_end, check every point, center,
+    radii, anchor and inward list against the dimension, and parse the
+    config's function, if it has one; returns the command."""
     command = config.get("command")
     if command not in SCHEMAS:
         raise ConfigError(
@@ -220,6 +222,11 @@ def validate_config(config: dict[str, Any]) -> str:
     error = jsonschema.exceptions.best_match(_validator(command).iter_errors(config))
     if error is not None:
         raise ConfigError(f"config schema violation: {error.message}")
+    sequence = config.get("sequence")
+    if sequence is not None and sequence["j_start"] > sequence["j_end"]:
+        raise ConfigError(
+            f"sequence.j_start {sequence['j_start']} exceeds sequence.j_end {sequence['j_end']}"
+        )
     if "dimension" in config:
         for name, coordinates in _coordinate_lists(config):
             if len(coordinates) != config["dimension"]:

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import domains
 from .domains import Ball, Domain
-from .errors import DomainError
+from .errors import DomainError, EvaluationError
 from .expr import NONFINITE, OK, CPoint, HoloExpr, evaluate_batch, evaluate_jet, status_error
 from .sampling import scan_rays, sphere_directions
 
@@ -57,8 +57,8 @@ def levi_form_fd(field: Callable, z: CPoint, v, h: float):
         [F(z+hv) + F(z-hv) + F(z+ihv) + F(z-ihv) - 4 F(z)] / (4 h^2)
 
     Second-order accurate in h for C^2 fields; exact for Hermitian quadratics.
-    `v` is one direction, giving a float, or an (m, n) array of directions,
-    giving (m,) values; the field is then called with (m, n) point arrays.
+    z and v broadcast as (..., n) point arrays, and the field is called with
+    their broadcast shape: one point along one direction gives a float.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -75,8 +75,8 @@ def levi_form_fd(field: Callable, z: CPoint, v, h: float):
 
 
 def log1p_sq_field(f: HoloExpr) -> Callable:
-    """The real field z -> log(1 + |f(z)|^2), at one point (a float) or at
-    each row of an (m, n) point array."""
+    """The real field z -> log(1 + |f(z)|^2) at each point of a (..., n)
+    point array, shape (...); one point (n,) gives a 0-d array."""
 
     def field(z):
         z = np.asarray(z, dtype=complex)
@@ -85,7 +85,7 @@ def log1p_sq_field(f: HoloExpr) -> Callable:
             square = w.real * w.real + w.imag * w.imag
             # past |f| ~ 1e154 the square overflows, and 2 log|f| is exact there
             out = np.where(np.isfinite(square), np.log1p(square), 2.0 * np.log(np.abs(w)))
-        return out if z.ndim == 2 else float(out[0])
+        return out.reshape(z.shape[:-1])
 
     return field
 
@@ -109,13 +109,21 @@ def sharp(f: HoloExpr, z: CPoint) -> SharpValue:
 
 
 def sharp_fd(
-    f: HoloExpr, z: CPoint, sphere_samples: int, h: float, seed: int = 0
-) -> float:
+    f: HoloExpr, z, sphere_samples: int, h: float, seed: int = 0
+) -> float | np.ndarray:
     """Brute-force oracle for `sharp`: max over sampled unit directions of
-    sqrt(max(0, levi_form_fd(log(1+|f|^2), z, v, h)))."""
+    sqrt(max(0, levi_form_fd(log(1+|f|^2), z, v, h))), at one point z (a
+    float) or at each row of an (N, n) array ((N,)) along one direction set.
+    EvaluationError when the stencil is not finite (4 h^2 underflows, say)."""
     dirs = sphere_directions(f.dimension, sphere_samples, seed)
-    levi = levi_form_fd(log1p_sq_field(f), z, dirs, h)
-    return math.sqrt(max(0.0, float(np.max(levi))))
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(all="ignore"):
+        levi = levi_form_fd(log1p_sq_field(f), z[..., None, :], dirs, h)
+    if not np.isfinite(levi).all():
+        raise EvaluationError(f"finite-difference Levi form is not finite at h = {h!r}")
+    peak = np.max(levi, axis=-1)
+    root = np.sqrt(np.where(peak > 0.0, peak, 0.0))  # max(0, peak), never -0.0
+    return float(root) if z.ndim == 1 else root
 
 
 # --------------------------------------------------------------------------

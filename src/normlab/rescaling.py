@@ -6,15 +6,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from . import domains
 from .domains import Ball, Domain
 from .errors import DomainError, NormlabError
-from .expr import CPoint, HoloExpr, affine_pullback, evaluate_batch, parse
+from .expr import Batch, CPoint, HoloExpr, affine_pullback, evaluate_batch, parse
 from .metrics import sharp_batch
 from .sampling import ball_grid
 
@@ -56,32 +55,35 @@ class SequenceSpec:
         if not (1 <= self.j_start <= self.j_end):
             raise ValueError("need 1 <= j_start <= j_end")
 
-    def center(self, j: int) -> CPoint:
-        step = self.c_p * float(j) ** (-self.a)
-        return tuple(
-            complex(a) + step * complex(u) for a, u in zip(self.anchor, self.inward)
-        )
-
     @property
     def indices(self) -> range:
         return range(self.j_start, self.j_end + 1)
 
 
-def make_sequence(
-    spec: SequenceSpec, domain: Domain, j: int
-) -> tuple[CPoint, Optional[float], float]:
-    """(p_j, r_j, delta_j) for one index; r_j is None under the sharp-normalized
-    rule (it depends on the function, see `zalcman_rescale`)."""
-    p = spec.center(j)
-    if not domains.contains(domain, p):
-        raise DomainError(f"generated center p_{j} = {p!r} exits the domain")
-    delta = domains.boundary_distance(domain, p)
-    if isinstance(spec.scale, ExplicitScale):
-        r = spec.scale.c_r * float(j) ** (-spec.scale.b)
-        if r <= 0:
-            raise ValueError(f"scale r_{j} must be positive")
-        return p, r, delta
-    return p, None, delta
+def _power_law(c: float, exponent: float, indices: range) -> np.ndarray:
+    """c * j^(-exponent) for each index j, by float powers: numpy's array
+    power differs from them in the last bit on some indices."""
+    return np.array([c * float(j) ** -exponent for j in indices])
+
+
+def make_sequence(spec: SequenceSpec, domain: Domain) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """Centers p_j (J, n), scales r_j (J,) and boundary distances delta_j (J,)
+    of the J indices; the scales are None under the sharp-normalized rule
+    (they depend on the function, see `zalcman_rescale`).  A center outside
+    the domain is a DomainError, and a scale that underflows to 0, which
+    would make g_j constant, a NormlabError."""
+    step = _power_law(spec.c_p, spec.a, spec.indices)
+    centers = np.asarray(spec.anchor, dtype=complex) + step[:, None] * np.asarray(spec.inward)
+    delta = domains.boundary_distance_batch(domain, centers)
+    for k in np.flatnonzero(~(delta > 0))[:1]:
+        p = tuple(centers[k].tolist())
+        raise DomainError(f"generated center p_{spec.j_start + k} = {p!r} exits the domain")
+    if not isinstance(spec.scale, ExplicitScale):
+        return centers, None, delta
+    scale = _power_law(spec.scale.c_r, spec.scale.b, spec.indices)
+    for k in np.flatnonzero(scale <= 0)[:1]:
+        raise NormlabError(f"scale r_{spec.j_start + k} underflows to 0")
+    return centers, scale, delta
 
 
 def rescaled_function(f: HoloExpr, center: CPoint, rho: float) -> HoloExpr:
@@ -113,7 +115,6 @@ class RunEntry:
     delta_j: float
     rho_j: float
     ratio: float  # rho_j / delta_j
-    g_j: HoloExpr
 
 
 @dataclass(frozen=True)
@@ -124,9 +125,11 @@ class RescalingRun:
     hypothesis_flags: tuple[str, ...]
 
 
-def _flag_monotone(values: list[float], label: str, flags: list[str]):
-    if any(b >= a for a, b in zip(values, values[1:])):
-        flags.append(label)
+def _run(f, domain, spec, centers, rho, delta, flags) -> RescalingRun:
+    """One entry per index, from the arrays of `make_sequence`."""
+    rows = zip(spec.indices, centers.tolist(), delta.tolist(), rho.tolist(), (rho / delta).tolist())
+    entries = tuple(RunEntry(j, tuple(z), d, r, q) for j, z, d, r, q in rows)
+    return RescalingRun(f, domain, entries, tuple(flags))
 
 
 def zalcman_rescale(f: HoloExpr, domain: Domain, spec: SequenceSpec) -> RescalingRun:
@@ -138,19 +141,14 @@ def zalcman_rescale(f: HoloExpr, domain: Domain, spec: SequenceSpec) -> Rescalin
     """
     if not isinstance(spec.scale, ZalcmanScale):
         raise ValueError("zalcman_rescale requires the sharp-normalized scale rule")
-    sequence = [make_sequence(spec, domain, j) for j in spec.indices]
-    sharps = sharp_batch(f, [z_j for z_j, _, _ in sequence])
-    entries = []
-    for j, (z_j, _, delta), s in zip(spec.indices, sequence, sharps.tolist()):
-        if s <= 0.0:
-            raise NormlabError(f"sharp(f, z_{j}) vanishes; rescaling scale undefined")
-        rho = 1.0 / s
-        entries.append(
-            RunEntry(j, z_j, delta, rho, rho / delta, rescaled_function(f, z_j, rho))
-        )
-    flags: list[str] = []
-    _flag_monotone([e.rho_j for e in entries], "rho-not-decreasing", flags)
-    return RescalingRun(f, domain, tuple(entries), tuple(flags))
+    centers, _, delta = make_sequence(spec, domain)
+    with np.errstate(divide="ignore", over="ignore"):
+        rho = 1.0 / sharp_batch(f, centers)
+    # a sharp value of 0, or one so small that 1/sharp overflows
+    for k in np.flatnonzero(~np.isfinite(rho))[:1]:
+        raise NormlabError(f"sharp(f, z_{spec.j_start + k}) vanishes; rescaling scale undefined")
+    flags = ["rho-not-decreasing"] if np.any(rho[1:] >= rho[:-1]) else []
+    return _run(f, domain, spec, centers, rho, delta, flags)
 
 
 def explicit_rescale(f: HoloExpr, domain: Domain, spec: SequenceSpec) -> RescalingRun:
@@ -162,18 +160,12 @@ def explicit_rescale(f: HoloExpr, domain: Domain, spec: SequenceSpec) -> Rescali
     """
     if not isinstance(spec.scale, ExplicitScale):
         raise ValueError("explicit_rescale requires the explicit scale rule")
-    entries = []
-    for j in spec.indices:
-        p_j, r_j, delta = make_sequence(spec, domain, j)
-        entries.append(
-            RunEntry(j, p_j, delta, r_j, r_j / delta, rescaled_function(f, p_j, r_j))
-        )
-    flags: list[str] = []
-    ratios = [e.ratio for e in entries]
-    _flag_monotone(ratios, "ratio-not-decreasing", flags)
-    if ratios and ratios[-1] >= 0.1:
+    centers, scale, delta = make_sequence(spec, domain)
+    ratio = scale / delta
+    flags = ["ratio-not-decreasing"] if np.any(ratio[1:] >= ratio[:-1]) else []
+    if ratio[-1] >= 0.1:
         flags.append("final-ratio-not-small")
-    return RescalingRun(f, domain, tuple(entries), tuple(flags))
+    return _run(f, domain, spec, centers, scale, delta, flags)
 
 
 # --------------------------------------------------------------------------
@@ -194,36 +186,55 @@ class ConvergenceReport:
     hypothesis_flags: tuple[str, ...] = ()
 
 
+_CHUNK_ROWS = 2**12  # bounds the peak memory of a long run's grid pass
+
+
+def _grid_chunks(run: RescalingRun, grid: np.ndarray) -> Iterator[tuple[int, Batch]]:
+    """g_j on the grid for consecutive entries, at most _CHUNK_ROWS rows (or
+    one entry) per chunk: the position of the chunk's first entry, and
+    evaluate_batch of f at its points z_j + rho_j*zeta, entry-major."""
+    centers = np.array([e.z_j for e in run.entries], dtype=complex)
+    rho = np.array([e.rho_j for e in run.entries])
+    per_chunk = max(1, _CHUNK_ROWS // len(grid))
+    for start in range(0, len(centers), per_chunk):
+        chunk = slice(start, start + per_chunk)
+        points = centers[chunk, None, :] + rho[chunk, None, None] * grid
+        yield start, evaluate_batch(run.f, points.reshape(-1, run.f.dimension), gradient=False)
+
+
 def convergence_report(
     run: RescalingRun, radius: float, grid_size: int, tol: float, seed: int = 0
 ) -> ConvergenceReport:
     """Finite-range locally-uniform-convergence evidence on |zeta| <= radius.
 
-    g_j(zeta) = f(z_j + rho_j*zeta) is evaluated on the grid one index at a
-    time; an index with any failing grid point is excluded.  Verdict
-    thresholds: constant-limit if the final oscillation and final Cauchy gap
-    are both <= tol; nonconstant-limit if the final gap is <= tol but the final
-    oscillation exceeds 10*tol; otherwise no-convergence.
+    g_j(zeta) = f(z_j + rho_j*zeta) is evaluated on the grid in chunks of
+    consecutive indices (`_grid_chunks`); an index with any failing grid
+    point is excluded.  Oscillations and Cauchy gaps are reduced chunk by
+    chunk, the last usable row carried into the next chunk's first gap.
+    Verdict thresholds: constant-limit if the final oscillation and final
+    Cauchy gap are both <= tol; nonconstant-limit if the final gap is <= tol
+    but the final oscillation exceeds 10*tol; otherwise no-convergence.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid = ball_grid(run.f.dimension, radius, grid_size, seed)
-    usable: list[int] = []
-    values: list[np.ndarray] = []
-    excluded: list[int] = []
-    for entry in run.entries:
-        batch = evaluate_batch(run.f, np.asarray(entry.z_j) + entry.rho_j * grid, gradient=False)
-        if batch.status.any():
-            excluded.append(entry.j)
-            continue
-        usable.append(entry.j)
-        values.append(batch.value)
-    if not usable:
+    kept: list[int] = []  # positions in run.entries
+    dropped: list[int] = []
+    osc: list[float] = []
+    gaps: list[float] = []
+    previous = np.empty((0, len(grid)), dtype=complex)  # the last usable row, if any
+    for start, batch in _grid_chunks(run, grid):
+        values = batch.value.reshape(-1, len(grid))
+        ok = ~batch.status.reshape(values.shape).any(axis=1)
+        kept += (start + np.flatnonzero(ok)).tolist()
+        dropped += (start + np.flatnonzero(~ok)).tolist()
+        rows = values[ok]
+        osc += np.max(np.abs(rows - rows[:, :1]), axis=1).tolist()  # grid[0] is zeta = 0
+        chain = np.concatenate([previous, rows])
+        gaps += np.max(np.abs(chain[1:] - chain[:-1]), axis=1).tolist()
+        previous = chain[-1:]
+    if not kept:
         raise NormlabError("no index in the run is evaluable on the grid")
-    osc = [float(np.max(np.abs(vals - vals[0]))) for vals in values]
-    gaps = [
-        float(np.max(np.abs(b - a))) for a, b in zip(values, values[1:])
-    ]
     final_gap = gaps[-1] if gaps else math.inf
     if final_gap <= tol and osc[-1] <= tol:
         verdict = "constant-limit"
@@ -231,17 +242,17 @@ def convergence_report(
         verdict = "nonconstant-limit"
     else:
         verdict = "no-convergence"
-    proxy = next(e.g_j for e in reversed(run.entries) if e.j == usable[-1])
+    last = run.entries[kept[-1]]
     return ConvergenceReport(
         radius=radius,
         grid=tuple(tuple(z) for z in grid),
-        indices=tuple(usable),
+        indices=tuple(run.entries[k].j for k in kept),
         osc=tuple(osc),
         cauchy_gaps=tuple(gaps),
-        limit_proxy=proxy,
+        limit_proxy=rescaled_function(run.f, last.z_j, last.rho_j),
         verdict=verdict,
         tol=tol,
-        excluded=tuple(excluded),
+        excluded=tuple(run.entries[k].j for k in dropped),
         hypothesis_flags=run.hypothesis_flags,
     )
 
@@ -316,44 +327,32 @@ class RemarkReport:
 def remark_counterexample(
     n_max: int, radius: float, grid_size: int = 64, seed: int = 0
 ) -> RemarkReport:
-    """f(z) = z on the unit disc with z_n = 1 - n^-3, rho_n = n^-2.
+    """f(z) = z on the unit disc with z_n = 1 - n^-3, rho_n = n^-2: the
+    explicit run with anchor 1, inward -1, c_p = 1, a = 3, c_r = 1, b = 2.
 
     The rescaled sequence converges to the constant 1 while rho_n over the
-    boundary distance equals n and diverges: a constant limit does not force
-    the scale/distance ratio to vanish.  Ratios are computed in exact
-    rational arithmetic, so ratio(n) == n with no rounding.
+    boundary distance, n^-2 / n^-3 = n, diverges: a constant limit does not
+    force the scale/distance ratio to vanish.  `ratios` holds these exact
+    values; the run's own ratios carry the rounding of 1 - n^-3.  From
+    n = 2^18 on, 1 - n^-3 rounds to 1, and the run raises DomainError.
     """
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
-    f = parse("z1", 1)
-    disc = Ball((0j,), 1.0)
+    spec = SequenceSpec((1 + 0j,), (-1 + 0j,), 1.0, 3.0, ExplicitScale(1.0, 2.0), 1, n_max)
+    run = explicit_rescale(parse("z1", 1), Ball((0j,), 1.0), spec)
     grid = ball_grid(1, radius, grid_size, seed)
-    indices, ratios, sup_dev, bounds, entries = [], [], [], [], []
-    for n in range(1, n_max + 1):
-        z_n = 1.0 - float(n) ** -3
-        rho_n = float(n) ** -2
-        ratio = Fraction(1, n**2) / Fraction(1, n**3)  # == n exactly
-        g_n = rescaled_function(f, (complex(z_n),), rho_n)
-        values = evaluate_batch(f, z_n + rho_n * grid, gradient=False).check().value
-        indices.append(n)
-        ratios.append(float(ratio))
-        sup_dev.append(float(np.max(np.abs(values - 1.0))))
-        bounds.append(float(n) ** -3 + float(n) ** -2 * radius)
-        delta = 1.0 - z_n
-        entries.append(RunEntry(n, (complex(z_n),), delta, rho_n, rho_n / delta, g_n))
-    run = RescalingRun(f, disc, tuple(entries), ("ratio-diverges",))
+    sup_dev: list[float] = []
+    for _, batch in _grid_chunks(run, grid):
+        values = batch.check().value.reshape(-1, len(grid))
+        sup_dev += np.max(np.abs(values - 1.0), axis=1).tolist()
+    bounds = _power_law(1.0, 3.0, spec.indices) + _power_law(1.0, 2.0, spec.indices) * radius
     conv = convergence_report(run, radius, grid_size, tol=1e-3, seed=seed)
-    diverging = all(b > a for a, b in zip(ratios, ratios[1:]))
-    if conv.verdict == "constant-limit" and diverging:
-        verdict = "constant-limit-with-divergent-ratio"
-    else:
-        verdict = "inconclusive"
     return RemarkReport(
-        indices=tuple(indices),
-        ratios=tuple(ratios),
+        indices=tuple(spec.indices),
+        ratios=tuple(map(float, spec.indices)),
         sup_dev=tuple(sup_dev),
-        bounds=tuple(bounds),
+        bounds=tuple(bounds.tolist()),
         radius=radius,
         convergence=conv,
-        verdict=verdict,
+        verdict="constant-limit-with-divergent-ratio" if conv.verdict == "constant-limit" else "inconclusive",
     )

@@ -23,6 +23,7 @@ from normlab import (
     parse,
     remark_counterexample,
     rescale_sharp_identity_check,
+    rescaled_function,
     sharp,
     sharp_fd,
     zalcman_rescale,
@@ -154,8 +155,9 @@ def test_criterion_4_thm2_desk_scale():
             ok = False
     # Marty chain with C = 1 at every grid point and index
     for e in run.entries:
+        g_j = rescaled_function(f, e.z_j, e.rho_j)
         for zeta in report.grid:
-            lhs = sharp(e.g_j, zeta).value
+            lhs = sharp(g_j, zeta).value
             if lhs > marty_bound(1.0, e.rho_j, e.delta_j, abs(zeta[0])) + 1e-8:
                 ok = False
     _report(4, "f=z constant-limit run: osc_j = j^-2, Marty chain with C=1", ok)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import jsonschema
 import pytest
@@ -357,9 +358,9 @@ def _scan_config(domain):
 def _rescaling_config(command, **sequence):
     config = _rescale_config()
     config["command"] = command
-    config["sequence"].update(sequence)
     if command == "thm2":
         config["sequence"].update(c_r=1.0, b=2.0)
+    config["sequence"].update(sequence)
     return config
 
 
@@ -382,6 +383,38 @@ def test_coordinate_list_of_wrong_length_is_config_error(tmp_path, capsys, confi
     assert code == 2
     assert f"{name} has length 2, not the dimension 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Each once ended in a traceback (exit 1), except the underflowing h, which
+# exited 0 with a sharp_fd of 0.0 and a RuntimeWarning.
+@pytest.mark.parametrize(
+    "config,code,message",
+    [
+        (_rescaling_config("rescale", j_start=5, j_end=3), 2, "sequence.j_start 5 exceeds sequence.j_end 3"),
+        (_rescaling_config("thm2", j_start=5, j_end=3), 2, "sequence.j_start 5 exceeds sequence.j_end 3"),
+        ({**_rescaling_config("rescale"), "grid_size": 1}, 2, "1 is less than the minimum of 2"),
+        ({**_rescaling_config("thm2"), "grid_size": 1}, 2, "1 is less than the minimum of 2"),
+        ({"command": "counterexample", "n_max": 10, "R": 1.0, "grid_size": 1}, 2, "1 is less than the minimum of 2"),
+        (_rescaling_config("thm2", b=1100), 3, "scale r_2 underflows to 0"),
+        ({"command": "counterexample", "n_max": 2**18, "R": 1.0}, 3, "p_262144 = ((1+0j),) exits the domain"),
+        (
+            {"command": "sharp", "function": "z1^2", "dimension": 1, "points": [[[0.5, 0]]], "h": 1e-200},
+            3,
+            "finite-difference Levi form is not finite at h = 1e-200",
+        ),
+    ],
+    ids=[
+        "rescale-j-range", "thm2-j-range", "rescale-grid-1", "thm2-grid-1", "counterexample-grid-1",
+        "thm2-scale-underflow", "counterexample-center-on-boundary", "sharp-h-underflow",
+    ],
+)
+def test_run_input_errors_exit_with_their_code(tmp_path, capsys, config, code, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(tmp_path, config["command"], config)[0] == code
+    err = capsys.readouterr().err
+    prefix = {2: "config error: ", 3: "evaluation error: "}[code]
+    assert err.startswith(prefix) and err.count("\n") == 1 and message in err
 
 
 @pytest.mark.parametrize("where", ["out-is-a-file", "output-is-a-directory"])

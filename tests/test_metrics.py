@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from normlab import (
     Ball,
     DomainError,
+    EvaluationError,
     Polydisc,
     SamplingPlan,
     boundary_distance,
@@ -156,6 +158,44 @@ def test_sharp_fd_identity_function():
 
 def test_sharp_fd_constant_zero():
     assert sharp_fd(parse("2", 1), (0.1 + 0.1j,), 64, 1e-4) == 0.0
+
+
+def _sharp_fd_per_point(f, z, sphere_samples, h, seed=0):
+    """The former sharp_fd: one point at a time, each with its own directions."""
+    dirs = sphere_directions(f.dimension, sphere_samples, seed)
+    levi = levi_form_fd(log1p_sq_field(f), z, dirs, h)
+    return math.sqrt(max(0.0, float(np.max(levi))))
+
+
+def test_sharp_fd_over_points_is_one_stencil_pass(monkeypatch):
+    f = parse("exp(0.3*z1)*z2+z3^2", 3)
+    rng = np.random.default_rng(5)
+    points = 0.4 * (rng.random((16, 3)) - 0.5 + 1j * (rng.random((16, 3)) - 0.5))
+    expected = [_sharp_fd_per_point(f, tuple(z), 64, 1e-4, seed=2) for z in points]
+    calls = {"evaluate_batch": 0, "sphere_directions": 0}
+
+    def counted(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(metrics, name, counted(name, getattr(metrics, name)))
+    oracle = sharp_fd(f, points, 64, 1e-4, seed=2)
+    # one direction set; the four shifted stencil points and the center
+    assert calls == {"evaluate_batch": 5, "sphere_directions": 1}
+    assert oracle.shape == (16,)
+    assert oracle.tolist() == expected
+    assert sharp_fd(f, points[3], 64, 1e-4, seed=2) == expected[3]
+
+
+def test_sharp_fd_rejects_a_non_finite_stencil():
+    # 4 h^2 underflows to 0: the stencil is 0/0, which max(0, nan) once hid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="not finite"):
+            sharp_fd(parse("z1^2", 1), (0.5 + 0j,), 64, 1e-200)
 
 
 def test_hermitian_homogeneity():

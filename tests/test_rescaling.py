@@ -1,7 +1,11 @@
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normlab import (
     Ball,
@@ -22,7 +26,10 @@ from normlab import (
     thm2_verify,
     zalcman_rescale,
 )
+from normlab import domains, rescaling
 from normlab.errors import DomainError
+from normlab.expr import evaluate_batch
+from normlab.sampling import ball_grid
 
 UNIT_DISC = Ball((0j,), 1.0)
 
@@ -45,7 +52,9 @@ def _disc_spec(c_p, a, scale, j_start, j_end):
 
 def test_make_sequence_arithmetic():
     spec = _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 10)
-    p, r, delta = make_sequence(spec, UNIT_DISC, 4)
+    centers, scales, deltas = make_sequence(spec, UNIT_DISC)
+    k = 4 - spec.j_start
+    p, r, delta = tuple(centers[k]), scales[k], deltas[k]
     assert p == (0.75 + 0j,)
     assert delta == pytest.approx(0.25)
     assert r == pytest.approx(1 / 16)
@@ -54,9 +63,10 @@ def test_make_sequence_arithmetic():
 
 def test_make_sequence_ratio_decays_when_b_exceeds_a():
     spec = _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 40)
+    _, scales, deltas = make_sequence(spec, UNIT_DISC)
     ratios = []
     for j in (10, 20, 40):
-        _, r, delta = make_sequence(spec, UNIT_DISC, j)
+        r, delta = scales[j - spec.j_start], deltas[j - spec.j_start]
         ratios.append(r / delta)
     assert ratios[0] > ratios[1] > ratios[2]
     assert ratios[-1] == pytest.approx(1 / 40)
@@ -65,8 +75,9 @@ def test_make_sequence_ratio_decays_when_b_exceeds_a():
 def test_make_sequence_remark_ratio_diverges():
     # z_n = 1 - n^-3 with rho_n = n^-2: rho_n/delta_n = n
     spec = _disc_spec(1.0, 3.0, ExplicitScale(1.0, 2.0), 1, 10)
+    _, scales, deltas = make_sequence(spec, UNIT_DISC)
     for n in (2, 5, 10):
-        _, r, delta = make_sequence(spec, UNIT_DISC, n)
+        r, delta = scales[n - spec.j_start], deltas[n - spec.j_start]
         assert r / delta == pytest.approx(n)
 
 
@@ -81,7 +92,7 @@ def test_make_sequence_rejects_exterior_center():
         j_end=5,
     )
     with pytest.raises(DomainError):
-        make_sequence(spec, UNIT_DISC, 2)
+        make_sequence(spec, UNIT_DISC)
 
 
 # --------------------------------------------------------------------------
@@ -159,7 +170,8 @@ def test_zalcman_run_on_nonnormal_function():
         assert e.rho_j == pytest.approx(expected_rho, rel=1e-6)
         assert e.ratio == pytest.approx(1.0 / (2 * math.pi * e.j), rel=1e-6)
         # normalization: sharp(g_j, 0) = 1
-        assert sharp(e.g_j, (0j,)).value == pytest.approx(1.0, abs=1e-10)
+        g_j = rescaled_function(f, e.z_j, e.rho_j)
+        assert sharp(g_j, (0j,)).value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_zalcman_flags_nondecreasing_rho():
@@ -175,6 +187,11 @@ def test_zalcman_vanishing_sharp_errors():
     spec = _disc_spec(1.0, 1.0, ZalcmanScale(), 2, 5)
     with pytest.raises(NormlabError):
         zalcman_rescale(parse("4", 1), UNIT_DISC, spec)
+    # sharp(f, 0.9) = 800 e^-720 is subnormal, and 1/sharp overflows to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NormlabError, match="z_1"):
+            zalcman_rescale(parse("exp(-800*z1)", 1), UNIT_DISC, _disc_spec(0.1, 1.0, ZalcmanScale(), 1, 1))
 
 
 # --------------------------------------------------------------------------
@@ -226,6 +243,124 @@ def test_convergence_excludes_index_with_a_grid_pole():
     assert report.indices == (3, 4, 5, 6)
 
 
+def _reference_report(run, radius, grid_size, tol, seed=0):
+    """convergence_report as the former per-index loop: (indices, excluded,
+    osc, gaps, verdict), or None when no index is usable."""
+    grid = ball_grid(run.f.dimension, radius, grid_size, seed)
+    usable, values, excluded = [], [], []
+    for entry in run.entries:
+        batch = evaluate_batch(run.f, np.asarray(entry.z_j) + entry.rho_j * grid, gradient=False)
+        if batch.status.any():
+            excluded.append(entry.j)
+            continue
+        usable.append(entry.j)
+        values.append(batch.value)
+    if not usable:
+        return None
+    osc = [float(np.max(np.abs(vals - vals[0]))) for vals in values]
+    gaps = [float(np.max(np.abs(b - a))) for a, b in zip(values, values[1:])]
+    final_gap = gaps[-1] if gaps else math.inf
+    if final_gap <= tol and osc[-1] <= tol:
+        verdict = "constant-limit"
+    elif final_gap <= tol and osc[-1] > 10.0 * tol:
+        verdict = "nonconstant-limit"
+    else:
+        verdict = "no-convergence"
+    return tuple(usable), tuple(excluded), tuple(osc), tuple(gaps), verdict
+
+
+def _chunked_and_reference(run, radius, grid_size, tol):
+    expected = _reference_report(run, radius, grid_size, tol)
+    if expected is None:
+        with pytest.raises(NormlabError, match="no index"):
+            convergence_report(run, radius, grid_size, tol)
+        return None, None
+    report = convergence_report(run, radius, grid_size, tol)
+    got = (report.indices, report.excluded, report.osc, report.cauchy_gaps, report.verdict)
+    return got, expected
+
+
+# exp(1/(z1-c)) overflows in a small disc right of c, so the indices whose
+# grids reach it are excluded.  Grids of 1,123 to 4,625 points put 1 to 3
+# indices in a chunk.
+@settings(max_examples=40, deadline=None)
+@given(
+    c=st.floats(0.5, 0.99),
+    c_p=st.floats(0.1, 0.9),
+    a=st.floats(0.5, 2.0),
+    c_r=st.floats(0.01, 0.3),
+    b=st.floats(0.5, 2.0),
+    j_start=st.integers(1, 4),
+    count=st.integers(1, 30),
+    grid_size=st.integers(1100, 4600),
+    radius=st.floats(0.5, 2.0),
+)
+def test_chunked_convergence_matches_the_per_index_loop(c, c_p, a, c_r, b, j_start, count, grid_size, radius):
+    f = parse(f"exp(1/(z1-{c!r}))", 1)
+    spec = _disc_spec(c_p, a, ExplicitScale(c_r, b), j_start, j_start + count - 1)
+    run = explicit_rescale(f, UNIT_DISC, spec)
+    got, expected = _chunked_and_reference(run, radius, grid_size, 1e-3)
+    assert got == expected
+
+
+def test_excluded_indices_fill_a_whole_chunk():
+    # 1,123 grid points, so 3 indices per chunk; chunk 2 (j = 8, 9, 10) is
+    # excluded whole, and 11, 12 open chunk 3
+    f = parse("exp(1/(z1-0.95))", 1)
+    run = explicit_rescale(f, UNIT_DISC, _disc_spec(0.5, 1.0, ExplicitScale(0.1, 1.0), 2, 40))
+    assert rescaling._CHUNK_ROWS // len(ball_grid(1, 1.0, 1100)) == 3
+    got, expected = _chunked_and_reference(run, 1.0, 1100, 1e-3)
+    assert got == expected
+    assert got[1] == (8, 9, 10, 11, 12)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_make_sequence_is_one_boundary_distance_pass(monkeypatch):
+    calls = _counting(monkeypatch, domains, "boundary_distance_batch")
+    spec = _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 200)
+    centers, scales, deltas = make_sequence(spec, UNIT_DISC)
+    assert len(calls) == 1
+    assert centers.shape == (199, 1) and scales.shape == deltas.shape == (199,)
+
+
+@pytest.mark.parametrize("grid_size", [16, 64, 1100, 4600])
+def test_convergence_report_evaluates_in_chunks(monkeypatch, grid_size):
+    run = explicit_rescale(parse("z1^2", 1), UNIT_DISC, _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 50))
+    calls = _counting(monkeypatch, rescaling, "evaluate_batch")
+    report = convergence_report(run, 1.0, grid_size, 1e-3)
+    per_chunk = max(1, 4096 // len(report.grid))
+    assert len(calls) == math.ceil(len(run.entries) / per_chunk)
+    assert max(len(points) for _, points in calls) <= max(4096, len(report.grid))
+
+
+def test_building_a_run_makes_no_pullback(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run built a symbolic pullback")
+
+    monkeypatch.setattr(rescaling, "affine_pullback", forbidden)
+    f = parse("sin(1/(1-z1))", 1)
+    zalcman_rescale(f, UNIT_DISC, _disc_spec(1 / (2 * math.pi), 1.0, ZalcmanScale(), 2, 30))
+    explicit_rescale(f, UNIT_DISC, _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 30))
+
+
+def test_explicit_scale_underflow_is_an_error():
+    # r_j = 0 would make every g_j constant and fake a constant limit
+    spec = _disc_spec(1.0, 1.0, ExplicitScale(1.0, 1100.0), 2, 5)
+    with pytest.raises(NormlabError, match="r_2 underflows"):
+        make_sequence(spec, UNIT_DISC)
+
+
 def test_constant_limit_osc_nonincreasing_after_first_quartile():
     f = parse("z1", 1)
     spec = _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 50)
@@ -265,7 +400,10 @@ def test_sharp_profile_not_normalized_proxy():
     spec = _disc_spec(0.5, 1.0, ZalcmanScale(), 2, 4)
     run = zalcman_rescale(f, UNIT_DISC, spec)
     assert sharp(parse("2*z1", 1), (0j,)).value == 2.0
-    assert all(sharp(e.g_j, (0j,)).value == pytest.approx(1.0) for e in run.entries)
+    assert all(
+        sharp(rescaled_function(f, e.z_j, e.rho_j), (0j,)).value == pytest.approx(1.0)
+        for e in run.entries
+    )
 
 
 # --------------------------------------------------------------------------
@@ -312,8 +450,9 @@ def test_marty_bound_chain_identity_function():
     run = explicit_rescale(f, UNIT_DISC, spec)
     report = convergence_report(run, 1.0, 48, 1e-3)
     for e in run.entries:
+        g_j = rescaled_function(f, e.z_j, e.rho_j)
         for zeta in report.grid:
-            lhs = sharp(e.g_j, zeta).value
+            lhs = sharp(g_j, zeta).value
             rhs = marty_bound(1.0, e.rho_j, e.delta_j, abs(zeta[0]))
             assert lhs <= rhs + 1e-8
 
@@ -339,6 +478,12 @@ def test_remark_monotone_and_verdict():
     assert all(b < a for a, b in zip(report.sup_dev[2:], report.sup_dev[3:]))
     assert all(b > a for a, b in zip(report.ratios, report.ratios[1:]))
     assert report.verdict == "constant-limit-with-divergent-ratio"
+
+
+def test_remark_center_rounding_onto_the_boundary_is_a_domain_error():
+    # 1 - n^-3 rounds to 1 from n = 2^18 on
+    with pytest.raises(DomainError, match=r"p_262144 = \(\(1\+0j\),\) exits the domain"):
+        remark_counterexample(2**18, 1.0)
 
 
 def test_remark_requires_min_index():
