@@ -164,18 +164,11 @@ def _run_marty_scan(config: dict, out: Path, fmt: str) -> int:
 def _run_rows(run, report):
     gap_by_index = dict(zip(report.indices[1:], report.cauchy_gaps))
     osc_by_index = dict(zip(report.indices, report.osc))
-    return [
-        [
-            e.j,
-            float(np.linalg.norm(e.z_j)),
-            e.delta_j,
-            e.rho_j,
-            e.ratio,
-            osc_by_index.get(e.j, float("nan")),
-            gap_by_index.get(e.j, float("nan")),
-        ]
-        for e in run.entries
-    ]
+    e = run.entries
+    # one norm per row: along axis 1 it sums in another order
+    abs_z = [float(np.linalg.norm(z)) for z in e.z_j]
+    columns = zip(e.j.tolist(), abs_z, e.delta_j.tolist(), e.rho_j.tolist(), e.ratio.tolist())
+    return [[j, *row, osc_by_index.get(j, math.nan), gap_by_index.get(j, math.nan)] for j, *row in columns]
 
 
 _RUN_HEADER = ["j", "abs_z_j", "delta_j", "rho_j", "ratio", "osc_j", "cauchy_gap_j"]
@@ -282,6 +275,9 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--format", choices=["json", "csv", "both"], default="both")
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:  # the schema never sees the override
+        print(f"config error: --seed: {args.seed} is less than the minimum of 0", file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         config = cfg.load_config(args.config)

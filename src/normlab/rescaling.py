@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -108,27 +108,27 @@ def rescale_sharp_identity_check(
     return float(np.max(np.abs(lhs - rhs) / np.where(scale > 0, scale, 1.0), initial=0.0))
 
 
-@dataclass(frozen=True)
-class RunEntry:
-    j: int
-    z_j: CPoint
-    delta_j: float
-    rho_j: float
-    ratio: float  # rho_j / delta_j
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RescalingRun:
+    """The rescaling sequence g_j(zeta) = f(z_j + rho_j*zeta) of one run, as
+    data.  `entries` is a record array with one record per index j and the
+    fields j, z_j (n complex), delta_j (the boundary distance of z_j), rho_j
+    and ratio (rho_j / delta_j).  Its columns are arrays (`entries.rho_j` is
+    (J,), `entries.z_j` is (J, n)), and iterating it gives the records."""
+
     f: HoloExpr
     domain: Domain
-    entries: tuple[RunEntry, ...]
+    entries: np.recarray
     hypothesis_flags: tuple[str, ...]
 
 
 def _run(f, domain, spec, centers, rho, delta, flags) -> RescalingRun:
-    """One entry per index, from the arrays of `make_sequence`."""
-    rows = zip(spec.indices, centers.tolist(), delta.tolist(), rho.tolist(), (rho / delta).tolist())
-    entries = tuple(RunEntry(j, tuple(z), d, r, q) for j, z, d, r, q in rows)
+    """The run's record array, filled from the arrays of `make_sequence`."""
+    fields = [("j", np.int64), ("z_j", complex, centers.shape[1:]),
+              ("delta_j", float), ("rho_j", float), ("ratio", float)]
+    columns = [np.arange(spec.j_start, spec.j_end + 1), centers, delta, rho, rho / delta]
+    entries = np.rec.fromarrays(columns, dtype=fields)
+    entries.flags.writeable = False  # the run is frozen, its records too
     return RescalingRun(f, domain, entries, tuple(flags))
 
 
@@ -189,17 +189,16 @@ class ConvergenceReport:
 _CHUNK_ROWS = 2**12  # bounds the peak memory of a long run's grid pass
 
 
-def _grid_chunks(run: RescalingRun, grid: np.ndarray) -> Iterator[tuple[int, Batch]]:
+def _grid_chunks(run: RescalingRun, grid: np.ndarray) -> Iterator[Batch]:
     """g_j on the grid for consecutive entries, at most _CHUNK_ROWS rows (or
-    one entry) per chunk: the position of the chunk's first entry, and
-    evaluate_batch of f at its points z_j + rho_j*zeta, entry-major."""
-    centers = np.array([e.z_j for e in run.entries], dtype=complex)
-    rho = np.array([e.rho_j for e in run.entries])
+    one entry) per chunk: evaluate_batch of f at the chunk's points
+    z_j + rho_j*zeta, entry-major."""
+    centers, rho = run.entries.z_j, run.entries.rho_j
     per_chunk = max(1, _CHUNK_ROWS // len(grid))
-    for start in range(0, len(centers), per_chunk):
+    for start in range(0, len(rho), per_chunk):
         chunk = slice(start, start + per_chunk)
         points = centers[chunk, None, :] + rho[chunk, None, None] * grid
-        yield start, evaluate_batch(run.f, points.reshape(-1, run.f.dimension), gradient=False)
+        yield evaluate_batch(run.f, points.reshape(-1, run.f.dimension), gradient=False)
 
 
 def convergence_report(
@@ -218,22 +217,25 @@ def convergence_report(
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid = ball_grid(run.f.dimension, radius, grid_size, seed)
-    kept: list[int] = []  # positions in run.entries
-    dropped: list[int] = []
+    return _converge(run, radius, grid, tol, _grid_chunks(run, grid))
+
+
+def _converge(run, radius, grid, tol, chunks: Iterable[Batch]) -> ConvergenceReport:
+    """`convergence_report` over the batches of `_grid_chunks(run, grid)`."""
+    usable: list[np.ndarray] = []  # per chunk, which of its entries are usable
     osc: list[float] = []
     gaps: list[float] = []
     previous = np.empty((0, len(grid)), dtype=complex)  # the last usable row, if any
-    for start, batch in _grid_chunks(run, grid):
+    for batch in chunks:
         values = batch.value.reshape(-1, len(grid))
         ok = ~batch.status.reshape(values.shape).any(axis=1)
-        kept += (start + np.flatnonzero(ok)).tolist()
-        dropped += (start + np.flatnonzero(~ok)).tolist()
+        usable.append(ok)
         rows = values[ok]
         osc += np.max(np.abs(rows - rows[:, :1]), axis=1).tolist()  # grid[0] is zeta = 0
         chain = np.concatenate([previous, rows])
         gaps += np.max(np.abs(chain[1:] - chain[:-1]), axis=1).tolist()
         previous = chain[-1:]
-    if not kept:
+    if not osc:
         raise NormlabError("no index in the run is evaluable on the grid")
     final_gap = gaps[-1] if gaps else math.inf
     if final_gap <= tol and osc[-1] <= tol:
@@ -242,17 +244,18 @@ def convergence_report(
         verdict = "nonconstant-limit"
     else:
         verdict = "no-convergence"
-    last = run.entries[kept[-1]]
+    ok = np.concatenate(usable)
+    last = run.entries[np.flatnonzero(ok)[-1]]
     return ConvergenceReport(
         radius=radius,
         grid=tuple(tuple(z) for z in grid),
-        indices=tuple(run.entries[k].j for k in kept),
+        indices=tuple(run.entries.j[ok].tolist()),
         osc=tuple(osc),
         cauchy_gaps=tuple(gaps),
         limit_proxy=rescaled_function(run.f, last.z_j, last.rho_j),
         verdict=verdict,
         tol=tol,
-        excluded=tuple(run.entries[k].j for k in dropped),
+        excluded=tuple(run.entries.j[~ok].tolist()),
         hypothesis_flags=run.hypothesis_flags,
     )
 
@@ -342,11 +345,15 @@ def remark_counterexample(
     run = explicit_rescale(parse("z1", 1), Ball((0j,), 1.0), spec)
     grid = ball_grid(1, radius, grid_size, seed)
     sup_dev: list[float] = []
-    for _, batch in _grid_chunks(run, grid):
-        values = batch.check().value.reshape(-1, len(grid))
-        sup_dev += np.max(np.abs(values - 1.0), axis=1).tolist()
+
+    def checked() -> Iterator[Batch]:  # each chunk once, sup |g_n - 1| taken on the way
+        for batch in _grid_chunks(run, grid):
+            values = batch.check().value.reshape(-1, len(grid))
+            sup_dev.extend(np.max(np.abs(values - 1.0), axis=1).tolist())
+            yield batch
+
+    conv = _converge(run, radius, grid, 1e-3, checked())
     bounds = _power_law(1.0, 3.0, spec.indices) + _power_law(1.0, 2.0, spec.indices) * radius
-    conv = convergence_report(run, radius, grid_size, tol=1e-3, seed=seed)
     return RemarkReport(
         indices=tuple(spec.indices),
         ratios=tuple(map(float, spec.indices)),

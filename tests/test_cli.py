@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -523,3 +524,62 @@ def test_samples_writer_rejects_non_finite_as_stdlib_json(case):
         assert "not JSON compliant" in str(exc)
     else:
         assert '{\n  "samples": ' + _samples_json(samples, n) + "\n}" == expected
+
+
+# --------------------------------------------------------------------------
+# The --seed override
+# --------------------------------------------------------------------------
+
+_COUNTEREXAMPLE = {"command": "counterexample", "n_max": 10, "R": 1.0}
+_NEGATIVE_SEED_CONFIGS = {
+    "sharp": {"command": "sharp", "function": "z1*z2+z3", "dimension": 3, "points": [[[0.1, 0.0]] * 3]},
+    "marty-scan": _scan_config(DISC),
+    "rescale": _rescaling_config("rescale"),
+    "thm2": _rescaling_config("thm2"),
+    "counterexample": _COUNTEREXAMPLE,
+    "check-config": _COUNTEREXAMPLE,
+}
+
+
+# The override is applied after schema validation: a 3-D sharp run ended in a
+# numpy traceback (exit 1), the other runs exited 0.
+@pytest.mark.parametrize("command", sorted(_NEGATIVE_SEED_CONFIGS))
+def test_negative_seed_override_is_config_error(tmp_path, capsys, command):
+    code, out = _run(tmp_path, command, _NEGATIVE_SEED_CONFIGS[command], extra=("--seed", "-1"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "config error: --seed: -1 is less than the minimum of 0\n"
+    assert "Traceback" not in err and not out.exists()
+
+
+# --------------------------------------------------------------------------
+# CSV cells are plain int and float literals
+# --------------------------------------------------------------------------
+
+def _plain_literal(cell: str) -> bool:
+    if re.fullmatch(r"-?[0-9]+", cell):
+        return str(int(cell)) == cell
+    try:
+        return repr(float(cell)) == cell
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize(
+    "config,name",
+    [
+        (_rescaling_config("rescale"), "rescale_run.csv"),
+        (_rescaling_config("thm2"), "thm2_run.csv"),
+        ({**_COUNTEREXAMPLE, "n_max": 40}, "counterexample.csv"),
+    ],
+    ids=["rescale", "thm2", "counterexample"],
+)
+def test_run_csv_cells_are_plain_literals(tmp_path, config, name):
+    code, out = _run(tmp_path, config["command"], config)
+    assert code in (0, 4)
+    with open(out / name, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert rows and all(len(row) == len(header) for row in rows)
+    for row in rows:
+        for cell in row:
+            assert "np." not in cell and _plain_literal(cell), cell

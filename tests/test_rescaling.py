@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ from normlab import (
 )
 from normlab import domains, rescaling
 from normlab.errors import DomainError
-from normlab.expr import evaluate_batch
+from normlab.expr import evaluate_batch, to_source
 from normlab.sampling import ball_grid
 
 UNIT_DISC = Ball((0j,), 1.0)
@@ -489,3 +490,59 @@ def test_remark_center_rounding_onto_the_boundary_is_a_domain_error():
 def test_remark_requires_min_index():
     with pytest.raises(ValueError):
         remark_counterexample(2, 1.0)
+
+
+@pytest.mark.parametrize("n_max,grid_size", [(200, 256), (100, 512), (40, 16), (30, 1100), (7, 4600)])
+def test_remark_evaluates_each_chunk_once(monkeypatch, n_max, grid_size):
+    calls = _counting(monkeypatch, rescaling, "evaluate_batch")
+    report = remark_counterexample(n_max, 1.0, grid_size)
+    per_chunk = max(1, 4096 // len(report.convergence.grid))
+    assert len(calls) == math.ceil(n_max / per_chunk)
+
+
+def _two_pass_counterexample(n_max, radius, grid_size, seed):
+    """remark_counterexample as two grid passes: a chunked sup |g_n - 1| pass,
+    then convergence_report, which evaluates every g_n again."""
+    spec = SequenceSpec((1 + 0j,), (-1 + 0j,), 1.0, 3.0, ExplicitScale(1.0, 2.0), 1, n_max)
+    run = explicit_rescale(parse("z1", 1), UNIT_DISC, spec)
+    grid = ball_grid(1, radius, grid_size, seed)
+    per_chunk = max(1, 4096 // len(grid))
+    sup_dev = []
+    for start in range(0, n_max, per_chunk):
+        chunk = run.entries[start:start + per_chunk]
+        points = chunk.z_j[:, None, :] + chunk.rho_j[:, None, None] * grid
+        batch = evaluate_batch(run.f, points.reshape(-1, 1), gradient=False)
+        sup_dev += np.max(np.abs(batch.check().value.reshape(-1, len(grid)) - 1.0), axis=1).tolist()
+    bounds = [float(n) ** -3 + float(n) ** -2 * radius for n in spec.indices]
+    return tuple(spec.indices), tuple(sup_dev), tuple(bounds), convergence_report(run, radius, grid_size, 1e-3, seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_max=st.integers(3, 150),
+    radius=st.floats(0.01, 10.0),
+    grid_size=st.integers(2, 5000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_remark_single_pass_matches_two_passes(n_max, radius, grid_size, seed):
+    report = remark_counterexample(n_max, radius, grid_size, seed)
+    indices, sup_dev, bounds, conv = _two_pass_counterexample(n_max, radius, grid_size, seed)
+    assert (report.indices, report.sup_dev, report.bounds) == (indices, sup_dev, bounds)
+    got = report.convergence
+    for name in ("radius", "grid", "indices", "osc", "cauchy_gaps", "verdict", "tol", "excluded", "hypothesis_flags"):
+        assert getattr(got, name) == getattr(conv, name), name
+    assert to_source(got.limit_proxy) == to_source(conv.limit_proxy)
+
+
+def test_long_explicit_run_holds_its_columns_only():
+    # 100,000 records of 48 bytes are 4.6 MiB; nothing per index is held beside them
+    f = parse("z1", 1)
+    spec = _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 1, 100_000)
+    tracemalloc.start()
+    try:
+        run = explicit_rescale(f, UNIT_DISC, spec)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 8 * 2**20
+    assert len(run.entries) == 100_000
