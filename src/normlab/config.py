@@ -3,16 +3,23 @@
 Every config carries a ``command`` key naming the subcommand it drives; the
 schema for that command is enforced strictly (unknown keys rejected).
 Complex numbers are written as ``[re, im]`` pairs, points as arrays of pairs.
+
+The schemas are JSON Schema (draft 2020-12) dicts, checked by a small walker
+that knows only the keywords they use: ``type``, ``const``, ``properties``,
+``required``, ``additionalProperties: false``, ``items``, ``minItems``,
+``maxItems``, ``minLength``, ``minimum``, ``exclusiveMinimum``, ``maximum``
+and ``oneOf``.  It follows JSON Schema's type rules, not Python's: a bool is
+neither an integer nor a number, and an integer-valued float such as ``2.0``
+is an integer.  A violation is reported as ``config schema violation: <json
+path>: <reason>``, e.g. ``$.grid_size: 1 is less than the minimum of 2``.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
+import operator
 from typing import Any
-
-import jsonschema
 
 from .domains import Ball, Domain, Polydisc
 from .errors import ConfigError, ExprSyntaxError
@@ -188,13 +195,79 @@ def load_config(path: str) -> dict[str, Any]:
     return config
 
 
-@functools.cache
-def _validator(command: str):
-    """The schema validator of one command, built on its first use.  The
-    schemas themselves are checked against the metaschema by the tests, not
-    on every validation."""
-    schema = SCHEMAS[command]
-    return jsonschema.validators.validator_for(schema)(schema)
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "number": _is_number,
+    "integer": lambda value: _is_number(value) and (isinstance(value, int) or value.is_integer()),
+}
+
+# keyword, test that fails the number against the bound, and the reason
+_BOUNDS = (
+    ("minimum", operator.lt, "less than the minimum of"),
+    ("exclusiveMinimum", operator.le, "less than or equal to the minimum of"),
+    ("maximum", operator.gt, "greater than the maximum of"),
+)
+
+
+def _violations(value: Any, schema: dict, path: str, out: list[tuple[str, str]]) -> None:
+    """Append (json path, reason) for each way `value` breaks `schema`.  As in
+    JSON Schema, a keyword constrains only values of its own type."""
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        out.append((path, f"{value!r} is not of type {kind!r}"))
+        return
+    if "const" in schema and value != schema["const"]:  # every const in SCHEMAS is a string
+        out.append((path, f"{schema['const']!r} was expected"))
+    if _is_number(value):
+        out += [
+            (path, f"{value!r} is {reason} {schema[keyword]!r}")
+            for keyword, fails, reason in _BOUNDS
+            if keyword in schema and fails(value, schema[keyword])
+        ]
+    elif isinstance(value, str):
+        if len(value) < schema.get("minLength", 0):
+            out.append((path, f"{value!r} is shorter than the minimum length of {schema['minLength']}"))
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            out.append((path, f"{value!r} is shorter than the minimum length of {schema['minItems']}"))
+        if len(value) > schema.get("maxItems", math.inf):
+            out.append((path, f"{value!r} is longer than the maximum length of {schema['maxItems']}"))
+        if "items" in schema:
+            for k, item in enumerate(value):
+                _violations(item, schema["items"], f"{path}[{k}]", out)
+    elif isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key, subschema in properties.items():
+            if key in value:
+                _violations(value[key], subschema, f"{path}.{key}", out)
+        out += [
+            (path, f"{key!r} is a required property")
+            for key in schema.get("required", ())
+            if key not in value
+        ]
+        unexpected = [key for key in value if key not in properties]
+        if unexpected and schema.get("additionalProperties") is False:
+            out.append((path, f"unknown key(s) {', '.join(map(repr, unexpected))}"))
+    if "oneOf" in schema:
+        branches = []
+        for branch in schema["oneOf"]:
+            branches.append([])
+            _violations(value, branch, path, branches[-1])
+        matched = branches.count([])
+        counts = sorted(map(len, branches))
+        if matched > 1:
+            out.append((path, f"{value!r} is valid under more than one of the given schemas"))
+        elif not matched and counts[0] < counts[1]:
+            # the branch of the value's own kind fails the fewest keywords
+            out += min(branches, key=len)
+        elif not matched:
+            out.append((path, f"{value!r} is not valid under any of the given schemas"))
 
 
 def _coordinate_lists(config: dict[str, Any]) -> list[tuple[str, list]]:
@@ -213,15 +286,19 @@ def validate_config(config: dict[str, Any]) -> str:
     """Validate against the schema named by config['command'], check that a
     sequence's j_start does not exceed its j_end, check every point, center,
     radii, anchor and inward list against the dimension, and parse the
-    config's function, if it has one; returns the command."""
+    config's function, if it has one; returns the command.  An integer-valued
+    float `dimension` (JSON Schema counts 2.0 as an integer) becomes an int."""
     command = config.get("command")
-    if command not in SCHEMAS:
+    if not isinstance(command, str) or command not in SCHEMAS:
         raise ConfigError(
             f"config must carry a 'command' key, one of {sorted(SCHEMAS)}"
         )
-    error = jsonschema.exceptions.best_match(_validator(command).iter_errors(config))
-    if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}")
+    errors: list[tuple[str, str]] = []
+    _violations(config, SCHEMAS[command], "$", errors)
+    if errors:
+        raise ConfigError("config schema violation: {}: {}".format(*errors[0]))
+    if "dimension" in config:
+        config["dimension"] = int(config["dimension"])
     sequence = config.get("sequence")
     if sequence is not None and sequence["j_start"] > sequence["j_end"]:
         raise ConfigError(

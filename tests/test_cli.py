@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import re
@@ -6,7 +8,7 @@ import warnings
 
 import jsonschema
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from normlab import DimensionMismatchError, parse
@@ -269,7 +271,7 @@ def _strict_json(path):
 
 @pytest.mark.parametrize("command", sorted(SCHEMAS))
 def test_schemas_are_valid_under_their_metaschema(command):
-    # validation builds each validator once and does not re-check the schema
+    # the config walker trusts the schemas to be valid JSON Schema
     schema = SCHEMAS[command]
     jsonschema.validators.validator_for(schema).check_schema(schema)
 
@@ -583,3 +585,111 @@ def test_run_csv_cells_are_plain_literals(tmp_path, config, name):
     for row in rows:
         for cell in row:
             assert "np." not in cell and _plain_literal(cell), cell
+
+
+# --------------------------------------------------------------------------
+# Integer-valued floats and fuzzed configs
+# --------------------------------------------------------------------------
+
+# JSON Schema counts 2.0 as an integer, so these passed validation and then
+# ended in a TypeError traceback (exit 1)
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"command": "sharp", "function": "z1*z2", "dimension": 2, "points": [[[1.0, 0.0], [0.5, -0.25]]]},
+        _scan_config(DISC),
+        _rescaling_config("rescale"),
+        _rescaling_config("thm2"),
+    ],
+    ids=lambda config: config["command"],
+)
+def test_integer_valued_float_dimension_runs_as_its_int_twin(tmp_path, config):
+    code, out = _run(tmp_path, config["command"], config, outdir="int")
+    twin = {**config, "dimension": float(config["dimension"])}
+    twin_code, twin_out = _run(tmp_path, config["command"], twin, outdir="float")
+    assert twin_code == code
+    names = sorted(path.name for path in out.iterdir())
+    assert names and names == sorted(path.name for path in twin_out.iterdir())
+    for name in names:
+        assert (out / name).read_bytes() == (twin_out / name).read_bytes()
+
+
+def _int(lo, hi):
+    # an integer-valued float is an integer to JSON Schema
+    return st.integers(lo, hi) | st.integers(lo, hi).map(float)
+
+
+_POSITIVE = st.floats(min_value=0, max_value=4, exclude_min=True) | _int(1, 4)
+_COORDINATE = st.floats(-2, 2) | _int(-2, 2)
+_SEED_VALUE = _int(0, 2**32)
+_FUZZ_FUNCTIONS = ["z1", "3", "exp(z1)", "sin(1/(1-z1))", "1/z1", "log(z1)", "z1^3-2*z1", "1/(z1-z1)"]
+_FUZZ_FUNCTIONS_2D = ["z1*z2", "exp(z2)/(1-z1)", "sin(1/(1-z1))*z2", "log(1+z1*z2)"]
+
+
+@st.composite
+def _fuzz_config(draw, command):
+    if command == "counterexample":
+        return draw(st.fixed_dictionaries(
+            {"command": st.just(command), "n_max": _int(3, 20), "R": _POSITIVE},
+            optional={"grid_size": _int(2, 16), "seed": _SEED_VALUE},
+        ))
+    n = draw(st.integers(1, 3))
+    point = st.lists(st.lists(_COORDINATE, min_size=2, max_size=2), min_size=n, max_size=n)
+    head = {
+        "command": st.just(command),
+        "function": st.sampled_from(_FUZZ_FUNCTIONS + _FUZZ_FUNCTIONS_2D * (n >= 2)),
+        "dimension": st.sampled_from([n, float(n)]),
+    }
+    if command == "sharp":
+        return draw(st.fixed_dictionaries(
+            {**head, "points": st.lists(point, min_size=1, max_size=4)},
+            optional={
+                "h": st.floats(min_value=0, max_value=1, exclude_min=True),
+                "sphere_samples": _int(1, 16),
+                "seed": _SEED_VALUE,
+            },
+        ))
+    domain = st.fixed_dictionaries({"type": st.just("ball"), "center": point, "radius": _POSITIVE}) | (
+        st.fixed_dictionaries({
+            "type": st.just("polydisc"),
+            "center": point,
+            "radii": st.lists(_POSITIVE, min_size=n, max_size=n),
+        })
+    )
+    if command == "marty-scan":
+        plan = st.fixed_dictionaries(
+            {
+                "shells": st.lists(st.floats(0, 1, exclude_min=True) | st.just(1), min_size=1, max_size=3),
+                "points_per_shell": _int(1, 4),
+                "directions_per_point": _int(1, 4),
+            },
+            optional={"seed": _SEED_VALUE},
+        )
+        return draw(st.fixed_dictionaries({**head, "domain": domain, "plan": plan}))
+    j_start, j_end = sorted(draw(st.lists(_int(1, 20), min_size=2, max_size=2)))
+    scale = {"c_r": _POSITIVE, "b": _POSITIVE} if command == "thm2" else {}
+    sequence = st.fixed_dictionaries({
+        "anchor": point,
+        "inward": point,
+        "c_p": _POSITIVE,
+        "a": _POSITIVE,
+        "j_start": st.just(j_start),
+        "j_end": st.just(j_end),
+        **scale,
+    })
+    return draw(st.fixed_dictionaries(
+        {**head, "domain": domain, "sequence": sequence, "R": _POSITIVE},
+        optional={"grid_size": _int(2, 16), "tol": _POSITIVE, "seed": _SEED_VALUE},
+    ))
+
+
+@pytest.mark.parametrize("command", ["sharp", "marty-scan", "rescale", "thm2", "counterexample"])
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_configs_end_in_a_documented_exit_code(tmp_path, command, data):
+    config = data.draw(_fuzz_config(command))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code, _ = _run(tmp_path, command, config)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()

@@ -1,0 +1,209 @@
+"""The config schema walker against jsonschema, the reference implementation
+of JSON Schema: mutated configs of every command are accepted or rejected
+by both alike."""
+
+import copy
+import math
+
+import jsonschema
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from normlab.config import SCHEMAS, validate_config
+from normlab.errors import ConfigError
+
+_BALL = {"type": "ball", "center": [[0.0, 0.0], [0.0, 0.0]], "radius": 1.0}
+_POLYDISC = {"type": "polydisc", "center": [[0.0, 0.0], [0.0, 0.0]], "radii": [1.0, 2]}
+_SEQUENCE = {
+    "anchor": [[1.0, 0.0], [0.0, 0.0]],
+    "inward": [[-1.0, 0.0], [0.0, 0.0]],
+    "c_p": 1 / (2 * math.pi),
+    "a": 1.0,
+    "j_start": 2,
+    "j_end": 30,
+}
+_RESCALE = {
+    "command": "rescale",
+    "function": "sin(1/(1-z1))*z2",
+    "dimension": 2,
+    "domain": _BALL,
+    "sequence": _SEQUENCE,
+    "R": 1.0,
+    "grid_size": 64,
+    "tol": 1e-3,
+    "seed": 0,
+}
+_VALID = [
+    {
+        "command": "sharp",
+        "function": "z1*z2",
+        "dimension": 2,
+        "points": [[[1.0, 0.0], [0.5, -0.25]], [[0, 0], [0.1, 0]]],
+        "h": 1e-4,
+        "sphere_samples": 64,
+        "seed": 3,
+    },
+    *(
+        {
+            "command": "marty-scan",
+            "function": "z1*z2",
+            "dimension": 2,
+            "domain": domain,
+            "plan": {"shells": [1, 0.5, 0.25], "points_per_shell": 4, "directions_per_point": 2, "seed": 0},
+        }
+        for domain in (_BALL, _POLYDISC)
+    ),
+    _RESCALE,
+    {**_RESCALE, "domain": _POLYDISC},
+    {**_RESCALE, "command": "thm2", "sequence": {**_SEQUENCE, "c_r": 1.0, "b": 2.0}},
+    {"command": "counterexample", "n_max": 50, "R": 1.0, "grid_size": 16, "seed": 1},
+]
+
+# every property name in the schemas, so that an added key is often one that
+# another command or the other domain kind allows
+_KEYS = sorted(
+    {key for schema in SCHEMAS.values() for key in schema["properties"]}
+    | {"center", "radius", "radii", "type", "shells", "c_r", "b", "bogus"}
+)
+_NUMBERS = [-1, -0.0, 0, 0.0, 5e-324, 0.5, 1, 1.0, 1.0000000000000002, 1.5, 2, 2.0, 2.5, 3, 3.0, 1e300]
+_OTHER_TYPES = [None, "x", "", [], {}, [1.0, 2.0], True, False, 1, 1.5]
+
+
+def _slots(node):
+    """(container, key) for every value below `node`."""
+    for key, value in list(node.items() if isinstance(node, dict) else enumerate(node)):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _draw_copy(data, values):
+    return copy.deepcopy(data.draw(st.sampled_from(values)))
+
+
+def _drop(config, data):
+    slots = list(_slots(config))
+    if slots:
+        container, key = data.draw(st.sampled_from(slots))
+        del container[key]
+
+
+def _add_key(config, data):
+    objects = [config] + [c[k] for c, k in _slots(config) if isinstance(c[k], dict)]
+    data.draw(st.sampled_from(objects))[data.draw(st.sampled_from(_KEYS))] = _draw_copy(data, _NUMBERS + _OTHER_TYPES)
+
+
+def _change_type(config, data):
+    slots = list(_slots(config))
+    if slots:
+        container, key = data.draw(st.sampled_from(slots))
+        container[key] = _draw_copy(data, _OTHER_TYPES)
+
+
+def _past_a_bound(config, data):
+    slots = [(c, k) for c, k in _slots(config) if _is_number(c[k])]
+    if slots:
+        container, key = data.draw(st.sampled_from(slots))
+        container[key] = data.draw(st.sampled_from(_NUMBERS))
+
+
+def _lengthen_list(config, data):
+    lists = [c[k] for c, k in _slots(config) if isinstance(c[k], list)]
+    if lists:
+        items = data.draw(st.sampled_from(lists))
+        items.append(copy.deepcopy(items[0]) if items else 0.0)
+
+
+def _swap_domain_kind(config, data):
+    domain = config.get("domain")
+    if isinstance(domain, dict):
+        domain["type"] = "polydisc" if domain.get("type") == "ball" else "ball"
+        if data.draw(st.booleans()):  # and the kind's own size key with it
+            had_radius, had_radii = "radius" in domain, "radii" in domain
+            domain.pop("radius", None), domain.pop("radii", None)
+            if had_radius:
+                domain["radii"] = [1.0, 1.0]
+            if had_radii:
+                domain["radius"] = 1.0
+
+
+def _bool_or_float_for_int(config, data):
+    slots = [(c, k) for c, k in _slots(config) if _is_number(c[k])]
+    if slots:
+        container, key = data.draw(st.sampled_from(slots))
+        value = container[key]
+        container[key] = data.draw(st.sampled_from([True, False, float(value), value + 0.5]))
+
+
+_MUTATIONS = [
+    _drop, _add_key, _change_type, _past_a_bound, _lengthen_list, _swap_domain_kind, _bool_or_float_for_int,
+]
+
+
+def _walker_accepts(config) -> bool:
+    try:
+        validate_config(config)
+    except ConfigError as exc:
+        # the checks after the schema (lengths, j order, the function) do not
+        # concern the schema
+        return "config schema violation" not in str(exc)
+    return True
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_walker_agrees_with_jsonschema(data):
+    base = data.draw(st.sampled_from(_VALID))
+    config = copy.deepcopy(base)
+    for _ in range(data.draw(st.integers(1, 3))):
+        data.draw(st.sampled_from(_MUTATIONS))(config, data)
+    schema = SCHEMAS[base["command"]]
+    expected = jsonschema.validators.validator_for(schema)(schema).is_valid(config)
+    if config.get("command") != base["command"]:
+        assert not expected
+        with pytest.raises(ConfigError, match="must carry a 'command' key"):
+            validate_config(config)
+    else:
+        assert _walker_accepts(copy.deepcopy(config)) == expected, config
+
+
+@pytest.mark.parametrize("config", _VALID, ids=lambda c: c["command"])
+def test_valid_configs_pass(config):
+    assert validate_config(copy.deepcopy(config)) == config["command"]
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"grid_size": 1}, "$.grid_size: 1 is less than the minimum of 2"),
+        ({"grid_size": True}, "$.grid_size: True is not of type 'integer'"),
+        ({"dimension": 2.5}, "$.dimension: 2.5 is not of type 'integer'"),
+        ({"R": 0}, "$.R: 0 is less than or equal to the minimum of 0"),
+        ({"function": ""}, "$.function: '' is shorter than the minimum length of 1"),
+        ({"bogus": 1, "extra": 2}, "$: unknown key(s) 'bogus', 'extra'"),
+        ({"sequence": {**_SEQUENCE, "anchor": [[1.0, 0.0], [0.0]]}},
+         "$.sequence.anchor[1]: [0.0] is shorter than the minimum length of 2"),
+        ({"sequence": {**_SEQUENCE, "inward": [[-1.0, 0.0, 0.0], [0.0, 0.0]]}},
+         "$.sequence.inward[0]: [-1.0, 0.0, 0.0] is longer than the maximum length of 2"),
+        # the branch of the domain's own kind names the violation
+        ({"domain": {**_BALL, "radius": -1}}, "$.domain.radius: -1 is less than or equal to the minimum of 0"),
+        ({"domain": {**_POLYDISC, "radii": [1.0, "2"]}}, "$.domain.radii[1]: '2' is not of type 'number'"),
+        ({"domain": {**_BALL, "type": "cube", "radii": [1.0]}}, "$.domain: {'type': 'cube', 'center': "),
+    ],
+)
+def test_violation_names_its_json_path(change, message):
+    with pytest.raises(ConfigError) as info:
+        validate_config({**copy.deepcopy(_RESCALE), **change})
+    assert str(info.value).startswith("config schema violation: " + message)
+
+
+# a command that is not a string once ended in a TypeError traceback (exit 1)
+@pytest.mark.parametrize("command", [["sharp"], {"sharp": 1}, None, 1, True])
+def test_command_of_another_type_is_config_error(command):
+    with pytest.raises(ConfigError, match="must carry a 'command' key"):
+        validate_config({"command": command})

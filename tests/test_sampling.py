@@ -17,14 +17,25 @@ def test_directions_emit_no_warning():
         sphere_directions(3, 100, 0)
 
 
-def test_cli_import_leaves_scipy_out():
+def _cli_import_loads(packages):
+    """The modules of `packages` that a fresh `import normlab.cli` loads."""
     src = str(Path(normlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, normlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = f"import sys, normlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_out():
+    assert _cli_import_loads(["scipy"]) == "[]"
+
+
+def test_cli_import_leaves_jsonschema_out():
+    # jsonschema and what it imports; attrs installs the modules attr and attrs
+    packages = ["jsonschema", "jsonschema_specifications", "referencing", "rpds", "attr", "attrs", "jsonpointer"]
+    assert _cli_import_loads(packages) == "[]"
 
 
 @pytest.mark.parametrize("n", [3, 4])
