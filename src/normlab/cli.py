@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import sys
@@ -43,39 +42,33 @@ def _write_json(path: Path, payload) -> None:
     )
 
 
-def _sample_row(dimension: int) -> str:
-    """One `marty_scan.json` sample as json.dumps(indent=2, sort_keys=True)
-    prints it inside the report's `samples` list, a %s in place of each float,
-    preceded by its newline and indentation."""
-    coords = [["%s", "%s"]] * dimension
-    sample = dict.fromkeys(("levi", "k_lower", "k_upper", "ratio_lower", "ratio_upper"), "%s")
-    text = json.dumps({"samples": [{**sample, "point": coords, "direction": coords}]},
-                      indent=2, sort_keys=True)
+def _sample_row(dtype: np.dtype) -> str:
+    """One `marty_scan.json` sample of a record dtype as json.dumps(indent=2,
+    sort_keys=True) prints it inside the report's `samples` list, a %s in
+    place of each float (a complex is a [re, im] pair), preceded by its
+    newline and indentation."""
+    sample = {}
+    for name in dtype.names:
+        cell = ["%s", "%s"] if dtype[name].base.kind == "c" else "%s"
+        sample[name] = [cell] * dtype[name].shape[0] if dtype[name].shape else cell
+    text = json.dumps({"samples": [sample]}, indent=2, sort_keys=True)
     return text[text.index("[") + 1:text.rindex("\n  ]")].replace('"%s"', "%s")
 
 
-def _samples_json(samples, dimension: int) -> str:
+def _samples_json(samples: np.ndarray) -> str:
     """`marty_scan.json`'s `samples` list, byte for byte as json.dumps(indent=2,
     sort_keys=True, allow_nan=False) prints it as a key of the report: the
-    floats of each sample in the row's key order (direction, k_lower, k_upper,
-    levi, point, ratio_lower, ratio_upper), through float.__repr__ as json
-    does, filled into the joined rows by one % format."""
-    if not samples:
+    floats of each record in sorted field order (a complex field's real and
+    imaginary parts in turn), through float.__repr__ as json does, filled
+    into the joined rows by one % format."""
+    if not len(samples):
         return "[]"
-    floats: list[float] = []
-    for s in samples:
-        for c in s.direction:
-            c = complex(c)
-            floats += (c.real, c.imag)
-        floats += (s.k_lower, s.k_upper, s.levi)
-        for c in s.point:
-            c = complex(c)
-            floats += (c.real, c.imag)
-        floats += (s.ratio_lower, s.ratio_upper)
-    for x in itertools.filterfalse(math.isfinite, floats):
+    columns = [samples[name].reshape(len(samples), -1) for name in sorted(samples.dtype.names)]
+    table = np.hstack([c.view(float) if c.dtype.kind == "c" else c for c in columns]).ravel()
+    for x in table[~np.isfinite(table)][:1].tolist():
         raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-    rows = ",".join([_sample_row(dimension)] * len(samples))
-    return "[" + rows % tuple(map(float.__repr__, floats)) + "\n  ]"
+    rows = ",".join([_sample_row(samples.dtype)] * len(samples))
+    return "[" + rows % tuple(map(float.__repr__, table.tolist())) + "\n  ]"
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -155,7 +148,7 @@ def _run_marty_scan(config: dict, out: Path, fmt: str) -> int:
             allow_nan=False,
         )
         # a newline inside a string is escaped, so only the key itself matches
-        samples = _samples_json(est.samples, f.dimension)
+        samples = _samples_json(est.samples)
         text = text.replace('\n  "samples": []', '\n  "samples": ' + samples, 1)
         (out / "marty_scan.json").write_text(text + "\n", encoding="utf-8")
     return EXIT_OK

@@ -220,21 +220,19 @@ class SamplingPlan:
             raise ValueError("points and directions per shell must be positive")
 
 
-@dataclass(frozen=True)
-class ScanSample:
-    point: CPoint
-    direction: CPoint
-    levi: float
-    k_lower: float
-    k_upper: float
-    # levi / k_upper^2: lower bound on C at this sample, up to floating-point rounding
-    ratio_lower: float
-    ratio_upper: float  # levi / k_lower^2
+def sample_dtype(dimension: int) -> np.dtype:
+    """The record of one scan sample: its point and direction (n complex
+    each), the Levi form, the Kobayashi sandwich, and the ratios
+    ratio_lower = levi / k_upper^2 (a lower bound on C at the sample, up to
+    floating-point rounding) and ratio_upper = levi / k_lower^2."""
+    return np.dtype([("point", complex, (dimension,)), ("direction", complex, (dimension,)),
+                     ("levi", float), ("k_lower", float), ("k_upper", float),
+                     ("ratio_lower", float), ("ratio_upper", float)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalityEstimate:
-    samples: tuple[ScanSample, ...]
+    samples: np.recarray  # the kept samples, of `sample_dtype`, read-only
     shell_trend: tuple[tuple[float, float, float], ...]  # (shell, max ratio_lower, min delta)
     c_required_lower_bound: float
     verdict: str  # bounded-consistent | divergent | inconclusive
@@ -264,16 +262,15 @@ def normality_scan(f: HoloExpr, domain: Domain, plan: SamplingPlan) -> Normality
     point that fails to evaluate; `errors` holds one message per point with
     skips.  A skip in any of the last three shells makes the verdict
     inconclusive, since the maxima that survived cannot speak for the
-    skipped samples.
+    skipped samples.  `samples` is one read-only record array of the kept
+    samples (`sample_dtype`), in shell, point and direction order.
     """
     center = np.asarray(domain.center, dtype=complex)
     rays = scan_rays(f.dimension, plan.points_per_shell, plan.seed)
     dirs = sphere_directions(f.dimension, plan.directions_per_point, plan.seed + 1)
-    directions = [tuple(v) for v in dirs.tolist()]
-    extents = [domains.ray_extent(domain, tuple(u)) for u in rays]
-    points = np.array(
-        [center + (1.0 - t) * extent * u for t in plan.shells for u, extent in zip(rays, extents)]
-    )
+    extents = np.array([domains.ray_extent(domain, tuple(u)) for u in rays])
+    scale = (1.0 - np.asarray(plan.shells))[:, None] * extents
+    points = (center + scale[:, :, None] * rays).reshape(-1, f.dimension)  # shell-major
     jets = evaluate_batch(f, points)
     levi = levi_batch(jets.value, jets.gradient, dirs)
     distance = domains.boundary_distance_batch(domain, points)
@@ -285,57 +282,40 @@ def normality_scan(f: HoloExpr, domain: Domain, plan: SamplingPlan) -> Normality
     with np.errstate(all="ignore"):
         ratio_lower = levi / (k_upper * k_upper)
         ratio_upper = levi / (k_lower * k_lower)
-    finite = np.isfinite(levi) & np.isfinite(ratio_lower) & np.isfinite(ratio_upper)
-    point_rows = points.tolist()
-    distance, interior, status = distance.tolist(), interior.tolist(), jets.status.tolist()
-    sample_rows = [a.tolist() for a in (levi, k_lower, k_upper, ratio_lower, ratio_upper, finite)]
+    # the bounds are nan at unusable points, and so are both ratios there
+    kept = np.isfinite(levi) & np.isfinite(ratio_lower) & np.isfinite(ratio_upper)
+    at, along = np.nonzero(kept)  # shell, point and direction order
+    measured = (levi, k_lower, k_upper, ratio_lower, ratio_upper)
+    columns = [points[at], dirs[along], *(a[kept] for a in measured)]
+    samples = np.rec.fromarrays(columns, dtype=sample_dtype(f.dimension))
+    samples.flags.writeable = False  # the estimate is frozen, its samples too
 
-    samples: list[ScanSample] = []
-    errors: list[str] = []
-    skipped = 0
-    skipped_per_shell: list[int] = []
-    trend: list[tuple[float, float, float]] = []
-    for shell_idx, t in enumerate(plan.shells):
-        skipped_before = skipped
-        shell_max = 0.0
-        shell_delta = math.inf
-        for i in range(shell_idx * len(rays), (shell_idx + 1) * len(rays)):
-            p = tuple(point_rows[i])
-            if not interior[i]:
-                errors.append(f"point {p!r}: {domains.NOT_INTERIOR}")
-                skipped += len(dirs)
-                continue
-            shell_delta = min(shell_delta, distance[i])
-            if status[i] != OK:
-                errors.append(f"point {p!r}: {status_error(status[i])}")
-                skipped += len(dirs)
-                continue
-            non_finite = 0
-            for v, lv, k_lo, k_up, r_lo, r_up, ok in zip(directions, *(a[i] for a in sample_rows)):
-                if not ok:
-                    non_finite += 1
-                    continue
-                samples.append(ScanSample(p, v, lv, k_lo, k_up, r_lo, r_up))
-                shell_max = max(shell_max, r_lo)
-            if non_finite:
-                errors.append(
-                    f"point {p!r}: {non_finite} of {len(dirs)} directions skipped, "
-                    f"{status_error(NONFINITE)}"
-                )
-                skipped += non_finite
-        trend.append((t, shell_max, shell_delta if math.isfinite(shell_delta) else 0.0))
-        skipped_per_shell.append(skipped - skipped_before)
-
-    c_required = max((s.ratio_lower for s in samples), default=0.0)
-    if any(skipped_per_shell[-3:]):
+    skips = len(dirs) - kept.sum(axis=1)
+    errors = []
+    for i in np.flatnonzero(skips):
+        p = tuple(points[i].tolist())
+        if not interior[i]:
+            errors.append(f"point {p!r}: {domains.NOT_INTERIOR}")
+        elif jets.status[i] != OK:
+            errors.append(f"point {p!r}: {status_error(jets.status[i])}")
+        else:
+            errors.append(
+                f"point {p!r}: {skips[i]} of {len(dirs)} directions skipped, "
+                f"{status_error(NONFINITE)}"
+            )
+    per_shell = (len(plan.shells), -1)
+    maxima = np.where(kept, ratio_lower, 0.0).reshape(per_shell).max(axis=1)
+    deltas = np.where(interior, distance, math.inf).reshape(per_shell).min(axis=1)
+    deltas[np.isinf(deltas)] = 0.0  # a shell without an interior point
+    if skips.reshape(per_shell).sum(axis=1)[-3:].any():
         verdict = "inconclusive"
     else:
-        verdict = _trend_verdict([m for _, m, _ in trend])
+        verdict = _trend_verdict(maxima.tolist())
     return NormalityEstimate(
-        samples=tuple(samples),
-        shell_trend=tuple(trend),
-        c_required_lower_bound=c_required,
+        samples=samples,
+        shell_trend=tuple(zip(plan.shells, maxima.tolist(), deltas.tolist())),
+        c_required_lower_bound=float(maxima.max()),
         verdict=verdict,
-        skipped=skipped,
+        skipped=int(skips.sum()),
         errors=tuple(errors),
     )

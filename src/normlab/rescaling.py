@@ -122,14 +122,23 @@ class RescalingRun:
     hypothesis_flags: tuple[str, ...]
 
 
-def _run(f, domain, spec, centers, rho, delta, flags) -> RescalingRun:
-    """The run's record array, filled from the arrays of `make_sequence`."""
+def _entries(spec, centers, rho, delta) -> np.recarray:
+    """A run's record array, filled from the arrays of `make_sequence`; a
+    ratio rho_j / delta_j past the float range (delta_j subnormal, say) is a
+    NormlabError."""
+    with np.errstate(over="ignore"):
+        ratio = rho / delta
+    for k in np.flatnonzero(~np.isfinite(ratio))[:1]:
+        j = spec.j_start + k
+        raise NormlabError(
+            f"ratio rho_{j} / delta_{j} = {float(rho[k])!r} / {float(delta[k])!r} overflows"
+        )
     fields = [("j", np.int64), ("z_j", complex, centers.shape[1:]),
               ("delta_j", float), ("rho_j", float), ("ratio", float)]
-    columns = [np.arange(spec.j_start, spec.j_end + 1), centers, delta, rho, rho / delta]
+    columns = [np.arange(spec.j_start, spec.j_end + 1), centers, delta, rho, ratio]
     entries = np.rec.fromarrays(columns, dtype=fields)
     entries.flags.writeable = False  # the run is frozen, its records too
-    return RescalingRun(f, domain, entries, tuple(flags))
+    return entries
 
 
 def zalcman_rescale(f: HoloExpr, domain: Domain, spec: SequenceSpec) -> RescalingRun:
@@ -147,8 +156,8 @@ def zalcman_rescale(f: HoloExpr, domain: Domain, spec: SequenceSpec) -> Rescalin
     # a sharp value of 0, or one so small that 1/sharp overflows
     for k in np.flatnonzero(~np.isfinite(rho))[:1]:
         raise NormlabError(f"sharp(f, z_{spec.j_start + k}) vanishes; rescaling scale undefined")
-    flags = ["rho-not-decreasing"] if np.any(rho[1:] >= rho[:-1]) else []
-    return _run(f, domain, spec, centers, rho, delta, flags)
+    flags = ("rho-not-decreasing",) if np.any(rho[1:] >= rho[:-1]) else ()
+    return RescalingRun(f, domain, _entries(spec, centers, rho, delta), flags)
 
 
 def explicit_rescale(f: HoloExpr, domain: Domain, spec: SequenceSpec) -> RescalingRun:
@@ -161,11 +170,12 @@ def explicit_rescale(f: HoloExpr, domain: Domain, spec: SequenceSpec) -> Rescali
     if not isinstance(spec.scale, ExplicitScale):
         raise ValueError("explicit_rescale requires the explicit scale rule")
     centers, scale, delta = make_sequence(spec, domain)
-    ratio = scale / delta
+    entries = _entries(spec, centers, scale, delta)
+    ratio = entries.ratio
     flags = ["ratio-not-decreasing"] if np.any(ratio[1:] >= ratio[:-1]) else []
     if ratio[-1] >= 0.1:
         flags.append("final-ratio-not-small")
-    return _run(f, domain, spec, centers, scale, delta, flags)
+    return RescalingRun(f, domain, entries, tuple(flags))
 
 
 # --------------------------------------------------------------------------

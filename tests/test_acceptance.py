@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
 
+import dataclasses
 import math
 import random
 
@@ -239,7 +240,12 @@ def test_criterion_7_property_suite():
     plan = SamplingPlan(shells=(0.5, 0.25, 0.125), points_per_shell=4, directions_per_point=4, seed=3)
     est_a = normality_scan(f1, UNIT_DISC, plan)
     est_b = normality_scan(f1, UNIT_DISC, plan)
-    ok = ok and est_a == est_b
+    # the samples byte for byte (at least as strict as == on finite floats)
+    ok = ok and est_a.samples.dtype == est_b.samples.dtype
+    ok = ok and est_a.samples.tobytes() == est_b.samples.tobytes()
+    ok = ok and all(
+        getattr(est_a, k.name) == getattr(est_b, k.name) for k in dataclasses.fields(est_a) if k.name != "samples"
+    )
     spec = SequenceSpec(
         anchor=(1 + 0j,), inward=(-1 + 0j,), c_p=1.0, a=1.0,
         scale=ExplicitScale(1.0, 2.0), j_start=2, j_end=20,

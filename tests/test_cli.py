@@ -7,6 +7,7 @@ import re
 import warnings
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from normlab import DimensionMismatchError, parse
 from normlab.cli import _samples_json, main
 from normlab.config import SCHEMAS, point_to_json
-from normlab.metrics import ScanSample, sharp_batch
+from normlab.metrics import sample_dtype, sharp_batch
 
 DISC = {"type": "ball", "center": [[0.0, 0.0]], "radius": 1.0}
 
@@ -388,8 +389,16 @@ def test_coordinate_list_of_wrong_length_is_config_error(tmp_path, capsys, confi
     assert not out.exists()
 
 
+def _tiny_ball_config(command):
+    # the one center, p_1 = 0, lies 5e-324 inside the ball, so rho_1 / delta_1 overflows
+    config = _rescaling_config(command, c_p=1.0, a=1.0, j_start=1, j_end=1)
+    return {**config, "function": "z1", "domain": {"type": "ball", "center": [[0.0, 0.0]], "radius": 5e-324}}
+
+
 # Each once ended in a traceback (exit 1), except the underflowing h, which
-# exited 0 with a sharp_fd of 0.0 and a RuntimeWarning.
+# exited 0 with a sharp_fd of 0.0 and a RuntimeWarning, and the overflowing
+# ratio, which exited 0 (rescale) or 4 (thm2) with a RuntimeWarning and a
+# ratio of inf in the run table.
 @pytest.mark.parametrize(
     "config,code,message",
     [
@@ -405,10 +414,13 @@ def test_coordinate_list_of_wrong_length_is_config_error(tmp_path, capsys, confi
             3,
             "finite-difference Levi form is not finite at h = 1e-200",
         ),
+        (_tiny_ball_config("rescale"), 3, "ratio rho_1 / delta_1 = 1.0 / 5e-324 overflows"),
+        (_tiny_ball_config("thm2"), 3, "ratio rho_1 / delta_1 = 1.0 / 5e-324 overflows"),
     ],
     ids=[
         "rescale-j-range", "thm2-j-range", "rescale-grid-1", "thm2-grid-1", "counterexample-grid-1",
         "thm2-scale-underflow", "counterexample-center-on-boundary", "sharp-h-underflow",
+        "rescale-ratio-overflow", "thm2-ratio-overflow",
     ],
 )
 def test_run_input_errors_exit_with_their_code(tmp_path, capsys, config, code, message):
@@ -485,15 +497,15 @@ def _stdlib_samples(samples):
     # the reference: the dict form of each sample through the stdlib encoder
     rows = [
         {
-            "point": point_to_json(s.point),
-            "direction": point_to_json(s.direction),
-            "levi": s.levi,
-            "k_lower": s.k_lower,
-            "k_upper": s.k_upper,
-            "ratio_lower": s.ratio_lower,
-            "ratio_upper": s.ratio_upper,
+            "point": point_to_json(point),
+            "direction": point_to_json(direction),
+            "levi": levi,
+            "k_lower": k_lower,
+            "k_upper": k_upper,
+            "ratio_lower": ratio_lower,
+            "ratio_upper": ratio_upper,
         }
-        for s in samples
+        for point, direction, levi, k_lower, k_upper, ratio_lower, ratio_upper in samples.tolist()
     ]
     return json.dumps({"samples": rows}, indent=2, sort_keys=True, allow_nan=False)
 
@@ -502,30 +514,30 @@ _EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.7e308,
 
 
 def _scan_samples(values):
-    def sample(n):
+    # record arrays of the scan's dtype, as `normality_scan` returns them
+    def records(n):
         point = st.tuples(*[st.builds(complex, values, values)] * n)
-        return st.builds(ScanSample, point, point, values, values, values, values, values)
+        sample = st.tuples(point, point, values, values, values, values, values)
+        return st.lists(sample, max_size=4).map(lambda rows: np.array(rows, sample_dtype(n)).view(np.recarray))
 
-    return st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.lists(sample(n), max_size=4)))
+    return st.integers(1, 3).flatmap(records)
 
 
 @given(_scan_samples(_EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)))
-def test_samples_writer_matches_stdlib_json(case):
-    n, samples = case
-    assert '{\n  "samples": ' + _samples_json(samples, n) + "\n}" == _stdlib_samples(samples)
+def test_samples_writer_matches_stdlib_json(samples):
+    assert '{\n  "samples": ' + _samples_json(samples) + "\n}" == _stdlib_samples(samples)
 
 
 @given(_scan_samples(st.sampled_from([math.nan, math.inf, -math.inf, 1.0])))
-def test_samples_writer_rejects_non_finite_as_stdlib_json(case):
-    n, samples = case
+def test_samples_writer_rejects_non_finite_as_stdlib_json(samples):
     try:
         expected = _stdlib_samples(samples)
     except ValueError as exc:
         with pytest.raises(ValueError, match="not JSON compliant"):
-            _samples_json(samples, n)
+            _samples_json(samples)
         assert "not JSON compliant" in str(exc)
     else:
-        assert '{\n  "samples": ' + _samples_json(samples, n) + "\n}" == expected
+        assert '{\n  "samples": ' + _samples_json(samples) + "\n}" == expected
 
 
 # --------------------------------------------------------------------------

@@ -29,7 +29,9 @@ from normlab import (
 )
 from normlab import domains, metrics
 from normlab.domains import ray_extent
+from normlab.expr import NONFINITE, OK, evaluate_batch, status_error
 from normlab.metrics import kobayashi_ball_batch, kobayashi_domain_bounds_batch
+from normlab.sampling import scan_rays
 
 UNIT_DISC = Ball((0j,), 1.0)
 
@@ -494,3 +496,94 @@ def test_scan_never_takes_the_per_sample_path(monkeypatch):
     assert est.skipped == 4 * 4
     assert est.errors[0] == "point ((1+0j), 0j): point is not interior to the domain"
     assert est.shell_trend[0][1:] == (0.0, 0.0)
+
+
+def _scan_reference(f, domain, plan):
+    """`normality_scan` one sample at a time: the scan's kernels on the
+    points placed one (shell, ray) pair at a time, then a plain-Python walk
+    over every point and direction that keeps, skips and counts."""
+    center = np.asarray(domain.center, dtype=complex)
+    rays = scan_rays(f.dimension, plan.points_per_shell, plan.seed)
+    dirs = sphere_directions(f.dimension, plan.directions_per_point, plan.seed + 1)
+    extents = [ray_extent(domain, tuple(u)) for u in rays]
+    points = np.array([center + (1.0 - t) * extent * u for t in plan.shells for u, extent in zip(rays, extents)])
+    jets = evaluate_batch(f, points)
+    levi = metrics.levi_batch(jets.value, jets.gradient, dirs)
+    distance = domains.boundary_distance_batch(domain, points)
+    usable = (distance > 0) & (jets.status == OK)
+    k_lower = np.full(levi.shape, math.nan)
+    k_upper = np.full(levi.shape, math.nan)
+    k_lower[usable], k_upper[usable] = kobayashi_domain_bounds_batch(domain, points[usable], dirs)
+    with np.errstate(all="ignore"):
+        ratio_lower = levi / (k_upper * k_upper)
+        ratio_upper = levi / (k_lower * k_lower)
+
+    samples, errors, trend, skipped_per_shell = [], [], [], []
+    for shell_idx, t in enumerate(plan.shells):
+        shell_max, shell_delta, shell_skipped = 0.0, math.inf, 0
+        for i in range(shell_idx * len(rays), (shell_idx + 1) * len(rays)):
+            p = tuple(points[i].tolist())
+            if not distance[i] > 0:
+                errors.append(f"point {p!r}: {domains.NOT_INTERIOR}")
+                shell_skipped += len(dirs)
+                continue
+            shell_delta = min(shell_delta, float(distance[i]))
+            if jets.status[i] != OK:
+                errors.append(f"point {p!r}: {status_error(jets.status[i])}")
+                shell_skipped += len(dirs)
+                continue
+            non_finite = 0
+            for k, v in enumerate(dirs.tolist()):
+                row = [float(a[i, k]) for a in (levi, k_lower, k_upper, ratio_lower, ratio_upper)]
+                if not all(map(math.isfinite, row)):
+                    non_finite += 1
+                    continue
+                samples.append((p, tuple(v), *row))
+                shell_max = max(shell_max, row[3])
+            if non_finite:
+                errors.append(
+                    f"point {p!r}: {non_finite} of {len(dirs)} directions skipped, {status_error(NONFINITE)}"
+                )
+                shell_skipped += non_finite
+        trend.append((t, shell_max, shell_delta if math.isfinite(shell_delta) else 0.0))
+        skipped_per_shell.append(shell_skipped)
+    verdict = "inconclusive" if any(skipped_per_shell[-3:]) else metrics._trend_verdict([m for _, m, _ in trend])
+    return {
+        "samples": samples,
+        "errors": tuple(errors),
+        "skipped": sum(skipped_per_shell),
+        "shell_trend": tuple(trend),
+        "c_required_lower_bound": max((s[5] for s in samples), default=0.0),
+        "verdict": verdict,
+    }
+
+
+@pytest.mark.parametrize(
+    "source,dimension,domain,shells,skip",
+    [
+        # the shell at 1e-20 rounds onto the boundary: points that are not interior
+        ("z1*z2", 2, Polydisc((0j, 0j), (1.0, 2.0)), (1e-20, 0.5, 0.25, 0.125), domains.NOT_INTERIOR),
+        # directions whose Levi form or ratio is not finite
+        ("exp(10/(1-z1))*z2", 2, Ball((0j, 0j), 1.0), tuple(2.0**-k for k in range(1, 9)), "directions skipped"),
+        # points that fail to evaluate
+        ("1/(z1-z1)", 1, UNIT_DISC, (0.5, 0.25, 0.125), "near-zero value"),
+        # skips in the third shell from the end only, which still make the verdict inconclusive
+        ("exp(10/(1-z1))*z2", 2, Ball((0j, 0j), 1.0), (0.5, 2.0**-7, 0.25, 0.125), "non-finite value"),
+    ],
+    ids=["not-interior", "non-finite", "evaluation-error", "skips-third-from-last"],
+)
+def test_scan_matches_the_per_sample_reference(source, dimension, domain, shells, skip):
+    f = parse(source, dimension)
+    plan = SamplingPlan(shells=shells, points_per_shell=8, directions_per_point=4, seed=3)
+    est = normality_scan(f, domain, plan)
+    expected = _scan_reference(f, domain, plan)
+    assert expected["skipped"] > 0 and any(skip in message for message in expected["errors"])
+    fields = ("point", "direction", "levi", "k_lower", "k_upper", "ratio_lower", "ratio_upper")
+    assert est.samples.dtype.names == fields
+    assert [(tuple(p), tuple(v), *rest) for p, v, *rest in est.samples.tolist()] == expected.pop("samples")
+    for name, value in expected.items():
+        assert getattr(est, name) == value, name
+    assert type(est.c_required_lower_bound) is float and type(est.skipped) is int
+    assert not est.samples.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        est.samples.levi[:] = 0.0
