@@ -45,7 +45,7 @@ def main():
     print(f"final oscillation: {report.osc[-1]:.4f} (sup|sin| on the unit disc is sinh 1 = {math.sinh(1):.4f})")
     print(f"final Cauchy gap:  {report.cauchy_gaps[-1]:.2e}")
 
-    profile = limit_sharp_check(report, grid_size=64, tol=1e-2)
+    profile = limit_sharp_check(report, tol=1e-2)
     print(f"limit proxy sharp at 0: {profile.sharp_at_zero:.6f}, max on grid: {profile.max_sharp:.6f}")
 
     shells = tuple(1.0 / (2 * math.pi * j) for j in (1, 2, 4, 8, 16, 32))

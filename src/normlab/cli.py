@@ -3,13 +3,16 @@
 Subcommands: sharp, marty-scan, rescale, thm2, counterexample, check-config.
 Exit codes: 0 success, 2 config error or an output that cannot be written,
 3 evaluation error, 4 run completed with hypothesis flags raised.  Identical
-config + seed gives byte-identical outputs.
+config + seed gives byte-identical outputs.  Each runner returns its exit code
+and the text of every output file; `main` writes those that --format selects,
+so a run that fails writes none.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -35,11 +38,8 @@ EXIT_EVAL = 3
 EXIT_FLAGGED = 4
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _sample_row(dtype: np.dtype) -> str:
@@ -71,12 +71,12 @@ def _samples_json(samples: np.ndarray) -> str:
     return "[" + rows % tuple(map(float.__repr__, table.tolist())) + "\n  ]"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+def _csv(header: list[str], rows: list[list]) -> str:
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows([repr(x) if isinstance(x, float) else x for x in row] for row in rows)
+    return text.getvalue()
 
 
 def _point_str(z) -> str:
@@ -84,7 +84,7 @@ def _point_str(z) -> str:
     return ";".join(f"{complex(c).real!r} {complex(c).imag!r}" for c in z)
 
 
-def _run_sharp(config: dict, out: Path, fmt: str) -> int:
+def _run_sharp(config: dict) -> tuple[int, dict[str, str]]:
     f = parse(config["function"], config["dimension"])
     h = float(config.get("h", 1e-4))
     samples = int(config.get("sphere_samples", 256))
@@ -94,15 +94,12 @@ def _run_sharp(config: dict, out: Path, fmt: str) -> int:
     oracle = sharp_fd(f, np.asarray(points, dtype=complex), samples, h, seed)
     rel_dev = np.abs(closed - oracle) / (1.0 + closed)
     rows = list(zip(points, closed.tolist(), oracle.tolist(), rel_dev.tolist()))
-    if fmt in ("csv", "both"):
-        _write_csv(
-            out / "sharp.csv",
+    return EXIT_OK, {
+        "sharp.csv": _csv(
             ["point", "sharp_closed", "sharp_fd", "rel_dev"],
             [[_point_str(z), s, s_fd, d] for z, s, s_fd, d in rows],
-        )
-    if fmt in ("json", "both"):
-        _write_json(
-            out / "sharp.json",
+        ),
+        "sharp.json": _json(
             {
                 "function": config["function"],
                 "rows": [
@@ -114,44 +111,38 @@ def _run_sharp(config: dict, out: Path, fmt: str) -> int:
                     }
                     for z, s, s_fd, d in rows
                 ],
-            },
-        )
-    return EXIT_OK
+            }
+        ),
+    }
 
 
-def _run_marty_scan(config: dict, out: Path, fmt: str) -> int:
+def _run_marty_scan(config: dict) -> tuple[int, dict[str, str]]:
     f = parse(config["function"], config["dimension"])
     domain = cfg.parse_domain(config["domain"])
     plan = cfg.parse_plan(config["plan"])
     est = normality_scan(f, domain, plan)
-    if fmt in ("csv", "both"):
-        _write_csv(
-            out / "marty_trend.csv",
+    # json's C encoder does not indent, and the pure-Python one would spend
+    # most of a scan's time on the samples
+    report = _json(
+        {
+            "function": config["function"],
+            "c_required_lower_bound": est.c_required_lower_bound,
+            "verdict": est.verdict,
+            "skipped": est.skipped,
+            "errors": list(est.errors),
+            "shell_trend": [list(t) for t in est.shell_trend],
+            "samples": [],
+        }
+    )
+    # a newline inside a string is escaped, so only the key itself matches
+    report = report.replace('\n  "samples": []', '\n  "samples": ' + _samples_json(est.samples), 1)
+    return EXIT_OK, {
+        "marty_trend.csv": _csv(
             ["shell", "max_ratio_lower", "min_boundary_distance"],
             [[t, m, d] for t, m, d in est.shell_trend],
-        )
-    if fmt in ("json", "both"):
-        # json's C encoder does not indent, and the pure-Python one would
-        # spend most of a scan's time on the samples
-        text = json.dumps(
-            {
-                "function": config["function"],
-                "c_required_lower_bound": est.c_required_lower_bound,
-                "verdict": est.verdict,
-                "skipped": est.skipped,
-                "errors": list(est.errors),
-                "shell_trend": [list(t) for t in est.shell_trend],
-                "samples": [],
-            },
-            indent=2,
-            sort_keys=True,
-            allow_nan=False,
-        )
-        # a newline inside a string is escaped, so only the key itself matches
-        samples = _samples_json(est.samples)
-        text = text.replace('\n  "samples": []', '\n  "samples": ' + samples, 1)
-        (out / "marty_scan.json").write_text(text + "\n", encoding="utf-8")
-    return EXIT_OK
+        ),
+        "marty_scan.json": report,
+    }
 
 
 def _run_rows(run, report):
@@ -166,9 +157,26 @@ def _run_rows(run, report):
 
 _RUN_HEADER = ["j", "abs_z_j", "delta_j", "rho_j", "ratio", "osc_j", "cauchy_gap_j"]
 
+# command -> (run builder, whether the limit's sharp profile is checked);
+# outputs are <command>_run.csv and <command>.json
+_RESCALINGS = {
+    "rescale": (zalcman_rescale, True),
+    "thm2": (explicit_rescale, False),
+}
 
-def _report_json(run, report) -> dict:
-    return {
+
+def _run_rescaling(config: dict) -> tuple[int, dict[str, str]]:
+    command = config["command"]
+    build_run, with_profile = _RESCALINGS[command]
+    f = parse(config["function"], config["dimension"])
+    domain = cfg.parse_domain(config["domain"])
+    spec = cfg.parse_sequence(config["sequence"])
+    grid_size = int(config.get("grid_size", 64))
+    tol = float(config.get("tol", 1e-3))
+    seed = int(config.get("seed", 0))
+    run = build_run(f, domain, spec)
+    report = convergence_report(run, float(config["R"]), grid_size, tol, seed)
+    payload = {
         "verdict": report.verdict,
         "tol": report.tol,
         "radius": report.radius,
@@ -179,30 +187,8 @@ def _report_json(run, report) -> dict:
         "hypothesis_flags": list(run.hypothesis_flags),
         "limit_proxy": to_source(report.limit_proxy),
     }
-
-
-# command -> (explicit scale rule, run builder, whether the limit's sharp
-# profile is checked); outputs are <command>_run.csv and <command>.json
-_RESCALINGS = {
-    "rescale": (False, zalcman_rescale, True),
-    "thm2": (True, explicit_rescale, False),
-}
-
-
-def _run_rescaling(config: dict, out: Path, fmt: str) -> int:
-    command = config["command"]
-    explicit, build_run, with_profile = _RESCALINGS[command]
-    f = parse(config["function"], config["dimension"])
-    domain = cfg.parse_domain(config["domain"])
-    spec = cfg.parse_sequence(config["sequence"], explicit=explicit)
-    grid_size = int(config.get("grid_size", 64))
-    tol = float(config.get("tol", 1e-3))
-    seed = int(config.get("seed", 0))
-    run = build_run(f, domain, spec)
-    report = convergence_report(run, float(config["R"]), grid_size, tol, seed)
-    payload = _report_json(run, report)
     if with_profile:
-        profile = limit_sharp_check(report, grid_size, tol, seed)
+        profile = limit_sharp_check(report, tol)
         payload["sharp_profile"] = {
             "sharp_at_zero": profile.sharp_at_zero,
             "max_sharp": profile.max_sharp,
@@ -210,14 +196,13 @@ def _run_rescaling(config: dict, out: Path, fmt: str) -> int:
             "passed": profile.passed,
             "vacuous": profile.vacuous,
         }
-    if fmt in ("csv", "both"):
-        _write_csv(out / f"{command}_run.csv", _RUN_HEADER, _run_rows(run, report))
-    if fmt in ("json", "both"):
-        _write_json(out / f"{command}.json", payload)
-    return EXIT_FLAGGED if run.hypothesis_flags else EXIT_OK
+    return EXIT_FLAGGED if run.hypothesis_flags else EXIT_OK, {
+        f"{command}_run.csv": _csv(_RUN_HEADER, _run_rows(run, report)),
+        f"{command}.json": _json(payload),
+    }
 
 
-def _run_counterexample(config: dict, out: Path, fmt: str) -> int:
+def _run_counterexample(config: dict) -> tuple[int, dict[str, str]]:
     report = remark_counterexample(
         int(config["n_max"]),
         float(config["R"]),
@@ -228,11 +213,9 @@ def _run_counterexample(config: dict, out: Path, fmt: str) -> int:
         [n, r, d, b]
         for n, r, d, b in zip(report.indices, report.ratios, report.sup_dev, report.bounds)
     ]
-    if fmt in ("csv", "both"):
-        _write_csv(out / "counterexample.csv", ["n", "ratio", "sup_dev", "bound"], rows)
-    if fmt in ("json", "both"):
-        _write_json(
-            out / "counterexample.json",
+    return EXIT_OK, {
+        "counterexample.csv": _csv(["n", "ratio", "sup_dev", "bound"], rows),
+        "counterexample.json": _json(
             {
                 "verdict": report.verdict,
                 "radius": report.radius,
@@ -241,9 +224,9 @@ def _run_counterexample(config: dict, out: Path, fmt: str) -> int:
                 "sup_dev": list(report.sup_dev),
                 "bounds": list(report.bounds),
                 "convergence_verdict": report.convergence.verdict,
-            },
-        )
-    return EXIT_OK
+            }
+        ),
+    }
 
 
 _RUNNERS = {
@@ -298,7 +281,11 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        return _RUNNERS[command](config, out, args.format)
+        code, outputs = _RUNNERS[command](config)
+        for name, text in outputs.items():
+            if args.format in ("both", Path(name).suffix[1:]):
+                (out / name).write_text(text, encoding="utf-8", newline="")
+        return code
     except NormlabError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVAL

@@ -80,8 +80,9 @@ _PLAN = {
     "additionalProperties": False,
 }
 
-def _sequence_schema(with_explicit_scale: bool) -> dict:
-    props = {
+
+def _rescaling_schema(command: str, with_explicit_scale: bool) -> dict:
+    sequence = {
         "anchor": _POINT,
         "inward": _POINT,
         "c_p": _POSITIVE,
@@ -89,15 +90,27 @@ def _sequence_schema(with_explicit_scale: bool) -> dict:
         "j_start": _POSINT,
         "j_end": _POSINT,
     }
-    required = ["anchor", "inward", "c_p", "a", "j_start", "j_end"]
     if with_explicit_scale:
-        props["c_r"] = _POSITIVE
-        props["b"] = _POSITIVE
-        required += ["c_r", "b"]
+        sequence.update(c_r=_POSITIVE, b=_POSITIVE)
     return {
         "type": "object",
-        "properties": props,
-        "required": required,
+        "properties": {
+            "command": {"const": command},
+            "function": {"type": "string", "minLength": 1},
+            "dimension": _POSINT,
+            "domain": _DOMAIN,
+            "sequence": {
+                "type": "object",
+                "properties": sequence,
+                "required": list(sequence),
+                "additionalProperties": False,
+            },
+            "R": _POSITIVE,
+            "grid_size": _GRID_SIZE,
+            "tol": _POSITIVE,
+            "seed": _SEED,
+        },
+        "required": ["command", "function", "dimension", "domain", "sequence", "R"],
         "additionalProperties": False,
     }
 
@@ -129,38 +142,8 @@ SCHEMAS: dict[str, dict] = {
         "required": ["command", "function", "dimension", "domain", "plan"],
         "additionalProperties": False,
     },
-    "rescale": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "rescale"},
-            "function": {"type": "string", "minLength": 1},
-            "dimension": _POSINT,
-            "domain": _DOMAIN,
-            "sequence": _sequence_schema(with_explicit_scale=False),
-            "R": _POSITIVE,
-            "grid_size": _GRID_SIZE,
-            "tol": _POSITIVE,
-            "seed": _SEED,
-        },
-        "required": ["command", "function", "dimension", "domain", "sequence", "R"],
-        "additionalProperties": False,
-    },
-    "thm2": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "thm2"},
-            "function": {"type": "string", "minLength": 1},
-            "dimension": _POSINT,
-            "domain": _DOMAIN,
-            "sequence": _sequence_schema(with_explicit_scale=True),
-            "R": _POSITIVE,
-            "grid_size": _GRID_SIZE,
-            "tol": _POSITIVE,
-            "seed": _SEED,
-        },
-        "required": ["command", "function", "dimension", "domain", "sequence", "R"],
-        "additionalProperties": False,
-    },
+    "rescale": _rescaling_schema("rescale", with_explicit_scale=False),
+    "thm2": _rescaling_schema("thm2", with_explicit_scale=True),
     "counterexample": {
         "type": "object",
         "properties": {
@@ -183,11 +166,22 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def parse_int(text: str) -> int:
+    """An integer literal of a config.  One past the range of a double is
+    rejected as a float literal is, since the runs take numbers through
+    float(); that includes every literal too long for int() to parse."""
+    if not math.isfinite(float(text)):
+        raise ConfigError(f"integer of {len(text.lstrip('-'))} digits in config overflows a double")
+    return int(text)
+
+
 def load_config(path: str) -> dict[str, Any]:
     """Read a JSON config; NaN, Infinity and overflowing numbers are rejected."""
     try:
         with open(path, encoding="utf-8") as fh:
-            config = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
+            config = json.load(
+                fh, parse_constant=_finite_float, parse_float=_finite_float, parse_int=parse_int
+            )
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(config, dict):
@@ -338,12 +332,10 @@ def parse_plan(raw: dict[str, Any]) -> SamplingPlan:
     )
 
 
-def parse_sequence(raw: dict[str, Any], explicit: bool) -> SequenceSpec:
-    scale = (
-        ExplicitScale(float(raw["c_r"]), float(raw["b"]))
-        if explicit
-        else ZalcmanScale()
-    )
+def parse_sequence(raw: dict[str, Any]) -> SequenceSpec:
+    """The explicit scale rule r_j = c_r * j^-b if the sequence gives c_r (the
+    schemas allow it under thm2 only), else the Zalcman rule."""
+    scale = ExplicitScale(float(raw["c_r"]), float(raw["b"])) if "c_r" in raw else ZalcmanScale()
     return SequenceSpec(
         anchor=parse_point(raw["anchor"]),
         inward=parse_point(raw["inward"]),
@@ -355,9 +347,5 @@ def parse_sequence(raw: dict[str, Any], explicit: bool) -> SequenceSpec:
     )
 
 
-def complex_to_json(value: complex) -> list[float]:
-    return [value.real, value.imag]
-
-
 def point_to_json(point: CPoint) -> list[list[float]]:
-    return [complex_to_json(complex(c)) for c in point]
+    return [[z.real, z.imag] for z in map(complex, point)]

@@ -279,16 +279,12 @@ class SharpProfile:
     vacuous: bool = False
 
 
-def limit_sharp_check(
-    report: ConvergenceReport, grid_size: int, tol: float, seed: int = 0
-) -> SharpProfile:
+def limit_sharp_check(report: ConvergenceReport, tol: float) -> SharpProfile:
     """Check the blow-up normalization on the limit proxy: sharp(g)(0) = 1 and
-    sharp(g) <= 1 on the grid, both up to tol.  Vacuous (informational) unless
-    the report's verdict is nonconstant-limit."""
-    g = report.limit_proxy
-    grid = ball_grid(g.dimension, report.radius, grid_size, seed)
-    points = np.vstack([np.zeros((1, g.dimension), dtype=complex), grid])
-    sharps = sharp_batch(g, points)
+    sharp(g) <= 1 on the report's grid, both up to tol.  Vacuous
+    (informational) unless the report's verdict is nonconstant-limit."""
+    points = np.array(report.grid, dtype=complex)  # grid[0] is zeta = 0
+    sharps = sharp_batch(report.limit_proxy, points)
     best = int(np.argmax(sharps))  # the first maximum: the origin unless beaten
     s0, max_sharp, argmax = float(sharps[0]), float(sharps[best]), tuple(points[best])
     if report.verdict != "nonconstant-limit":

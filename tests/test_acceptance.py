@@ -198,7 +198,7 @@ def test_criterion_6_nonnormality_witness():
     ratios = [b / a for a, b in zip(gaps, gaps[1:]) if a > 0]
     avg = sum(ratios) / len(ratios)
     ok = ok and 0.4 <= avg <= 0.9
-    profile = limit_sharp_check(report, 64, 1e-2)
+    profile = limit_sharp_check(report, 1e-2)
     ok = ok and abs(profile.sharp_at_zero - 1.0) <= 1e-2
     ok = ok and profile.max_sharp <= 1.0 + 1e-6
     shells = tuple(1.0 / (2 * math.pi * j) for j in (1, 2, 4, 8, 16, 32))

@@ -244,14 +244,6 @@ def test_reproducible_outputs(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_format_flag_csv_only(tmp_path):
-    config = {"command": "counterexample", "n_max": 5, "R": 1.0}
-    code, out = _run(tmp_path, "counterexample", config, extra=("--format", "csv"))
-    assert code == 0
-    assert (out / "counterexample.csv").exists()
-    assert not (out / "counterexample.json").exists()
-
-
 # --------------------------------------------------------------------------
 # Inputs that once ended in a traceback or a silently wrong run
 # --------------------------------------------------------------------------
@@ -277,6 +269,25 @@ def test_schemas_are_valid_under_their_metaschema(command):
     jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
+def _scan_config(domain):
+    return {
+        "command": "marty-scan",
+        "function": "z1",
+        "dimension": 1,
+        "domain": domain,
+        "plan": {"shells": [0.5, 0.25, 0.125], "points_per_shell": 4, "directions_per_point": 4},
+    }
+
+
+def _rescaling_config(command, **sequence):
+    config = _rescale_config()
+    config["command"] = command
+    if command == "thm2":
+        config["sequence"].update(c_r=1.0, b=2.0)
+    config["sequence"].update(sequence)
+    return config
+
+
 def test_nan_point_is_config_error(tmp_path):
     text = '{"command": "sharp", "function": "z1", "dimension": 1, "points": [[[NaN, 0.3]]]}'
     code, out = _run_text(tmp_path, "sharp", text)
@@ -293,6 +304,31 @@ def test_infinite_radius_is_config_error(tmp_path):
     )
     assert _run_text(tmp_path, "marty-scan", text)[0] == 2
     assert _run_text(tmp_path, "marty-scan", text.replace("Infinity", "1e999"))[0] == 2
+
+
+# Integer literals are parsed by int(), not by the float parser.  Past the
+# range of a double they passed validation and ended in an OverflowError
+# traceback (exit 1) at a run's float() or complex(); past 4300 digits int()
+# itself raised ValueError, in check-config too.
+@pytest.mark.parametrize("literal", ["1" + "0" * 400, "9" * 5000], ids=["401-digits", "5000-digits"])
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("sharp", {"command": "sharp", "function": "z1", "dimension": 1, "points": [[["BIG", 0]]]}),
+        ("sharp", {"command": "sharp", "function": "z1", "dimension": 1, "points": [[[0.5, 0]]], "h": "BIG"}),
+        ("marty-scan", _scan_config({"type": "ball", "center": [[0, 0]], "radius": "BIG"})),
+        ("rescale", {**_rescaling_config("rescale"), "R": "BIG"}),
+        ("thm2", {**_rescaling_config("thm2"), "R": "BIG"}),
+        ("counterexample", {"command": "counterexample", "n_max": 10, "R": "BIG"}),
+        ("check-config", {"command": "counterexample", "n_max": 10, "R": "BIG"}),
+    ],
+    ids=["sharp-point", "sharp-h", "marty-scan", "rescale", "thm2", "counterexample", "check-config"],
+)
+def test_integer_past_the_double_range_is_config_error(tmp_path, capsys, command, config, literal):
+    code, out = _run_text(tmp_path, command, json.dumps(config).replace('"BIG"', literal))
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err == f"config error: integer of {len(literal)} digits in config overflows a double\n"
 
 
 def test_deeply_nested_function_is_config_error(tmp_path, capsys):
@@ -347,25 +383,6 @@ def test_scan_overflow_to_inf(tmp_path):
     counts = [re.search(r": (\d+) of 4 directions skipped", e) for e in payload["errors"]]
     assert any(counts)
     assert sum(int(m[1]) if m else 4 for m in counts) == payload["skipped"]
-
-
-def _scan_config(domain):
-    return {
-        "command": "marty-scan",
-        "function": "z1",
-        "dimension": 1,
-        "domain": domain,
-        "plan": {"shells": [0.5, 0.25, 0.125], "points_per_shell": 4, "directions_per_point": 4},
-    }
-
-
-def _rescaling_config(command, **sequence):
-    config = _rescale_config()
-    config["command"] = command
-    if command == "thm2":
-        config["sequence"].update(c_r=1.0, b=2.0)
-    config["sequence"].update(sequence)
-    return config
 
 
 # Each list with one entry per coordinate, given one coordinate too many.
@@ -430,6 +447,8 @@ def test_run_input_errors_exit_with_their_code(tmp_path, capsys, config, code, m
     err = capsys.readouterr().err
     prefix = {2: "config error: ", 3: "evaluation error: "}[code]
     assert err.startswith(prefix) and err.count("\n") == 1 and message in err
+    out = tmp_path / "out"
+    assert not (out.exists() and any(out.iterdir()))  # a failed run writes no file
 
 
 @pytest.mark.parametrize("where", ["out-is-a-file", "output-is-a-directory"])
@@ -545,7 +564,7 @@ def test_samples_writer_rejects_non_finite_as_stdlib_json(samples):
 # --------------------------------------------------------------------------
 
 _COUNTEREXAMPLE = {"command": "counterexample", "n_max": 10, "R": 1.0}
-_NEGATIVE_SEED_CONFIGS = {
+_SMALL_CONFIGS = {
     "sharp": {"command": "sharp", "function": "z1*z2+z3", "dimension": 3, "points": [[[0.1, 0.0]] * 3]},
     "marty-scan": _scan_config(DISC),
     "rescale": _rescaling_config("rescale"),
@@ -557,13 +576,40 @@ _NEGATIVE_SEED_CONFIGS = {
 
 # The override is applied after schema validation: a 3-D sharp run ended in a
 # numpy traceback (exit 1), the other runs exited 0.
-@pytest.mark.parametrize("command", sorted(_NEGATIVE_SEED_CONFIGS))
+@pytest.mark.parametrize("command", sorted(_SMALL_CONFIGS))
 def test_negative_seed_override_is_config_error(tmp_path, capsys, command):
-    code, out = _run(tmp_path, command, _NEGATIVE_SEED_CONFIGS[command], extra=("--seed", "-1"))
+    code, out = _run(tmp_path, command, _SMALL_CONFIGS[command], extra=("--seed", "-1"))
     err = capsys.readouterr().err
     assert code == 2
     assert err == "config error: --seed: -1 is less than the minimum of 0\n"
     assert "Traceback" not in err and not out.exists()
+
+
+# --------------------------------------------------------------------------
+# --format picks which of a run's outputs are written
+# --------------------------------------------------------------------------
+
+_OUTPUTS = {  # command -> (csv output, json output)
+    "sharp": ("sharp.csv", "sharp.json"),
+    "marty-scan": ("marty_trend.csv", "marty_scan.json"),
+    "rescale": ("rescale_run.csv", "rescale.json"),
+    "thm2": ("thm2_run.csv", "thm2.json"),
+    "counterexample": ("counterexample.csv", "counterexample.json"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "both"])
+@pytest.mark.parametrize("command", sorted(_OUTPUTS))
+def test_format_flag_selects_the_outputs(tmp_path, command, fmt):
+    config = _SMALL_CONFIGS[command]
+    code, out = _run(tmp_path, command, config, outdir=fmt, extra=("--format", fmt))
+    both_code, both = _run(tmp_path, command, config, outdir="default")
+    assert code == both_code and code in (0, 4)
+    csv_name, json_name = _OUTPUTS[command]
+    expected = {"csv": {csv_name}, "json": {json_name}, "both": {csv_name, json_name}}[fmt]
+    assert {path.name for path in out.iterdir()} == expected
+    for name in expected:
+        assert (out / name).read_bytes() == (both / name).read_bytes()
 
 
 # --------------------------------------------------------------------------

@@ -381,7 +381,7 @@ def test_limit_sharp_check_on_sin_limit():
     spec = _disc_spec(1 / (2 * math.pi), 1.0, ZalcmanScale(), 2, 30)
     run = zalcman_rescale(f, UNIT_DISC, spec)
     report = convergence_report(run, 1.0, 64, 1e-3)
-    profile = limit_sharp_check(report, 64, 1e-2)
+    profile = limit_sharp_check(report, 1e-2)
     assert not profile.vacuous
     assert profile.sharp_at_zero == pytest.approx(1.0, abs=1e-2)
     assert profile.max_sharp <= 1.0 + 1e-6
@@ -390,7 +390,7 @@ def test_limit_sharp_check_on_sin_limit():
 
 def test_limit_sharp_check_vacuous_on_constant_limit():
     report = remark_counterexample(40, 1.0).convergence
-    profile = limit_sharp_check(report, 32, 1e-2)
+    profile = limit_sharp_check(report, 1e-2)
     assert profile.vacuous
     assert profile.passed is None
 
