@@ -1,0 +1,32 @@
+"""The byte-identity contract: every golden case of `tests/golden/` gives the
+exit code, stdout, stderr and output files recorded in its manifest."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+_spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
+
+
+def test_cli_outputs_match_the_golden_manifest(tmp_path):
+    manifest = json.loads(regen.MANIFEST.read_text())
+    assert manifest["numpy"] == np.__version__, (
+        f"the golden manifest was made under numpy {manifest['numpy']}, and this is numpy "
+        f"{np.__version__}; numpy's rounding feeds every output number, so rerun "
+        "tests/golden/regen.py on purpose and review the manifest diff"
+    )
+    assert manifest["cases"].keys() == regen.CASES.keys()
+    configs = {path.name for path in GOLDEN.glob("*.json")} - {regen.MANIFEST.name}
+    assert configs == {case[1] for case in regen.CASES.values()}  # no config left unused
+    moved = {
+        name: (got, manifest["cases"][name])
+        for name, case in regen.CASES.items()
+        if (got := regen.run_case(case, tmp_path / name)) != manifest["cases"][name]
+    }
+    assert not moved, f"outputs moved (got, recorded): {moved}"
+    assert {record["code"] for record in manifest["cases"].values()} == {0, 2, 3, 4}
