@@ -60,15 +60,20 @@ def _samples_json(samples: np.ndarray) -> str:
     sort_keys=True, allow_nan=False) prints it as a key of the report: the
     floats of each record in sorted field order (a complex field's real and
     imaginary parts in turn), through float.__repr__ as json does, filled
-    into the joined rows by one % format."""
+    into the joined rows by one % format.  A scan repeats most of its floats
+    (each point across its directions, say), so each distinct one is printed
+    once."""
     if not len(samples):
         return "[]"
     columns = [samples[name].reshape(len(samples), -1) for name in sorted(samples.dtype.names)]
     table = np.hstack([c.view(float) if c.dtype.kind == "c" else c for c in columns]).ravel()
     for x in table[~np.isfinite(table)][:1].tolist():
         raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    # keyed on the bit pattern, not the value, so -0.0 and 0.0 print apart
+    bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
+    text = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
     rows = ",".join([_sample_row(samples.dtype)] * len(samples))
-    return "[" + rows % tuple(map(float.__repr__, table.tolist())) + "\n  ]"
+    return "[" + rows % tuple(text[inverse].tolist()) + "\n  ]"
 
 
 def _csv(header: list[str], rows: list[list]) -> str:

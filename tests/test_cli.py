@@ -9,7 +9,7 @@ import warnings
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from normlab import DimensionMismatchError, parse
@@ -542,7 +542,39 @@ def _scan_samples(values):
     return st.integers(1, 3).flatmap(records)
 
 
-@given(_scan_samples(_EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)))
+def _scan_shaped_samples():
+    # as a scan keeps them: each point repeated across its directions, and
+    # values from a small pool, so that repeats and near-repeats are common
+    pool = st.sampled_from(
+        [-0.0, 0.0, 5e-324, -5e-324, 0.1, float(np.nextafter(0.1, 1.0)), -2.5, 1e16, 1.7e308]
+    )
+
+    def records(n):
+        point = st.tuples(*[st.builds(complex, pool, pool)] * n)
+        rest = st.tuples(point, pool, pool, pool, pool, pool)
+        groups = st.lists(st.tuples(point, st.lists(rest, min_size=1, max_size=8)), max_size=8)
+        return groups.map(
+            lambda gs: np.array([(p, *r) for p, rs in gs for r in rs], sample_dtype(n)).view(np.recarray)
+        )
+
+    return st.integers(1, 3).flatmap(records)
+
+
+def _records(n, *rows):
+    return np.array(list(rows), sample_dtype(n)).view(np.recarray)
+
+
+_NEXT = float(np.nextafter(0.1, 1.0))
+
+
+# each example holds floats that are equal as values but differ in bits, or
+# differ in bits by one ulp: printing each distinct float once must keep them apart
+@example(_records(2, ((complex(-0.0, 0.0), complex(0.0, -0.0)), (0j, complex(-0.0, 1.0)), 0.0, -0.0, 1.0, -0.0, 0.0)))
+@example(_records(1, ((complex(5e-324, -5e-324),), (1 + 0j,), -5e-324, 5e-324, 1.0, 5e-324, -5e-324)))
+@example(_records(1, ((complex(0.1, _NEXT),), (complex(_NEXT, 0.1),), 0.1, _NEXT, 1e16, 1.0000000000000002e16, 0.1)))
+@given(
+    _scan_samples(_EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)) | _scan_shaped_samples()
+)
 def test_samples_writer_matches_stdlib_json(samples):
     assert '{\n  "samples": ' + _samples_json(samples) + "\n}" == _stdlib_samples(samples)
 
