@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -243,7 +244,10 @@ _RUNNERS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: a warm caller runs `main`
+    many times."""
     parser = argparse.ArgumentParser(
         prog="normlab",
         description="Numerical lab for normality of holomorphic functions in C^n.",
@@ -255,7 +259,11 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--format", choices=["json", "csv", "both"], default="both")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     if args.seed is not None and args.seed < 0:  # the schema never sees the override
         print(f"config error: --seed: {args.seed} is less than the minimum of 0", file=sys.stderr)
         return EXIT_CONFIG

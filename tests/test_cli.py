@@ -244,6 +244,32 @@ def test_reproducible_outputs(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_repeated_main_calls_share_no_arguments(tmp_path, capsys):
+    # one process, one parser: no call's options may leak into the next
+    sharp = {"command": "sharp", "function": "z1*z2^2+cos(z3)", "dimension": 3,
+             "points": [[[0.1, 0.2], [0.3, -0.1], [-0.2, 0.4]]], "sphere_samples": 16, "seed": 2}
+    config = _write(tmp_path, "sharp.json", sharp)
+    seeded = _write(tmp_path, "seeded.json", {**sharp, "seed": 5})
+    scan = _write(tmp_path, "scan.json", _scan_config(DISC))
+
+    def files(out):
+        return {path.name: path.read_bytes() for path in (tmp_path / out).iterdir()}
+
+    assert main(["sharp", "--config", config, "--out", str(tmp_path / "a"), "--seed", "5", "--format", "csv"]) == 0
+    assert main(["marty-scan", "--config", scan, "--out", str(tmp_path / "b")]) == 0
+    assert main(["check-config", "--config", config]) == 0
+    assert main(["sharp", "--config", config, "--out", str(tmp_path / "c")]) == 0
+    assert main(["sharp", "--config", seeded, "--out", str(tmp_path / "d")]) == 0
+    assert sorted(files("b")) == ["marty_scan.json", "marty_trend.csv"]
+    assert files("a") == {"sharp.csv": files("d")["sharp.csv"]}
+    assert files("c") != files("d")  # the --seed 5 of the first call did not stick
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["sharp", "--config", config, "--bogus"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
 # Inputs that once ended in a traceback or a silently wrong run
 # --------------------------------------------------------------------------
