@@ -4,8 +4,8 @@ Subcommands: sharp, marty-scan, rescale, thm2, counterexample, check-config.
 Exit codes: 0 success, 2 config error or an output that cannot be written,
 3 evaluation error, 4 run completed with hypothesis flags raised.  Identical
 config + seed gives byte-identical outputs.  Each runner returns its exit code
-and the text of every output file; `main` writes those that --format selects,
-so a run that fails writes none.
+and the text of every output file; `main` then makes --out and writes those
+that --format selects, so a run that fails writes no file and no directory.
 """
 
 from __future__ import annotations
@@ -291,20 +291,23 @@ def main(argv: list[str] | None = None) -> int:
         if "plan" in config:
             config["plan"]["seed"] = args.seed
 
-    out = Path(args.out)
     try:
-        out.mkdir(parents=True, exist_ok=True)
         code, outputs = _RUNNERS[command](config)
-        for name, text in outputs.items():
-            if args.format in ("both", Path(name).suffix[1:]):
-                (out / name).write_text(text, encoding="utf-8", newline="")
-        return code
     except NormlabError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVAL
+
+    # made only now, so a run that fails leaves no directory behind
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in outputs.items():
+            if args.format in ("both", Path(name).suffix[1:]):
+                (out / name).write_text(text, encoding="utf-8", newline="")
     except OSError as exc:  # the output directory or a file in it cannot be written
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return code
 
 
 if __name__ == "__main__":

@@ -459,22 +459,26 @@ def _tiny_ball_config(command):
         ),
         (_tiny_ball_config("rescale"), 3, "ratio rho_1 / delta_1 = 1.0 / 5e-324 overflows"),
         (_tiny_ball_config("thm2"), 3, "ratio rho_1 / delta_1 = 1.0 / 5e-324 overflows"),
+        (
+            {"command": "sharp", "function": "1/z1", "dimension": 1, "points": [[[0.0, 0.0]]]},
+            3,
+            "division or negative power of a near-zero value",
+        ),
     ],
     ids=[
         "rescale-j-range", "thm2-j-range", "rescale-grid-1", "thm2-grid-1", "counterexample-grid-1",
         "thm2-scale-underflow", "counterexample-center-on-boundary", "sharp-h-underflow",
-        "rescale-ratio-overflow", "thm2-ratio-overflow",
+        "rescale-ratio-overflow", "thm2-ratio-overflow", "sharp-pole",
     ],
 )
 def test_run_input_errors_exit_with_their_code(tmp_path, capsys, config, code, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _run(tmp_path, config["command"], config)[0] == code
+        assert _run(tmp_path, config["command"], config, outdir="e/out/deep")[0] == code
     err = capsys.readouterr().err
     prefix = {2: "config error: ", 3: "evaluation error: "}[code]
     assert err.startswith(prefix) and err.count("\n") == 1 and message in err
-    out = tmp_path / "out"
-    assert not (out.exists() and any(out.iterdir()))  # a failed run writes no file
+    assert not (tmp_path / "e").exists()  # a failed run writes no file and makes no directory
 
 
 @pytest.mark.parametrize("where", ["out-is-a-file", "output-is-a-directory"])
@@ -489,6 +493,14 @@ def test_unwritable_output_is_exit_2(tmp_path, capsys, where):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("output error: ") and err.count("\n") == 1
+
+
+def test_failed_run_with_unwritable_output_is_exit_3(tmp_path, capsys):
+    # the run comes first: --out is made only for a run with outputs to write
+    (tmp_path / "out").write_text("")
+    config = {"command": "sharp", "function": "1/z1", "dimension": 1, "points": [[[0.0, 0.0]]]}
+    assert _run(tmp_path, "sharp", config)[0] == 3
+    assert capsys.readouterr().err.startswith("evaluation error: ")
 
 
 # --------------------------------------------------------------------------
