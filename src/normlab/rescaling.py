@@ -293,22 +293,6 @@ def limit_sharp_check(report: ConvergenceReport, tol: float) -> SharpProfile:
     return SharpProfile(s0, max_sharp, argmax, passed=passed)
 
 
-def thm2_verify(
-    f: HoloExpr,
-    domain: Domain,
-    spec: SequenceSpec,
-    radius: float,
-    tol: float,
-    grid_size: int = 64,
-    seed: int = 0,
-) -> ConvergenceReport:
-    """Constant-limit verification for explicit slow scales: builds the
-    rescaled sequence and reports convergence evidence; on a normal function
-    with r_j/delta_j -> 0 the expected verdict is constant-limit."""
-    run = explicit_rescale(f, domain, spec)
-    return convergence_report(run, radius, grid_size, tol, seed)
-
-
 def marty_bound(c: float, r: float, delta: float, zeta_abs: float) -> float:
     """sqrt(c) * r * delta / (delta^2 - (r*|zeta|)^2): the bound obeyed by
     sharp(g_j, zeta) when the original function admits the constant c."""

@@ -24,7 +24,6 @@ from normlab import (
     rescale_sharp_identity_check,
     rescaled_function,
     sharp,
-    thm2_verify,
     zalcman_rescale,
 )
 from normlab import domains, rescaling
@@ -365,7 +364,7 @@ def test_explicit_scale_underflow_is_an_error():
 def test_constant_limit_osc_nonincreasing_after_first_quartile():
     f = parse("z1", 1)
     spec = _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 50)
-    report = thm2_verify(f, UNIT_DISC, spec, 1.0, 1e-3)
+    report = convergence_report(explicit_rescale(f, UNIT_DISC, spec), 1.0, 64, 1e-3)
     assert report.verdict == "constant-limit"
     start = len(report.osc) // 4
     tail = report.osc[start:]
@@ -408,13 +407,13 @@ def test_sharp_profile_not_normalized_proxy():
 
 
 # --------------------------------------------------------------------------
-# thm2_verify
+# thm2: explicit scales, then the convergence report
 # --------------------------------------------------------------------------
 
 def test_thm2_identity_function_constant_limit():
     f = parse("z1", 1)
     spec = _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 50)
-    report = thm2_verify(f, UNIT_DISC, spec, 1.0, 1e-3)
+    report = convergence_report(explicit_rescale(f, UNIT_DISC, spec), 1.0, 64, 1e-3)
     assert report.verdict == "constant-limit"
     assert not report.hypothesis_flags
     for j, osc in zip(report.indices, report.osc):
@@ -432,7 +431,7 @@ def test_thm2_nonnormal_function_nonconstant_limit():
         j_start=2,
         j_end=30,
     )
-    report = thm2_verify(f, UNIT_DISC, spec, 1.0, 1e-3)
+    report = convergence_report(explicit_rescale(f, UNIT_DISC, spec), 1.0, 64, 1e-3)
     assert report.verdict == "nonconstant-limit"
 
 
