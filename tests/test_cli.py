@@ -580,12 +580,13 @@ def _scan_samples(values):
     return st.integers(1, 3).flatmap(records)
 
 
+_NEXT = float(np.nextafter(0.1, 1.0))
+
+
 def _scan_shaped_samples():
     # as a scan keeps them: each point repeated across its directions, and
     # values from a small pool, so that repeats and near-repeats are common
-    pool = st.sampled_from(
-        [-0.0, 0.0, 5e-324, -5e-324, 0.1, float(np.nextafter(0.1, 1.0)), -2.5, 1e16, 1.7e308]
-    )
+    pool = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 0.1, _NEXT, -2.5, 1e16, 1.7e308])
 
     def records(n):
         point = st.tuples(*[st.builds(complex, pool, pool)] * n)
@@ -600,9 +601,6 @@ def _scan_shaped_samples():
 
 def _records(n, *rows):
     return np.array(list(rows), sample_dtype(n)).view(np.recarray)
-
-
-_NEXT = float(np.nextafter(0.1, 1.0))
 
 
 # each example holds floats that are equal as values but differ in bits, or
