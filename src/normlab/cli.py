@@ -39,8 +39,23 @@ EXIT_EVAL = 3
 EXIT_FLAGGED = 4
 
 
-def _json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _json(payload: dict, raw: dict[str, str] | None = None) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
+    byte for byte.  json's indenting encoder is pure Python, slow on long lists,
+    so each top-level list of plain finite ints and floats is joined here by
+    repr, as json prints them, and put with the texts of `raw` (top-level keys
+    printed already) where the encoder printed [] for their keys."""
+    raw = dict(raw or {})
+    for key, value in payload.items():
+        if type(key) is str and type(value) is list and value and all(type(x) in (int, float) for x in value):
+            text = ",\n    ".join(map(repr, value))
+            if "n" not in text:  # only nan, inf and -inf print an n; json rejects them
+                raw[key] = "[\n    " + text + "\n  ]"
+    # the newline goes on first: appended last, it would copy the whole report again
+    text = json.dumps({**payload, **dict.fromkeys(raw, [])}, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    for key, value in raw.items():  # only a top-level key opens a line with 2 spaces and '"'
+        text = text.replace(f"\n  {json.dumps(key)}: []", f"\n  {json.dumps(key)}: {value}", 1)
+    return text
 
 
 def _sample_row(dtype: np.dtype) -> str:
@@ -77,11 +92,12 @@ def _samples_json(samples: np.ndarray) -> str:
     return "[" + rows % tuple(text[inverse].tolist()) + "\n  ]"
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
+def _csv(header: list[str], rows) -> str:
+    """The rows as csv.writer prints them: str of a float is its repr."""
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(header)
-    writer.writerows([repr(x) if isinstance(x, float) else x for x in row] for row in rows)
+    writer.writerows(rows)
     return text.getvalue()
 
 
@@ -127,38 +143,32 @@ def _run_marty_scan(config: dict) -> tuple[int, dict[str, str]]:
     domain = cfg.parse_domain(config["domain"])
     plan = cfg.parse_plan(config["plan"])
     est = normality_scan(f, domain, plan)
-    # json's C encoder does not indent, and the pure-Python one would spend
-    # most of a scan's time on the samples
-    report = _json(
-        {
-            "function": config["function"],
-            "c_required_lower_bound": est.c_required_lower_bound,
-            "verdict": est.verdict,
-            "skipped": est.skipped,
-            "errors": list(est.errors),
-            "shell_trend": [list(t) for t in est.shell_trend],
-            "samples": [],
-        }
-    )
-    # a newline inside a string is escaped, so only the key itself matches
-    report = report.replace('\n  "samples": []', '\n  "samples": ' + _samples_json(est.samples), 1)
     return EXIT_OK, {
-        "marty_trend.csv": _csv(
-            ["shell", "max_ratio_lower", "min_boundary_distance"],
-            [[t, m, d] for t, m, d in est.shell_trend],
+        "marty_trend.csv": _csv(["shell", "max_ratio_lower", "min_boundary_distance"], est.shell_trend),
+        "marty_scan.json": _json(
+            {
+                "function": config["function"],
+                "c_required_lower_bound": est.c_required_lower_bound,
+                "verdict": est.verdict,
+                "skipped": est.skipped,
+                "errors": list(est.errors),
+                "shell_trend": [list(t) for t in est.shell_trend],
+            },
+            raw={"samples": _samples_json(est.samples)},
         ),
-        "marty_scan.json": report,
     }
 
 
 def _run_rows(run, report):
-    gap_by_index = dict(zip(report.indices[1:], report.cauchy_gaps))
-    osc_by_index = dict(zip(report.indices, report.osc))
+    """`<command>_run.csv`'s rows; NaN fills osc_j and cauchy_gap_j where j has none."""
     e = run.entries
-    # one norm per row: along axis 1 it sums in another order
-    abs_z = [float(np.linalg.norm(z)) for z in e.z_j]
-    columns = zip(e.j.tolist(), abs_z, e.delta_j.tolist(), e.rho_j.tolist(), e.ratio.tolist())
-    return [[j, *row, osc_by_index.get(j, math.nan), gap_by_index.get(j, math.nan)] for j, *row in columns]
+    usable = np.flatnonzero(~np.isin(e.j, report.excluded))
+    osc, gap = np.full(len(e), math.nan), np.full(len(e), math.nan)
+    osc[usable] = report.osc
+    gap[usable[1:]] = report.cauchy_gaps
+    # np.linalg.norm of each row, as numpy sums it (along axis 1 it sums in another order)
+    abs_z = np.array([math.sqrt(x.dot(x) + y.dot(y)) for x, y in zip(e.z_j.real, e.z_j.imag)])
+    return zip(*[c.tolist() for c in (e.j, abs_z, e.delta_j, e.rho_j, e.ratio, osc, gap)])
 
 
 _RUN_HEADER = ["j", "abs_z_j", "delta_j", "rho_j", "ratio", "osc_j", "cauchy_gap_j"]
@@ -187,8 +197,8 @@ def _run_rescaling(config: dict) -> tuple[int, dict[str, str]]:
         "tol": report.tol,
         "radius": report.radius,
         "indices": list(report.indices),
-        "osc": list(report.osc),
-        "cauchy_gaps": list(report.cauchy_gaps),
+        "osc": report.osc.tolist(),
+        "cauchy_gaps": report.cauchy_gaps.tolist(),
         "excluded": list(report.excluded),
         "hypothesis_flags": list(run.hypothesis_flags),
         "limit_proxy": to_source(report.limit_proxy),
@@ -215,10 +225,7 @@ def _run_counterexample(config: dict) -> tuple[int, dict[str, str]]:
         int(config.get("grid_size", 64)),
         int(config.get("seed", 0)),
     )
-    rows = [
-        [n, r, d, b]
-        for n, r, d, b in zip(report.indices, report.ratios, report.sup_dev, report.bounds)
-    ]
+    rows = zip(report.indices, report.ratios, report.sup_dev, report.bounds)
     return EXIT_OK, {
         "counterexample.csv": _csv(["n", "ratio", "sup_dev", "bound"], rows),
         "counterexample.json": _json(

@@ -182,13 +182,13 @@ def explicit_rescale(f: HoloExpr, domain: Domain, spec: SequenceSpec) -> Rescali
 # Convergence detection
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+@dataclass(frozen=True, eq=False)
+class ConvergenceReport:  # grid, osc and cauchy_gaps are read-only arrays
     radius: float
-    grid: tuple[CPoint, ...]
+    grid: np.ndarray  # (N, n), grid[0] is zeta = 0
     indices: tuple[int, ...]  # usable j values, in order
-    osc: tuple[float, ...]  # sup |g_j(zeta) - g_j(0)| per usable j
-    cauchy_gaps: tuple[float, ...]  # sup |g_{j+1} - g_j| per consecutive usable pair
+    osc: np.ndarray  # sup |g_j(zeta) - g_j(0)| per usable j
+    cauchy_gaps: np.ndarray  # sup |g_{j+1} - g_j| per consecutive usable pair
     limit_proxy: HoloExpr
     verdict: str  # constant-limit | nonconstant-limit | no-convergence
     tol: float
@@ -232,36 +232,36 @@ def convergence_report(
 
 def _converge(run, radius, grid, tol, chunks: Iterable[Batch]) -> ConvergenceReport:
     """`convergence_report` over the batches of `_grid_chunks(run, grid)`."""
-    usable: list[np.ndarray] = []  # per chunk, which of its entries are usable
-    osc: list[float] = []
-    gaps: list[float] = []
+    usable, osc, gaps = [], [], []  # one array per chunk each
     previous = np.empty((0, len(grid)), dtype=complex)  # the last usable row, if any
     for batch in chunks:
         values = batch.value.reshape(-1, len(grid))
         ok = ~batch.status.reshape(values.shape).any(axis=1)
         usable.append(ok)
         rows = values[ok]
-        osc += np.max(np.abs(rows - rows[:, :1]), axis=1).tolist()  # grid[0] is zeta = 0
+        osc.append(np.max(np.abs(rows - rows[:, :1]), axis=1))  # grid[0] is zeta = 0
         chain = np.concatenate([previous, rows])
-        gaps += np.max(np.abs(chain[1:] - chain[:-1]), axis=1).tolist()
+        gaps.append(np.max(np.abs(chain[1:] - chain[:-1]), axis=1))
         previous = chain[-1:]
-    if not osc:
+    ok, osc, gaps = np.concatenate(usable), np.concatenate(osc), np.concatenate(gaps)
+    if not len(osc):
         raise NormlabError("no index in the run is evaluable on the grid")
-    final_gap = gaps[-1] if gaps else math.inf
+    final_gap = gaps[-1] if len(gaps) else math.inf
     if final_gap <= tol and osc[-1] <= tol:
         verdict = "constant-limit"
     elif final_gap <= tol and osc[-1] > 10.0 * tol:
         verdict = "nonconstant-limit"
     else:
         verdict = "no-convergence"
-    ok = np.concatenate(usable)
     last = run.entries[np.flatnonzero(ok)[-1]]
+    for array in (grid, osc, gaps):
+        array.flags.writeable = False  # the report is frozen, its arrays too
     return ConvergenceReport(
         radius=radius,
-        grid=tuple(tuple(z) for z in grid),
+        grid=grid,
         indices=tuple(run.entries.j[ok].tolist()),
-        osc=tuple(osc),
-        cauchy_gaps=tuple(gaps),
+        osc=osc,
+        cauchy_gaps=gaps,
         limit_proxy=rescaled_function(run.f, last.z_j, last.rho_j),
         verdict=verdict,
         tol=tol,
@@ -283,7 +283,7 @@ def limit_sharp_check(report: ConvergenceReport, tol: float) -> SharpProfile:
     """Check the blow-up normalization on the limit proxy: sharp(g)(0) = 1 and
     sharp(g) <= 1 on the report's grid, both up to tol.  Vacuous
     (informational) unless the report's verdict is nonconstant-limit."""
-    points = np.array(report.grid, dtype=complex)  # grid[0] is zeta = 0
+    points = report.grid  # grid[0] is zeta = 0
     sharps = sharp_batch(report.limit_proxy, points)
     best = int(np.argmax(sharps))  # the first maximum: the origin unless beaten
     s0, max_sharp, argmax = float(sharps[0]), float(sharps[best]), tuple(points[best])

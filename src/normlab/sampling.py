@@ -58,19 +58,11 @@ def scan_rays(n: int, count: int, seed: int = 0) -> np.ndarray:
     """Unit rays used to place scan points: the signed real coordinate
     directions first (so axis-aligned boundary approaches are always probed),
     then a low-discrepancy fill."""
-    rays = []
-    for k in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[k] = 1.0
-        rays.append(e.copy())
-        if len(rays) < count:
-            rays.append(-e)
-        if len(rays) >= count:
-            break
-    if len(rays) < count:
-        fill = sphere_directions(n, count - len(rays), seed + 7919)
-        rays.extend(fill)
-    return np.asarray(rays[:count])
+    eye = np.eye(n, dtype=complex)
+    rays = np.stack([eye, -eye], axis=1).reshape(2 * n, n)[:count]  # +e_1, -e_1, +e_2, ...
+    if count > 2 * n:
+        rays = np.concatenate([rays, sphere_directions(n, count - 2 * n, seed + 7919)])
+    return rays
 
 
 def ball_grid(n: int, radius: float, grid_size: int, seed: int = 0) -> np.ndarray:
@@ -88,17 +80,13 @@ def ball_grid(n: int, radius: float, grid_size: int, seed: int = 0) -> np.ndarra
     per_ring = max(4, -(-grid_size // n_rings))
     if per_ring % 2:
         per_ring += 1
-    points = [np.zeros(n, dtype=complex)]
+    k = np.arange(1, n_rings + 1)
+    radii = (radius * k / n_rings)[:, None]
     if n == 1:
-        for k in range(1, n_rings + 1):
-            r = radius * k / n_rings
-            # outermost ring anchored at angle 0 so +/-r are on the grid
-            offset = 0.0 if k == n_rings else GOLDEN_FRAC * k
-            angles = 2.0 * math.pi * (np.arange(per_ring) + offset) / per_ring
-            points.extend((r * np.exp(1j * a)).reshape(1) for a in angles)
+        # outermost ring anchored at angle 0 so +/-r are on the grid
+        offsets = np.where(k == n_rings, 0.0, GOLDEN_FRAC * k)[:, None]
+        angles = 2.0 * math.pi * (np.arange(per_ring) + offsets) / per_ring
+        rings = radii * np.exp(1j * angles)
     else:
-        dirs = scan_rays(n, per_ring, seed)
-        for k in range(1, n_rings + 1):
-            r = radius * k / n_rings
-            points.extend(r * d for d in dirs)
-    return np.asarray(points)
+        rings = radii[:, :, None] * scan_rays(n, per_ring, seed)
+    return np.concatenate([np.zeros((1, n), dtype=complex), rings.reshape(-1, n)])

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from normlab import DimensionMismatchError, parse
-from normlab.cli import _samples_json, main
+from normlab.cli import _json, _samples_json, main
 from normlab.config import SCHEMAS, point_to_json
 from normlab.metrics import sample_dtype, sharp_batch
 
@@ -627,6 +627,60 @@ def test_samples_writer_rejects_non_finite_as_stdlib_json(samples):
         assert '{\n  "samples": ' + _samples_json(samples) + "\n}" == expected
 
 
+def _stdlib_json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# plain ints and floats, which _json joins itself in a top-level list, beside
+# bools, which are ints to isinstance but print as true and false
+_NUMBERS = (
+    st.integers()
+    | st.integers(2**63 - 2, 2**80)
+    | st.integers(-(2**80), -(2**63) + 2)
+    | st.booleans()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e16, 0.1])
+)
+_VALUES = st.recursive(
+    st.none() | st.text(max_size=4) | _NUMBERS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+# keys of any text, quotes and newlines included; empty lists and lists of
+# strings or dicts take the encoder's path
+_PAYLOADS = st.dictionaries(st.text(max_size=6), st.lists(_NUMBERS, max_size=8) | _VALUES, max_size=6)
+
+
+@example({"a": [-0.0, 5e-324, 1.7976931348623157e308], "b": [0.0, -5e-324, -1.7976931348623157e308]})
+@example({"ints": [2**64, -(2**63) - 1, 0], "bools": [True, False], "mixed": [1, True, 1.0]})
+@example({"empty": [], "strings": ["1", "x"], "dicts": [{"a": [1.0]}], "nested": {"a": [1, 2.5]}})
+@example({'"samples": []': [1.0], "\n  \"x\": []": [2.0], "x": [3.0]})
+@given(_PAYLOADS)
+def test_json_writer_matches_stdlib_json(payload):
+    assert _json(payload) == _stdlib_json(payload)
+
+
+@given(_PAYLOADS, st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+def test_json_writer_rejects_non_finite_as_stdlib_json(payload, bad, data):
+    # the non-finite float goes into a top-level list of numbers or deeper
+    numbers = data.draw(st.lists(_NUMBERS, max_size=6))
+    numbers.insert(data.draw(st.integers(0, len(numbers))), bad)
+    key = data.draw(st.text(max_size=6))
+    payload[key] = data.draw(st.sampled_from([numbers, {"inner": numbers}, [numbers]]))
+    with pytest.raises(ValueError) as expected:
+        _stdlib_json(payload)
+    with pytest.raises(ValueError) as got:
+        _json(payload)
+    assert str(got.value) == str(expected.value)
+
+
+def test_json_writer_splices_raw_texts_where_the_encoder_prints_empty_lists():
+    payload = {"a": 1, "samples": [], "z": [0.5, 2]}
+    raw = {"samples": '[\n    {\n      "x": 1.0\n    }\n  ]'}
+    assert _json({"a": 1, "z": [0.5, 2]}, raw=raw) == _stdlib_json({**payload, "samples": [{"x": 1.0}]})
+    assert _json({"a": 1, "z": [0.5, 2]}, raw={"samples": "[]"}) == _stdlib_json(payload)
+
+
 # --------------------------------------------------------------------------
 # The --seed override
 # --------------------------------------------------------------------------
@@ -651,6 +705,41 @@ def test_negative_seed_override_is_config_error(tmp_path, capsys, command):
     assert code == 2
     assert err == "config error: --seed: -1 is less than the minimum of 0\n"
     assert "Traceback" not in err and not out.exists()
+
+
+def _zalcman_config(function, n, grid_size):
+    rest = [[0.0, 0.0]] * (n - 1)
+    return {
+        "command": "rescale",
+        "function": function,
+        "dimension": n,
+        "domain": {"type": "ball", "center": [[0.0, 0.0]] * n, "radius": 1.0},
+        "sequence": {"anchor": [[1.0, 0.0], *rest], "inward": [[-1.0, 0.0], *rest],
+                     "c_p": 1 / (2 * math.pi), "a": 1.0, "j_start": 2, "j_end": 8},
+        "R": 1.0,
+        "grid_size": grid_size,
+    }
+
+
+# A rescaling run reads its seed only through its grid: each ring of
+# sampling.ball_grid takes the 2n signed axes first and fills the rest from
+# sampling.sphere_directions, which reads the seed only for n >= 3.
+@pytest.mark.parametrize(
+    "config,moved",
+    [
+        (_COUNTEREXAMPLE, set()),
+        (_zalcman_config("sin(1/(1-z1))+z2^2", 2, 64), set()),
+        (_zalcman_config("sin(1/(1-z1))+z2*z3", 3, 16), set()),  # 4 points a ring: the axes alone
+        (_zalcman_config("sin(1/(1-z1))+z2*z3", 3, 64), {"rescale_run.csv", "rescale.json"}),
+    ],
+    ids=["counterexample", "rescale-2d", "rescale-3d-axes-only", "rescale-3d"],
+)
+def test_seed_moves_only_grids_filled_in_three_or_more_dimensions(tmp_path, config, moved):
+    runs = [_run(tmp_path, config["command"], config, outdir=seed, extra=("--seed", seed)) for seed in ("0", "3")]
+    assert runs[0][0] == runs[1][0] == 0
+    files = [{path.name: path.read_bytes() for path in out.iterdir()} for _, out in runs]
+    assert files[0].keys() == files[1].keys()
+    assert {name for name in files[0] if files[0][name] != files[1][name]} == moved
 
 
 # --------------------------------------------------------------------------

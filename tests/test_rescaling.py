@@ -226,6 +226,17 @@ def test_convergence_constant_function():
     assert all(gap == 0.0 for gap in report.cauchy_gaps)
 
 
+def test_convergence_report_arrays_are_read_only():
+    run = explicit_rescale(parse("z1^2", 1), UNIT_DISC, _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 12))
+    report = convergence_report(run, 1.0, 32, 1e-3)
+    assert report.grid.shape == (len(ball_grid(1, 1.0, 32)), 1)
+    assert report.osc.shape == (11,) and report.cauchy_gaps.shape == (10,)
+    for array in (report.grid, report.osc, report.cauchy_gaps):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
 def test_convergence_excludes_index_with_a_grid_pole():
     # g_2(zeta) = 1/(-1/2 + zeta/2) has its pole at zeta = 1, a grid point
     spec = SequenceSpec(
@@ -245,7 +256,8 @@ def test_convergence_excludes_index_with_a_grid_pole():
 
 def _reference_report(run, radius, grid_size, tol, seed=0):
     """convergence_report as the former per-index loop: (indices, excluded,
-    osc, gaps, verdict), or None when no index is usable."""
+    osc, gaps, verdict), osc and gaps as the bytes of float arrays, or None
+    when no index is usable."""
     grid = ball_grid(run.f.dimension, radius, grid_size, seed)
     usable, values, excluded = [], [], []
     for entry in run.entries:
@@ -266,7 +278,7 @@ def _reference_report(run, radius, grid_size, tol, seed=0):
         verdict = "nonconstant-limit"
     else:
         verdict = "no-convergence"
-    return tuple(usable), tuple(excluded), tuple(osc), tuple(gaps), verdict
+    return tuple(usable), tuple(excluded), np.array(osc, float).tobytes(), np.array(gaps, float).tobytes(), verdict
 
 
 def _chunked_and_reference(run, radius, grid_size, tol):
@@ -276,7 +288,7 @@ def _chunked_and_reference(run, radius, grid_size, tol):
             convergence_report(run, radius, grid_size, tol)
         return None, None
     report = convergence_report(run, radius, grid_size, tol)
-    got = (report.indices, report.excluded, report.osc, report.cauchy_gaps, report.verdict)
+    got = (report.indices, report.excluded, report.osc.tobytes(), report.cauchy_gaps.tobytes(), report.verdict)
     return got, expected
 
 
@@ -528,7 +540,9 @@ def test_remark_single_pass_matches_two_passes(n_max, radius, grid_size, seed):
     indices, sup_dev, bounds, conv = _two_pass_counterexample(n_max, radius, grid_size, seed)
     assert (report.indices, report.sup_dev, report.bounds) == (indices, sup_dev, bounds)
     got = report.convergence
-    for name in ("radius", "grid", "indices", "osc", "cauchy_gaps", "verdict", "tol", "excluded", "hypothesis_flags"):
+    for name in ("grid", "osc", "cauchy_gaps"):
+        assert getattr(got, name).tobytes() == getattr(conv, name).tobytes(), name
+    for name in ("radius", "indices", "verdict", "tol", "excluded", "hypothesis_flags"):
         assert getattr(got, name) == getattr(conv, name), name
     assert to_source(got.limit_proxy) == to_source(conv.limit_proxy)
 

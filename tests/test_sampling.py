@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import normlab
-from normlab import sphere_directions
+from normlab import ball_grid, scan_rays, sphere_directions
+from normlab.sampling import GOLDEN_FRAC
 
 
 def test_directions_emit_no_warning():
@@ -56,3 +60,66 @@ def test_directions_cover_the_sphere_in_3d():
     for seed in range(5):
         v = sphere_directions(3, 256, seed)
         assert np.abs(g @ v.T).max(axis=1).min() >= 0.85
+
+
+def _reference_scan_rays(n, count, seed):
+    """scan_rays as a plain loop: +e_1, -e_1, +e_2, ... then the fill."""
+    rays = []
+    for k in range(n):
+        e = np.zeros(n, dtype=complex)
+        e[k] = 1.0
+        rays.append(e.copy())
+        if len(rays) < count:
+            rays.append(-e)
+        if len(rays) >= count:
+            break
+    if len(rays) < count:
+        rays.extend(sphere_directions(n, count - len(rays), seed + 7919))
+    return np.asarray(rays[:count])
+
+
+def _reference_ball_grid(n, radius, grid_size, seed):
+    """ball_grid as a plain loop, one ring and one point at a time."""
+    n_rings = max(2, int(round(math.sqrt(grid_size))))
+    per_ring = max(4, -(-grid_size // n_rings))
+    if per_ring % 2:
+        per_ring += 1
+    points = [np.zeros(n, dtype=complex)]
+    if n == 1:
+        for k in range(1, n_rings + 1):
+            r = radius * k / n_rings
+            offset = 0.0 if k == n_rings else GOLDEN_FRAC * k
+            angles = 2.0 * math.pi * (np.arange(per_ring) + offset) / per_ring
+            points.extend((r * np.exp(1j * a)).reshape(1) for a in angles)
+    else:
+        dirs = _reference_scan_rays(n, per_ring, seed)
+        for k in range(1, n_rings + 1):
+            r = radius * k / n_rings
+            points.extend(r * d for d in dirs)
+    return np.asarray(points)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 6, 7, 8, 9, 17, 64])
+def test_scan_rays_match_the_loop_bit_for_bit(n, count):
+    got, expected = scan_rays(n, count, 11), _reference_scan_rays(n, count, 11)
+    assert got.dtype == expected.dtype and got.shape == expected.shape == (count, n)
+    assert got.tobytes() == expected.tobytes()  # -0.0 in the negated axes included
+
+
+# the broadcast and the loop must round alike: numpy's array ops can differ
+# from its scalar ones in the last bit (see rescaling._power_law)
+@settings(max_examples=150, deadline=None)
+@example(n=1, radius=1e-3, grid_size=2, seed=0)
+@example(n=2, radius=1e3, grid_size=1024, seed=0)
+@example(n=3, radius=1.0, grid_size=1024, seed=2**32 - 1)
+@given(
+    n=st.integers(1, 3),
+    radius=st.floats(1e-3, 1e3),
+    grid_size=st.integers(2, 1024),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ball_grid_matches_the_loop_bit_for_bit(n, radius, grid_size, seed):
+    got, expected = ball_grid(n, radius, grid_size, seed), _reference_ball_grid(n, radius, grid_size, seed)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
