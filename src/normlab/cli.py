@@ -23,7 +23,7 @@ import numpy as np
 
 from . import config as cfg
 from .errors import ConfigError, NormlabError
-from .expr import parse, to_source
+from .expr import to_source
 from .metrics import normality_scan, sharp_batch, sharp_fd
 from .rescaling import (
     convergence_report,
@@ -58,37 +58,38 @@ def _json(payload: dict, raw: dict[str, str] | None = None) -> str:
     return text
 
 
-def _sample_row(dtype: np.dtype) -> str:
-    """One `marty_scan.json` sample of a record dtype as json.dumps(indent=2,
-    sort_keys=True) prints it inside the report's `samples` list, a %s in
+def _record_row(dtype: np.dtype) -> str:
+    """One record of a record dtype as json.dumps(indent=2, sort_keys=True)
+    prints it inside a list that is a top-level key of a report, a %s in
     place of each float (a complex is a [re, im] pair), preceded by its
     newline and indentation."""
-    sample = {}
+    record = {}
     for name in dtype.names:
         cell = ["%s", "%s"] if dtype[name].base.kind == "c" else "%s"
-        sample[name] = [cell] * dtype[name].shape[0] if dtype[name].shape else cell
-    text = json.dumps({"samples": [sample]}, indent=2, sort_keys=True)
+        record[name] = [cell] * dtype[name].shape[0] if dtype[name].shape else cell
+    text = json.dumps({"records": [record]}, indent=2, sort_keys=True)
     return text[text.index("[") + 1:text.rindex("\n  ]")].replace('"%s"', "%s")
 
 
-def _samples_json(samples: np.ndarray) -> str:
-    """`marty_scan.json`'s `samples` list, byte for byte as json.dumps(indent=2,
-    sort_keys=True, allow_nan=False) prints it as a key of the report: the
+def _records_json(records: np.ndarray) -> str:
+    """A record array as a list of objects, byte for byte as json.dumps(
+    indent=2, sort_keys=True, allow_nan=False) prints it as a top-level key
+    of a report (`marty_scan.json`'s samples, `sharp.json`'s rows): the
     floats of each record in sorted field order (a complex field's real and
     imaginary parts in turn), through float.__repr__ as json does, filled
-    into the joined rows by one % format.  A scan repeats most of its floats
-    (each point across its directions, say), so each distinct one is printed
-    once."""
-    if not len(samples):
+    into the joined rows by one % format.  A report repeats most of its
+    floats (each scan point across its directions, say), so each distinct
+    one is printed once."""
+    if not len(records):
         return "[]"
-    columns = [samples[name].reshape(len(samples), -1) for name in sorted(samples.dtype.names)]
+    columns = [records[name].reshape(len(records), -1) for name in sorted(records.dtype.names)]
     table = np.hstack([c.view(float) if c.dtype.kind == "c" else c for c in columns]).ravel()
     for x in table[~np.isfinite(table)][:1].tolist():
         raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
     # keyed on the bit pattern, not the value, so -0.0 and 0.0 print apart
     bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
     text = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
-    rows = ",".join([_sample_row(samples.dtype)] * len(samples))
+    rows = ",".join([_record_row(records.dtype)] * len(records))
     return "[" + rows % tuple(text[inverse].tolist()) + "\n  ]"
 
 
@@ -107,39 +108,28 @@ def _point_str(z) -> str:
 
 
 def _run_sharp(config: dict) -> tuple[int, dict[str, str]]:
-    f = parse(config["function"], config["dimension"])
+    f = cfg.parse_function(config["function"], config["dimension"])
     h = float(config.get("h", 1e-4))
     samples = int(config.get("sphere_samples", 256))
     seed = int(config.get("seed", 0))
     points = [cfg.parse_point(raw) for raw in config["points"]]
-    closed = sharp_batch(f, points)
-    oracle = sharp_fd(f, np.asarray(points, dtype=complex), samples, h, seed)
+    z = np.array(points, dtype=complex)
+    closed = sharp_batch(f, z)
+    oracle = sharp_fd(f, z, samples, h, seed)
     rel_dev = np.abs(closed - oracle) / (1.0 + closed)
-    rows = list(zip(points, closed.tolist(), oracle.tolist(), rel_dev.tolist()))
+    fields = [("point", complex, (f.dimension,)), ("sharp_closed", float), ("sharp_fd", float), ("rel_dev", float)]
+    rows = np.rec.fromarrays([z, closed, oracle, rel_dev], dtype=fields)
     return EXIT_OK, {
         "sharp.csv": _csv(
             ["point", "sharp_closed", "sharp_fd", "rel_dev"],
-            [[_point_str(z), s, s_fd, d] for z, s, s_fd, d in rows],
+            zip(map(_point_str, points), closed.tolist(), oracle.tolist(), rel_dev.tolist()),
         ),
-        "sharp.json": _json(
-            {
-                "function": config["function"],
-                "rows": [
-                    {
-                        "point": cfg.point_to_json(z),
-                        "sharp_closed": s,
-                        "sharp_fd": s_fd,
-                        "rel_dev": d,
-                    }
-                    for z, s, s_fd, d in rows
-                ],
-            }
-        ),
+        "sharp.json": _json({"function": config["function"]}, raw={"rows": _records_json(rows)}),
     }
 
 
 def _run_marty_scan(config: dict) -> tuple[int, dict[str, str]]:
-    f = parse(config["function"], config["dimension"])
+    f = cfg.parse_function(config["function"], config["dimension"])
     domain = cfg.parse_domain(config["domain"])
     plan = cfg.parse_plan(config["plan"])
     est = normality_scan(f, domain, plan)
@@ -154,7 +144,7 @@ def _run_marty_scan(config: dict) -> tuple[int, dict[str, str]]:
                 "errors": list(est.errors),
                 "shell_trend": [list(t) for t in est.shell_trend],
             },
-            raw={"samples": _samples_json(est.samples)},
+            raw={"samples": _records_json(est.samples)},
         ),
     }
 
@@ -184,7 +174,7 @@ _RESCALINGS = {
 def _run_rescaling(config: dict) -> tuple[int, dict[str, str]]:
     command = config["command"]
     build_run, with_profile = _RESCALINGS[command]
-    f = parse(config["function"], config["dimension"])
+    f = cfg.parse_function(config["function"], config["dimension"])
     domain = cfg.parse_domain(config["domain"])
     spec = cfg.parse_sequence(config["sequence"])
     grid_size = int(config.get("grid_size", 64))

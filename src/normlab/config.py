@@ -16,6 +16,7 @@ path>: <reason>``, e.g. ``$.grid_size: 1 is less than the minimum of 2``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -23,7 +24,7 @@ from typing import Any
 
 from .domains import Ball, Domain, Polydisc
 from .errors import ConfigError, ExprSyntaxError
-from .expr import CPoint, parse
+from .expr import CPoint, HoloExpr, parse
 from .metrics import SamplingPlan
 from .rescaling import ExplicitScale, SequenceSpec, ZalcmanScale
 
@@ -232,7 +233,8 @@ def _violations(value: Any, schema: dict, path: str, out: list[tuple[str, str]])
             out.append((path, f"{value!r} is shorter than the minimum length of {schema['minItems']}"))
         if len(value) > schema.get("maxItems", math.inf):
             out.append((path, f"{value!r} is longer than the maximum length of {schema['maxItems']}"))
-        if "items" in schema:
+        # a list of plain numbers breaks nothing of _NUMBER: one pass checks it
+        if "items" in schema and not (schema["items"] is _NUMBER and all(map(_is_number, value))):
             for k, item in enumerate(value):
                 _violations(item, schema["items"], f"{path}[{k}]", out)
     elif isinstance(value, dict):
@@ -276,6 +278,14 @@ def _coordinate_lists(config: dict[str, Any]) -> list[tuple[str, list]]:
     return found
 
 
+@functools.lru_cache(maxsize=1)
+def parse_function(source: str, dimension: int) -> HoloExpr:
+    """`parse`, keeping the last expression it returned: `validate_config`
+    parses a config's function, and the run takes it from here unparsed.
+    An expression is immutable, so one can be shared."""
+    return parse(source, dimension)
+
+
 def validate_config(config: dict[str, Any]) -> str:
     """Validate against the schema named by config['command'], check that a
     sequence's j_start does not exceed its j_end, check every point, center,
@@ -306,7 +316,7 @@ def validate_config(config: dict[str, Any]) -> str:
                 )
     if "function" in config:
         try:
-            parse(config["function"], config["dimension"])
+            parse_function(config["function"], config["dimension"])
         except ExprSyntaxError as exc:
             raise ConfigError(f"invalid function: {exc}") from exc
     return command

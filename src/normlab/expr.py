@@ -394,23 +394,34 @@ class Batch:
 
 class _Walk:
     """Post-order walk of one expression over a point batch.  Each node gives
-    (value (N,), gradient (N, width) or a broadcastable (width,) row)."""
+    (value, gradient): the value is (N,), or (1,) for a subtree without
+    variables, and the gradient (N, width), (1, width) or a broadcastable
+    (width,) row.  The finiteness checks make one pass per coordinate column
+    or per node, not numpy's slow pass along the short coordinate axis."""
 
     def __init__(self, Z: np.ndarray, gradient: bool):
         self.Z = Z
         self.width = Z.shape[1] if gradient else 0
         self.units = np.eye(Z.shape[1], self.width, dtype=complex)  # row k: grad z_k
         self.zero = np.zeros(self.width, dtype=complex)
-        self.status = np.where(np.isfinite(Z).all(axis=1), OK, NONFINITE).astype(np.int8)
+        ok = np.ones(len(Z), dtype=bool)
+        for k in range(Z.shape[1]):
+            ok &= np.isfinite(Z[:, k])
+        self.status = np.where(ok, OK, NONFINITE).astype(np.int8)
 
     def mark(self, bad: np.ndarray, code: int) -> None:
         if bad.any():
             self.status[bad & (self.status == OK)] = code
 
     def finite(self, v: np.ndarray, g: np.ndarray):
+        # one summing pass each: a sum is finite when every term is (and may
+        # overflow when they all are), so the points are looked at one by one
+        # only when it is not
+        if np.isfinite(np.add.reduce(v, None)) and (not self.width or np.isfinite(np.add.reduce(g, None))):
+            return v, g
         bad = ~np.isfinite(v)
-        if self.width:
-            bad |= ~np.isfinite(g).all(axis=-1)
+        for k in range(self.width):
+            bad = bad | ~np.isfinite(g[..., k])
         self.mark(bad, NONFINITE)
         return v, g
 
@@ -422,7 +433,9 @@ class _Walk:
         if isinstance(node, Var):
             return self.Z[:, node.index - 1], self.units[node.index - 1]
         if isinstance(node, Const):
-            return np.full(len(self.Z), node.value), self.zero
+            # one element, broadcast like a scalar: a constant subtree runs the
+            # same numpy loops as a variable one, not Python's complex arithmetic
+            return np.full(1, node.value), self.zero
         if isinstance(node, Neg):
             v, g = self(node.child)
             return -v, -g
@@ -463,7 +476,9 @@ class _Walk:
 def evaluate_batch(expr: HoloExpr, points, gradient: bool = True) -> Batch:
     """Value, complex gradient (when asked for) and status at each row of the
     (N, n) point array.  A row with a non-finite coordinate is NONFINITE.
-    Floating-point warnings are silenced; the statuses carry them."""
+    Floating-point warnings are silenced; the statuses carry them.  The walk
+    reads the points column by column, fastest when each column is contiguous
+    (an (N, n) view of an (n, N) array)."""
     try:
         Z = np.asarray(points, dtype=complex)
     except ValueError as exc:  # rows of different lengths
@@ -477,8 +492,9 @@ def evaluate_batch(expr: HoloExpr, points, gradient: bool = True) -> Batch:
     walk = _Walk(Z, gradient)
     with np.errstate(all="ignore"):
         value, grad = walk(expr.root)
+    value = np.broadcast_to(value, len(Z)).copy()
     grad = np.broadcast_to(grad, (len(Z), walk.width)).copy()
-    return Batch(np.array(value, dtype=complex), grad, walk.status)
+    return Batch(value, grad, walk.status)
 
 
 def evaluate(expr: HoloExpr, z: CPoint) -> complex:

@@ -3,6 +3,7 @@ the explicit Kobayashi metric on balls, and normality-constant scans."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -46,8 +47,16 @@ def sharp_batch(f: HoloExpr, points) -> np.ndarray:
     """`sharp` at each row of an (N, n) point array, (N,); raises the error of
     the first point that fails to evaluate."""
     jets = evaluate_batch(f, points).check()
-    gradient_norm = np.hypot.reduce(np.abs(jets.gradient), axis=1)
+    # hypot folded column by column, as np.hypot.reduce along the rows does
+    # it, without numpy's slow pass along a short axis
+    gradient_norm = functools.reduce(np.hypot, np.abs(jets.gradient).T)
     return _over_one_plus_square(gradient_norm, np.abs(jets.value))
+
+
+def _coordinates_first(a: np.ndarray, ndim: int) -> np.ndarray:
+    """A view (n, ...) of a (..., n) array, with unit axes put in front of
+    the others to make ndim axes in all."""
+    return np.moveaxis(a.reshape((1,) * (ndim - a.ndim) + a.shape), -1, 0)
 
 
 def levi_form_fd(field: Callable, z: CPoint, v, h: float):
@@ -58,17 +67,27 @@ def levi_form_fd(field: Callable, z: CPoint, v, h: float):
 
     Second-order accurate in h for C^2 fields; exact for Hermitian quadratics.
     z and v broadcast as (..., n) point arrays, and the field is called with
-    their broadcast shape: one point along one direction gives a float.
+    their broadcast shape: one point along one direction gives a float.  Each
+    of the four arms is laid out coordinate by coordinate, (n, ...) in memory,
+    and handed to the field as a (..., n) view: flattened to (N, n), its
+    columns are contiguous.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
+    ndim = max(z.ndim, v.ndim)
+    base, direction = _coordinates_first(z, ndim), _coordinates_first(v, ndim)
+    step, turn = h * direction, 1j * h * direction
+
+    def arm(op, offset):
+        return field(np.moveaxis(op(base, offset, order="C"), 0, -1))
+
     stencil = (
-        field(z + h * v)
-        + field(z - h * v)
-        + field(z + 1j * h * v)
-        + field(z - 1j * h * v)
+        arm(np.add, step)
+        + arm(np.subtract, step)
+        + arm(np.add, turn)
+        + arm(np.subtract, turn)
         - 4.0 * field(z)
     )
     return stencil / (4.0 * h * h)
@@ -83,8 +102,11 @@ def log1p_sq_field(f: HoloExpr) -> Callable:
         w = evaluate_batch(f, z.reshape(-1, f.dimension), gradient=False).check().value
         with np.errstate(all="ignore"):
             square = w.real * w.real + w.imag * w.imag
-            # past |f| ~ 1e154 the square overflows, and 2 log|f| is exact there
-            out = np.where(np.isfinite(square), np.log1p(square), 2.0 * np.log(np.abs(w)))
+            out = np.log1p(square)
+            if not np.isfinite(np.add.reduce(square, None)):
+                # past |f| ~ 1e154 the square overflows, and 2 log|f| is exact there
+                over = ~np.isfinite(square)
+                out[over] = 2.0 * np.log(np.abs(w[over]))
         return out.reshape(z.shape[:-1])
 
     return field

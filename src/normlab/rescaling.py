@@ -202,13 +202,16 @@ _CHUNK_ROWS = 2**12  # bounds the peak memory of a long run's grid pass
 def _grid_chunks(run: RescalingRun, grid: np.ndarray) -> Iterator[Batch]:
     """g_j on the grid for consecutive entries, at most _CHUNK_ROWS rows (or
     one entry) per chunk: evaluate_batch of f at the chunk's points
-    z_j + rho_j*zeta, entry-major."""
-    centers, rho = run.entries.z_j, run.entries.rho_j
+    z_j + rho_j*zeta, entry-major.  The points are built coordinate by
+    coordinate, (n, J, G), and handed over as a (J*G, n) view."""
+    rho = run.entries.rho_j
+    centers = np.ascontiguousarray(run.entries.z_j.T)  # (n, J)
+    zeta = np.ascontiguousarray(grid.T)  # (n, G)
     per_chunk = max(1, _CHUNK_ROWS // len(grid))
     for start in range(0, len(rho), per_chunk):
         chunk = slice(start, start + per_chunk)
-        points = centers[chunk, None, :] + rho[chunk, None, None] * grid
-        yield evaluate_batch(run.f, points.reshape(-1, run.f.dimension), gradient=False)
+        points = centers[:, chunk, None] + rho[chunk, None] * zeta[:, None, :]
+        yield evaluate_batch(run.f, points.reshape(len(points), -1).T, gradient=False)
 
 
 def convergence_report(

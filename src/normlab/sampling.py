@@ -6,11 +6,19 @@ built on them is reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+@functools.cache
+def _rd_root(d: int) -> float:
+    """phi of the R_d sequence in d dimensions (see `sphere_directions`),
+    found once per d."""
+    return max(np.roots([1.0] + [0.0] * (d - 1) + [-1.0, -1.0]).real)
 
 
 def sphere_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
@@ -45,8 +53,7 @@ def sphere_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
         v[:, 0] = np.cos(theta / 2.0)
         v[:, 1] = np.sin(theta / 2.0) * np.exp(1j * phi)
         return v
-    phi = max(np.roots([1.0] + [0.0] * (2 * n - 1) + [-1.0, -1.0]).real)
-    steps = np.arange(1, count + 1)[:, None] * phi ** -np.arange(1.0, 2 * n + 1)
+    steps = np.arange(1, count + 1)[:, None] * _rd_root(2 * n) ** -np.arange(1.0, 2 * n + 1)
     x = (steps + np.random.default_rng(seed).random(2 * n)) % 1.0
     v = np.sqrt(-2.0 * np.log1p(-x[:, :n])) * np.exp(2j * math.pi * x[:, n:])
     norms = np.linalg.norm(v, axis=1, keepdims=True)

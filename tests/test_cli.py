@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from normlab import DimensionMismatchError, parse
-from normlab.cli import _json, _samples_json, main
+from normlab import config as cfg_module
+from normlab.cli import _json, _records_json, main
 from normlab.config import SCHEMAS, point_to_json
 from normlab.metrics import sample_dtype, sharp_batch
 
@@ -612,7 +613,7 @@ def _records(n, *rows):
     _scan_samples(_EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)) | _scan_shaped_samples()
 )
 def test_samples_writer_matches_stdlib_json(samples):
-    assert '{\n  "samples": ' + _samples_json(samples) + "\n}" == _stdlib_samples(samples)
+    assert '{\n  "samples": ' + _records_json(samples) + "\n}" == _stdlib_samples(samples)
 
 
 @given(_scan_samples(st.sampled_from([math.nan, math.inf, -math.inf, 1.0])))
@@ -621,10 +622,54 @@ def test_samples_writer_rejects_non_finite_as_stdlib_json(samples):
         expected = _stdlib_samples(samples)
     except ValueError as exc:
         with pytest.raises(ValueError, match="not JSON compliant"):
-            _samples_json(samples)
+            _records_json(samples)
         assert "not JSON compliant" in str(exc)
     else:
-        assert '{\n  "samples": ' + _samples_json(samples) + "\n}" == expected
+        assert '{\n  "samples": ' + _records_json(samples) + "\n}" == expected
+
+
+def _sharp_rows(values):
+    # record arrays of the sharp report's rows: a point and three floats
+    def records(n):
+        point = st.tuples(*[st.builds(complex, values, values)] * n)
+        row = st.tuples(point, values, values, values)
+        dtype = [("point", complex, (n,)), ("sharp_closed", float), ("sharp_fd", float), ("rel_dev", float)]
+        return st.lists(row, min_size=1, max_size=6).map(lambda rows: np.rec.array(rows, dtype=dtype))
+
+    return st.integers(1, 3).flatmap(records)
+
+
+@given(_sharp_rows(_EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)))
+def test_records_writer_prints_sharp_rows_as_stdlib_json(rows):
+    expected = [
+        {"point": point_to_json(point), "sharp_closed": s, "sharp_fd": s_fd, "rel_dev": d}
+        for point, s, s_fd, d in rows.tolist()
+    ]
+    text = _json({"function": "z1"}, raw={"rows": _records_json(rows)})
+    assert text == _stdlib_json({"function": "z1", "rows": expected})
+
+
+def test_each_run_parses_its_function_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(source, dimension):
+        calls.append(source)
+        return parse(source, dimension)
+
+    monkeypatch.setattr(cfg_module, "parse", counted)
+    scan = {
+        "command": "marty-scan", "function": "z1^2", "dimension": 1, "domain": DISC,
+        "plan": {"shells": [1.0, 0.5], "points_per_shell": 2, "directions_per_point": 2},
+    }
+    sharp = {"command": "sharp", "function": "exp(z1)", "dimension": 1, "points": [[[0.5, 0.0]]]}
+    for config in (sharp, scan, _rescale_config(), sharp):
+        cfg_module.parse_function.cache_clear()
+        calls.clear()
+        code, _ = _run(tmp_path, config["command"], config)
+        assert code in (0, 4)
+        assert calls == [config["function"]]
+    # the cache keeps the last expression only
+    assert cfg_module.parse_function.cache_info().maxsize == 1
 
 
 def _stdlib_json(payload):

@@ -194,6 +194,9 @@ def test_valid_configs_pass(config):
         ({"domain": {**_BALL, "radius": -1}}, "$.domain.radius: -1 is less than or equal to the minimum of 0"),
         ({"domain": {**_POLYDISC, "radii": [1.0, "2"]}}, "$.domain.radii[1]: '2' is not of type 'number'"),
         ({"domain": {**_BALL, "type": "cube", "radii": [1.0]}}, "$.domain: {'type': 'cube', 'center': "),
+        # a pair of numbers passes in one check; a pair with anything else is walked item by item
+        ({"sequence": {**_SEQUENCE, "anchor": [[1.0, 0.0], [0.0, True]]}},
+         "$.sequence.anchor[1][1]: True is not of type 'number'"),
     ],
 )
 def test_violation_names_its_json_path(change, message):

@@ -451,6 +451,147 @@ def test_no_warnings_leak(recwarn):
     assert not recwarn.list
 
 
+class _RowWalk:
+    """The walk as it stood before its passes left the coordinate axis: a
+    Const as an (N,) array, finiteness tested row by row at every node.  The
+    reference the kernel must match bit for bit."""
+
+    def __init__(self, Z, gradient):
+        self.Z = Z
+        self.width = Z.shape[1] if gradient else 0
+        self.units = np.eye(Z.shape[1], self.width, dtype=complex)
+        self.zero = np.zeros(self.width, dtype=complex)
+        self.status = np.where(np.isfinite(Z).all(axis=1), OK, NONFINITE).astype(np.int8)
+
+    def mark(self, bad, code):
+        if bad.any():
+            self.status[bad & (self.status == OK)] = code
+
+    def finite(self, v, g):
+        bad = ~np.isfinite(v)
+        if self.width:
+            bad |= ~np.isfinite(g).all(axis=-1)
+        self.mark(bad, NONFINITE)
+        return v, g
+
+    def chain(self, v, derivative, g):
+        return self.finite(v, derivative()[:, None] * g if self.width else g)
+
+    def __call__(self, node):
+        if isinstance(node, Var):
+            return self.Z[:, node.index - 1], self.units[node.index - 1]
+        if isinstance(node, Const):
+            return np.full(len(self.Z), node.value), self.zero
+        if isinstance(node, Neg):
+            v, g = self(node.child)
+            return -v, -g
+        if isinstance(node, BinOp):
+            a, ga = self(node.left)
+            b, gb = self(node.right)
+            if node.op in "+-":
+                combine = operator.add if node.op == "+" else operator.sub
+                return self.finite(combine(a, b), combine(ga, gb))
+            if node.op == "*":
+                return self.finite(a * b, a[:, None] * gb + b[:, None] * ga)
+            self.mark(np.abs(b) < POLE_THRESHOLD, POLE)
+            v = a / b
+            return self.finite(v, (ga - v[:, None] * gb) / b[:, None])
+        if isinstance(node, Pow):
+            a, ga = self(node.base)
+            k = node.exponent
+            if k == 0:
+                return np.ones_like(a), self.zero
+            if k < 0:
+                self.mark(np.abs(a) < POLE_THRESHOLD, POLE)
+            return self.chain(a**k, lambda: k * a ** (k - 1), ga)
+        a, ga = self(node.arg)
+        if node.name == "exp":
+            v = np.exp(a)
+            return self.chain(v, lambda: v, ga)
+        if node.name == "sin":
+            return self.chain(np.sin(a), lambda: np.cos(a), ga)
+        if node.name == "cos":
+            return self.chain(np.cos(a), lambda: -np.sin(a), ga)
+        self.mark(np.abs(a) < POLE_THRESHOLD, BRANCH)
+        return self.chain(np.log(a), lambda: 1.0 / a, ga)
+
+
+def _row_walk_batch(expr, points, gradient):
+    Z = np.array(points, dtype=complex)
+    walk = _RowWalk(Z, gradient)
+    with np.errstate(all="ignore"):
+        value, grad = walk(expr.root)
+    return np.array(value, dtype=complex), np.broadcast_to(grad, (len(Z), walk.width)).copy(), walk.status
+
+
+def _kernel_expr(rng: random.Random, dim: int) -> str:
+    # every node kind, constant subtrees the parser does not fold (a
+    # quotient, a power, a function of a constant), poles, log branch points,
+    # zero and negative powers
+    pool = [f"z{k}" for k in range(1, dim + 1)] + ["0.5", "(1+1*i)", "3", "(0.1-0.7*i)"]
+    for _ in range(rng.randint(2, 8)):
+        a, b = rng.choice(pool), rng.choice(pool)
+        choice = rng.random()
+        if choice < 0.5:
+            pool.append(f"({a}{rng.choice('+-*/')}{b})")
+        elif choice < 0.75:
+            pool.append(f"{rng.choice(['exp', 'sin', 'cos', 'log'])}({a})")
+        elif choice < 0.9:
+            pool.append(f"({a}^{rng.randint(-3, 3)})")
+        else:
+            pool.append(f"(-{a})")
+    return rng.choice(["{}", "exp(exp({}))", "{}*z1^-1"]).format(pool[-1])
+
+
+def _kernel_points(rng: random.Random, dim: int) -> np.ndarray:
+    # hostile rows, then rows with a non-finite coordinate in each column in
+    # turn, and with a coordinate whose powers and reciprocals overflow (where
+    # a gradient overflows and its value does not)
+    points = _hostile_points(rng, dim, 24)
+    for k in range(dim):
+        for bad in (complex("nan"), complex("inf"), complex(0.5, float("-inf")), 1e-170j, 1e170 + 1e170j):
+            row = _hostile_points(rng, dim, 1)
+            row[0, k] = bad
+            points = np.concatenate([points, row])
+    return points
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4))
+def test_evaluate_batch_matches_the_row_walk_bit_for_bit(seed, dim):
+    rng = random.Random(seed)
+    expr = parse(_kernel_expr(rng, dim), dim)
+    points = _kernel_points(rng, dim)
+    for gradient in (True, False):
+        value, grad, status = _row_walk_batch(expr, points, gradient)
+        # row-major points, and the column-major layout the fd oracle hands over
+        ok = status == OK
+        for layout in (points, np.asfortranarray(points)):
+            batch = evaluate_batch(expr, layout, gradient)
+            assert batch.status.tobytes() == status.tobytes()
+            assert batch.gradient.shape == grad.shape
+            assert batch.value[ok].tobytes() == value[ok].tobytes()
+            assert batch.gradient[ok].tobytes() == grad[ok].tobytes()
+            # a failing row's numbers mean nothing, and the sign of a NaN
+            # there follows numpy's loop; they still agree as values
+            assert np.array_equal(batch.value, value, equal_nan=True)
+            assert np.array_equal(batch.gradient, grad, equal_nan=True)
+
+
+def test_row_walk_reference_sees_every_failure():
+    # the reference above meets poles, branch points, overflow and bad inputs
+    f = parse("log(z1) + 1/z2 + exp(exp(z3)) + (0.5/3)^0", 3)
+    points = [(1, 1, 0), (1, 0, 0), (0, 1, 0), (1, 1, 10), (complex("nan"), 1, 0), (1, complex("inf"), 0)]
+    status = _row_walk_batch(f, points, True)[2]
+    assert status.tolist() == [OK, POLE, BRANCH, NONFINITE, NONFINITE, NONFINITE]
+    assert evaluate_batch(f, points).status.tolist() == status.tolist()
+    # a gradient that overflows where its value does not
+    g = parse("z1^-1", 1)
+    for gradient, want in ((True, NONFINITE), (False, OK)):
+        assert _row_walk_batch(g, [(1e-170j,)], gradient)[2].tolist() == [want]
+        assert evaluate_batch(g, [(1e-170j,)], gradient).status.tolist() == [want]
+
+
 # --------------------------------------------------------------------------
 # Depth cap
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import warnings
@@ -190,6 +191,71 @@ def test_sharp_fd_over_points_is_one_stencil_pass(monkeypatch):
     assert oracle.shape == (16,)
     assert oracle.tolist() == expected
     assert sharp_fd(f, points[3], 64, 1e-4, seed=2) == expected[3]
+
+
+def _point_major_sharp_fd(f, z, sphere_samples, h, seed=0):
+    """sharp_fd as it stood with its stencil arms laid out point by point,
+    (P, m, n), and both logs taken everywhere: the reference the
+    coordinate-major stencil must match bit for bit."""
+
+    def field(w):
+        value = evaluate_batch(f, w.reshape(-1, f.dimension), gradient=False).check().value
+        square = value.real * value.real + value.imag * value.imag
+        out = np.where(np.isfinite(square), np.log1p(square), 2.0 * np.log(np.abs(value)))
+        return out.reshape(w.shape[:-1])
+
+    v = sphere_directions(f.dimension, sphere_samples, seed)
+    z = np.asarray(z, dtype=complex)[..., None, :]
+    with np.errstate(all="ignore"):
+        stencil = field(z + h * v) + field(z - h * v) + field(z + 1j * h * v) + field(z - 1j * h * v) - 4.0 * field(z)
+        peak = np.max(stencil / (4.0 * h * h), axis=-1)
+    return np.sqrt(np.where(peak > 0.0, peak, 0.0))
+
+
+# (function of z1..zn and of a coefficient c, point scale): past |f| ~ 1e154
+# the square overflows and the field takes 2 log|f| there, at some points only
+_ORACLE_FAMILIES = [
+    ("exp({c}*z1)*z{n}+z1^2", 0.5),
+    ("sin(z1)/(1.5-{c}*z{n})", 0.4),
+    ("exp(360*z1+{c}*z{n})", 1.0),
+    ("log(2+{c}*z1*z{n})^3", 0.5),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    family=st.sampled_from(_ORACLE_FAMILIES),
+    c=st.floats(0.1, 3.0),
+    seed=st.integers(0, 2**16),
+    count=st.integers(1, 9),
+)
+def test_sharp_fd_matches_the_point_major_stencil_bit_for_bit(n, family, c, seed, count):
+    source, scale = family
+    f = parse(source.format(c=c, n=n), n)
+    rng = np.random.default_rng(seed)
+    points = scale * (rng.random((count, n)) + 1j * rng.random((count, n)) - 0.5 - 0.5j)
+    if source.startswith("exp(360"):
+        points[:, 0] += 0.75  # |f| from e^90 to e^450, on both sides of the overflow
+    want = _point_major_sharp_fd(f, points, 32, 1e-4, seed)
+    assert sharp_fd(f, points, 32, 1e-4, seed).tobytes() == want.tobytes()
+    assert np.float64(sharp_fd(f, points[0], 32, 1e-4, seed)).tobytes() == want[:1].tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_hypot_fold_matches_hypot_reduce(n):
+    # sharp_batch folds np.hypot over the gradient's columns where it used
+    # np.hypot.reduce along its rows; both fold left to right
+    rng = np.random.default_rng(n)
+    magnitudes = np.abs(rng.standard_normal((500, n))) * 10.0 ** rng.integers(-320, 308, (500, n))
+    magnitudes[rng.random((500, n)) < 0.1] = 0.0
+    fold = functools.reduce(np.hypot, magnitudes.T)
+    assert fold.tobytes() == np.hypot.reduce(magnitudes, axis=1).tobytes()
+    f = parse("+".join(f"{k}.5*z{k}^2" for k in range(1, n + 1)), n)
+    points = rng.standard_normal((64, n)) + 1j * rng.standard_normal((64, n))
+    jets = evaluate_batch(f, points)
+    want = metrics._over_one_plus_square(np.hypot.reduce(np.abs(jets.gradient), axis=1), np.abs(jets.value))
+    assert metrics.sharp_batch(f, points).tobytes() == want.tobytes()
 
 
 def test_sharp_fd_rejects_a_non_finite_stencil():

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import normlab
-from normlab import ball_grid, scan_rays, sphere_directions
+from normlab import ball_grid, sampling, scan_rays, sphere_directions
 from normlab.sampling import GOLDEN_FRAC
 
 
@@ -49,6 +49,17 @@ def test_directions_are_unit_and_a_pure_function_of_the_seed(n):
     assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) <= 1e-12
     assert sphere_directions(n, 100, 5).tobytes() == v.tobytes()
     assert not np.allclose(sphere_directions(n, 100, 6), v)
+
+
+@pytest.mark.parametrize("n", [3, 4, 9])
+def test_rd_root_is_computed_once_per_dimension(n):
+    d = 2 * n
+    expected = max(np.roots([1.0] + [0.0] * (d - 1) + [-1.0, -1.0]).real)
+    assert sampling._rd_root(d) == expected
+    assert abs(expected ** (d + 1) - expected - 1.0) <= 1e-12
+    sphere_directions(n, 8, 0)
+    sphere_directions(n, 8, 1)
+    assert sampling._rd_root(d) is sampling._rd_root(d)  # cached, not recomputed
 
 
 def test_directions_cover_the_sphere_in_3d():
