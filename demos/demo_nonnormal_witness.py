@@ -19,7 +19,7 @@ from normlab import (
     limit_sharp_check,
     normality_scan,
     parse,
-    zalcman_rescale,
+    rescaling_run,
 )
 
 
@@ -31,11 +31,11 @@ def main():
         inward=(-1 + 0j,),
         c_p=1 / (2 * math.pi),
         a=1.0,
-        scale=ZalcmanScale(),
+        scale=ZalcmanScale(),  # rho_j = 1/sharp(f, z_j), so sharp(g_j)(0) = 1
         j_start=2,
         j_end=30,
     )
-    run = zalcman_rescale(f, disc, spec)
+    run = rescaling_run(f, disc, spec)
     print(f"{'j':>3} {'delta_j':>10} {'rho_j':>12} {'rho/delta':>10}")
     for e in run.entries[::4]:
         print(f"{e.j:>3} {e.delta_j:10.6f} {e.rho_j:12.3e} {e.ratio:10.5f}")

@@ -25,13 +25,7 @@ from . import config as cfg
 from .errors import ConfigError, NormlabError
 from .expr import to_source
 from .metrics import normality_scan, sharp_batch, sharp_fd
-from .rescaling import (
-    convergence_report,
-    explicit_rescale,
-    limit_sharp_check,
-    remark_counterexample,
-    zalcman_rescale,
-)
+from .rescaling import convergence_report, limit_sharp_check, remark_counterexample, rescaling_run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,23 +33,31 @@ EXIT_EVAL = 3
 EXIT_FLAGGED = 4
 
 
-def _json(payload: dict, raw: dict[str, str] | None = None) -> str:
+def _json(payload: dict) -> str:
     """json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
-    byte for byte.  json's indenting encoder is pure Python, slow on long lists,
-    so each top-level list of plain finite ints and floats is joined here by
-    repr, as json prints them, and put with the texts of `raw` (top-level keys
-    printed already) where the encoder printed [] for their keys."""
-    raw = dict(raw or {})
-    for key, value in payload.items():
-        if type(key) is str and type(value) is list and value and all(type(x) in (int, float) for x in value):
+    byte for byte, for a payload of str keys.  json's indenting encoder is pure
+    Python, slow on long lists, so the report is printed one top-level key at
+    a time, in sorted order: a record array by `_records_json`, a non-empty
+    list of plain finite ints and floats joined by repr, as json prints them,
+    and any other value by json.dumps, indented one level."""
+    if not payload:
+        return "{}\n"
+    parts = []
+    for key in sorted(payload):
+        value = payload[key]
+        parts += [",\n  ", json.dumps(key), ": "]
+        if isinstance(value, np.recarray):
+            parts.append(_records_json(value))
+            continue
+        if type(value) is list and value and all(type(x) in (int, float) for x in value):
             text = ",\n    ".join(map(repr, value))
             if "n" not in text:  # only nan, inf and -inf print an n; json rejects them
-                raw[key] = "[\n    " + text + "\n  ]"
-    # the newline goes on first: appended last, it would copy the whole report again
-    text = json.dumps({**payload, **dict.fromkeys(raw, [])}, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    for key, value in raw.items():  # only a top-level key opens a line with 2 spaces and '"'
-        text = text.replace(f"\n  {json.dumps(key)}: []", f"\n  {json.dumps(key)}: {value}", 1)
-    return text
+                parts += ["[\n    ", text, "\n  ]"]
+                continue
+        parts.append(json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n  "))
+    parts[0] = "{\n  "
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def _record_row(dtype: np.dtype) -> str:
@@ -124,7 +126,7 @@ def _run_sharp(config: dict) -> tuple[int, dict[str, str]]:
             ["point", "sharp_closed", "sharp_fd", "rel_dev"],
             zip(map(_point_str, points), closed.tolist(), oracle.tolist(), rel_dev.tolist()),
         ),
-        "sharp.json": _json({"function": config["function"]}, raw={"rows": _records_json(rows)}),
+        "sharp.json": _json({"function": config["function"], "rows": rows}),
     }
 
 
@@ -143,8 +145,8 @@ def _run_marty_scan(config: dict) -> tuple[int, dict[str, str]]:
                 "skipped": est.skipped,
                 "errors": list(est.errors),
                 "shell_trend": [list(t) for t in est.shell_trend],
-            },
-            raw={"samples": _records_json(est.samples)},
+                "samples": est.samples,
+            }
         ),
     }
 
@@ -163,24 +165,19 @@ def _run_rows(run, report):
 
 _RUN_HEADER = ["j", "abs_z_j", "delta_j", "rho_j", "ratio", "osc_j", "cauchy_gap_j"]
 
-# command -> (run builder, whether the limit's sharp profile is checked);
-# outputs are <command>_run.csv and <command>.json
-_RESCALINGS = {
-    "rescale": (zalcman_rescale, True),
-    "thm2": (explicit_rescale, False),
-}
-
 
 def _run_rescaling(config: dict) -> tuple[int, dict[str, str]]:
+    """`rescale` and `thm2`, whose configs differ in the scale rule; outputs
+    are <command>_run.csv and <command>.json, the latter with the limit's
+    sharp profile under `rescale`."""
     command = config["command"]
-    build_run, with_profile = _RESCALINGS[command]
     f = cfg.parse_function(config["function"], config["dimension"])
     domain = cfg.parse_domain(config["domain"])
     spec = cfg.parse_sequence(config["sequence"])
     grid_size = int(config.get("grid_size", 64))
     tol = float(config.get("tol", 1e-3))
     seed = int(config.get("seed", 0))
-    run = build_run(f, domain, spec)
+    run = rescaling_run(f, domain, spec)
     report = convergence_report(run, float(config["R"]), grid_size, tol, seed)
     payload = {
         "verdict": report.verdict,
@@ -193,7 +190,7 @@ def _run_rescaling(config: dict) -> tuple[int, dict[str, str]]:
         "hypothesis_flags": list(run.hypothesis_flags),
         "limit_proxy": to_source(report.limit_proxy),
     }
-    if with_profile:
+    if command == "rescale":
         profile = limit_sharp_check(report, tol)
         payload["sharp_profile"] = {
             "sharp_at_zero": profile.sharp_at_zero,

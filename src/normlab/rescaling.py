@@ -66,26 +66,6 @@ def _power_law(c: float, exponent: float, indices: range) -> np.ndarray:
     return np.array([c * float(j) ** -exponent for j in indices])
 
 
-def make_sequence(spec: SequenceSpec, domain: Domain) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
-    """Centers p_j (J, n), scales r_j (J,) and boundary distances delta_j (J,)
-    of the J indices; the scales are None under the sharp-normalized rule
-    (they depend on the function, see `zalcman_rescale`).  A center outside
-    the domain is a DomainError, and a scale that underflows to 0, which
-    would make g_j constant, a NormlabError."""
-    step = _power_law(spec.c_p, spec.a, spec.indices)
-    centers = np.asarray(spec.anchor, dtype=complex) + step[:, None] * np.asarray(spec.inward)
-    delta = domains.boundary_distance_batch(domain, centers)
-    for k in np.flatnonzero(~(delta > 0))[:1]:
-        p = tuple(centers[k].tolist())
-        raise DomainError(f"generated center p_{spec.j_start + k} = {p!r} exits the domain")
-    if not isinstance(spec.scale, ExplicitScale):
-        return centers, None, delta
-    scale = _power_law(spec.scale.c_r, spec.scale.b, spec.indices)
-    for k in np.flatnonzero(scale <= 0)[:1]:
-        raise NormlabError(f"scale r_{spec.j_start + k} underflows to 0")
-    return centers, scale, delta
-
-
 def rescaled_function(f: HoloExpr, center: CPoint, rho: float) -> HoloExpr:
     """Symbolic zeta -> f(center + rho * zeta)."""
     if rho <= 0:
@@ -122,10 +102,9 @@ class RescalingRun:
     hypothesis_flags: tuple[str, ...]
 
 
-def _entries(spec, centers, rho, delta) -> np.recarray:
-    """A run's record array, filled from the arrays of `make_sequence`; a
-    ratio rho_j / delta_j past the float range (delta_j subnormal, say) is a
-    NormlabError."""
+def _ratio(spec: SequenceSpec, rho: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """rho_j / delta_j; a ratio past the float range (delta_j subnormal, say)
+    is a NormlabError."""
     with np.errstate(over="ignore"):
         ratio = rho / delta
     for k in np.flatnonzero(~np.isfinite(ratio))[:1]:
@@ -133,48 +112,53 @@ def _entries(spec, centers, rho, delta) -> np.recarray:
         raise NormlabError(
             f"ratio rho_{j} / delta_{j} = {float(rho[k])!r} / {float(delta[k])!r} overflows"
         )
+    return ratio
+
+
+def rescaling_run(f: HoloExpr, domain: Domain, spec: SequenceSpec) -> RescalingRun:
+    """The run of `spec` for f on `domain`: the centers z_j and their boundary
+    distances delta_j from one `boundary_distance_batch` pass, then the scales
+    of spec's rule, the explicit r_j = c_r * j^(-b) or Zalcman's rho_j =
+    1/sharp(f, z_j).
+
+    Errors, in this order: a center outside the domain (DomainError); a
+    scale that underflows to 0, which would make g_j constant, or a
+    vanishing sharp value, where the Zalcman scale is undefined; a ratio
+    rho_j / delta_j past the float range (NormlabError).
+
+    Flags (never errors) record the rule's hypothesis as observed over the
+    index range.  Under the explicit rule, the ratios r_j/delta_j not
+    decreasing or the final one not < 0.1 (numerical proxies for r_j/delta_j
+    -> 0); the run still proceeds, so counterexample regimes remain
+    explorable.  Under the Zalcman rule, rho_j not decreasing toward 0.
+    """
+    step = _power_law(spec.c_p, spec.a, spec.indices)
+    centers = np.asarray(spec.anchor, dtype=complex) + step[:, None] * np.asarray(spec.inward)
+    delta = domains.boundary_distance_batch(domain, centers)
+    for k in np.flatnonzero(~(delta > 0))[:1]:
+        p = tuple(centers[k].tolist())
+        raise DomainError(f"generated center p_{spec.j_start + k} = {p!r} exits the domain")
+    if isinstance(spec.scale, ExplicitScale):
+        rho = _power_law(spec.scale.c_r, spec.scale.b, spec.indices)
+        for k in np.flatnonzero(rho <= 0)[:1]:
+            raise NormlabError(f"scale r_{spec.j_start + k} underflows to 0")
+        ratio = _ratio(spec, rho, delta)
+        flags = ["ratio-not-decreasing"] if np.any(ratio[1:] >= ratio[:-1]) else []
+        if ratio[-1] >= 0.1:
+            flags.append("final-ratio-not-small")
+    else:
+        with np.errstate(divide="ignore", over="ignore"):
+            rho = 1.0 / sharp_batch(f, centers)
+        # a sharp value of 0, or one so small that 1/sharp overflows
+        for k in np.flatnonzero(~np.isfinite(rho))[:1]:
+            raise NormlabError(f"sharp(f, z_{spec.j_start + k}) vanishes; rescaling scale undefined")
+        ratio = _ratio(spec, rho, delta)
+        flags = ["rho-not-decreasing"] if np.any(rho[1:] >= rho[:-1]) else []
     fields = [("j", np.int64), ("z_j", complex, centers.shape[1:]),
               ("delta_j", float), ("rho_j", float), ("ratio", float)]
     columns = [np.arange(spec.j_start, spec.j_end + 1), centers, delta, rho, ratio]
     entries = np.rec.fromarrays(columns, dtype=fields)
     entries.flags.writeable = False  # the run is frozen, its records too
-    return entries
-
-
-def zalcman_rescale(f: HoloExpr, domain: Domain, spec: SequenceSpec) -> RescalingRun:
-    """Blow-up run with rho_j = 1/sharp(f, z_j).
-
-    Flags (never errors) record whether rho_j is observed decreasing toward 0
-    over the index range; a vanishing sharp value at some center is an error,
-    since the scale is undefined there.
-    """
-    if not isinstance(spec.scale, ZalcmanScale):
-        raise ValueError("zalcman_rescale requires the sharp-normalized scale rule")
-    centers, _, delta = make_sequence(spec, domain)
-    with np.errstate(divide="ignore", over="ignore"):
-        rho = 1.0 / sharp_batch(f, centers)
-    # a sharp value of 0, or one so small that 1/sharp overflows
-    for k in np.flatnonzero(~np.isfinite(rho))[:1]:
-        raise NormlabError(f"sharp(f, z_{spec.j_start + k}) vanishes; rescaling scale undefined")
-    flags = ("rho-not-decreasing",) if np.any(rho[1:] >= rho[:-1]) else ()
-    return RescalingRun(f, domain, _entries(spec, centers, rho, delta), flags)
-
-
-def explicit_rescale(f: HoloExpr, domain: Domain, spec: SequenceSpec) -> RescalingRun:
-    """Run with the explicit scale r_j = c_r * j^(-b).
-
-    Flags when the observed ratios r_j/delta_j are not decreasing or the
-    final ratio is not < 0.1 (numerical proxies for r_j/delta_j -> 0); the
-    run still proceeds, so counterexample regimes remain explorable.
-    """
-    if not isinstance(spec.scale, ExplicitScale):
-        raise ValueError("explicit_rescale requires the explicit scale rule")
-    centers, scale, delta = make_sequence(spec, domain)
-    entries = _entries(spec, centers, scale, delta)
-    ratio = entries.ratio
-    flags = ["ratio-not-decreasing"] if np.any(ratio[1:] >= ratio[:-1]) else []
-    if ratio[-1] >= 0.1:
-        flags.append("final-ratio-not-small")
     return RescalingRun(f, domain, entries, tuple(flags))
 
 
@@ -193,7 +177,6 @@ class ConvergenceReport:  # grid, osc and cauchy_gaps are read-only arrays
     verdict: str  # constant-limit | nonconstant-limit | no-convergence
     tol: float
     excluded: tuple[int, ...] = ()
-    hypothesis_flags: tuple[str, ...] = ()
 
 
 _CHUNK_ROWS = 2**12  # bounds the peak memory of a long run's grid pass
@@ -269,7 +252,6 @@ def _converge(run, radius, grid, tol, chunks: Iterable[Batch]) -> ConvergenceRep
         verdict=verdict,
         tol=tol,
         excluded=tuple(run.entries.j[~ok].tolist()),
-        hypothesis_flags=run.hypothesis_flags,
     )
 
 
@@ -335,7 +317,7 @@ def remark_counterexample(
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
     spec = SequenceSpec((1 + 0j,), (-1 + 0j,), 1.0, 3.0, ExplicitScale(1.0, 2.0), 1, n_max)
-    run = explicit_rescale(parse("z1", 1), Ball((0j,), 1.0), spec)
+    run = rescaling_run(parse("z1", 1), Ball((0j,), 1.0), spec)
     grid = ball_grid(1, radius, grid_size, seed)
     sup_dev: list[float] = []
 

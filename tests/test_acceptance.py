@@ -14,7 +14,6 @@ from normlab import (
     SequenceSpec,
     ZalcmanScale,
     convergence_report,
-    explicit_rescale,
     kobayashi_ball,
     kobayashi_upper,
     levi_log1p_closed,
@@ -25,9 +24,9 @@ from normlab import (
     remark_counterexample,
     rescale_sharp_identity_check,
     rescaled_function,
+    rescaling_run,
     sharp,
     sharp_fd,
-    zalcman_rescale,
 )
 
 UNIT_DISC = Ball((0j,), 1.0)
@@ -148,7 +147,7 @@ def test_criterion_4_thm2_desk_scale():
         j_start=2,
         j_end=50,
     )
-    run = explicit_rescale(f, UNIT_DISC, spec)
+    run = rescaling_run(f, UNIT_DISC, spec)
     report = convergence_report(run, 1.0, 64, 1e-3)
     ok = report.verdict == "constant-limit"
     for j, osc in zip(report.indices, report.osc):
@@ -185,7 +184,7 @@ def test_criterion_6_nonnormality_witness():
         j_start=2,
         j_end=30,
     )
-    run = zalcman_rescale(f, UNIT_DISC, spec)
+    run = rescaling_run(f, UNIT_DISC, spec)
     ok = not run.hypothesis_flags
     # normalization rho_j * (2 pi j)^2 -> 1
     for e in run.entries:
@@ -250,7 +249,7 @@ def test_criterion_7_property_suite():
         anchor=(1 + 0j,), inward=(-1 + 0j,), c_p=1.0, a=1.0,
         scale=ExplicitScale(1.0, 2.0), j_start=2, j_end=20,
     )
-    run = explicit_rescale(parse("z1", 1), UNIT_DISC, spec)
+    run = rescaling_run(parse("z1", 1), UNIT_DISC, spec)
     rep_a = convergence_report(run, 1.0, 32, 1e-3, seed=5)
     rep_b = convergence_report(run, 1.0, 32, 1e-3, seed=5)
     # the report's arrays byte for byte, its other fields by ==

@@ -645,7 +645,7 @@ def test_records_writer_prints_sharp_rows_as_stdlib_json(rows):
         {"point": point_to_json(point), "sharp_closed": s, "sharp_fd": s_fd, "rel_dev": d}
         for point, s, s_fd, d in rows.tolist()
     ]
-    text = _json({"function": "z1"}, raw={"rows": _records_json(rows)})
+    text = _json({"function": "z1", "rows": rows})
     assert text == _stdlib_json({"function": "z1", "rows": expected})
 
 
@@ -696,6 +696,7 @@ _VALUES = st.recursive(
 _PAYLOADS = st.dictionaries(st.text(max_size=6), st.lists(_NUMBERS, max_size=8) | _VALUES, max_size=6)
 
 
+@example({})
 @example({"a": [-0.0, 5e-324, 1.7976931348623157e308], "b": [0.0, -5e-324, -1.7976931348623157e308]})
 @example({"ints": [2**64, -(2**63) - 1, 0], "bools": [True, False], "mixed": [1, True, 1.0]})
 @example({"empty": [], "strings": ["1", "x"], "dicts": [{"a": [1.0]}], "nested": {"a": [1, 2.5]}})
@@ -719,11 +720,11 @@ def test_json_writer_rejects_non_finite_as_stdlib_json(payload, bad, data):
     assert str(got.value) == str(expected.value)
 
 
-def test_json_writer_splices_raw_texts_where_the_encoder_prints_empty_lists():
-    payload = {"a": 1, "samples": [], "z": [0.5, 2]}
-    raw = {"samples": '[\n    {\n      "x": 1.0\n    }\n  ]'}
-    assert _json({"a": 1, "z": [0.5, 2]}, raw=raw) == _stdlib_json({**payload, "samples": [{"x": 1.0}]})
-    assert _json({"a": 1, "z": [0.5, 2]}, raw={"samples": "[]"}) == _stdlib_json(payload)
+def test_json_writer_prints_record_arrays_in_key_order():
+    samples = np.rec.fromarrays([np.array([1.0, 0.5])], dtype=[("x", float)])
+    expected = {"a": 1, "samples": [{"x": 1.0}, {"x": 0.5}], "z": [0.5, 2]}
+    assert _json({"z": [0.5, 2], "samples": samples, "a": 1}) == _stdlib_json(expected)
+    assert _json({"a": 1, "samples": samples[:0]}) == _stdlib_json({"a": 1, "samples": []})
 
 
 # --------------------------------------------------------------------------

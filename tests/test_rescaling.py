@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 import warnings
 
@@ -12,26 +13,28 @@ from normlab import (
     Ball,
     ExplicitScale,
     NormlabError,
+    Polydisc,
+    RescalingRun,
     SequenceSpec,
     ZalcmanScale,
     convergence_report,
-    explicit_rescale,
     limit_sharp_check,
-    make_sequence,
     marty_bound,
     parse,
     remark_counterexample,
     rescale_sharp_identity_check,
     rescaled_function,
+    rescaling_run,
     sharp,
-    zalcman_rescale,
 )
 from normlab import domains, rescaling
 from normlab.errors import DomainError
 from normlab.expr import evaluate_batch, to_source
+from normlab.metrics import sharp_batch
 from normlab.sampling import ball_grid
 
 UNIT_DISC = Ball((0j,), 1.0)
+POLYDISC = Polydisc((0j, 0j), (1.0, 2.0))
 
 
 def _disc_spec(c_p, a, scale, j_start, j_end):
@@ -47,14 +50,14 @@ def _disc_spec(c_p, a, scale, j_start, j_end):
 
 
 # --------------------------------------------------------------------------
-# make_sequence
+# The sequence of a run: centers, boundary distances and explicit scales
 # --------------------------------------------------------------------------
 
 def test_make_sequence_arithmetic():
     spec = _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 10)
-    centers, scales, deltas = make_sequence(spec, UNIT_DISC)
+    e = rescaling_run(parse("z1", 1), UNIT_DISC, spec).entries
     k = 4 - spec.j_start
-    p, r, delta = tuple(centers[k]), scales[k], deltas[k]
+    p, r, delta = tuple(e.z_j[k]), e.rho_j[k], e.delta_j[k]
     assert p == (0.75 + 0j,)
     assert delta == pytest.approx(0.25)
     assert r == pytest.approx(1 / 16)
@@ -63,10 +66,10 @@ def test_make_sequence_arithmetic():
 
 def test_make_sequence_ratio_decays_when_b_exceeds_a():
     spec = _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 40)
-    _, scales, deltas = make_sequence(spec, UNIT_DISC)
+    e = rescaling_run(parse("z1", 1), UNIT_DISC, spec).entries
     ratios = []
     for j in (10, 20, 40):
-        r, delta = scales[j - spec.j_start], deltas[j - spec.j_start]
+        r, delta = e.rho_j[j - spec.j_start], e.delta_j[j - spec.j_start]
         ratios.append(r / delta)
     assert ratios[0] > ratios[1] > ratios[2]
     assert ratios[-1] == pytest.approx(1 / 40)
@@ -75,9 +78,9 @@ def test_make_sequence_ratio_decays_when_b_exceeds_a():
 def test_make_sequence_remark_ratio_diverges():
     # z_n = 1 - n^-3 with rho_n = n^-2: rho_n/delta_n = n
     spec = _disc_spec(1.0, 3.0, ExplicitScale(1.0, 2.0), 1, 10)
-    _, scales, deltas = make_sequence(spec, UNIT_DISC)
+    e = rescaling_run(parse("z1", 1), UNIT_DISC, spec).entries
     for n in (2, 5, 10):
-        r, delta = scales[n - spec.j_start], deltas[n - spec.j_start]
+        r, delta = e.rho_j[n - spec.j_start], e.delta_j[n - spec.j_start]
         assert r / delta == pytest.approx(n)
 
 
@@ -92,7 +95,168 @@ def test_make_sequence_rejects_exterior_center():
         j_end=5,
     )
     with pytest.raises(DomainError):
-        make_sequence(spec, UNIT_DISC)
+        rescaling_run(parse("z1", 1), UNIT_DISC, spec)
+
+
+# --------------------------------------------------------------------------
+# rescaling_run against the former builders, one per scale rule
+# --------------------------------------------------------------------------
+
+# make_sequence, _entries, zalcman_rescale and explicit_rescale as they were
+# before rescaling_run replaced them, kept as the reference
+def _power_law(c, exponent, indices):
+    return np.array([c * float(j) ** -exponent for j in indices])
+
+
+def _make_sequence(spec, domain):
+    step = _power_law(spec.c_p, spec.a, spec.indices)
+    centers = np.asarray(spec.anchor, dtype=complex) + step[:, None] * np.asarray(spec.inward)
+    delta = domains.boundary_distance_batch(domain, centers)
+    for k in np.flatnonzero(~(delta > 0))[:1]:
+        p = tuple(centers[k].tolist())
+        raise DomainError(f"generated center p_{spec.j_start + k} = {p!r} exits the domain")
+    if not isinstance(spec.scale, ExplicitScale):
+        return centers, None, delta
+    scale = _power_law(spec.scale.c_r, spec.scale.b, spec.indices)
+    for k in np.flatnonzero(scale <= 0)[:1]:
+        raise NormlabError(f"scale r_{spec.j_start + k} underflows to 0")
+    return centers, scale, delta
+
+
+def _entries(spec, centers, rho, delta):
+    with np.errstate(over="ignore"):
+        ratio = rho / delta
+    for k in np.flatnonzero(~np.isfinite(ratio))[:1]:
+        j = spec.j_start + k
+        raise NormlabError(
+            f"ratio rho_{j} / delta_{j} = {float(rho[k])!r} / {float(delta[k])!r} overflows"
+        )
+    fields = [("j", np.int64), ("z_j", complex, centers.shape[1:]),
+              ("delta_j", float), ("rho_j", float), ("ratio", float)]
+    columns = [np.arange(spec.j_start, spec.j_end + 1), centers, delta, rho, ratio]
+    entries = np.rec.fromarrays(columns, dtype=fields)
+    entries.flags.writeable = False
+    return entries
+
+
+def _zalcman_rescale(f, domain, spec):
+    if not isinstance(spec.scale, ZalcmanScale):
+        raise ValueError("zalcman_rescale requires the sharp-normalized scale rule")
+    centers, _, delta = _make_sequence(spec, domain)
+    with np.errstate(divide="ignore", over="ignore"):
+        rho = 1.0 / sharp_batch(f, centers)
+    for k in np.flatnonzero(~np.isfinite(rho))[:1]:
+        raise NormlabError(f"sharp(f, z_{spec.j_start + k}) vanishes; rescaling scale undefined")
+    flags = ("rho-not-decreasing",) if np.any(rho[1:] >= rho[:-1]) else ()
+    return RescalingRun(f, domain, _entries(spec, centers, rho, delta), flags)
+
+
+def _explicit_rescale(f, domain, spec):
+    if not isinstance(spec.scale, ExplicitScale):
+        raise ValueError("explicit_rescale requires the explicit scale rule")
+    centers, scale, delta = _make_sequence(spec, domain)
+    entries = _entries(spec, centers, scale, delta)
+    ratio = entries.ratio
+    flags = ["ratio-not-decreasing"] if np.any(ratio[1:] >= ratio[:-1]) else []
+    if ratio[-1] >= 0.1:
+        flags.append("final-ratio-not-small")
+    return RescalingRun(f, domain, entries, tuple(flags))
+
+
+def _outcome(build, f, domain, spec):
+    """The run's entries (dtype and bytes) and flags, or its error's class and message."""
+    try:
+        run = build(f, domain, spec)
+    except NormlabError as exc:
+        return type(exc), str(exc)
+    assert not run.entries.flags.writeable
+    return run.entries.dtype, run.entries.tobytes(), run.hypothesis_flags
+
+
+def _matches_the_former_builder(f, domain, spec):
+    former = _explicit_rescale if isinstance(spec.scale, ExplicitScale) else _zalcman_rescale
+    expected = _outcome(former, f, domain, spec)
+    assert _outcome(rescaling_run, f, domain, spec) == expected
+    return expected
+
+
+_FUNCTIONS = {
+    UNIT_DISC: ["sin(1/(1-z1))", "z1^2", "exp(3*z1)", "1/(2-z1)"],
+    POLYDISC: ["sin(1/(1-z1))*z2", "z1*z2+exp(z2)", "z1^2"],
+}
+
+
+def _unit(w):
+    w = np.asarray(w, dtype=complex)
+    return tuple((w / np.linalg.norm(w)).tolist())
+
+
+@st.composite
+def _runs(draw):
+    """A domain, a function on it and a spec of either rule: the anchor on the
+    boundary of the first disc, the direction within 2 radians of inward,
+    so some centers exit."""
+    domain = draw(st.sampled_from(list(_FUNCTIONS)))
+    source = draw(st.sampled_from(_FUNCTIONS[domain]))
+    angle = draw(st.floats(-math.pi, math.pi))
+    turn = draw(st.floats(-2.0, 2.0))
+    anchor = [complex(math.cos(angle), math.sin(angle))]
+    inward = [-complex(math.cos(angle + turn), math.sin(angle + turn))]
+    if domain.dimension == 2:
+        anchor.append(complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))))
+        inward.append(complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))))
+    explicit = st.builds(ExplicitScale, st.floats(0.01, 2.0), st.floats(0.3, 3.0))
+    scale = draw(explicit | st.just(ZalcmanScale()))
+    j_start = draw(st.integers(1, 5))
+    spec = SequenceSpec(
+        anchor=tuple(anchor),
+        inward=_unit(inward),
+        c_p=draw(st.floats(0.05, 1.0)),
+        a=draw(st.floats(0.3, 3.0)),
+        scale=scale,
+        j_start=j_start,
+        j_end=j_start + draw(st.integers(0, 40)),
+    )
+    return parse(source, domain.dimension), domain, spec
+
+
+@settings(max_examples=80, deadline=None)
+@given(_runs())
+def test_rescaling_run_matches_the_former_builders(run):
+    _matches_the_former_builder(*run)
+
+
+_TINY_DISC = Ball((0j,), 5e-324)  # the center 0 has a subnormal boundary distance
+
+
+@pytest.mark.parametrize(
+    "source,domain,spec,error,message",
+    [
+        ("z1", UNIT_DISC, SequenceSpec((1 + 0j,), (1 + 0j,), 1.0, 1.0, ZalcmanScale(), 1, 5),
+         DomainError, r"p_1 = \(\(2\+0j\),\) exits the domain"),
+        ("z1", UNIT_DISC, _disc_spec(1.0, 1.0, ExplicitScale(1.0, 1100.0), 2, 5),
+         NormlabError, "scale r_2 underflows to 0"),
+        ("4", UNIT_DISC, _disc_spec(1.0, 1.0, ZalcmanScale(), 2, 5),
+         NormlabError, r"sharp\(f, z_2\) vanishes"),
+        ("z1", _TINY_DISC, _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 1, 1),
+         NormlabError, "ratio rho_1 / delta_1 = 1.0 / 5e-324 overflows"),
+        ("z1", _TINY_DISC, _disc_spec(1.0, 1.0, ZalcmanScale(), 1, 1),
+         NormlabError, "ratio rho_1 / delta_1 = 1.0 / 5e-324 overflows"),
+        # the order: an exterior center before an underflowing scale, and a
+        # vanishing sharp value before an overflowing ratio
+        ("z1", UNIT_DISC, SequenceSpec((1 + 0j,), (1 + 0j,), 1.0, 1.0, ExplicitScale(1.0, 1100.0), 1, 5),
+         DomainError, "p_1"),
+        ("4", _TINY_DISC, _disc_spec(1.0, 1.0, ZalcmanScale(), 1, 1),
+         NormlabError, r"sharp\(f, z_1\) vanishes"),
+    ],
+    ids=["exterior-center", "scale-underflow", "vanishing-sharp", "ratio-overflow-explicit",
+         "ratio-overflow-zalcman", "exterior-before-underflow", "vanishing-before-overflow"],
+)
+def test_rescaling_run_errors_match_the_former_builders(source, domain, spec, error, message):
+    f = parse(source, 1)
+    kind, text = _matches_the_former_builder(f, domain, spec)
+    assert kind is error
+    assert re.search(message, text)
 
 
 # --------------------------------------------------------------------------
@@ -157,13 +321,13 @@ def test_sharp_identity_randomized():
 
 
 # --------------------------------------------------------------------------
-# zalcman_rescale
+# The Zalcman rule
 # --------------------------------------------------------------------------
 
 def test_zalcman_run_on_nonnormal_function():
     f = parse("sin(1/(1-z1))", 1)
     spec = _disc_spec(1 / (2 * math.pi), 1.0, ZalcmanScale(), 1, 20)
-    run = zalcman_rescale(f, UNIT_DISC, spec)
+    run = rescaling_run(f, UNIT_DISC, spec)
     assert not run.hypothesis_flags
     for e in run.entries:
         expected_rho = 1.0 / (2 * math.pi * e.j) ** 2
@@ -178,7 +342,7 @@ def test_zalcman_flags_nondecreasing_rho():
     # f = z has sharp = 1/(1+|z|^2), so rho_j = 1+|z_j|^2 grows toward 2
     f = parse("z1", 1)
     spec = _disc_spec(1.0, 1.0, ZalcmanScale(), 2, 20)
-    run = zalcman_rescale(f, UNIT_DISC, spec)
+    run = rescaling_run(f, UNIT_DISC, spec)
     assert "rho-not-decreasing" in run.hypothesis_flags
     assert run.entries[-1].rho_j == pytest.approx(1 + (1 - 1 / 20) ** 2)
 
@@ -186,12 +350,12 @@ def test_zalcman_flags_nondecreasing_rho():
 def test_zalcman_vanishing_sharp_errors():
     spec = _disc_spec(1.0, 1.0, ZalcmanScale(), 2, 5)
     with pytest.raises(NormlabError):
-        zalcman_rescale(parse("4", 1), UNIT_DISC, spec)
+        rescaling_run(parse("4", 1), UNIT_DISC, spec)
     # sharp(f, 0.9) = 800 e^-720 is subnormal, and 1/sharp overflows to inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NormlabError, match="z_1"):
-            zalcman_rescale(parse("exp(-800*z1)", 1), UNIT_DISC, _disc_spec(0.1, 1.0, ZalcmanScale(), 1, 1))
+            rescaling_run(parse("exp(-800*z1)", 1), UNIT_DISC, _disc_spec(0.1, 1.0, ZalcmanScale(), 1, 1))
 
 
 # --------------------------------------------------------------------------
@@ -209,7 +373,7 @@ def test_convergence_remark_run_constant_limit():
 def test_convergence_zalcman_sin_nonconstant_limit():
     f = parse("sin(1/(1-z1))", 1)
     spec = _disc_spec(1 / (2 * math.pi), 1.0, ZalcmanScale(), 2, 30)
-    run = zalcman_rescale(f, UNIT_DISC, spec)
+    run = rescaling_run(f, UNIT_DISC, spec)
     report = convergence_report(run, 1.0, 64, 1e-3)
     assert report.verdict == "nonconstant-limit"
     # limit is sin(zeta): oscillation stays near sup |sin| on the unit disc
@@ -219,7 +383,7 @@ def test_convergence_zalcman_sin_nonconstant_limit():
 def test_convergence_constant_function():
     f = parse("5", 1)
     spec = _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 10)
-    run = explicit_rescale(f, UNIT_DISC, spec)
+    run = rescaling_run(f, UNIT_DISC, spec)
     report = convergence_report(run, 1.0, 32, 1e-3)
     assert report.verdict == "constant-limit"
     assert all(o == 0.0 for o in report.osc)
@@ -227,7 +391,7 @@ def test_convergence_constant_function():
 
 
 def test_convergence_report_arrays_are_read_only():
-    run = explicit_rescale(parse("z1^2", 1), UNIT_DISC, _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 12))
+    run = rescaling_run(parse("z1^2", 1), UNIT_DISC, _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 12))
     report = convergence_report(run, 1.0, 32, 1e-3)
     assert report.grid.shape == (len(ball_grid(1, 1.0, 32)), 1)
     assert report.osc.shape == (11,) and report.cauchy_gaps.shape == (10,)
@@ -248,7 +412,7 @@ def test_convergence_excludes_index_with_a_grid_pole():
         j_start=2,
         j_end=6,
     )
-    run = explicit_rescale(parse("1/z1", 1), UNIT_DISC, spec)
+    run = rescaling_run(parse("1/z1", 1), UNIT_DISC, spec)
     report = convergence_report(run, 1.0, 32, 1e-3)
     assert report.excluded == (2,)
     assert report.indices == (3, 4, 5, 6)
@@ -310,7 +474,7 @@ def _chunked_and_reference(run, radius, grid_size, tol):
 def test_chunked_convergence_matches_the_per_index_loop(c, c_p, a, c_r, b, j_start, count, grid_size, radius):
     f = parse(f"exp(1/(z1-{c!r}))", 1)
     spec = _disc_spec(c_p, a, ExplicitScale(c_r, b), j_start, j_start + count - 1)
-    run = explicit_rescale(f, UNIT_DISC, spec)
+    run = rescaling_run(f, UNIT_DISC, spec)
     got, expected = _chunked_and_reference(run, radius, grid_size, 1e-3)
     assert got == expected
 
@@ -319,7 +483,7 @@ def test_excluded_indices_fill_a_whole_chunk():
     # 1,123 grid points, so 3 indices per chunk; chunk 2 (j = 8, 9, 10) is
     # excluded whole, and 11, 12 open chunk 3
     f = parse("exp(1/(z1-0.95))", 1)
-    run = explicit_rescale(f, UNIT_DISC, _disc_spec(0.5, 1.0, ExplicitScale(0.1, 1.0), 2, 40))
+    run = rescaling_run(f, UNIT_DISC, _disc_spec(0.5, 1.0, ExplicitScale(0.1, 1.0), 2, 40))
     assert rescaling._CHUNK_ROWS // len(ball_grid(1, 1.0, 1100)) == 3
     got, expected = _chunked_and_reference(run, 1.0, 1100, 1e-3)
     assert got == expected
@@ -340,15 +504,16 @@ def _counting(monkeypatch, module, name):
 
 def test_make_sequence_is_one_boundary_distance_pass(monkeypatch):
     calls = _counting(monkeypatch, domains, "boundary_distance_batch")
-    spec = _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 200)
-    centers, scales, deltas = make_sequence(spec, UNIT_DISC)
-    assert len(calls) == 1
-    assert centers.shape == (199, 1) and scales.shape == deltas.shape == (199,)
+    for scale in (ExplicitScale(1.0, 2.0), ZalcmanScale()):
+        calls.clear()
+        e = rescaling_run(parse("z1", 1), UNIT_DISC, _disc_spec(1.0, 1.0, scale, 2, 200)).entries
+        assert len(calls) == 1
+        assert e.z_j.shape == (199, 1) and e.rho_j.shape == e.delta_j.shape == (199,)
 
 
 @pytest.mark.parametrize("grid_size", [16, 64, 1100, 4600])
 def test_convergence_report_evaluates_in_chunks(monkeypatch, grid_size):
-    run = explicit_rescale(parse("z1^2", 1), UNIT_DISC, _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 50))
+    run = rescaling_run(parse("z1^2", 1), UNIT_DISC, _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 50))
     calls = _counting(monkeypatch, rescaling, "evaluate_batch")
     report = convergence_report(run, 1.0, grid_size, 1e-3)
     per_chunk = max(1, 4096 // len(report.grid))
@@ -362,21 +527,21 @@ def test_building_a_run_makes_no_pullback(monkeypatch):
 
     monkeypatch.setattr(rescaling, "affine_pullback", forbidden)
     f = parse("sin(1/(1-z1))", 1)
-    zalcman_rescale(f, UNIT_DISC, _disc_spec(1 / (2 * math.pi), 1.0, ZalcmanScale(), 2, 30))
-    explicit_rescale(f, UNIT_DISC, _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 30))
+    rescaling_run(f, UNIT_DISC, _disc_spec(1 / (2 * math.pi), 1.0, ZalcmanScale(), 2, 30))
+    rescaling_run(f, UNIT_DISC, _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 30))
 
 
 def test_explicit_scale_underflow_is_an_error():
     # r_j = 0 would make every g_j constant and fake a constant limit
     spec = _disc_spec(1.0, 1.0, ExplicitScale(1.0, 1100.0), 2, 5)
     with pytest.raises(NormlabError, match="r_2 underflows"):
-        make_sequence(spec, UNIT_DISC)
+        rescaling_run(parse("z1", 1), UNIT_DISC, spec)
 
 
 def test_constant_limit_osc_nonincreasing_after_first_quartile():
     f = parse("z1", 1)
     spec = _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 50)
-    report = convergence_report(explicit_rescale(f, UNIT_DISC, spec), 1.0, 64, 1e-3)
+    report = convergence_report(rescaling_run(f, UNIT_DISC, spec), 1.0, 64, 1e-3)
     assert report.verdict == "constant-limit"
     start = len(report.osc) // 4
     tail = report.osc[start:]
@@ -390,7 +555,7 @@ def test_constant_limit_osc_nonincreasing_after_first_quartile():
 def test_limit_sharp_check_on_sin_limit():
     f = parse("sin(1/(1-z1))", 1)
     spec = _disc_spec(1 / (2 * math.pi), 1.0, ZalcmanScale(), 2, 30)
-    run = zalcman_rescale(f, UNIT_DISC, spec)
+    run = rescaling_run(f, UNIT_DISC, spec)
     report = convergence_report(run, 1.0, 64, 1e-3)
     profile = limit_sharp_check(report, 1e-2)
     assert not profile.vacuous
@@ -410,7 +575,7 @@ def test_sharp_profile_not_normalized_proxy():
     # proxy 2*zeta has sharp(0) = 2: fails the normalization check
     f = parse("2*z1", 1)
     spec = _disc_spec(0.5, 1.0, ZalcmanScale(), 2, 4)
-    run = zalcman_rescale(f, UNIT_DISC, spec)
+    run = rescaling_run(f, UNIT_DISC, spec)
     assert sharp(parse("2*z1", 1), (0j,)).value == 2.0
     assert all(
         sharp(rescaled_function(f, e.z_j, e.rho_j), (0j,)).value == pytest.approx(1.0)
@@ -425,9 +590,10 @@ def test_sharp_profile_not_normalized_proxy():
 def test_thm2_identity_function_constant_limit():
     f = parse("z1", 1)
     spec = _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 50)
-    report = convergence_report(explicit_rescale(f, UNIT_DISC, spec), 1.0, 64, 1e-3)
+    run = rescaling_run(f, UNIT_DISC, spec)
+    assert not run.hypothesis_flags
+    report = convergence_report(run, 1.0, 64, 1e-3)
     assert report.verdict == "constant-limit"
-    assert not report.hypothesis_flags
     for j, osc in zip(report.indices, report.osc):
         assert osc == pytest.approx(float(j) ** -2, abs=1e-12)
 
@@ -443,7 +609,7 @@ def test_thm2_nonnormal_function_nonconstant_limit():
         j_start=2,
         j_end=30,
     )
-    report = convergence_report(explicit_rescale(f, UNIT_DISC, spec), 1.0, 64, 1e-3)
+    report = convergence_report(rescaling_run(f, UNIT_DISC, spec), 1.0, 64, 1e-3)
     assert report.verdict == "nonconstant-limit"
 
 
@@ -451,7 +617,7 @@ def test_thm2_hypothesis_flag_on_large_ratio():
     f = parse("z1", 1)
     # b < a: ratio r_j/delta_j grows
     spec = _disc_spec(1.0, 2.0, ExplicitScale(1.0, 1.0), 2, 10)
-    run = explicit_rescale(f, UNIT_DISC, spec)
+    run = rescaling_run(f, UNIT_DISC, spec)
     assert "ratio-not-decreasing" in run.hypothesis_flags
 
 
@@ -459,7 +625,7 @@ def test_marty_bound_chain_identity_function():
     # normal f = z on the disc admits C = 1; the rescaled sharp obeys the bound
     f = parse("z1", 1)
     spec = _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 30)
-    run = explicit_rescale(f, UNIT_DISC, spec)
+    run = rescaling_run(f, UNIT_DISC, spec)
     report = convergence_report(run, 1.0, 48, 1e-3)
     for e in run.entries:
         g_j = rescaled_function(f, e.z_j, e.rho_j)
@@ -515,7 +681,7 @@ def _two_pass_counterexample(n_max, radius, grid_size, seed):
     """remark_counterexample as two grid passes: a chunked sup |g_n - 1| pass,
     then convergence_report, which evaluates every g_n again."""
     spec = SequenceSpec((1 + 0j,), (-1 + 0j,), 1.0, 3.0, ExplicitScale(1.0, 2.0), 1, n_max)
-    run = explicit_rescale(parse("z1", 1), UNIT_DISC, spec)
+    run = rescaling_run(parse("z1", 1), UNIT_DISC, spec)
     grid = ball_grid(1, radius, grid_size, seed)
     per_chunk = max(1, 4096 // len(grid))
     sup_dev = []
@@ -525,7 +691,8 @@ def _two_pass_counterexample(n_max, radius, grid_size, seed):
         batch = evaluate_batch(run.f, points.reshape(-1, 1), gradient=False)
         sup_dev += np.max(np.abs(batch.check().value.reshape(-1, len(grid)) - 1.0), axis=1).tolist()
     bounds = [float(n) ** -3 + float(n) ** -2 * radius for n in spec.indices]
-    return tuple(spec.indices), tuple(sup_dev), tuple(bounds), convergence_report(run, radius, grid_size, 1e-3, seed)
+    conv = convergence_report(run, radius, grid_size, 1e-3, seed)
+    return tuple(spec.indices), tuple(sup_dev), tuple(bounds), conv, run.hypothesis_flags
 
 
 @settings(max_examples=25, deadline=None)
@@ -537,12 +704,14 @@ def _two_pass_counterexample(n_max, radius, grid_size, seed):
 )
 def test_remark_single_pass_matches_two_passes(n_max, radius, grid_size, seed):
     report = remark_counterexample(n_max, radius, grid_size, seed)
-    indices, sup_dev, bounds, conv = _two_pass_counterexample(n_max, radius, grid_size, seed)
+    indices, sup_dev, bounds, conv, flags = _two_pass_counterexample(n_max, radius, grid_size, seed)
     assert (report.indices, report.sup_dev, report.bounds) == (indices, sup_dev, bounds)
+    # the ratio n grows past 0.1: the run breaks the hypothesis r_n/delta_n -> 0 on purpose
+    assert flags == ("ratio-not-decreasing", "final-ratio-not-small")
     got = report.convergence
     for name in ("grid", "osc", "cauchy_gaps"):
         assert getattr(got, name).tobytes() == getattr(conv, name).tobytes(), name
-    for name in ("radius", "indices", "verdict", "tol", "excluded", "hypothesis_flags"):
+    for name in ("radius", "indices", "verdict", "tol", "excluded"):
         assert getattr(got, name) == getattr(conv, name), name
     assert to_source(got.limit_proxy) == to_source(conv.limit_proxy)
 
@@ -553,7 +722,7 @@ def test_long_explicit_run_holds_its_columns_only():
     spec = _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 1, 100_000)
     tracemalloc.start()
     try:
-        run = explicit_rescale(f, UNIT_DISC, spec)
+        run = rescaling_run(f, UNIT_DISC, spec)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
