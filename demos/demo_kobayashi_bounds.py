@@ -8,16 +8,17 @@ distance-decreasing property of holomorphic inclusions).
 
 import numpy as np
 
-from normlab import Ball, Polydisc, kobayashi_ball, kobayashi_domain_bounds, kobayashi_upper
+from normlab import Polydisc, kobayashi_ball_batch, kobayashi_domain_bounds_batch, kobayashi_upper_batch
 
 
 def main():
-    disc = Ball((0j,), 1.0)
     print("unit disc, v = 1, moving toward the boundary:")
     print(f"{'|z|':>6} {'K(z,v)':>12} {'upper bound':>12}")
-    for x in (0.0, 0.3, 0.6, 0.9, 0.99):
-        z, v = (complex(x),), (1 + 0j,)
-        print(f"{x:6.2f} {kobayashi_ball(disc, z, v):12.6f} {kobayashi_upper(disc, z, v):12.6f}")
+    xs = [0.0, 0.3, 0.6, 0.9, 0.99]
+    z, v = [(complex(x),) for x in xs], [(1 + 0j,)]  # z is its offset from the disc's center 0
+    exact, upper = kobayashi_ball_batch(z, 1.0, v)[:, 0], kobayashi_upper_batch(z, 1.0, v)[:, 0]
+    for x, k, k_upper in zip(xs, exact, upper):
+        print(f"{x:6.2f} {k:12.6f} {k_upper:12.6f}")
 
     poly = Polydisc((0j, 0j), (1.0, 2.0))
     rng = np.random.default_rng(7)
@@ -29,9 +30,9 @@ def main():
             complex(*rng.uniform(-1.2, 1.2, 2)),
         )
         v = tuple(complex(*rng.normal(size=2)) for _ in range(2))
-        lower, upper = kobayashi_domain_bounds(poly, p, v)
+        (lower,), (upper,) = kobayashi_domain_bounds_batch(poly, [p], [v])  # one point, one direction
         ps = " ".join(f"{c:.2f}" for c in p)
-        print(f"{ps:>30} {lower:10.5f} {upper:10.5f}")
+        print(f"{ps:>30} {lower[0]:10.5f} {upper[0]:10.5f}")
         assert lower <= upper
 
 

@@ -8,7 +8,7 @@ the discrete Levi form along each.  This script shows the two agree.
 
 import random
 
-from normlab import parse, sharp, sharp_fd
+from normlab import parse, sharp_batch, sharp_fd
 
 SUITE = [
     ("z1", 1),
@@ -26,13 +26,13 @@ def main():
     for source, dim in SUITE:
         f = parse(source, dim)
         scale = 0.4 if dim == 2 else 0.5
-        for _ in range(3):
-            z = tuple(
-                complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
-                for _ in range(dim)
-            )
-            s = sharp(f, z).value
-            oracle = sharp_fd(f, z, 256, 1e-4)
+        points = [
+            [complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale)) for _ in range(dim)]
+            for _ in range(3)
+        ]
+        closed = sharp_batch(f, points)
+        oracles = sharp_fd(f, points, 256, 1e-4)
+        for z, s, oracle in zip(points, closed, oracles):
             dev = abs(s - oracle) / (1.0 + s)
             zs = " ".join(f"{c:.3f}" for c in z)
             print(f"{source:<18} {zs:<42} {s:12.7f} {oracle:12.7f} {dev:10.2e}")

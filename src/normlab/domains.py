@@ -1,8 +1,9 @@
 """Bounded domains in C^n (balls and polydiscs) with exact boundary-distance
-and inscribed/circumscribed-ball queries."""
+and circumscribed-ball queries."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -16,6 +17,11 @@ def _as_array(p: CPoint) -> np.ndarray:
     return np.asarray(p, dtype=complex)
 
 
+def _check_center(center: CPoint) -> None:
+    if not all(cmath.isfinite(c) for c in center):
+        raise DomainError(f"domain center must be finite, got {center}")
+
+
 @dataclass(frozen=True)
 class Ball:
     """Euclidean ball {z : |z - center| < radius} in C^n."""
@@ -24,8 +30,9 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise DomainError(f"ball radius must be positive, got {self.radius}")
+        _check_center(self.center)
+        if not (0 < self.radius < math.inf):
+            raise DomainError(f"ball radius must be finite and positive, got {self.radius}")
 
     @property
     def dimension(self) -> int:
@@ -42,8 +49,9 @@ class Polydisc:
     def __post_init__(self):
         if len(self.radii) != len(self.center):
             raise DomainError("polydisc radii length must match center dimension")
-        if any(r <= 0 for r in self.radii):
-            raise DomainError(f"polydisc radii must be positive, got {self.radii}")
+        _check_center(self.center)
+        if not all(0 < r < math.inf for r in self.radii):
+            raise DomainError(f"polydisc radii must be finite and positive, got {self.radii}")
 
     @property
     def dimension(self) -> int:
@@ -74,25 +82,7 @@ def boundary_distance_batch(domain: Domain, points) -> np.ndarray:
     return np.min(np.asarray(domain.radii) - np.abs(d), axis=1)
 
 
-def contains(domain: Domain, p: CPoint) -> bool:
-    """True iff p lies strictly inside the domain."""
-    return bool(boundary_distance_batch(domain, [p])[0] > 0)
-
-
 NOT_INTERIOR = "point is not interior to the domain"
-
-
-def boundary_distance(domain: Domain, p: CPoint) -> float:
-    """`boundary_distance_batch` at one interior point; DomainError elsewhere."""
-    distance = float(boundary_distance_batch(domain, [p])[0])
-    if not distance > 0:
-        raise DomainError(NOT_INTERIOR)
-    return distance
-
-
-def inscribed_ball(domain: Domain, p: CPoint) -> Ball:
-    """Largest ball centered at p guaranteed to lie inside the domain."""
-    return Ball(tuple(complex(c) for c in p), boundary_distance(domain, p))
 
 
 def circumscribed_ball(domain: Domain) -> Ball:

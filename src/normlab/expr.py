@@ -497,11 +497,6 @@ def evaluate_batch(expr: HoloExpr, points, gradient: bool = True) -> Batch:
     return Batch(value, grad, walk.status)
 
 
-def evaluate(expr: HoloExpr, z: CPoint) -> complex:
-    """Evaluate the expression at a point of matching dimension."""
-    return complex(evaluate_batch(expr, [z], gradient=False).check().value[0])
-
-
 def evaluate_jet(expr: HoloExpr, z: CPoint) -> Jet:
     """Value and complex gradient at z, by forward-mode differentiation."""
     jet = evaluate_batch(expr, [z]).check()

@@ -11,17 +11,10 @@ from typing import Callable
 import numpy as np
 
 from . import domains
-from .domains import Ball, Domain
-from .errors import DomainError, EvaluationError
+from .domains import Domain
+from .errors import DimensionMismatchError, DomainError, EvaluationError
 from .expr import NONFINITE, OK, CPoint, HoloExpr, evaluate_batch, evaluate_jet, status_error
 from .sampling import scan_rays, sphere_directions
-
-
-@dataclass(frozen=True)
-class SharpValue:
-    """Nonnegative, scales like an inverse length; zero iff the gradient vanishes."""
-
-    value: float
 
 
 def _over_one_plus_square(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -44,8 +37,14 @@ def levi_batch(value: np.ndarray, gradient: np.ndarray, directions: np.ndarray) 
 
 
 def sharp_batch(f: HoloExpr, points) -> np.ndarray:
-    """`sharp` at each row of an (N, n) point array, (N,); raises the error of
-    the first point that fails to evaluate."""
+    """The sharp function at each row of an (N, n) point array, (N,): the
+    supremum over unit directions of the root Levi form of log(1+|f|^2).
+
+    Equals |grad f| / (1 + |f|^2); the supremum is attained by aligning the
+    direction with the conjugate gradient.  For n=1 this is the classical
+    spherical derivative |f'|/(1+|f|^2).  Nonnegative, scales like an inverse
+    length, zero iff the gradient vanishes.  Raises the error of the first
+    point that fails to evaluate."""
     jets = evaluate_batch(f, points).check()
     # hypot folded column by column, as np.hypot.reduce along the rows does
     # it, without numpy's slow pass along a short axis
@@ -120,32 +119,21 @@ def levi_log1p_closed(f: HoloExpr, z: CPoint, v: CPoint) -> float:
     return float(levi[0, 0])
 
 
-def sharp(f: HoloExpr, z: CPoint) -> SharpValue:
-    """Supremum over unit directions of the root Levi form of log(1+|f|^2).
-
-    Equals |grad f| / (1 + |f|^2); the supremum is attained by aligning the
-    direction with the conjugate gradient.  For n=1 this is the classical
-    spherical derivative |f'|/(1+|f|^2).
-    """
-    return SharpValue(float(sharp_batch(f, [z])[0]))
-
-
-def sharp_fd(
-    f: HoloExpr, z, sphere_samples: int, h: float, seed: int = 0
-) -> float | np.ndarray:
-    """Brute-force oracle for `sharp`: max over sampled unit directions of
-    sqrt(max(0, levi_form_fd(log(1+|f|^2), z, v, h))), at one point z (a
-    float) or at each row of an (N, n) array ((N,)) along one direction set.
-    EvaluationError when the stencil is not finite (4 h^2 underflows, say)."""
+def sharp_fd(f: HoloExpr, points, sphere_samples: int, h: float, seed: int = 0) -> np.ndarray:
+    """Brute-force oracle for `sharp_batch`: max over sampled unit directions
+    of sqrt(max(0, levi_form_fd(log(1+|f|^2), z, v, h))) at each row z of an
+    (N, n) point array, (N,), along one direction set.  EvaluationError when
+    the stencil is not finite (4 h^2 underflows, say)."""
+    z = np.asarray(points, dtype=complex)
+    if z.ndim != 2 or z.shape[1] != f.dimension:
+        raise DimensionMismatchError(f"points of shape {z.shape}, expression expects dimension {f.dimension}")
     dirs = sphere_directions(f.dimension, sphere_samples, seed)
-    z = np.asarray(z, dtype=complex)
     with np.errstate(all="ignore"):
-        levi = levi_form_fd(log1p_sq_field(f), z[..., None, :], dirs, h)
+        levi = levi_form_fd(log1p_sq_field(f), z[:, None, :], dirs, h)
     if not np.isfinite(levi).all():
         raise EvaluationError(f"finite-difference Levi form is not finite at h = {h!r}")
     peak = np.max(levi, axis=-1)
-    root = np.sqrt(np.where(peak > 0.0, peak, 0.0))  # max(0, peak), never -0.0
-    return float(root) if z.ndim == 1 else root
+    return np.sqrt(np.where(peak > 0.0, peak, 0.0))  # max(0, peak), never -0.0
 
 
 # --------------------------------------------------------------------------
@@ -182,18 +170,12 @@ def kobayashi_ball_batch(offsets, radius, directions) -> np.ndarray:
     return np.sqrt(slack * v_sq + np.abs(pairing) ** 2) / slack
 
 
-def kobayashi_ball(ball: Ball, z: CPoint, v: CPoint) -> float:
-    """`kobayashi_ball_batch` of one ball at one point along one direction."""
-    w = np.asarray(z, dtype=complex) - np.asarray(ball.center, dtype=complex)
-    return float(kobayashi_ball_batch([w], ball.radius, [v])[0, 0])
-
-
-def kobayashi_upper(ball: Ball, z: CPoint, v: CPoint) -> float:
-    """Cauchy-Schwarz upper bound d |v| / (d^2 - |z-center|^2); equals
-    `kobayashi_ball` in one variable and whenever z-center is parallel to v."""
-    w = np.asarray(z, dtype=complex) - np.asarray(ball.center, dtype=complex)
-    _, _, v_sq, slack = _ball_frame([w], ball.radius, [v])
-    return ball.radius * math.sqrt(v_sq[0]) / float(slack[0])
+def kobayashi_upper_batch(offsets, radius, directions) -> np.ndarray:
+    """Cauchy-Schwarz upper bound d |v| / (d^2 - |w|^2) on `kobayashi_ball_batch`,
+    with the same arguments and shape (N, m); equal to it in one variable and
+    whenever w is parallel to v."""
+    _, _, v_sq, slack = _ball_frame(offsets, radius, directions)
+    return np.reshape(radius, (-1, 1)) * np.sqrt(v_sq) / slack[:, None]
 
 
 def kobayashi_domain_bounds_batch(domain: Domain, points, directions) -> tuple[np.ndarray, np.ndarray]:
@@ -212,12 +194,6 @@ def kobayashi_domain_bounds_batch(domain: Domain, points, directions) -> tuple[n
     upper = kobayashi_ball_batch(np.zeros_like(points), distance, directions)
     lower = kobayashi_ball_batch(points - np.asarray(outer.center, dtype=complex), outer.radius, directions)
     return lower, upper
-
-
-def kobayashi_domain_bounds(domain: Domain, z: CPoint, v: CPoint) -> tuple[float, float]:
-    """`kobayashi_domain_bounds_batch` at one point along one direction."""
-    lower, upper = kobayashi_domain_bounds_batch(domain, [z], [v])
-    return float(lower[0, 0]), float(upper[0, 0])
 
 
 # --------------------------------------------------------------------------

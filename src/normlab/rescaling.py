@@ -66,13 +66,6 @@ def _power_law(c: float, exponent: float, indices: range) -> np.ndarray:
     return np.array([c * float(j) ** -exponent for j in indices])
 
 
-def rescaled_function(f: HoloExpr, center: CPoint, rho: float) -> HoloExpr:
-    """Symbolic zeta -> f(center + rho * zeta)."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    return affine_pullback(f, center, rho)
-
-
 def rescale_sharp_identity_check(
     f: HoloExpr, center: CPoint, rho: float, test_points: list[CPoint]
 ) -> float:
@@ -80,7 +73,7 @@ def rescale_sharp_identity_check(
     center + rho*zeta) for g the rescaled function.  An algebraic identity
     (invariance of the Levi form under affine maps), so the deviation is
     rounding noise."""
-    g = rescaled_function(f, center, rho)
+    g = affine_pullback(f, center, rho)
     zeta = np.asarray(test_points, dtype=complex).reshape(-1, f.dimension)
     lhs = sharp_batch(g, zeta)
     rhs = rho * sharp_batch(f, np.asarray(center) + rho * zeta)
@@ -248,7 +241,7 @@ def _converge(run, radius, grid, tol, chunks: Iterable[Batch]) -> ConvergenceRep
         indices=tuple(run.entries.j[ok].tolist()),
         osc=osc,
         cauchy_gaps=gaps,
-        limit_proxy=rescaled_function(run.f, last.z_j, last.rho_j),
+        limit_proxy=affine_pullback(run.f, last.z_j, last.rho_j),
         verdict=verdict,
         tol=tol,
         excluded=tuple(run.entries.j[~ok].tolist()),

@@ -3,6 +3,7 @@ import math
 import operator
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from normlab import (
     ExprSyntaxError,
     PoleError,
     affine_pullback,
-    evaluate,
     evaluate_jet,
     parse,
     to_source,
@@ -70,43 +70,43 @@ def test_unknown_identifier_and_syntax_errors():
 def test_non_integer_exponent_rejected():
     with pytest.raises(ExprSyntaxError):
         parse("z1^1.5", 1)
-    assert evaluate(parse("z1^-2", 1), (2 + 0j,)) == pytest.approx(0.25)
+    assert evaluate_batch(parse("z1^-2", 1), [(2 + 0j,)]).check().value[0] == pytest.approx(0.25)
 
 
 def test_precedence():
     # ^ binds tighter than unary minus, which binds tighter than * /
-    assert evaluate(parse("-z1^2", 1), (2 + 0j,)) == -4
-    assert evaluate(parse("1+2*3", 1), (0j,)) == 7
-    assert evaluate(parse("2*z1^2", 1), (3 + 0j,)) == 18
+    assert evaluate_batch(parse("-z1^2", 1), [(2 + 0j,)]).check().value[0] == -4
+    assert evaluate_batch(parse("1+2*3", 1), [(0j,)]).check().value[0] == 7
+    assert evaluate_batch(parse("2*z1^2", 1), [(3 + 0j,)]).check().value[0] == 18
 
 
 def test_complex_literal_and_constants():
-    assert evaluate(parse("2+3*i", 1), (0j,)) == 2 + 3j
-    assert evaluate(parse("exp(i*pi)", 1), (0j,)) == pytest.approx(-1)
-    assert evaluate(parse("log(e)", 1), (0j,)) == pytest.approx(1)
+    assert evaluate_batch(parse("2+3*i", 1), [(0j,)]).check().value[0] == 2 + 3j
+    assert evaluate_batch(parse("exp(i*pi)", 1), [(0j,)]).check().value[0] == pytest.approx(-1)
+    assert evaluate_batch(parse("log(e)", 1), [(0j,)]).check().value[0] == pytest.approx(1)
 
 
 def test_evaluate_basics():
-    assert evaluate(parse("z1^2", 1), (2 + 0j,)) == 4
-    assert evaluate(parse("exp(z1)", 1), (0j,)) == 1
+    assert evaluate_batch(parse("z1^2", 1), [(2 + 0j,)]).check().value[0] == 4
+    assert evaluate_batch(parse("exp(z1)", 1), [(0j,)]).check().value[0] == 1
 
 
 def test_evaluate_sin_reciprocal_near_one():
     z = complex(1 - 1 / (2 * math.pi))
-    value = evaluate(parse("sin(1/(1-z1))", 1), (z,))
+    value = evaluate_batch(parse("sin(1/(1-z1))", 1), [(z,)]).check().value[0]
     assert abs(value) < 1e-12  # sin(2*pi)
 
 
 def test_pole_and_branch_errors():
     with pytest.raises(PoleError):
-        evaluate(parse("1/z1", 1), (0j,))
+        evaluate_batch(parse("1/z1", 1), [(0j,)]).check()
     with pytest.raises(BranchError):
-        evaluate(parse("log(z1)", 1), (0j,))
+        evaluate_batch(parse("log(z1)", 1), [(0j,)]).check()
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        evaluate(parse("z1", 1), (0j, 0j))
+        evaluate_batch(parse("z1", 1), [(0j, 0j)])
 
 
 def test_jet_product():
@@ -150,7 +150,7 @@ def _fd_gradient(expr, z, h):
         def shift(t):
             w = list(z)
             w[k] += t
-            return evaluate(expr, tuple(w))
+            return evaluate_batch(expr, [w], gradient=False).check().value[0]
         grads.append((shift(h) - shift(-h)) / (2 * h))
     return grads
 
@@ -172,7 +172,7 @@ def test_jet_matches_central_differences(dim):
 def test_affine_pullback_at_zero_is_base_value():
     f = parse("sin(z1)+z1^2", 1)
     g = affine_pullback(f, (0.3 + 0.1j,), 0.25)
-    assert evaluate(g, (0j,)) == pytest.approx(evaluate(f, (0.3 + 0.1j,)))
+    assert evaluate_batch(g, [(0j,)]).check().value[0] == pytest.approx(evaluate_batch(f, [(0.3 + 0.1j,)]).check().value[0])
 
 
 def test_affine_pullback_chain_rule():
@@ -194,7 +194,7 @@ def test_affine_pullback_remark_sequence():
     n = 4
     g = affine_pullback(f, (complex(1 - n**-3),), n**-2)
     zeta = 0.7 - 0.2j
-    assert evaluate(g, (zeta,)) == pytest.approx((1 - n**-3) + n**-2 * zeta)
+    assert evaluate_batch(g, [(zeta,)]).check().value[0] == pytest.approx((1 - n**-3) + n**-2 * zeta)
 
 
 def test_affine_pullback_randomized_identity():
@@ -209,8 +209,8 @@ def test_affine_pullback_randomized_identity():
         zeta = tuple(
             complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(dim)
         )
-        lhs = evaluate(affine_pullback(f, base, scale), zeta)
-        rhs = evaluate(f, tuple(b + scale * t for b, t in zip(base, zeta)))
+        lhs = evaluate_batch(affine_pullback(f, base, scale), [zeta]).check().value[0]
+        rhs = evaluate_batch(f, [[b + scale * t for b, t in zip(base, zeta)]]).check().value[0]
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
 
 
@@ -285,14 +285,14 @@ def test_roundtrip_at_the_depth_cap():
 def test_jet_value_matches_evaluate():
     f = parse("cos(z1)/(2-z1)", 1)
     z = (0.3 + 0.4j,)
-    assert evaluate_jet(f, z).value == evaluate(f, z)
+    assert evaluate_jet(f, z).value == evaluate_batch(f, [z], gradient=False).check().value[0]
 
 
 def test_evaluate_overflow_raises():
     from normlab import EvaluationError
 
     with pytest.raises(EvaluationError):
-        evaluate(parse("exp(exp(z1))", 1), (20 + 0j,))
+        evaluate_batch(parse("exp(exp(z1))", 1), [(20 + 0j,)]).check()
 
 
 # --------------------------------------------------------------------------
@@ -341,7 +341,7 @@ def test_batch_rows_match_single_points_and_any_chunking(seed, dim):
             assert _same_bits(jet.value, jets.value[i])
             assert _same_bits(jet.gradient, jets.gradient[i])
         if values.status[i] == OK:
-            assert _same_bits(evaluate(expr, tuple(z)), values.value[i])
+            assert _same_bits(evaluate_batch(expr, z[None], gradient=False).value[0], values.value[i])
 
 
 @settings(max_examples=60, deadline=None)
@@ -350,7 +350,10 @@ def test_batch_status_matches_single_point_exception(seed, dim):
     rng = random.Random(seed)
     expr = parse(_hostile_expr(rng, dim), dim)
     points = _hostile_points(rng, dim, 9)
-    for gradient, single in ((True, evaluate_jet), (False, evaluate)):
+    def value_only(expr, z):
+        return evaluate_batch(expr, [z], gradient=False).check()
+
+    for gradient, single in ((True, evaluate_jet), (False, value_only)):
         batch = evaluate_batch(expr, points, gradient)
         for z, status in zip(points, batch.status):
             if status == OK:
@@ -412,6 +415,58 @@ def test_batch_matches_scalar_reference():
             assert abs(value - want) <= 1e-10 * (1 + abs(want))
 
 
+class _NearBranchCut(Exception):
+    pass
+
+
+def _mp_reference(node, z, peak):
+    """The value of the tree at z in mpmath's working precision; peak[0]
+    keeps the largest modulus met on the way.  Raises _NearBranchCut where a
+    log argument lies within 1e-8 of the negative real axis, across which
+    the rounding of either walk may carry it."""
+    if isinstance(node, Var):
+        value = z[node.index - 1]
+    elif isinstance(node, Const):
+        value = mpmath.mpc(node.value)
+    elif isinstance(node, Neg):
+        value = -_mp_reference(node.child, z, peak)
+    elif isinstance(node, Pow):
+        value = _mp_reference(node.base, z, peak) ** node.exponent
+    elif isinstance(node, Func):
+        a = _mp_reference(node.arg, z, peak)
+        if node.name == "log" and a.real < 0 and abs(a.imag) < 1e-8:
+            raise _NearBranchCut
+        value = getattr(mpmath, node.name)(a)
+    else:
+        a, b = _mp_reference(node.left, z, peak), _mp_reference(node.right, z, peak)
+        value = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[node.op](a, b)
+    peak[0] = max(peak[0], abs(value))
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3))
+def test_batch_matches_a_50_digit_walk(seed, dim):
+    # every operation of the engine: the trees of `_random_expr`, some under
+    # a log, a division or a negative power (not exp(exp(.)), whose large
+    # arguments amplify their own rounding past any bound relative to size)
+    rng = random.Random(seed)
+    wrap = rng.choice(["{}", "log({})", "1/({})", "({})^-2"])
+    expr = parse(wrap.format(_random_expr(rng, dim)), dim)
+    points = np.array([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(dim)] for _ in range(8)])
+    batch = evaluate_batch(expr, points, gradient=False)
+    with mpmath.workdps(50):
+        for z, status, value in zip(points, batch.status, batch.value):
+            if status != OK:
+                continue
+            peak = [mpmath.mpf(0)]
+            try:
+                want = _mp_reference(expr.root, [mpmath.mpc(c) for c in z], peak)
+            except _NearBranchCut:
+                continue
+            assert abs(mpmath.mpc(value) - want) <= 1e-13 * peak[0]
+
+
 def test_mixed_batch_statuses():
     # post-order: log(z1), then 1/z2, then exp(exp(z3))
     f = parse("log(z1) + 1/z2 + exp(exp(z3))", 3)
@@ -440,7 +495,7 @@ def test_non_finite_input_raises():
     f = parse("z1", 1)
     for bad in (complex("nan"), complex("inf"), complex(0.5, float("nan"))):
         with pytest.raises(EvaluationError):
-            evaluate(f, (bad,))
+            evaluate_batch(f, [(bad,)], gradient=False).check()
         with pytest.raises(EvaluationError):
             evaluate_jet(f, (bad,))
 
@@ -609,7 +664,7 @@ def test_depth_cap_parentheses_and_calls():
 
 def test_depth_cap_operator_chains():
     chain = parse("+".join(["z1"] * MAX_DEPTH), 1)  # MAX_DEPTH levels deep
-    assert evaluate(chain, (1 + 0j,)) == MAX_DEPTH
+    assert evaluate_batch(chain, [(1 + 0j,)]).check().value[0] == MAX_DEPTH
     product = parse("*".join(["z1"] * 40), 1)
     assert parse(to_source(product), 1) == product
     for terms in (MAX_DEPTH + 1, 1500):

@@ -10,29 +10,30 @@ from hypothesis import strategies as st
 
 from normlab import (
     Ball,
+    DimensionMismatchError,
     DomainError,
     EvaluationError,
     Polydisc,
     SamplingPlan,
-    boundary_distance,
+    boundary_distance_batch,
     circumscribed_ball,
-    kobayashi_ball,
-    kobayashi_domain_bounds,
-    kobayashi_upper,
+    kobayashi_ball_batch,
+    kobayashi_domain_bounds_batch,
+    kobayashi_upper_batch,
     levi_form_fd,
     levi_log1p_closed,
     log1p_sq_field,
     normality_scan,
     parse,
-    sharp,
+    sharp_batch,
     sharp_fd,
     sphere_directions,
 )
 from normlab import domains, metrics
 from normlab.domains import ray_extent
-from normlab.expr import NONFINITE, OK, evaluate_batch, status_error
-from normlab.metrics import kobayashi_ball_batch, kobayashi_domain_bounds_batch
+from normlab.expr import NONFINITE, OK, BinOp, Const, HoloExpr, Var, _substitute, evaluate_batch, status_error
 from normlab.sampling import scan_rays
+from test_expr import _random_expr
 
 UNIT_DISC = Ball((0j,), 1.0)
 
@@ -126,21 +127,20 @@ def test_levi_closed_agrees_with_fd(source, dim):
 # --------------------------------------------------------------------------
 
 def test_sharp_identity_function_origin():
-    assert sharp(parse("z1", 1), (0j,)).value == 1.0
+    assert sharp_batch(parse("z1", 1), [(0j,)])[0] == 1.0
 
 
 def test_sharp_constant_zero_everywhere():
     f = parse("5", 1)
-    for z in ((0j,), (0.5 + 0.5j,)):
-        assert sharp(f, z).value == 0.0
+    assert sharp_batch(f, [(0j,), (0.5 + 0.5j,)]).tolist() == [0.0, 0.0]
 
 
 def test_sharp_product_value_confirmed_by_oracle():
     # closed form |grad|/(1+|f|^2) = sqrt(2)/2 at (1,1); the fd oracle agrees
     f = parse("z1*z2", 2)
-    s = sharp(f, (1 + 0j, 1 + 0j)).value
+    s = sharp_batch(f, [(1 + 0j, 1 + 0j)])[0]
     assert s == pytest.approx(math.sqrt(2) / 2)
-    oracle = sharp_fd(f, (1 + 0j, 1 + 0j), 256, 1e-4)
+    oracle = sharp_fd(f, [(1 + 0j, 1 + 0j)], 256, 1e-4)[0]
     assert abs(s - oracle) <= 1e-3 * (1 + s)
 
 
@@ -148,19 +148,19 @@ def test_sharp_and_levi_do_not_overflow():
     # |exp(400)|^2 is past the float range; sharp = e^400 / (1 + e^800) is not
     f = parse("exp(z1)", 1)
     z = (400 + 0j,)
-    assert sharp(f, z).value == pytest.approx(math.exp(-400.0), rel=1e-12)
+    assert sharp_batch(f, [z])[0] == pytest.approx(math.exp(-400.0), rel=1e-12)
     assert levi_log1p_closed(f, (300 + 0j,), (1 + 0j,)) == pytest.approx(math.exp(-600.0), rel=1e-12)
     assert log1p_sq_field(f)(z) == pytest.approx(800.0, rel=1e-15)
-    assert math.isfinite(sharp_fd(f, z, 8, 1e-4))
+    assert math.isfinite(sharp_fd(f, [z], 8, 1e-4)[0])
 
 
 def test_sharp_fd_identity_function():
-    oracle = sharp_fd(parse("z1", 1), (0j,), 64, 1e-4)
-    assert oracle == pytest.approx(1.0, abs=1e-4)
+    oracle = sharp_fd(parse("z1", 1), [(0j,)], 64, 1e-4)
+    assert oracle == pytest.approx([1.0], abs=1e-4)
 
 
 def test_sharp_fd_constant_zero():
-    assert sharp_fd(parse("2", 1), (0.1 + 0.1j,), 64, 1e-4) == 0.0
+    assert sharp_fd(parse("2", 1), [(0.1 + 0.1j,)], 64, 1e-4).tolist() == [0.0]
 
 
 def _sharp_fd_per_point(f, z, sphere_samples, h, seed=0):
@@ -190,7 +190,7 @@ def test_sharp_fd_over_points_is_one_stencil_pass(monkeypatch):
     assert calls == {"evaluate_batch": 5, "sphere_directions": 1}
     assert oracle.shape == (16,)
     assert oracle.tolist() == expected
-    assert sharp_fd(f, points[3], 64, 1e-4, seed=2) == expected[3]
+    assert sharp_fd(f, points[3:4], 64, 1e-4, seed=2).tolist() == expected[3:4]
 
 
 def _point_major_sharp_fd(f, z, sphere_samples, h, seed=0):
@@ -239,7 +239,7 @@ def test_sharp_fd_matches_the_point_major_stencil_bit_for_bit(n, family, c, seed
         points[:, 0] += 0.75  # |f| from e^90 to e^450, on both sides of the overflow
     want = _point_major_sharp_fd(f, points, 32, 1e-4, seed)
     assert sharp_fd(f, points, 32, 1e-4, seed).tobytes() == want.tobytes()
-    assert np.float64(sharp_fd(f, points[0], 32, 1e-4, seed)).tobytes() == want[:1].tobytes()
+    assert sharp_fd(f, points[:1], 32, 1e-4, seed).tobytes() == want[:1].tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -263,7 +263,14 @@ def test_sharp_fd_rejects_a_non_finite_stencil():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError, match="not finite"):
-            sharp_fd(parse("z1^2", 1), (0.5 + 0j,), 64, 1e-200)
+            sharp_fd(parse("z1^2", 1), [(0.5 + 0j,)], 64, 1e-200)
+
+
+def test_sharp_fd_takes_a_point_array_only():
+    f = parse("z1*z2", 2)
+    for points in ((0.1j, 0.2), [(0.1j,)], [[(0.1j, 0.2)]]):  # one point, a short row, an extra axis
+        with pytest.raises(DimensionMismatchError):
+            sharp_fd(f, points, 8, 1e-4)
 
 
 def test_hermitian_homogeneity():
@@ -292,9 +299,8 @@ def test_unimodular_invariance():
     f = parse(base, 1)
     for theta in (0.3, 1.1, 2.9, 4.4):
         g = parse(f"exp({theta}*i)*({base})", 1)
-        for _ in range(10):
-            z = _random_point(rng, 1)
-            a, b = sharp(f, z).value, sharp(g, z).value
+        z = [_random_point(rng, 1) for _ in range(10)]
+        for a, b in zip(sharp_batch(f, z), sharp_batch(g, z)):
             assert abs(a - b) <= 1e-12 * max(1.0, a)
 
 
@@ -304,10 +310,26 @@ def test_reciprocal_invariance():
     for base, dim in cases:
         f = parse(base, dim)
         g = parse(f"1/({base})", dim)
-        for _ in range(20):
-            z = _random_point(rng, dim, 0.5)
-            a, b = sharp(f, z).value, sharp(g, z).value
+        z = [_random_point(rng, dim, 0.5) for _ in range(20)]
+        for a, b in zip(sharp_batch(f, z), sharp_batch(g, z)):
             assert abs(a - b) <= 1e-10 * max(1.0, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 3))
+def test_sharp_unitary_invariance(seed, dim):
+    # (f o U)(z) = f(Uz) and |grad (f o U)(z)| = |U^T grad f(Uz)| = |grad f(Uz)|
+    rng = np.random.default_rng(seed)
+    unitary, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    f = parse(_random_expr(random.Random(seed), dim), dim)
+    image = {  # z_k -> (U z)_k
+        k + 1: functools.reduce(functools.partial(BinOp, "+"), [BinOp("*", Const(complex(u)), Var(j + 1)) for j, u in enumerate(row)])
+        for k, row in enumerate(unitary)
+    }
+    f_u = HoloExpr(dim, _substitute(f.root, image))
+    z = rng.uniform(-1, 1, (6, dim)) + 1j * rng.uniform(-1, 1, (6, dim))
+    a, b = sharp_batch(f_u, z), sharp_batch(f, z @ unitary.T)
+    assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(a, b))
 
 
 # --------------------------------------------------------------------------
@@ -315,20 +337,18 @@ def test_reciprocal_invariance():
 # --------------------------------------------------------------------------
 
 def test_kobayashi_at_center():
-    ball = Ball((0.2 + 0.1j, -0.3j), 0.7)
-    v = (0.6 + 0j, 0.8j)
-    assert kobayashi_ball(ball, ball.center, v) == pytest.approx(1.0 / 0.7)
-    assert kobayashi_upper(ball, ball.center, v) == pytest.approx(1.0 / 0.7)
+    center, v = [(0j, 0j)], [(0.6 + 0j, 0.8j)]  # the offset of the center from itself
+    assert kobayashi_ball_batch(center, 0.7, v)[0, 0] == pytest.approx(1.0 / 0.7)
+    assert kobayashi_upper_batch(center, 0.7, v)[0, 0] == pytest.approx(1.0 / 0.7)
 
 
 def test_kobayashi_unit_disc_values():
-    assert kobayashi_ball(UNIT_DISC, (0.5 + 0j,), (1 + 0j,)) == pytest.approx(4 / 3)
-    assert kobayashi_upper(UNIT_DISC, (0.5 + 0j,), (1 + 0j,)) == pytest.approx(4 / 3)
+    assert kobayashi_ball_batch([(0.5 + 0j,)], 1.0, [(1 + 0j,)])[0, 0] == pytest.approx(4 / 3)
+    assert kobayashi_upper_batch([(0.5 + 0j,)], 1.0, [(1 + 0j,)])[0, 0] == pytest.approx(4 / 3)
 
 
 def test_kobayashi_unit_ball_orthogonal_direction():
-    ball = Ball((0j, 0j), 1.0)
-    value = kobayashi_ball(ball, (0.5 + 0j, 0j), (0j, 1 + 0j))
+    value = kobayashi_ball_batch([(0.5 + 0j, 0j)], 1.0, [(0j, 1 + 0j)])[0, 0]
     assert value == pytest.approx(1 / math.sqrt(0.75))
 
 
@@ -353,7 +373,8 @@ def test_kobayashi_upper_bound_random():
         v = _random_point(rng, 2, 1.0)
         if all(c == 0 for c in v):
             continue
-        assert kobayashi_ball(ball, z, v) <= kobayashi_upper(ball, z, v)
+        w = [np.subtract(z, ball.center)]
+        assert kobayashi_ball_batch(w, ball.radius, [v]) <= kobayashi_upper_batch(w, ball.radius, [v])
 
 
 def test_concentric_ball_monotonicity():
@@ -365,13 +386,14 @@ def test_concentric_ball_monotonicity():
         v = _random_point(rng, 2, 1.0)
         if all(c_ == 0 for c_ in v):
             continue
-        assert kobayashi_ball(big, z, v) <= kobayashi_ball(small, z, v)
+        w = [np.subtract(z, c)]
+        assert kobayashi_ball_batch(w, big.radius, [v]) <= kobayashi_ball_batch(w, small.radius, [v])
 
 
 def test_domain_bounds_unit_disc():
-    lower, upper = kobayashi_domain_bounds(UNIT_DISC, (0.5 + 0j,), (1 + 0j,))
-    assert upper == pytest.approx(2.0)  # inscribed Ball(0.5, 0.5) at its center
-    assert lower == pytest.approx(4 / 3)
+    lower, upper = kobayashi_domain_bounds_batch(UNIT_DISC, [(0.5 + 0j,)], [(1 + 0j,)])
+    assert upper[0, 0] == pytest.approx(2.0)  # inscribed Ball(0.5, 0.5) at its center
+    assert lower[0, 0] == pytest.approx(4 / 3)
     assert lower <= upper
 
 
@@ -386,7 +408,7 @@ def test_domain_bounds_polydisc_ordering():
         v = _random_point(rng, 2, 1.0)
         if all(c == 0 for c in v):
             continue
-        lower, upper = kobayashi_domain_bounds(poly, p, v)
+        lower, upper = kobayashi_domain_bounds_batch(poly, [p], [v])
         assert lower <= upper
 
 
@@ -428,9 +450,9 @@ def test_sandwich_batch_matches_single_samples_and_the_reference(seed, dim):
     assert lower.shape == upper.shape == (len(points), len(dirs))
     outer = circumscribed_ball(domain)
     for i, (p, t) in enumerate(zip(points, fractions)):
-        delta = boundary_distance(domain, p)
+        delta = boundary_distance_batch(domain, [p])[0]
         for j, v in enumerate(dirs):
-            lo, up = kobayashi_domain_bounds(domain, p, v)
+            lo, up = (bound[0, 0] for bound in kobayashi_domain_bounds_batch(domain, [p], [v]))
             assert lower[i, j] == pytest.approx(lo, rel=1e-12)
             assert upper[i, j] == pytest.approx(up, rel=1e-12)
             assert lo <= up
@@ -453,32 +475,33 @@ def test_kobayashi_ball_unitary_invariance(seed, dim):
         w = gauss(dim)
         w *= rng.uniform(0.0, 0.9) * radius / np.linalg.norm(w)
         v = gauss(dim)
-        expected = kobayashi_ball(ball, tuple(center + w), tuple(v))
-        mapped = kobayashi_ball(image, tuple(image_center + unitary @ w), tuple(unitary @ v))
+        expected = kobayashi_ball_batch([(center + w) - center], ball.radius, [v])[0, 0]
+        mapped = kobayashi_ball_batch([(image_center + unitary @ w) - image_center], image.radius, [unitary @ v])[0, 0]
         assert mapped == pytest.approx(expected, rel=1e-12)
 
 
 def test_kobayashi_kernels_reject_zero_directions_and_exterior_points():
     ball = Ball((0j, 0j), 1.0)
     inside, outside, zero, e1 = (0.5 + 0j, 0j), (3 + 0j, 0j), (0j, 0j), (1 + 0j, 0j)
-    for kernel in (kobayashi_ball, kobayashi_upper):
+    # the ball is centered at 0, so its points are their own offsets
+    for kernel in (kobayashi_ball_batch, kobayashi_upper_batch):
         with pytest.raises(ValueError):
-            kernel(ball, inside, zero)
+            kernel([inside], ball.radius, [zero])
         with pytest.raises(DomainError):
-            kernel(ball, outside, e1)
+            kernel([outside], ball.radius, [e1])
         with pytest.raises(DomainError):
-            kernel(ball, e1, e1)  # on the sphere
-    with pytest.raises(ValueError):
-        kobayashi_ball_batch([inside], 1.0, [e1, zero])
-    with pytest.raises(DomainError):
-        kobayashi_ball_batch([inside, outside], 1.0, [e1])
+            kernel([e1], ball.radius, [e1])  # on the sphere
+        with pytest.raises(ValueError):
+            kernel([inside], ball.radius, [e1, zero])
+        with pytest.raises(DomainError):
+            kernel([inside, outside], ball.radius, [e1])
     for domain in (ball, Polydisc((0j, 0j), (1.0, 2.0))):
         with pytest.raises(ValueError):
-            kobayashi_domain_bounds(domain, inside, zero)
+            kobayashi_domain_bounds_batch(domain, [inside], [zero])
         with pytest.raises(DomainError):
-            kobayashi_domain_bounds(domain, outside, e1)
+            kobayashi_domain_bounds_batch(domain, [outside], [e1])
         with pytest.raises(DomainError):
-            kobayashi_domain_bounds(domain, outside, zero)  # the point is checked first
+            kobayashi_domain_bounds_batch(domain, [outside], [zero])  # the point is checked first
         with pytest.raises(DomainError):
             kobayashi_domain_bounds_batch(domain, [inside, outside], [e1])
 
@@ -543,18 +566,7 @@ def test_scan_skips_before_the_last_three_shells_keep_the_trend_verdict():
     assert est.verdict == "bounded-consistent"
 
 
-def test_scan_never_takes_the_per_sample_path(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("normality_scan called a single-point kernel")
-
-    for module, name in [
-        (metrics, "kobayashi_domain_bounds"),
-        (metrics, "kobayashi_ball"),
-        (domains, "boundary_distance"),
-        (domains, "inscribed_ball"),
-        (domains, "contains"),
-    ]:
-        monkeypatch.setattr(module, name, forbidden)
+def test_scan_never_takes_the_per_sample_path():
     # the shell at 1e-20 rounds onto the boundary, so its points are skipped
     plan = SamplingPlan(shells=(1e-20, 0.5, 0.25, 0.125), points_per_shell=4, directions_per_point=4)
     est = normality_scan(parse("z1*z2", 2), Polydisc((0j, 0j), (1.0, 2.0)), plan)

@@ -17,15 +17,14 @@ from normlab import (
     RescalingRun,
     SequenceSpec,
     ZalcmanScale,
+    affine_pullback,
     convergence_report,
     limit_sharp_check,
     marty_bound,
     parse,
     remark_counterexample,
     rescale_sharp_identity_check,
-    rescaled_function,
     rescaling_run,
-    sharp,
 )
 from normlab import domains, rescaling
 from normlab.errors import DomainError
@@ -260,21 +259,21 @@ def test_rescaling_run_errors_match_the_former_builders(source, domain, spec, er
 
 
 # --------------------------------------------------------------------------
-# rescaled_function and the sharp identity
+# The rescaled function and the sharp identity
 # --------------------------------------------------------------------------
 
 def test_rescaled_function_trivial():
     f = parse("sin(z1)", 1)
-    g = rescaled_function(f, (0j,), 1.0)
-    zeta = (0.3 + 0.2j,)
-    assert pytest.approx(abs(sharp(g, zeta).value)) == sharp(f, zeta).value
+    g = affine_pullback(f, (0j,), 1.0)
+    zeta = [(0.3 + 0.2j,)]
+    assert pytest.approx(abs(sharp_batch(g, zeta)[0])) == sharp_batch(f, zeta)[0]
 
 
 def test_rescaled_sharp_at_zero():
     f = parse("z1^2", 1)
     center, rho = (0.5 + 0j,), 0.1
-    g = rescaled_function(f, center, rho)
-    assert sharp(g, (0j,)).value == pytest.approx(rho * sharp(f, center).value)
+    g = affine_pullback(f, center, rho)
+    assert sharp_batch(g, [(0j,)])[0] == pytest.approx(rho * sharp_batch(f, [center])[0])
 
 
 def test_sharp_identity_square():
@@ -291,11 +290,11 @@ def test_sharp_identity_constant_vacuous():
 def test_sharp_identity_zalcman_normalized_center():
     f = parse("sin(1/(1-z1))", 1)
     z5 = (complex(1 - 1 / (10 * math.pi)),)
-    rho = 1.0 / sharp(f, z5).value
+    rho = 1.0 / sharp_batch(f, [z5])[0]
     points = [(complex(0.2 * math.cos(t), 0.2 * math.sin(t)),) for t in range(10)]
     assert rescale_sharp_identity_check(f, z5, rho, points) <= 1e-10
-    g = rescaled_function(f, z5, rho)
-    assert sharp(g, (0j,)).value == pytest.approx(1.0, abs=1e-10)
+    g = affine_pullback(f, z5, rho)
+    assert sharp_batch(g, [(0j,)])[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_sharp_identity_randomized():
@@ -334,8 +333,8 @@ def test_zalcman_run_on_nonnormal_function():
         assert e.rho_j == pytest.approx(expected_rho, rel=1e-6)
         assert e.ratio == pytest.approx(1.0 / (2 * math.pi * e.j), rel=1e-6)
         # normalization: sharp(g_j, 0) = 1
-        g_j = rescaled_function(f, e.z_j, e.rho_j)
-        assert sharp(g_j, (0j,)).value == pytest.approx(1.0, abs=1e-10)
+        g_j = affine_pullback(f, e.z_j, e.rho_j)
+        assert sharp_batch(g_j, [(0j,)])[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_zalcman_flags_nondecreasing_rho():
@@ -576,9 +575,9 @@ def test_sharp_profile_not_normalized_proxy():
     f = parse("2*z1", 1)
     spec = _disc_spec(0.5, 1.0, ZalcmanScale(), 2, 4)
     run = rescaling_run(f, UNIT_DISC, spec)
-    assert sharp(parse("2*z1", 1), (0j,)).value == 2.0
+    assert sharp_batch(parse("2*z1", 1), [(0j,)])[0] == 2.0
     assert all(
-        sharp(rescaled_function(f, e.z_j, e.rho_j), (0j,)).value == pytest.approx(1.0)
+        sharp_batch(affine_pullback(f, e.z_j, e.rho_j), [(0j,)])[0] == pytest.approx(1.0)
         for e in run.entries
     )
 
@@ -628,9 +627,8 @@ def test_marty_bound_chain_identity_function():
     run = rescaling_run(f, UNIT_DISC, spec)
     report = convergence_report(run, 1.0, 48, 1e-3)
     for e in run.entries:
-        g_j = rescaled_function(f, e.z_j, e.rho_j)
-        for zeta in report.grid:
-            lhs = sharp(g_j, zeta).value
+        g_j = affine_pullback(f, e.z_j, e.rho_j)
+        for zeta, lhs in zip(report.grid, sharp_batch(g_j, report.grid)):
             rhs = marty_bound(1.0, e.rho_j, e.delta_j, abs(zeta[0]))
             assert lhs <= rhs + 1e-8
 
