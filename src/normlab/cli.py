@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfg
+from .domains import row_norms
 from .errors import ConfigError, NormlabError
 from .expr import to_source
 from .metrics import normality_scan, sharp_batch, sharp_fd
@@ -158,9 +159,7 @@ def _run_rows(run, report):
     osc, gap = np.full(len(e), math.nan), np.full(len(e), math.nan)
     osc[usable] = report.osc
     gap[usable[1:]] = report.cauchy_gaps
-    # np.linalg.norm of each row, as numpy sums it (along axis 1 it sums in another order)
-    abs_z = np.array([math.sqrt(x.dot(x) + y.dot(y)) for x, y in zip(e.z_j.real, e.z_j.imag)])
-    return zip(*[c.tolist() for c in (e.j, abs_z, e.delta_j, e.rho_j, e.ratio, osc, gap)])
+    return zip(*[c.tolist() for c in (e.j, row_norms(e.z_j), e.delta_j, e.rho_j, e.ratio, osc, gap)])
 
 
 _RUN_HEADER = ["j", "abs_z_j", "delta_j", "rho_j", "ratio", "osc_j", "cauchy_gap_j"]

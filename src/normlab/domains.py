@@ -1,5 +1,5 @@
-"""Bounded domains in C^n (balls and polydiscs) with exact boundary-distance
-and circumscribed-ball queries."""
+"""Bounded domains in C^n (balls and polydiscs) with exact boundary-distance,
+ray-extent and circumscribed-ball queries."""
 
 from __future__ import annotations
 
@@ -11,10 +11,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
 from .expr import CPoint
-
-
-def _as_array(p: CPoint) -> np.ndarray:
-    return np.asarray(p, dtype=complex)
 
 
 def _check_center(center: CPoint) -> None:
@@ -76,7 +72,7 @@ def boundary_distance_batch(domain: Domain, points) -> np.ndarray:
         raise DimensionMismatchError(
             f"points of shape {p.shape}, domain expects dimension {domain.dimension}"
         )
-    d = p - _as_array(domain.center)
+    d = p - np.asarray(domain.center, dtype=complex)
     if isinstance(domain, Ball):
         return domain.radius - np.linalg.norm(d, axis=1)
     return np.min(np.asarray(domain.radii) - np.abs(d), axis=1)
@@ -86,20 +82,36 @@ NOT_INTERIOR = "point is not interior to the domain"
 
 
 def circumscribed_ball(domain: Domain) -> Ball:
-    """Smallest ball centered at the domain's center containing the domain."""
+    """Smallest ball centered at the domain's center containing the domain.
+    DomainError when the square of its radius, which the ball's Kobayashi
+    metric takes, passes the float range."""
     if isinstance(domain, Ball):
-        return domain
-    return Ball(domain.center, math.sqrt(sum(r * r for r in domain.radii)))
+        radius = domain.radius
+    else:
+        radius = math.sqrt(sum(r * r for r in domain.radii))
+    if not math.isfinite(radius * radius):
+        raise DomainError(f"ball radius {radius!r} squares past the largest finite float")
+    return Ball(domain.center, radius)
 
 
-def ray_extent(domain: Domain, direction: CPoint) -> float:
-    """sup{t > 0 : center + t*direction inside the domain}, for direction != 0."""
-    u = _as_array(direction)
-    norm = float(np.linalg.norm(u))
-    if norm == 0:
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (N, n) complex array, (N,), with the
+    bits of np.linalg.norm of that row alone: a dot of the real parts plus a
+    dot of the imaginary parts, here as stacked (1, n) @ (n, 1) products.
+    np.linalg.norm along axis 1 sums in another order."""
+    re, im = a.real, a.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+
+
+def ray_extent_batch(domain: Domain, directions) -> np.ndarray:
+    """sup{t > 0 : center + t*u inside the domain} for each row u of an
+    (m, n) array of nonzero directions, (m,)."""
+    u = np.asarray(directions, dtype=complex)
+    norm = row_norms(u)
+    if np.any(norm == 0):
         raise ValueError("direction must be nonzero")
     if isinstance(domain, Ball):
         return domain.radius / norm
     mags = np.abs(u)
     with np.errstate(divide="ignore"):
-        return float(np.min(np.where(mags > 0, np.asarray(domain.radii) / mags, np.inf)))
+        return np.min(np.where(mags > 0, np.asarray(domain.radii) / mags, np.inf), axis=1)

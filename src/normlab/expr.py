@@ -477,8 +477,8 @@ def evaluate_batch(expr: HoloExpr, points, gradient: bool = True) -> Batch:
     """Value, complex gradient (when asked for) and status at each row of the
     (N, n) point array.  A row with a non-finite coordinate is NONFINITE.
     Floating-point warnings are silenced; the statuses carry them.  The walk
-    reads the points column by column, fastest when each column is contiguous
-    (an (N, n) view of an (n, N) array)."""
+    reads the points column by column, as fast on row-major points as on an
+    (N, n) view of an (n, N) array."""
     try:
         Z = np.asarray(points, dtype=complex)
     except ValueError as exc:  # rows of different lengths

@@ -137,22 +137,8 @@ def sharp_fd(f: HoloExpr, points, sphere_samples: int, h: float, seed: int = 0) 
 
 
 # --------------------------------------------------------------------------
-# Kobayashi metric on balls, sandwich bounds on general domains
+# Kobayashi metric on balls
 # --------------------------------------------------------------------------
-
-def _ball_frame(offsets, radius, directions):
-    """Offsets w (N, n) of points from their ball centers, directions v
-    (m, n), |v|^2 (m,) and the slacks d^2 - |w|^2 (N,), checked."""
-    w = np.asarray(offsets, dtype=complex)
-    v = np.asarray(directions, dtype=complex)
-    v_sq = np.linalg.norm(v, axis=1) ** 2
-    if np.any(v_sq == 0):
-        raise ValueError("direction v must be nonzero")
-    slack = np.asarray(radius, dtype=float) ** 2 - np.linalg.norm(w, axis=1) ** 2
-    if np.any(slack <= 0):
-        raise DomainError("point is not strictly inside the ball")
-    return w, v, v_sq, slack
-
 
 def kobayashi_ball_batch(offsets, radius, directions) -> np.ndarray:
     """Exact Kobayashi metric of Euclidean balls, (N, m): row i is the point
@@ -164,36 +150,17 @@ def kobayashi_ball_batch(offsets, radius, directions) -> np.ndarray:
     with (w, v) the Hermitian pairing (the modulus does not depend on which
     slot carries the conjugation).  Raises ValueError on a zero direction and
     DomainError when a point is not strictly inside its ball."""
-    w, v, v_sq, slack = _ball_frame(offsets, radius, directions)
+    w = np.asarray(offsets, dtype=complex)
+    v = np.asarray(directions, dtype=complex)
+    v_sq = np.linalg.norm(v, axis=1) ** 2
+    if np.any(v_sq == 0):
+        raise ValueError("direction v must be nonzero")
+    slack = np.asarray(radius, dtype=float) ** 2 - np.linalg.norm(w, axis=1) ** 2
+    if np.any(slack <= 0):
+        raise DomainError("point is not strictly inside the ball")
     pairing = np.sum(w[:, None, :] * np.conj(v)[None, :, :], axis=-1)
     slack = slack[:, None]
     return np.sqrt(slack * v_sq + np.abs(pairing) ** 2) / slack
-
-
-def kobayashi_upper_batch(offsets, radius, directions) -> np.ndarray:
-    """Cauchy-Schwarz upper bound d |v| / (d^2 - |w|^2) on `kobayashi_ball_batch`,
-    with the same arguments and shape (N, m); equal to it in one variable and
-    whenever w is parallel to v."""
-    _, _, v_sq, slack = _ball_frame(offsets, radius, directions)
-    return np.reshape(radius, (-1, 1)) * np.sqrt(v_sq) / slack[:, None]
-
-
-def kobayashi_domain_bounds_batch(domain: Domain, points, directions) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) sandwich for the Kobayashi metric of the domain at each
-    row of an (N, n) array of interior points along m directions, each (N, m).
-
-    Inclusion decreases the metric, so the inscribed ball at each point gives
-    the upper bound and the circumscribed ball the lower bound.  Raises
-    DomainError when a point is not interior.
-    """
-    points = np.asarray(points, dtype=complex)
-    distance = domains.boundary_distance_batch(domain, points)
-    if not np.all(distance > 0):
-        raise DomainError(domains.NOT_INTERIOR)
-    outer = domains.circumscribed_ball(domain)
-    upper = kobayashi_ball_batch(np.zeros_like(points), distance, directions)
-    lower = kobayashi_ball_batch(points - np.asarray(outer.center, dtype=complex), outer.radius, directions)
-    return lower, upper
 
 
 # --------------------------------------------------------------------------
@@ -263,20 +230,25 @@ def normality_scan(f: HoloExpr, domain: Domain, plan: SamplingPlan) -> Normality
     skipped samples.  `samples` is one read-only record array of the kept
     samples (`sample_dtype`), in shell, point and direction order.
     """
+    outer = domains.circumscribed_ball(domain)  # first: it rejects a radius past the float range
     center = np.asarray(domain.center, dtype=complex)
     rays = scan_rays(f.dimension, plan.points_per_shell, plan.seed)
     dirs = sphere_directions(f.dimension, plan.directions_per_point, plan.seed + 1)
-    extents = np.array([domains.ray_extent(domain, tuple(u)) for u in rays])
-    scale = (1.0 - np.asarray(plan.shells))[:, None] * extents
+    scale = (1.0 - np.asarray(plan.shells))[:, None] * domains.ray_extent_batch(domain, rays)
     points = (center + scale[:, :, None] * rays).reshape(-1, f.dimension)  # shell-major
     jets = evaluate_batch(f, points)
     levi = levi_batch(jets.value, jets.gradient, dirs)
     distance = domains.boundary_distance_batch(domain, points)
     interior = distance > 0
     usable = interior & (jets.status == OK)
+    # the Kobayashi sandwich: inclusion decreases the metric, so the
+    # circumscribed ball gives the lower bound and the inscribed ball at each
+    # point, of radius its boundary distance, the upper one
     k_lower = np.full(levi.shape, math.nan)
     k_upper = np.full(levi.shape, math.nan)
-    k_lower[usable], k_upper[usable] = kobayashi_domain_bounds_batch(domain, points[usable], dirs)
+    inside = points[usable]
+    k_lower[usable] = kobayashi_ball_batch(inside - center, outer.radius, dirs)
+    k_upper[usable] = kobayashi_ball_batch(np.zeros_like(inside), distance[usable], dirs)
     with np.errstate(all="ignore"):
         ratio_lower = levi / (k_upper * k_upper)
         ratio_upper = levi / (k_lower * k_lower)

@@ -440,9 +440,11 @@ def _tiny_ball_config(command):
 
 
 # Each once ended in a traceback (exit 1), except the underflowing h, which
-# exited 0 with a sharp_fd of 0.0 and a RuntimeWarning, and the overflowing
+# exited 0 with a sharp_fd of 0.0 and a RuntimeWarning, the overflowing
 # ratio, which exited 0 (rescale) or 4 (thm2) with a RuntimeWarning and a
-# ratio of inf in the run table.
+# ratio of inf in the run table, and the scan on a ball whose radius squared
+# overflows, which exited 0 with two RuntimeWarnings and every sample skipped.
+# Warnings are errors here, so none of them may reach stderr.
 @pytest.mark.parametrize(
     "config,code,message",
     [
@@ -465,11 +467,20 @@ def _tiny_ball_config(command):
             3,
             "division or negative power of a near-zero value",
         ),
+        (
+            {
+                **_scan_config({"type": "ball", "center": [[0.0, 0.0]] * 2, "radius": 1e200}),
+                "function": "z1*z2",
+                "dimension": 2,
+            },
+            3,
+            "ball radius 1e+200 squares past the largest finite float",
+        ),
     ],
     ids=[
         "rescale-j-range", "thm2-j-range", "rescale-grid-1", "thm2-grid-1", "counterexample-grid-1",
         "thm2-scale-underflow", "counterexample-center-on-boundary", "sharp-h-underflow",
-        "rescale-ratio-overflow", "thm2-ratio-overflow", "sharp-pole",
+        "rescale-ratio-overflow", "thm2-ratio-overflow", "sharp-pole", "scan-ball-radius-overflow",
     ],
 )
 def test_run_input_errors_exit_with_their_code(tmp_path, capsys, config, code, message):

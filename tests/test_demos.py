@@ -1,3 +1,4 @@
+import importlib
 import os
 import re
 import subprocess
@@ -29,3 +30,16 @@ def test_readme_python_blocks_run(tmp_path):
     assert blocks
     for block in blocks:
         _run_python(tmp_path, "-c", block)
+
+
+def test_readme_qualified_names_resolve():
+    # each backticked `module.name` (or `normlab.module.name`, or a call of
+    # one) names an attribute of normlab.<module>; file names such as
+    # `expr.py` are not names
+    modules = {path.stem for path in (ROOT / "src" / "normlab").glob("*.py")}
+    found = re.findall(r"`(?:normlab\.)?(\w+)\.(\w+)(?:\([^`]*\))?`", (ROOT / "README.md").read_text())
+    names = [(module, name) for module, name in found if module in modules and name not in {"py", "json", "csv"}]
+    assert names
+    stale = [f"{module}.{name}" for module, name in names
+             if not hasattr(importlib.import_module(f"normlab.{module}"), name)]
+    assert not stale

@@ -12,7 +12,7 @@ from normlab import (
     boundary_distance_batch,
     circumscribed_ball,
 )
-from normlab.domains import ray_extent
+from normlab.domains import ray_extent_batch, row_norms
 
 
 UNIT_DISC = Ball((0j,), 1.0)
@@ -103,11 +103,8 @@ def test_boundary_distance_lipschitz_along_segments(domain):
 def test_boundary_distance_vanishes_at_boundary(domain):
     rng = random.Random(17)
     n = domain.dimension
-    for _ in range(50):
-        u = np.array(
-            [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
-        )
-        t = ray_extent(domain, tuple(u))
+    rays = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)] for _ in range(50)])
+    for u, t in zip(rays, ray_extent_batch(domain, rays)):
         for eps in (1e-3, 1e-6, 1e-9):
             p = tuple(np.asarray(domain.center) + (1 - eps) * t * u)
             assert 0 < boundary_distance_batch(domain, [p])[0] <= 3 * eps * t * float(np.linalg.norm(u))
@@ -145,3 +142,53 @@ def test_huge_polydisc_has_no_circumscribed_ball():
     # sqrt(sum r_k^2) overflows: a scan there would compare against an infinite ball
     with pytest.raises(DomainError, match="finite"):
         circumscribed_ball(Polydisc((0j, 0j), (1e200, 1e200)))
+
+
+def test_huge_ball_has_no_circumscribed_ball():
+    # radius^2 overflows: a scan there would take norms and slacks past the float range
+    ball = Ball((0j, 0j), 1e200)
+    with pytest.raises(DomainError, match=r"ball radius 1e\+200 squares past the largest finite float"):
+        circumscribed_ball(ball)
+    assert circumscribed_ball(Ball((0j, 0j), 1e154)) == Ball((0j, 0j), 1e154)
+
+
+def _strided(rng, count, n):
+    """(count, n) complex rows as a row-major array, an (n, count) array's
+    transpose and every other column of a wider array."""
+    gauss = lambda *shape: rng.normal(size=shape) * np.exp(rng.uniform(-20, 20, shape))  # noqa: E731
+    yield gauss(count, n) + 1j * gauss(count, n)
+    yield (gauss(n, count) + 1j * gauss(n, count)).T
+    yield (gauss(count, 2 * n) + 1j * gauss(count, 2 * n))[:, ::2]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_row_norms_are_the_norm_of_each_row_alone(n):
+    for rows in _strided(np.random.default_rng(n), 2000, n):
+        want = [np.linalg.norm(row) for row in rows]
+        assert row_norms(rows).tolist() == want
+
+
+def _ray_extent(domain, direction):
+    """sup{t > 0 : center + t*direction inside the domain} for one ray, the
+    reference for the batch."""
+    u = np.asarray(direction, dtype=complex)
+    norm = float(np.linalg.norm(u))
+    if norm == 0:
+        raise ValueError("direction must be nonzero")
+    if isinstance(domain, Ball):
+        return domain.radius / norm
+    mags = np.abs(u)
+    with np.errstate(divide="ignore"):
+        return float(np.min(np.where(mags > 0, np.asarray(domain.radii) / mags, np.inf)))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_ray_extent_batch_matches_one_ray_at_a_time(n):
+    rng = np.random.default_rng(100 + n)
+    center = tuple(complex(*rng.normal(size=2)) for _ in range(n))
+    for domain in (Ball(center, 1.7), Polydisc(center, tuple(rng.uniform(0.1, 3.0, n)))):
+        for rays in _strided(rng, 200, n):
+            rays[:5, : n - 1] = 0.0  # rays along the last axis, and a polydisc's infinite quotients
+            assert ray_extent_batch(domain, rays).tolist() == [_ray_extent(domain, u) for u in rays]
+        with pytest.raises(ValueError, match="nonzero"):
+            ray_extent_batch(domain, [(1 + 0j,) * n, (0j,) * n])

@@ -18,8 +18,6 @@ from normlab import (
     boundary_distance_batch,
     circumscribed_ball,
     kobayashi_ball_batch,
-    kobayashi_domain_bounds_batch,
-    kobayashi_upper_batch,
     levi_form_fd,
     levi_log1p_closed,
     log1p_sq_field,
@@ -30,10 +28,11 @@ from normlab import (
     sphere_directions,
 )
 from normlab import domains, metrics
-from normlab.domains import ray_extent
 from normlab.expr import NONFINITE, OK, BinOp, Const, HoloExpr, Var, _substitute, evaluate_batch, status_error
 from normlab.sampling import scan_rays
+from test_domains import _ray_extent
 from test_expr import _random_expr
+from test_rescaling import _counting
 
 UNIT_DISC = Ball((0j,), 1.0)
 
@@ -336,15 +335,36 @@ def test_sharp_unitary_invariance(seed, dim):
 # Kobayashi metric
 # --------------------------------------------------------------------------
 
+def _cauchy_schwarz(offsets, radius, directions):
+    """The Cauchy-Schwarz upper bound d |v| / (d^2 - |w|^2) on
+    `kobayashi_ball_batch`, with its arguments and shape (N, m), by its float
+    operations; equal to it in one variable and whenever w is parallel to v."""
+    w, v = np.asarray(offsets, dtype=complex), np.asarray(directions, dtype=complex)
+    slack = np.asarray(radius, dtype=float) ** 2 - np.linalg.norm(w, axis=1) ** 2
+    return np.reshape(radius, (-1, 1)) * np.sqrt(np.linalg.norm(v, axis=1) ** 2) / slack[:, None]
+
+
+def _sandwich(domain, points, directions):
+    """(lower, upper) bounds on the Kobayashi metric of the domain at interior
+    points along directions, each (N, m).  Inclusion decreases the metric, so
+    the circumscribed ball gives the lower bound and the inscribed ball at
+    each point, of radius its boundary distance, the upper one."""
+    points = np.asarray(points, dtype=complex)
+    outer = circumscribed_ball(domain)
+    lower = kobayashi_ball_batch(points - np.asarray(outer.center, dtype=complex), outer.radius, directions)
+    upper = kobayashi_ball_batch(np.zeros_like(points), boundary_distance_batch(domain, points), directions)
+    return lower, upper
+
+
 def test_kobayashi_at_center():
     center, v = [(0j, 0j)], [(0.6 + 0j, 0.8j)]  # the offset of the center from itself
     assert kobayashi_ball_batch(center, 0.7, v)[0, 0] == pytest.approx(1.0 / 0.7)
-    assert kobayashi_upper_batch(center, 0.7, v)[0, 0] == pytest.approx(1.0 / 0.7)
+    assert _cauchy_schwarz(center, 0.7, v)[0, 0] == pytest.approx(1.0 / 0.7)
 
 
 def test_kobayashi_unit_disc_values():
     assert kobayashi_ball_batch([(0.5 + 0j,)], 1.0, [(1 + 0j,)])[0, 0] == pytest.approx(4 / 3)
-    assert kobayashi_upper_batch([(0.5 + 0j,)], 1.0, [(1 + 0j,)])[0, 0] == pytest.approx(4 / 3)
+    assert _cauchy_schwarz([(0.5 + 0j,)], 1.0, [(1 + 0j,)])[0, 0] == pytest.approx(4 / 3)
 
 
 def test_kobayashi_unit_ball_orthogonal_direction():
@@ -374,7 +394,7 @@ def test_kobayashi_upper_bound_random():
         if all(c == 0 for c in v):
             continue
         w = [np.subtract(z, ball.center)]
-        assert kobayashi_ball_batch(w, ball.radius, [v]) <= kobayashi_upper_batch(w, ball.radius, [v])
+        assert kobayashi_ball_batch(w, ball.radius, [v]) <= _cauchy_schwarz(w, ball.radius, [v])
 
 
 def test_concentric_ball_monotonicity():
@@ -391,7 +411,7 @@ def test_concentric_ball_monotonicity():
 
 
 def test_domain_bounds_unit_disc():
-    lower, upper = kobayashi_domain_bounds_batch(UNIT_DISC, [(0.5 + 0j,)], [(1 + 0j,)])
+    lower, upper = _sandwich(UNIT_DISC, [(0.5 + 0j,)], [(1 + 0j,)])
     assert upper[0, 0] == pytest.approx(2.0)  # inscribed Ball(0.5, 0.5) at its center
     assert lower[0, 0] == pytest.approx(4 / 3)
     assert lower <= upper
@@ -408,7 +428,7 @@ def test_domain_bounds_polydisc_ordering():
         v = _random_point(rng, 2, 1.0)
         if all(c == 0 for c in v):
             continue
-        lower, upper = kobayashi_domain_bounds_batch(poly, [p], [v])
+        lower, upper = _sandwich(poly, [p], [v])
         assert lower <= upper
 
 
@@ -443,16 +463,16 @@ def test_sandwich_batch_matches_single_samples_and_the_reference(seed, dim):
     points = []
     for t in fractions:
         u = _unit(rng, dim)
-        extent = ray_extent(domain, u)
+        extent = _ray_extent(domain, u)
         points.append(tuple(c + t * extent * x for c, x in zip(domain.center, u)))
     dirs = [_unit(rng, dim) for _ in range(5)]
-    lower, upper = kobayashi_domain_bounds_batch(domain, points, dirs)
+    lower, upper = _sandwich(domain, points, dirs)
     assert lower.shape == upper.shape == (len(points), len(dirs))
     outer = circumscribed_ball(domain)
     for i, (p, t) in enumerate(zip(points, fractions)):
         delta = boundary_distance_batch(domain, [p])[0]
         for j, v in enumerate(dirs):
-            lo, up = (bound[0, 0] for bound in kobayashi_domain_bounds_batch(domain, [p], [v]))
+            lo, up = (bound[0, 0] for bound in _sandwich(domain, [p], [v]))
             assert lower[i, j] == pytest.approx(lo, rel=1e-12)
             assert upper[i, j] == pytest.approx(up, rel=1e-12)
             assert lo <= up
@@ -480,30 +500,59 @@ def test_kobayashi_ball_unitary_invariance(seed, dim):
         assert mapped == pytest.approx(expected, rel=1e-12)
 
 
+def _ball_automorphism(a, z, v):
+    """phi_a(z) = (a - P_a z - s_a Q_a z) / (1 - <z, a>), the automorphism of
+    the unit ball that swaps a and 0 (Rudin, Function Theory in the Unit Ball
+    of C^n, 2.2.1), and dphi_a(z) v = L v / D + N <v, a> / D^2, with N and D
+    the numerator and denominator and L = -P_a - s_a Q_a the linear part of N;
+    row by row over (N, n) arrays, a != 0."""
+    inner = lambda x, y: np.sum(x * np.conj(y), axis=1, keepdims=True)  # noqa: E731
+    a_sq = inner(a, a).real
+    s_a = np.sqrt(1.0 - a_sq)
+
+    def linear(x):
+        along = inner(x, a) / a_sq * a  # P_a x
+        return -along - s_a * (x - along)
+
+    numerator, denominator = a + linear(z), 1.0 - inner(z, a)
+    return numerator / denominator, linear(v) / denominator + numerator * inner(v, a) / denominator**2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kobayashi_ball_automorphism_invariance(n):
+    # the automorphisms of the unit ball are isometries of its Kobayashi
+    # metric; unlike the unitary test, this compares the kernel at two points
+    rng = np.random.default_rng(61 + n)
+    gauss = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)  # noqa: E731
+
+    def in_ball(count):
+        x = gauss(count, n)
+        return x / np.linalg.norm(x, axis=1, keepdims=True) * rng.uniform(0.01, 0.95, (count, 1))
+
+    a, z, v = in_ball(1000), in_ball(1000), gauss(1000, n)
+    image, push = _ball_automorphism(a, z, v)
+    h = 1e-6  # the closed-form derivative against central differences
+    fd = (_ball_automorphism(a, z + h * v, v)[0] - _ball_automorphism(a, z - h * v, v)[0]) / (2 * h)
+    assert np.all(np.linalg.norm(fd - push, axis=1) <= 1e-6 * np.linalg.norm(push, axis=1))
+    metric = lambda w, u: np.array([kobayashi_ball_batch([p], 1.0, [d])[0, 0] for p, d in zip(w, u)])  # noqa: E731
+    before, after = metric(z, v), metric(image, push)
+    assert np.all(np.abs(after - before) <= 1e-12 * before)
+
+
 def test_kobayashi_kernels_reject_zero_directions_and_exterior_points():
     ball = Ball((0j, 0j), 1.0)
     inside, outside, zero, e1 = (0.5 + 0j, 0j), (3 + 0j, 0j), (0j, 0j), (1 + 0j, 0j)
     # the ball is centered at 0, so its points are their own offsets
-    for kernel in (kobayashi_ball_batch, kobayashi_upper_batch):
-        with pytest.raises(ValueError):
-            kernel([inside], ball.radius, [zero])
-        with pytest.raises(DomainError):
-            kernel([outside], ball.radius, [e1])
-        with pytest.raises(DomainError):
-            kernel([e1], ball.radius, [e1])  # on the sphere
-        with pytest.raises(ValueError):
-            kernel([inside], ball.radius, [e1, zero])
-        with pytest.raises(DomainError):
-            kernel([inside, outside], ball.radius, [e1])
-    for domain in (ball, Polydisc((0j, 0j), (1.0, 2.0))):
-        with pytest.raises(ValueError):
-            kobayashi_domain_bounds_batch(domain, [inside], [zero])
-        with pytest.raises(DomainError):
-            kobayashi_domain_bounds_batch(domain, [outside], [e1])
-        with pytest.raises(DomainError):
-            kobayashi_domain_bounds_batch(domain, [outside], [zero])  # the point is checked first
-        with pytest.raises(DomainError):
-            kobayashi_domain_bounds_batch(domain, [inside, outside], [e1])
+    with pytest.raises(ValueError):
+        kobayashi_ball_batch([inside], ball.radius, [zero])
+    with pytest.raises(DomainError):
+        kobayashi_ball_batch([outside], ball.radius, [e1])
+    with pytest.raises(DomainError):
+        kobayashi_ball_batch([e1], ball.radius, [e1])  # on the sphere
+    with pytest.raises(ValueError):
+        kobayashi_ball_batch([inside], ball.radius, [e1, zero])
+    with pytest.raises(DomainError):
+        kobayashi_ball_batch([inside, outside], ball.radius, [e1])
 
 
 # --------------------------------------------------------------------------
@@ -566,10 +615,19 @@ def test_scan_skips_before_the_last_three_shells_keep_the_trend_verdict():
     assert est.verdict == "bounded-consistent"
 
 
-def test_scan_never_takes_the_per_sample_path():
+def test_scan_never_takes_the_per_sample_path(monkeypatch):
+    # one pass of each geometry kernel over the whole scan, none per ray or point
+    counts = {
+        name: _counting(monkeypatch, module, name)
+        for module, name in [(domains, "ray_extent_batch"), (domains, "boundary_distance_batch"),
+                             (domains, "circumscribed_ball"), (metrics, "kobayashi_ball_batch")]
+    }
     # the shell at 1e-20 rounds onto the boundary, so its points are skipped
     plan = SamplingPlan(shells=(1e-20, 0.5, 0.25, 0.125), points_per_shell=4, directions_per_point=4)
     est = normality_scan(parse("z1*z2", 2), Polydisc((0j, 0j), (1.0, 2.0)), plan)
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "ray_extent_batch": 1, "boundary_distance_batch": 1, "circumscribed_ball": 1, "kobayashi_ball_batch": 2,
+    }
     assert len(est.samples) == 3 * 4 * 4
     assert est.skipped == 4 * 4
     assert est.errors[0] == "point ((1+0j), 0j): point is not interior to the domain"
@@ -583,7 +641,7 @@ def _scan_reference(f, domain, plan):
     center = np.asarray(domain.center, dtype=complex)
     rays = scan_rays(f.dimension, plan.points_per_shell, plan.seed)
     dirs = sphere_directions(f.dimension, plan.directions_per_point, plan.seed + 1)
-    extents = [ray_extent(domain, tuple(u)) for u in rays]
+    extents = [_ray_extent(domain, tuple(u)) for u in rays]
     points = np.array([center + (1.0 - t) * extent * u for t in plan.shells for u, extent in zip(rays, extents)])
     jets = evaluate_batch(f, points)
     levi = metrics.levi_batch(jets.value, jets.gradient, dirs)
@@ -591,7 +649,7 @@ def _scan_reference(f, domain, plan):
     usable = (distance > 0) & (jets.status == OK)
     k_lower = np.full(levi.shape, math.nan)
     k_upper = np.full(levi.shape, math.nan)
-    k_lower[usable], k_upper[usable] = kobayashi_domain_bounds_batch(domain, points[usable], dirs)
+    k_lower[usable], k_upper[usable] = _sandwich(domain, points[usable], dirs)
     with np.errstate(all="ignore"):
         ratio_lower = levi / (k_upper * k_upper)
         ratio_upper = levi / (k_lower * k_lower)
