@@ -112,13 +112,10 @@ def _point_str(z) -> str:
 
 def _run_sharp(config: dict) -> tuple[int, dict[str, str]]:
     f = cfg.parse_function(config["function"], config["dimension"])
-    h = float(config.get("h", 1e-4))
-    samples = int(config.get("sphere_samples", 256))
-    seed = int(config.get("seed", 0))
     points = [cfg.parse_point(raw) for raw in config["points"]]
     z = np.array(points, dtype=complex)
     closed = sharp_batch(f, z)
-    oracle = sharp_fd(f, z, samples, h, seed)
+    oracle = sharp_fd(f, z, config["sphere_samples"], config["h"], config["seed"])
     rel_dev = np.abs(closed - oracle) / (1.0 + closed)
     fields = [("point", complex, (f.dimension,)), ("sharp_closed", float), ("sharp_fd", float), ("rel_dev", float)]
     rows = np.rec.fromarrays([z, closed, oracle, rel_dev], dtype=fields)
@@ -173,11 +170,8 @@ def _run_rescaling(config: dict) -> tuple[int, dict[str, str]]:
     f = cfg.parse_function(config["function"], config["dimension"])
     domain = cfg.parse_domain(config["domain"])
     spec = cfg.parse_sequence(config["sequence"])
-    grid_size = int(config.get("grid_size", 64))
-    tol = float(config.get("tol", 1e-3))
-    seed = int(config.get("seed", 0))
     run = rescaling_run(f, domain, spec)
-    report = convergence_report(run, float(config["R"]), grid_size, tol, seed)
+    report = convergence_report(run, config["R"], config["grid_size"], config["tol"], config["seed"])
     payload = {
         "verdict": report.verdict,
         "tol": report.tol,
@@ -190,7 +184,7 @@ def _run_rescaling(config: dict) -> tuple[int, dict[str, str]]:
         "limit_proxy": to_source(report.limit_proxy),
     }
     if command == "rescale":
-        profile = limit_sharp_check(report, tol)
+        profile = limit_sharp_check(report, report.tol)
         payload["sharp_profile"] = {
             "sharp_at_zero": profile.sharp_at_zero,
             "max_sharp": profile.max_sharp,
@@ -205,12 +199,7 @@ def _run_rescaling(config: dict) -> tuple[int, dict[str, str]]:
 
 
 def _run_counterexample(config: dict) -> tuple[int, dict[str, str]]:
-    report = remark_counterexample(
-        int(config["n_max"]),
-        float(config["R"]),
-        int(config.get("grid_size", 64)),
-        int(config.get("seed", 0)),
-    )
+    report = remark_counterexample(config["n_max"], config["R"], config["grid_size"])
     rows = zip(report.indices, report.ratios, report.sup_dev, report.bounds)
     return EXIT_OK, {
         "counterexample.csv": _csv(["n", "ratio", "sup_dev", "bound"], rows),
@@ -280,9 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     if args.seed is not None:
-        config["seed"] = args.seed
-        if "plan" in config:
-            config["plan"]["seed"] = args.seed
+        config.get("plan", config)["seed"] = args.seed
 
     try:
         code, outputs = _RUNNERS[command](config)

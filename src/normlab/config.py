@@ -12,6 +12,8 @@ and ``oneOf``.  It follows JSON Schema's type rules, not Python's: a bool is
 neither an integer nor a number, and an integer-valued float such as ``2.0``
 is an integer.  A violation is reported as ``config schema violation: <json
 path>: <reason>``, e.g. ``$.grid_size: 1 is less than the minimum of 2``.
+A property is optional exactly when it has a ``default``, an annotation
+that the walker ignores, as JSON Schema does, and `validate_config` applies.
 """
 
 from __future__ import annotations
@@ -30,133 +32,97 @@ from .rescaling import ExplicitScale, SequenceSpec, ZalcmanScale
 
 _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-_POSINT = {"type": "integer", "minimum": 1}
-_SEED = {"type": "integer", "minimum": 0}
-_GRID_SIZE = {"type": "integer", "minimum": 2}  # the origin and one ring at least
-_COMPLEX = {
-    "type": "array",
-    "items": _NUMBER,
-    "minItems": 2,
-    "maxItems": 2,
-}
+_POSINT = {"type": "integer", "minimum": 1, "maximum": 2**20}  # a larger count outgrows memory
+_SEED = {"type": "integer", "minimum": 0, "default": 0}
+_GRID_SIZE = {**_POSINT, "minimum": 2, "default": 64}  # the origin and one ring at least
+_FUNCTION = {"type": "string", "minLength": 1}
+_COMPLEX = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
 _POINT = {"type": "array", "items": _COMPLEX, "minItems": 1}
+
+
+def _object(**properties: dict) -> dict:
+    """A closed object schema: a property is required exactly when it has no
+    default, and no other key is allowed."""
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": [key for key, schema in properties.items() if "default" not in schema],
+        "additionalProperties": False,
+    }
+
 
 _DOMAIN = {
     "type": "object",
     "oneOf": [
-        {
-            "properties": {
-                "type": {"const": "ball"},
-                "center": _POINT,
-                "radius": _POSITIVE,
-            },
-            "required": ["type", "center", "radius"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {
-                "type": {"const": "polydisc"},
-                "center": _POINT,
-                "radii": {"type": "array", "items": _POSITIVE, "minItems": 1},
-            },
-            "required": ["type", "center", "radii"],
-            "additionalProperties": False,
-        },
+        _object(
+            type={"const": "ball"},
+            center=_POINT,
+            radius=_POSITIVE,
+        ),
+        _object(
+            type={"const": "polydisc"},
+            center=_POINT,
+            radii={"type": "array", "items": _POSITIVE, "minItems": 1},
+        ),
     ],
 }
 
-_PLAN = {
-    "type": "object",
-    "properties": {
-        "shells": {
-            "type": "array",
-            "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-            "minItems": 1,
-        },
-        "points_per_shell": _POSINT,
-        "directions_per_point": _POSINT,
-        "seed": _SEED,
-    },
-    "required": ["shells", "points_per_shell", "directions_per_point"],
-    "additionalProperties": False,
-}
+_PLAN = _object(
+    shells={"type": "array", "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 1}, "minItems": 1},
+    points_per_shell=_POSINT,
+    directions_per_point=_POSINT,
+    seed=_SEED,
+)
 
 
-def _rescaling_schema(command: str, with_explicit_scale: bool) -> dict:
-    sequence = {
-        "anchor": _POINT,
-        "inward": _POINT,
-        "c_p": _POSITIVE,
-        "a": _POSITIVE,
-        "j_start": _POSINT,
-        "j_end": _POSINT,
-    }
-    if with_explicit_scale:
-        sequence.update(c_r=_POSITIVE, b=_POSITIVE)
-    return {
-        "type": "object",
-        "properties": {
-            "command": {"const": command},
-            "function": {"type": "string", "minLength": 1},
-            "dimension": _POSINT,
-            "domain": _DOMAIN,
-            "sequence": {
-                "type": "object",
-                "properties": sequence,
-                "required": list(sequence),
-                "additionalProperties": False,
-            },
-            "R": _POSITIVE,
-            "grid_size": _GRID_SIZE,
-            "tol": _POSITIVE,
-            "seed": _SEED,
-        },
-        "required": ["command", "function", "dimension", "domain", "sequence", "R"],
-        "additionalProperties": False,
-    }
+def _rescaling_schema(command: str, **scale: dict) -> dict:
+    return _object(
+        command={"const": command},
+        function=_FUNCTION,
+        dimension=_POSINT,
+        domain=_DOMAIN,
+        sequence=_object(
+            anchor=_POINT,
+            inward=_POINT,
+            c_p=_POSITIVE,
+            a=_POSITIVE,
+            j_start=_POSINT,
+            j_end=_POSINT,
+            **scale,
+        ),
+        R=_POSITIVE,
+        grid_size=_GRID_SIZE,
+        tol={**_POSITIVE, "default": 1e-3},
+        seed=_SEED,
+    )
 
 
 SCHEMAS: dict[str, dict] = {
-    "sharp": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "sharp"},
-            "function": {"type": "string", "minLength": 1},
-            "dimension": _POSINT,
-            "points": {"type": "array", "items": _POINT, "minItems": 1},
-            "h": _POSITIVE,
-            "sphere_samples": _POSINT,
-            "seed": _SEED,
-        },
-        "required": ["command", "function", "dimension", "points"],
-        "additionalProperties": False,
-    },
-    "marty-scan": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "marty-scan"},
-            "function": {"type": "string", "minLength": 1},
-            "dimension": _POSINT,
-            "domain": _DOMAIN,
-            "plan": _PLAN,
-        },
-        "required": ["command", "function", "dimension", "domain", "plan"],
-        "additionalProperties": False,
-    },
-    "rescale": _rescaling_schema("rescale", with_explicit_scale=False),
-    "thm2": _rescaling_schema("thm2", with_explicit_scale=True),
-    "counterexample": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "counterexample"},
-            "n_max": {"type": "integer", "minimum": 3},
-            "R": _POSITIVE,
-            "grid_size": _GRID_SIZE,
-            "seed": _SEED,
-        },
-        "required": ["command", "n_max", "R"],
-        "additionalProperties": False,
-    },
+    "sharp": _object(
+        command={"const": "sharp"},
+        function=_FUNCTION,
+        dimension=_POSINT,
+        points={"type": "array", "items": _POINT, "minItems": 1},
+        h={**_POSITIVE, "default": 1e-4},
+        sphere_samples={**_POSINT, "default": 256},
+        seed=_SEED,
+    ),
+    "marty-scan": _object(
+        command={"const": "marty-scan"},
+        function=_FUNCTION,
+        dimension=_POSINT,
+        domain=_DOMAIN,
+        plan=_PLAN,
+    ),
+    "rescale": _rescaling_schema("rescale"),
+    "thm2": _rescaling_schema("thm2", c_r=_POSITIVE, b=_POSITIVE),
+    "counterexample": _object(
+        command={"const": "counterexample"},
+        n_max={**_POSINT, "minimum": 3},
+        R=_POSITIVE,
+        grid_size=_GRID_SIZE,
+        seed=_SEED,
+    ),
 }
 
 
@@ -266,6 +232,21 @@ def _violations(value: Any, schema: dict, path: str, out: list[tuple[str, str]])
             out.append((path, f"{value!r} is not valid under any of the given schemas"))
 
 
+_CASTS = {"integer": int, "number": float}
+
+
+def _typed(value: dict[str, Any], schema: dict) -> None:
+    """After a passing walk: fill in absent properties' defaults, make integer and number
+    properties ints and floats, and recurse into objects, but not arrays or oneOf."""
+    for key, subschema in schema["properties"].items():
+        if key not in value:  # a passing walk leaves only keys with a default absent
+            value[key] = subschema["default"]
+        elif subschema.get("type") in _CASTS:
+            value[key] = _CASTS[subschema["type"]](value[key])
+        elif "properties" in subschema:
+            _typed(value[key], subschema)
+
+
 def _coordinate_lists(config: dict[str, Any]) -> list[tuple[str, list]]:
     """(name, list) for every list with one entry per coordinate."""
     found = [(f"points[{k}]", point) for k, point in enumerate(config.get("points", []))]
@@ -290,24 +271,19 @@ def validate_config(config: dict[str, Any]) -> str:
     """Validate against the schema named by config['command'], check that a
     sequence's j_start does not exceed its j_end, check every point, center,
     radii, anchor and inward list against the dimension, and parse the
-    config's function, if it has one; returns the command.  An integer-valued
-    float `dimension` (JSON Schema counts 2.0 as an integer) becomes an int."""
+    config's function, if it has one; returns the command.  The config gets
+    its defaults and plain types in place (`_typed`): 2.0 becomes 2, say."""
     command = config.get("command")
     if not isinstance(command, str) or command not in SCHEMAS:
-        raise ConfigError(
-            f"config must carry a 'command' key, one of {sorted(SCHEMAS)}"
-        )
+        raise ConfigError(f"config must carry a 'command' key, one of {sorted(SCHEMAS)}")
     errors: list[tuple[str, str]] = []
     _violations(config, SCHEMAS[command], "$", errors)
     if errors:
         raise ConfigError("config schema violation: {}: {}".format(*errors[0]))
-    if "dimension" in config:
-        config["dimension"] = int(config["dimension"])
+    _typed(config, SCHEMAS[command])
     sequence = config.get("sequence")
     if sequence is not None and sequence["j_start"] > sequence["j_end"]:
-        raise ConfigError(
-            f"sequence.j_start {sequence['j_start']} exceeds sequence.j_end {sequence['j_end']}"
-        )
+        raise ConfigError(f"sequence.j_start {sequence['j_start']} exceeds sequence.j_end {sequence['j_end']}")
     if "dimension" in config:
         for name, coordinates in _coordinate_lists(config):
             if len(coordinates) != config["dimension"]:
@@ -334,26 +310,22 @@ def parse_domain(raw: dict[str, Any]) -> Domain:
 
 
 def parse_plan(raw: dict[str, Any]) -> SamplingPlan:
-    return SamplingPlan(
-        shells=tuple(float(t) for t in raw["shells"]),
-        points_per_shell=int(raw["points_per_shell"]),
-        directions_per_point=int(raw["directions_per_point"]),
-        seed=int(raw.get("seed", 0)),
-    )
+    """A validated plan, whose keys are the fields of SamplingPlan."""
+    return SamplingPlan(**{**raw, "shells": tuple(float(t) for t in raw["shells"])})
 
 
 def parse_sequence(raw: dict[str, Any]) -> SequenceSpec:
     """The explicit scale rule r_j = c_r * j^-b if the sequence gives c_r (the
     schemas allow it under thm2 only), else the Zalcman rule."""
-    scale = ExplicitScale(float(raw["c_r"]), float(raw["b"])) if "c_r" in raw else ZalcmanScale()
+    scale = ExplicitScale(raw["c_r"], raw["b"]) if "c_r" in raw else ZalcmanScale()
     return SequenceSpec(
         anchor=parse_point(raw["anchor"]),
         inward=parse_point(raw["inward"]),
-        c_p=float(raw["c_p"]),
-        a=float(raw["a"]),
+        c_p=raw["c_p"],
+        a=raw["a"],
         scale=scale,
-        j_start=int(raw["j_start"]),
-        j_end=int(raw["j_end"]),
+        j_start=raw["j_start"],
+        j_end=raw["j_end"],
     )
 
 

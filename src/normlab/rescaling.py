@@ -295,9 +295,7 @@ class RemarkReport:
     verdict: str
 
 
-def remark_counterexample(
-    n_max: int, radius: float, grid_size: int = 64, seed: int = 0
-) -> RemarkReport:
+def remark_counterexample(n_max: int, radius: float, grid_size: int = 64) -> RemarkReport:
     """f(z) = z on the unit disc with z_n = 1 - n^-3, rho_n = n^-2: the
     explicit run with anchor 1, inward -1, c_p = 1, a = 3, c_r = 1, b = 2.
 
@@ -311,7 +309,7 @@ def remark_counterexample(
         raise ValueError("n_max must be at least 3")
     spec = SequenceSpec((1 + 0j,), (-1 + 0j,), 1.0, 3.0, ExplicitScale(1.0, 2.0), 1, n_max)
     run = rescaling_run(parse("z1", 1), Ball((0j,), 1.0), spec)
-    grid = ball_grid(1, radius, grid_size, seed)
+    grid = ball_grid(1, radius, grid_size)
     sup_dev: list[float] = []
 
     def checked() -> Iterator[Batch]:  # each chunk once, sup |g_n - 1| taken on the way

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .errors import EvaluationError
+
 GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -78,12 +80,16 @@ def ball_grid(n: int, radius: float, grid_size: int, seed: int = 0) -> np.ndarra
     Concentric spheres at radii k/m * radius, the origin included first.  The
     outermost shell always contains +/- radius * e_1 exactly, so suprema of
     affine functions are attained on the grid.  Returns shape (N, n).
+    Raises EvaluationError when radius times the ring count passes the
+    largest finite float, since the rings' radii would not all be finite.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     n_rings = max(2, int(round(math.sqrt(grid_size))))
+    if not math.isfinite(radius * n_rings):
+        raise EvaluationError(f"grid radius {radius!r} times {n_rings} rings passes the largest finite float")
     per_ring = max(4, -(-grid_size // n_rings))
     if per_ring % 2:
         per_ring += 1

@@ -764,6 +764,17 @@ def test_negative_seed_override_is_config_error(tmp_path, capsys, command):
     assert "Traceback" not in err and not out.exists()
 
 
+# the grid's ring radii overflowed: three RuntimeWarnings (an exception under
+# this suite's warning filter) came before the evaluation error
+@pytest.mark.parametrize("config", [_rescaling_config("rescale"), _COUNTEREXAMPLE], ids=lambda c: c["command"])
+def test_grid_radius_past_the_float_range_is_one_evaluation_error(tmp_path, capsys, config):
+    code, out = _run(tmp_path, config["command"], {**config, "R": 1e308})
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err == (
+        "evaluation error: grid radius 1e+308 times 8 rings passes the largest finite float\n"
+    )
+
+
 def _zalcman_config(function, n, grid_size):
     rest = [[0.0, 0.0]] * (n - 1)
     return {

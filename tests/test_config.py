@@ -4,6 +4,8 @@ by both alike."""
 
 import copy
 import math
+import re
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -210,3 +212,90 @@ def test_violation_names_its_json_path(change, message):
 def test_command_of_another_type_is_config_error(command):
     with pytest.raises(ConfigError, match="must carry a 'command' key"):
         validate_config({"command": command})
+
+
+def _at(config, path, value):
+    """A copy of `config` with the key at dotted `path` set to `value`."""
+    config = copy.deepcopy(config)
+    *parents, key = path.split(".")
+    node = config
+    for parent in parents:
+        node = node[parent]
+    node[key] = value
+    return config
+
+
+_SHARP, _SCAN = _VALID[0], _VALID[1]
+_THM2, _COUNTEREXAMPLE = _VALID[5], _VALID[6]
+_COUNTS = [
+    (_SHARP, "dimension"),
+    (_SHARP, "sphere_samples"),
+    (_SCAN, "plan.points_per_shell"),
+    (_SCAN, "plan.directions_per_point"),
+    (_RESCALE, "grid_size"),
+    (_THM2, "grid_size"),
+    (_THM2, "sequence.j_start"),
+    (_THM2, "sequence.j_end"),
+    (_COUNTEREXAMPLE, "n_max"),
+    (_COUNTEREXAMPLE, "grid_size"),
+]
+
+
+# each count sizes an allocation; at 1e300 one ended in a MemoryError or a
+# numpy ValueError traceback, or the process was killed
+@pytest.mark.parametrize("value", [1e300, 2**20 + 1])
+@pytest.mark.parametrize("config,path", _COUNTS, ids=lambda x: x if isinstance(x, str) else x["command"])
+def test_counts_are_capped_at_two_to_the_twenty(config, path, value):
+    with pytest.raises(ConfigError) as info:
+        validate_config(_at(config, path, value))
+    assert str(info.value) == f"config schema violation: $.{path}: {value!r} is greater than the maximum of 1048576"
+
+
+@pytest.mark.parametrize("config,path", _COUNTS, ids=lambda x: x if isinstance(x, str) else x["command"])
+def test_counts_at_the_cap_pass_the_schema(config, path):
+    # the checks after the schema (the dimension, j order) may still object
+    assert _walker_accepts(_at(config, path, 2**20))
+
+
+def test_validation_fills_defaults_and_types_scalars():
+    config = {
+        "command": "marty-scan",
+        "function": "z1",
+        "dimension": 1.0,
+        "domain": {"type": "ball", "center": [[0, 0]], "radius": 1},
+        "plan": {"shells": [1], "points_per_shell": 2.0, "directions_per_point": 3},
+    }
+    validate_config(config)
+    assert config["plan"] == {"shells": [1], "points_per_shell": 2, "directions_per_point": 3, "seed": 0}
+    assert type(config["dimension"]) is type(config["plan"]["points_per_shell"]) is int
+    # the domain's branches are not walked: parse_domain converts what it reads
+    assert config["domain"]["radius"] == 1 and type(config["domain"]["radius"]) is int
+    thm2 = {**copy.deepcopy(_THM2), "R": 2}
+    del thm2["grid_size"], thm2["tol"], thm2["seed"]
+    validate_config(thm2)
+    assert (thm2["R"], thm2["grid_size"], thm2["tol"], thm2["seed"]) == (2.0, 64, 1e-3, 0)
+    assert type(thm2["R"]) is float and type(thm2["sequence"]["j_end"]) is int
+
+
+def _schema_defaults(schema, prefix=""):
+    for key, subschema in schema.get("properties", {}).items():
+        if "default" in subschema:
+            yield prefix + key, subschema["default"]
+        yield from _schema_defaults(subschema, f"{prefix}{key}.")
+
+
+def test_readme_defaults_table_matches_the_schemas():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("Optional keys and their defaults"):].split("\n\n")[1]
+    rows = set()
+    for line in table.splitlines()[2:]:  # past the header and its rule
+        commands, key, default = (cell.strip() for cell in line.strip("|").split("|"))
+        for command in re.findall(r"`([^`]+)`", commands):
+            rows.add((command, re.match(r"`([^`]+)`", key).group(1), float(default.strip("`"))))
+    expected = {
+        (command, path, default)
+        for command, schema in SCHEMAS.items()
+        for path, default in _schema_defaults(schema)
+    }
+    assert ("marty-scan", "plan.seed", 0) in expected
+    assert rows == expected

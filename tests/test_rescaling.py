@@ -701,7 +701,7 @@ def _two_pass_counterexample(n_max, radius, grid_size, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_remark_single_pass_matches_two_passes(n_max, radius, grid_size, seed):
-    report = remark_counterexample(n_max, radius, grid_size, seed)
+    report = remark_counterexample(n_max, radius, grid_size)
     indices, sup_dev, bounds, conv, flags = _two_pass_counterexample(n_max, radius, grid_size, seed)
     assert (report.indices, report.sup_dev, report.bounds) == (indices, sup_dev, bounds)
     # the ratio n grows past 0.1: the run breaks the hypothesis r_n/delta_n -> 0 on purpose
