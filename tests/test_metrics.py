@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normlab import (
@@ -315,6 +315,7 @@ def test_reciprocal_invariance():
 
 
 @settings(max_examples=200, deadline=None)
+@example(seed=1119638, dim=2)  # a tree constant after cancellation: 0 on f, 2.7e-17 on f o U
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 3))
 def test_sharp_unitary_invariance(seed, dim):
     # (f o U)(z) = f(Uz) and |grad (f o U)(z)| = |U^T grad f(Uz)| = |grad f(Uz)|
@@ -328,7 +329,7 @@ def test_sharp_unitary_invariance(seed, dim):
     f_u = HoloExpr(dim, _substitute(f.root, image))
     z = rng.uniform(-1, 1, (6, dim)) + 1j * rng.uniform(-1, 1, (6, dim))
     a, b = sharp_batch(f_u, z), sharp_batch(f, z @ unitary.T)
-    assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(a, b))
+    assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(a, b) + 1e-15)
 
 
 # --------------------------------------------------------------------------

@@ -21,25 +21,70 @@ def test_directions_emit_no_warning():
         sphere_directions(3, 100, 0)
 
 
-def _cli_import_loads(packages):
-    """The modules of `packages` that a fresh `import normlab.cli` loads."""
+def _cli_import_loads(packages, code=""):
+    """The modules of `packages` (or below them) that a fresh process has
+    loaded after `import normlab.cli` and then `code`."""
     src = str(Path(normlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = f"import sys, normlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
+    probe = (
+        f"import sys, normlab.cli\n{code}\n"
+        f"print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') for p in {packages!r})))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
     )
-    return result.stdout.strip()
+    return result.stdout.strip().splitlines()[-1]
 
 
 def test_cli_import_leaves_scipy_out():
     assert _cli_import_loads(["scipy"]) == "[]"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["sharp", "sharp-3d.json"], ["marty-scan", "scan-3d-polydisc.json", "--format", "csv"]],
+    ids=["sharp-3d", "scan-3d-polydisc"],
+)
+def test_three_dimensional_runs_leave_numpy_random_out(argv, tmp_path):
+    # the n >= 3 directions' seeded shift comes from sampling._pcg64_uniforms
+    command, config, *extra = argv
+    config = Path(__file__).resolve().parent / "golden" / config
+    run = f"assert normlab.cli.main({[command, '--config', str(config), '--out', str(tmp_path), *extra]!r}) == 0"
+    assert _cli_import_loads(["numpy.random"], run) == "[]"
+    assert list(tmp_path.iterdir())  # the run did write its report
+
+
 def test_cli_import_leaves_jsonschema_out():
     # jsonschema and what it imports; attrs installs the modules attr and attrs
     packages = ["jsonschema", "jsonschema_specifications", "referencing", "rpds", "attr", "attrs", "jsonpointer"]
     assert _cli_import_loads(packages) == "[]"
+
+
+# numpy.random is loaded here only as the reference the port is checked against
+@settings(max_examples=300, deadline=None)
+@example(seed=0, count=6)
+@example(seed=2**32 - 1, count=18)
+@example(seed=2**32, count=18)
+@example(seed=2**64, count=6)
+@example(seed=2**128 + 5, count=18)
+@example(seed=2**200 + 12345, count=6)
+@given(seed=st.integers(0, 2**200), count=st.sampled_from(range(6, 19, 2)))
+def test_pcg64_port_matches_numpy_bit_for_bit(seed, count):
+    assert sampling._pcg64_uniforms(seed, count) == np.random.default_rng(seed).random(count).tolist()
+
+
+def test_pcg64_port_rejects_what_is_not_a_seed():
+    with pytest.raises(ValueError):
+        sampling._pcg64_uniforms(-1, 6)
+    for seed in (None, 1.0):  # None would otherwise draw OS entropy
+        with pytest.raises(TypeError):
+            sampling._pcg64_uniforms(seed, 6)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_directions_need_a_positive_dimension(n):
+    with pytest.raises(ValueError, match="n must be positive"):
+        sphere_directions(n, 4, 0)
 
 
 @pytest.mark.parametrize("n", [3, 4])
