@@ -2,8 +2,10 @@
 
 The sharp function of f at z is the supremum, over unit directions v, of the
 square root of the Levi form of log(1+|f|^2).  The closed form collapses this
-to |grad f| / (1+|f|^2); the oracle instead samples 256 directions and takes
-the discrete Levi form along each.  This script shows the two agree.
+to |grad f| / (1+|f|^2); the oracle instead takes the discrete Levi form
+along n^2 probe directions, polarizes them into the complex Hessian of
+log(1+|f|^2), and maximizes its Hermitian form over 256 sampled directions,
+from values of f alone.  This script shows the two agree.
 """
 
 import random

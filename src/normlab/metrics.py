@@ -52,12 +52,6 @@ def sharp_batch(f: HoloExpr, points) -> np.ndarray:
     return _over_one_plus_square(gradient_norm, np.abs(jets.value))
 
 
-def _coordinates_first(a: np.ndarray, ndim: int) -> np.ndarray:
-    """A view (n, ...) of a (..., n) array, with unit axes put in front of
-    the others to make ndim axes in all."""
-    return np.moveaxis(a.reshape((1,) * (ndim - a.ndim) + a.shape), -1, 0)
-
-
 def levi_form_fd(field: Callable, z: CPoint, v, h: float):
     """Five-point discrete Levi form of a real field along the complex lines
     t -> z + t*v:
@@ -65,31 +59,22 @@ def levi_form_fd(field: Callable, z: CPoint, v, h: float):
         [F(z+hv) + F(z-hv) + F(z+ihv) + F(z-ihv) - 4 F(z)] / (4 h^2)
 
     Second-order accurate in h for C^2 fields; exact for Hermitian quadratics.
-    z and v broadcast as (..., n) point arrays, and the field is called with
-    their broadcast shape: one point along one direction gives a float.  Each
-    of the four arms is laid out coordinate by coordinate, (n, ...) in memory,
-    and handed to the field as a (..., n) view: flattened to (N, n), its
-    columns are contiguous.
+    z and v broadcast as (..., n) point arrays; one point along one direction
+    gives a float.  The field takes a (..., n) point array to its values (...)
+    and is called once: on the four arms, stacked arm by arm over the
+    broadcast shape, then the centres, one per point of z.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     z = np.asarray(z, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    ndim = max(z.ndim, v.ndim)
-    base, direction = _coordinates_first(z, ndim), _coordinates_first(v, ndim)
-    step, turn = h * direction, 1j * h * direction
-
-    def arm(op, offset):
-        return field(np.moveaxis(op(base, offset, order="C"), 0, -1))
-
-    stencil = (
-        arm(np.add, step)
-        + arm(np.subtract, step)
-        + arm(np.add, turn)
-        + arm(np.subtract, turn)
-        - 4.0 * field(z)
-    )
-    return stencil / (4.0 * h * h)
+    step = h * np.asarray(v, dtype=complex)
+    turn = 1j * step
+    ends = z + step, z - step, z + turn, z - turn
+    shape, n = ends[0].shape[:-1], z.shape[-1]
+    values = field(np.concatenate([a.reshape(-1, n) for a in (*ends, z)]))
+    arms, centre = np.split(values, [4 * math.prod(shape)])
+    arm = arms.reshape(4, *shape)
+    return (arm[0] + arm[1] + arm[2] + arm[3] - 4.0 * centre.reshape(z.shape[:-1])) / (4.0 * h * h)
 
 
 def log1p_sq_field(f: HoloExpr) -> Callable:
@@ -119,19 +104,52 @@ def levi_log1p_closed(f: HoloExpr, z: CPoint, v: CPoint) -> float:
     return float(levi[0, 0])
 
 
+def _probes(n: int) -> np.ndarray:
+    """The n^2 directions whose Levi forms fix the complex Hessian: e_j, then
+    e_j + e_k and e_j + i e_k for each pair j < k, shape (n^2, n)."""
+    eye = np.eye(n, dtype=complex)
+    j, k = np.triu_indices(n, 1)
+    return np.concatenate([eye, eye[j] + eye[k], eye[j] + 1j * eye[k]])
+
+
+def _polarize(levi: np.ndarray, n: int) -> np.ndarray:
+    """The complex Hessian H_jk = d^2 F / dz_j dz-bar_k, (..., n, n), from the
+    Levi forms S (..., n^2) of F along `_probes(n)`: H_jj = S(e_j), and
+    2 H_jk = S(e_j+e_k) - S(e_j) - S(e_k) + i (S(e_j+ie_k) - S(e_j) - S(e_k))
+    for j < k, with H_kj its conjugate."""
+    j, k = np.triu_indices(n, 1)
+    diagonal, along_sum, along_turn = np.split(levi, [n, n + len(j)], axis=-1)
+    real = (along_sum - diagonal[..., j] - diagonal[..., k]) / 2.0
+    imag = (along_turn - diagonal[..., j] - diagonal[..., k]) / 2.0
+    hessian = np.zeros(levi.shape[:-1] + (n, n), dtype=complex)
+    hessian[..., range(n), range(n)] = diagonal
+    hessian[..., j, k] = real + 1j * imag
+    hessian[..., k, j] = real - 1j * imag
+    return hessian
+
+
 def sharp_fd(f: HoloExpr, points, sphere_samples: int, h: float, seed: int = 0) -> np.ndarray:
-    """Brute-force oracle for `sharp_batch`: max over sampled unit directions
-    of sqrt(max(0, levi_form_fd(log(1+|f|^2), z, v, h))) at each row z of an
-    (N, n) point array, (N,), along one direction set.  EvaluationError when
-    the stencil is not finite (4 h^2 underflows, say)."""
+    """Brute-force oracle for `sharp_batch`: max over sampled unit directions v
+    of sqrt(max(0, L(v))) at each row z of an (N, n) point array, (N,), along
+    one direction set, with L(v) = sum_jk v_j H_jk conj(v_k) the Levi form of
+    log(1+|f|^2) from its finite-difference complex Hessian H.  H comes from
+    `levi_form_fd` along the n^2 `_probes` by polarization, so a point costs
+    4 n^2 + 1 evaluations of f, whatever the number of directions; values
+    only, no derivatives of f.  EvaluationError when 4 h^2 is 0 or inf or the
+    stencil is not finite."""
     z = np.asarray(points, dtype=complex)
-    if z.ndim != 2 or z.shape[1] != f.dimension:
-        raise DimensionMismatchError(f"points of shape {z.shape}, expression expects dimension {f.dimension}")
-    dirs = sphere_directions(f.dimension, sphere_samples, seed)
+    n = f.dimension
+    if z.ndim != 2 or z.shape[1] != n:
+        raise DimensionMismatchError(f"points of shape {z.shape}, expression expects dimension {n}")
+    dirs = sphere_directions(n, sphere_samples, seed)
+    not_finite = EvaluationError(f"finite-difference Levi form is not finite at h = {h!r}")
+    if not 0.0 < 4.0 * h * h < math.inf:  # the stencil would read 0 / 0 or x / inf
+        raise not_finite
     with np.errstate(all="ignore"):
-        levi = levi_form_fd(log1p_sq_field(f), z[:, None, :], dirs, h)
+        hessian = _polarize(levi_form_fd(log1p_sq_field(f), z[:, None, :], _probes(n), h), n)
+        levi = np.einsum("mj,Njk,mk->Nm", dirs, hessian, dirs.conj()).real
     if not np.isfinite(levi).all():
-        raise EvaluationError(f"finite-difference Levi form is not finite at h = {h!r}")
+        raise not_finite
     peak = np.max(levi, axis=-1)
     return np.sqrt(np.where(peak > 0.0, peak, 0.0))  # max(0, peak), never -0.0
 

@@ -64,11 +64,28 @@ def _pcg64_uniforms(seed: int, count: int) -> list[float]:
     return out
 
 
+def _rd_sign(d: int, num: int, den: int) -> int:
+    """The sign of x^(d+1) - x - 1 at x = num / den, den > 0, exactly."""
+    value = num ** (d + 1) - num * den**d - den ** (d + 1)
+    return (value > 0) - (value < 0)
+
+
 @functools.cache
 def _rd_root(d: int) -> float:
-    """phi of the R_d sequence in d dimensions (see `sphere_directions`),
-    found once per d."""
-    return max(np.roots([1.0] + [0.0] * (d - 1) + [-1.0, -1.0]).real)
+    """phi of the R_d sequence in d dimensions (see `sphere_directions`), the
+    root of x^(d+1) = x + 1 in (1, 2), correctly rounded: bisection over the
+    doubles, each sign taken exactly in ints, then the nearer of the two
+    doubles that bracket the root, by the sign at their midpoint."""
+    lo, hi = 1.0, 2.0  # the polynomial is -1 at 1 and 2^(d+1) - 3 at 2
+    while (mid := (lo + hi) / 2.0) not in (lo, hi):
+        if _rd_sign(d, *mid.as_integer_ratio()) < 0:
+            lo = mid
+        else:
+            hi = mid
+    (a, b), (c, e) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    # the root is irrational (+-1 are the only rational candidates), so it is
+    # never the midpoint itself
+    return lo if _rd_sign(d, a * e + c * b, 2 * b * e) > 0 else hi
 
 
 def sphere_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
@@ -84,8 +101,8 @@ def sphere_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
       budget on the irrelevant global phase);
     - n >= 3: an R_d Kronecker sequence in d = 2n dimensions, frac(s + k*alpha)
       for k = 1..count with alpha_j = phi^-j, phi the positive root of
-      x^(d+1) = x + 1 (the root of largest real part, by Cauchy's bound) and
-      the shift s drawn from the seed; Box-Muller turns each coordinate pair
+      x^(d+1) = x + 1 correctly rounded (`_rd_root`) and the shift s drawn
+      from the seed; Box-Muller turns each coordinate pair
       (u, w) into the complex Gaussian sqrt(-2 log(1-u)) exp(2 pi i w), and
       the rows are normalized.
 

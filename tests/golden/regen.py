@@ -9,7 +9,8 @@ numpy version too: numpy's rounding feeds every number, so under another numpy
 the test fails rather than passing on different bytes.
 
 Run this only when outputs are meant to change, and say in the change which
-files moved and why:
+files moved and why; it prints each case whose record changed, with what moved
+in it (the exit code, stdout, stderr or an output file by name):
 
     PYTHONPATH=src python tests/golden/regen.py
 """
@@ -88,7 +89,30 @@ def manifest(work: Path) -> dict:
     }
 
 
+def moved(old: dict, new: dict) -> dict[str, list[str]]:
+    """Each case whose record differs between two manifests, with what moved
+    in it: the exit code, stdout, stderr and the output files by name."""
+    out = {}
+    for name in sorted(old["cases"].keys() | new["cases"].keys()):
+        before, after = old["cases"].get(name), new["cases"].get(name)
+        if before is None or after is None:
+            out[name] = ["case added" if before is None else "case removed"]
+            continue
+        parts = [key for key in ("code", "stdout", "stderr") if before[key] != after[key]]
+        files = before["files"].keys() | after["files"].keys()
+        parts += sorted(f for f in files if before["files"].get(f) != after["files"].get(f))
+        if parts:
+            out[name] = parts
+    return out
+
+
 if __name__ == "__main__":
+    old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {"cases": {}}
     with tempfile.TemporaryDirectory() as work:
-        MANIFEST.write_text(json.dumps(manifest(Path(work)), indent=2, sort_keys=True) + "\n")
+        new = manifest(Path(work))
+    MANIFEST.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+    if old.get("numpy", np.__version__) != np.__version__:
+        print(f"numpy {old['numpy']} -> {np.__version__}")
+    for name, parts in moved(old, new).items():
+        print(f"{name}: {', '.join(parts)}")
     print(f"wrote {MANIFEST}")

@@ -440,7 +440,8 @@ def _tiny_ball_config(command):
 
 
 # Each once ended in a traceback (exit 1), except the underflowing h, which
-# exited 0 with a sharp_fd of 0.0 and a RuntimeWarning, the overflowing
+# exited 0 with a sharp_fd of 0.0 and a RuntimeWarning, the overflowing h,
+# whose 4 h^2 of inf gave a sharp_fd of 0.0 with no warning, the overflowing
 # ratio, which exited 0 (rescale) or 4 (thm2) with a RuntimeWarning and a
 # ratio of inf in the run table, and the scan on a ball whose radius squared
 # overflows, which exited 0 with two RuntimeWarnings and every sample skipped.
@@ -459,6 +460,11 @@ def _tiny_ball_config(command):
             {"command": "sharp", "function": "z1^2", "dimension": 1, "points": [[[0.5, 0]]], "h": 1e-200},
             3,
             "finite-difference Levi form is not finite at h = 1e-200",
+        ),
+        (
+            {"command": "sharp", "function": "z1", "dimension": 1, "points": [[[0.1, 0]]], "h": 1e200},
+            3,
+            "finite-difference Levi form is not finite at h = 1e+200",
         ),
         (_tiny_ball_config("rescale"), 3, "ratio rho_1 / delta_1 = 1.0 / 5e-324 overflows"),
         (_tiny_ball_config("thm2"), 3, "ratio rho_1 / delta_1 = 1.0 / 5e-324 overflows"),
@@ -480,6 +486,7 @@ def _tiny_ball_config(command):
     ids=[
         "rescale-j-range", "thm2-j-range", "rescale-grid-1", "thm2-grid-1", "counterexample-grid-1",
         "thm2-scale-underflow", "counterexample-center-on-boundary", "sharp-h-underflow",
+        "sharp-h-overflow",
         "rescale-ratio-overflow", "thm2-ratio-overflow", "sharp-pole", "scan-ball-radius-overflow",
     ],
 )

@@ -1,6 +1,7 @@
 """The byte-identity contract: every golden case of `tests/golden/` gives the
 exit code, stdout, stderr and output files recorded in its manifest."""
 
+import copy
 import importlib.util
 import json
 from pathlib import Path
@@ -30,3 +31,13 @@ def test_cli_outputs_match_the_golden_manifest(tmp_path):
     }
     assert not moved, f"outputs moved (got, recorded): {moved}"
     assert {record["code"] for record in manifest["cases"].values()} == {0, 2, 3, 4}
+
+
+def test_regen_names_the_cases_and_files_that_moved():
+    manifest = json.loads(regen.MANIFEST.read_text())
+    assert regen.moved(manifest, manifest) == {}
+    changed = copy.deepcopy(manifest)
+    changed["cases"]["sharp-3d-seed"]["code"] = 3
+    changed["cases"]["sharp-3d-seed"]["files"]["sharp.csv"] = "0" * 64
+    del changed["cases"]["pole"]
+    assert regen.moved(manifest, changed) == {"pole": ["case removed"], "sharp-3d-seed": ["code", "sharp.csv"]}

@@ -43,13 +43,13 @@ UNIT_DISC = Ball((0j,), 1.0)
 
 def test_levi_fd_quadratic_field_exact():
     # |z|^2 has constant Levi form 1 along unit directions
-    field = lambda z: abs(z[0]) ** 2
+    field = lambda z: abs(z[..., 0]) ** 2
     for z in (0j, 0.3 + 0.4j, -0.7j):
         assert levi_form_fd(field, (z,), (1 + 0j,), 1e-4) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_levi_fd_constant_field_zero():
-    assert levi_form_fd(lambda z: 2.5, (0.1 + 0.2j,), (1 + 0j,), 1e-4) == 0.0
+    assert levi_form_fd(lambda z: np.full(z.shape[:-1], 2.5), (0.1 + 0.2j,), (1 + 0j,), 1e-4) == 0.0
 
 
 def test_levi_fd_log1p_identity_at_origin():
@@ -162,40 +162,10 @@ def test_sharp_fd_constant_zero():
     assert sharp_fd(parse("2", 1), [(0.1 + 0.1j,)], 64, 1e-4).tolist() == [0.0]
 
 
-def _sharp_fd_per_point(f, z, sphere_samples, h, seed=0):
-    """The former sharp_fd: one point at a time, each with its own directions."""
-    dirs = sphere_directions(f.dimension, sphere_samples, seed)
-    levi = levi_form_fd(log1p_sq_field(f), z, dirs, h)
-    return math.sqrt(max(0.0, float(np.max(levi))))
-
-
-def test_sharp_fd_over_points_is_one_stencil_pass(monkeypatch):
-    f = parse("exp(0.3*z1)*z2+z3^2", 3)
-    rng = np.random.default_rng(5)
-    points = 0.4 * (rng.random((16, 3)) - 0.5 + 1j * (rng.random((16, 3)) - 0.5))
-    expected = [_sharp_fd_per_point(f, tuple(z), 64, 1e-4, seed=2) for z in points]
-    calls = {"evaluate_batch": 0, "sphere_directions": 0}
-
-    def counted(name, inner):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(metrics, name, counted(name, getattr(metrics, name)))
-    oracle = sharp_fd(f, points, 64, 1e-4, seed=2)
-    # one direction set; the four shifted stencil points and the center
-    assert calls == {"evaluate_batch": 5, "sphere_directions": 1}
-    assert oracle.shape == (16,)
-    assert oracle.tolist() == expected
-    assert sharp_fd(f, points[3:4], 64, 1e-4, seed=2).tolist() == expected[3:4]
-
-
 def _point_major_sharp_fd(f, z, sphere_samples, h, seed=0):
-    """sharp_fd as it stood with its stencil arms laid out point by point,
-    (P, m, n), and both logs taken everywhere: the reference the
-    coordinate-major stencil must match bit for bit."""
+    """sharp_fd as it stood with the five-point stencil taken along every
+    sampled direction, its arms laid out point by point, (P, m, n), and both
+    logs taken everywhere: the reference for the polarized Hessian."""
 
     def field(w):
         value = evaluate_batch(f, w.reshape(-1, f.dimension), gradient=False).check().value
@@ -211,34 +181,51 @@ def _point_major_sharp_fd(f, z, sphere_samples, h, seed=0):
     return np.sqrt(np.where(peak > 0.0, peak, 0.0))
 
 
-# (function of z1..zn and of a coefficient c, point scale): past |f| ~ 1e154
-# the square overflows and the field takes 2 log|f| there, at some points only
-_ORACLE_FAMILIES = [
-    ("exp({c}*z1)*z{n}+z1^2", 0.5),
-    ("sin(z1)/(1.5-{c}*z{n})", 0.4),
-    ("exp(360*z1+{c}*z{n})", 1.0),
-    ("log(2+{c}*z1*z{n})^3", 0.5),
-]
+def test_sharp_fd_over_points_is_one_stencil_pass(monkeypatch):
+    f = parse("exp(0.3*z1)*z2+z3^2", 3)
+    rng = np.random.default_rng(5)
+    points = 0.4 * (rng.random((16, 3)) - 0.5 + 1j * (rng.random((16, 3)) - 0.5))
+    expected = _point_major_sharp_fd(f, points, 64, 1e-4, seed=2)
+    rows = _counting(monkeypatch, metrics, "evaluate_batch")
+    directions = _counting(monkeypatch, metrics, "sphere_directions")
+    oracle = sharp_fd(f, points, 64, 1e-4, seed=2)
+    # one direction set; one field call over the four arms along the n^2
+    # probes of every point, and the centres
+    assert len(directions) == 1
+    assert [len(args[1]) for args in rows] == [16 * (4 * 3**2 + 1)]
+    assert oracle.shape == (16,)
+    assert np.all(np.abs(oracle**2 - expected**2) <= 1e-5 * (1 + expected**2))
+    assert sharp_fd(f, points[3:4], 64, 1e-4, seed=2).tolist() == oracle[3:4].tolist()
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(1, 4),
-    family=st.sampled_from(_ORACLE_FAMILIES),
-    c=st.floats(0.1, 3.0),
-    seed=st.integers(0, 2**16),
-    count=st.integers(1, 9),
-)
-def test_sharp_fd_matches_the_point_major_stencil_bit_for_bit(n, family, c, seed, count):
-    source, scale = family
-    f = parse(source.format(c=c, n=n), n)
+@settings(max_examples=60, deadline=None)
+@example(tree_seed=2118, n=1, seed=2118)  # z1 + (2 e^2)^2: a sharp of 3e-4 under rounding noise
+@given(tree_seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_sharp_fd_matches_the_point_major_stencil(tree_seed, n, seed):
+    # Both are O(h^2) stencils of the same Levi form, so they agree to the
+    # stencil's error, not bit for bit.  They are compared on the Levi scale,
+    # sharp^2, where the rounding error (about eps |F| / h^2) adds: at a flat
+    # point the sharp reads its square root, up to 1e-4 at h = 1e-4, in either.
+    f = parse(_random_expr(random.Random(tree_seed), n), n)
     rng = np.random.default_rng(seed)
-    points = scale * (rng.random((count, n)) + 1j * rng.random((count, n)) - 0.5 - 0.5j)
-    if source.startswith("exp(360"):
-        points[:, 0] += 0.75  # |f| from e^90 to e^450, on both sides of the overflow
+    points = rng.uniform(-1, 1, (4, n)) + 1j * rng.uniform(-1, 1, (4, n))
     want = _point_major_sharp_fd(f, points, 32, 1e-4, seed)
-    assert sharp_fd(f, points, 32, 1e-4, seed).tobytes() == want.tobytes()
-    assert sharp_fd(f, points[:1], 32, 1e-4, seed).tobytes() == want[:1].tobytes()
+    got = sharp_fd(f, points, 32, 1e-4, seed)
+    assert np.all(np.abs(got**2 - want**2) <= 1e-5 * (1 + want**2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_polarized_hessian_of_a_hermitian_quadratic_is_exact(n):
+    # F(z) = Re(z^T A conj(z)) has d^2 F / dz_j dz-bar_k = A_jk everywhere,
+    # and the five-point stencil is exact on it up to rounding
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = a + a.conj().T
+    field = lambda z: np.einsum("...j,jk,...k->...", z, a, z.conj()).real
+    z = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    hessian = metrics._polarize(levi_form_fd(field, z[:, None, :], metrics._probes(n), 1e-3), n)
+    assert hessian.shape == (5, n, n)
+    assert np.max(np.abs(hessian - a)) <= 1e-8 * np.max(np.abs(a))
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -258,11 +245,14 @@ def test_hypot_fold_matches_hypot_reduce(n):
 
 
 def test_sharp_fd_rejects_a_non_finite_stencil():
-    # 4 h^2 underflows to 0: the stencil is 0/0, which max(0, nan) once hid
+    # 4 h^2 underflows to 0: the stencil is 0/0, which max(0, nan) once hid;
+    # 4 h^2 overflows to inf: the stencil is x/inf, which once read a sharp of 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError, match="not finite"):
             sharp_fd(parse("z1^2", 1), [(0.5 + 0j,)], 64, 1e-200)
+        with pytest.raises(EvaluationError, match="not finite at h = 1e[+]200"):
+            sharp_fd(parse("z1", 1), [(0.1 + 0j,)], 8, 1e200)
 
 
 def test_sharp_fd_takes_a_point_array_only():

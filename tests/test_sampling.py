@@ -5,6 +5,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -96,12 +97,19 @@ def test_directions_are_unit_and_a_pure_function_of_the_seed(n):
     assert not np.allclose(sphere_directions(n, 100, 6), v)
 
 
+@pytest.mark.parametrize("d", [*range(6, 19), 40])
+def test_rd_root_is_correctly_rounded(d):
+    # float() of a 50-digit root rounds it to the nearest double
+    with mpmath.workdps(50):
+        expected = float(mpmath.findroot(lambda x: x ** (d + 1) - x - 1, 1.1))
+    assert sampling._rd_root(d) == expected
+
+
 @pytest.mark.parametrize("n", [3, 4, 9])
 def test_rd_root_is_computed_once_per_dimension(n):
     d = 2 * n
-    expected = max(np.roots([1.0] + [0.0] * (d - 1) + [-1.0, -1.0]).real)
-    assert sampling._rd_root(d) == expected
-    assert abs(expected ** (d + 1) - expected - 1.0) <= 1e-12
+    root = sampling._rd_root(d)
+    assert 1.0 < root < 2.0 and abs(root ** (d + 1) - root - 1.0) <= 1e-12
     sphere_directions(n, 8, 0)
     sphere_directions(n, 8, 1)
     assert sampling._rd_root(d) is sampling._rd_root(d)  # cached, not recomputed
