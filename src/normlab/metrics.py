@@ -135,8 +135,8 @@ def sharp_fd(f: HoloExpr, points, sphere_samples: int, h: float, seed: int = 0) 
     log(1+|f|^2) from its finite-difference complex Hessian H.  H comes from
     `levi_form_fd` along the n^2 `_probes` by polarization, so a point costs
     4 n^2 + 1 evaluations of f, whatever the number of directions; values
-    only, no derivatives of f.  EvaluationError when 4 h^2 is 0 or inf or the
-    stencil is not finite."""
+    only, no derivatives of f.  EvaluationError when 4 h^2 is 0 or inf, when a
+    point's real or imaginary part absorbs +-h, or when the stencil is not finite."""
     z = np.asarray(points, dtype=complex)
     n = f.dimension
     if z.ndim != 2 or z.shape[1] != n:
@@ -145,6 +145,9 @@ def sharp_fd(f: HoloExpr, points, sphere_samples: int, h: float, seed: int = 0) 
     not_finite = EvaluationError(f"finite-difference Levi form is not finite at h = {h!r}")
     if not 0.0 < 4.0 * h * h < math.inf:  # the stencil would read 0 / 0 or x / inf
         raise not_finite
+    parts = np.stack([z.real, z.imag])  # z + h e_j rounding back to z would read a form of 0
+    if np.any((parts + h == parts) | (parts - h == parts)):
+        raise EvaluationError(f"finite-difference step h = {h!r} is below the float resolution of the points")
     with np.errstate(all="ignore"):
         hessian = _polarize(levi_form_fd(log1p_sq_field(f), z[:, None, :], _probes(n), h), n)
         levi = np.einsum("mj,Njk,mk->Nm", dirs, hessian, dirs.conj()).real

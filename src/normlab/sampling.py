@@ -9,59 +9,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import random
 
 import numpy as np
 
 from .errors import EvaluationError
 
 GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hasher(h: int, mult: int):
-    """SeedSequence's running 32-bit hash, started at h and stepped by mult."""
-
-    def hash32(v: int) -> int:
-        nonlocal h
-        h, v = h * mult & _M32, v ^ h
-        v = v * h & _M32
-        return v ^ v >> 16
-
-    return hash32
-
-
-def _pcg64_uniforms(seed: int, count: int) -> list[float]:
-    """`np.random.default_rng(seed).random(count).tolist()`, bit for bit:
-    numpy's SeedSequence(seed) seeding PCG64 (XSL-RR 128/64), in Python ints."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-
-    def mix(x: int, y: int) -> int:
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(w) for w in (entropy + [0] * 4)[:4]]
-    for src, dst in [(s, d) for s in range(4) for d in range(4) if s != d]:
-        pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:  # seeds of 2^128 and more
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    words = list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool * 2))
-    u = [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
-    inc = ((u[2] << 64 | u[3]) << 1 | 1) & _M128
-    state = ((inc + (u[0] << 64 | u[1])) * _PCG_MULT + inc) & _M128
-    out = []
-    for _ in range(count):
-        state = (state * _PCG_MULT + inc) & _M128
-        x, rot = (state >> 64 ^ state) & _M64, state >> 122
-        out.append((((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0**-53)
-    return out
 
 
 def _rd_sign(d: int, num: int, den: int) -> int:
@@ -106,9 +60,9 @@ def sphere_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
       (u, w) into the complex Gaussian sqrt(-2 log(1-u)) exp(2 pi i w), and
       the rows are normalized.
 
-    The shift s is the 2n numbers of `np.random.default_rng(seed).random(2n)`,
-    computed here by `_pcg64_uniforms` (PCG64 seeded through SeedSequence), so
-    a numpy upgrade cannot move the directions and numpy.random is not loaded.
+    The shift s is the first 2n numbers of `random.Random(seed).random()`
+    (MT19937, the same for an int seed in every Python release), so a numpy
+    upgrade cannot move the directions and numpy.random is not loaded.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -126,8 +80,11 @@ def sphere_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
         v[:, 0] = np.cos(theta / 2.0)
         v[:, 1] = np.sin(theta / 2.0) * np.exp(1j * phi)
         return v
+    if (seed := operator.index(seed)) < 0:  # random.Random would fold it onto its absolute value
+        raise ValueError("seed must be non-negative")
+    draw = random.Random(seed).random
     steps = np.arange(1, count + 1)[:, None] * _rd_root(2 * n) ** -np.arange(1.0, 2 * n + 1)
-    x = (steps + np.array(_pcg64_uniforms(seed, 2 * n))) % 1.0
+    x = (steps + np.array([draw() for _ in range(2 * n)])) % 1.0
     v = np.sqrt(-2.0 * np.log1p(-x[:, :n])) * np.exp(2j * math.pi * x[:, n:])
     norms = np.linalg.norm(v, axis=1, keepdims=True)
     norms[norms == 0] = 1.0

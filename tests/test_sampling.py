@@ -47,7 +47,7 @@ def test_cli_import_leaves_scipy_out():
     ids=["sharp-3d", "scan-3d-polydisc"],
 )
 def test_three_dimensional_runs_leave_numpy_random_out(argv, tmp_path):
-    # the n >= 3 directions' seeded shift comes from sampling._pcg64_uniforms
+    # the n >= 3 directions' seeded shift comes from random.Random(seed)
     command, config, *extra = argv
     config = Path(__file__).resolve().parent / "golden" / config
     run = f"assert normlab.cli.main({[command, '--config', str(config), '--out', str(tmp_path), *extra]!r}) == 0"
@@ -61,25 +61,19 @@ def test_cli_import_leaves_jsonschema_out():
     assert _cli_import_loads(packages) == "[]"
 
 
-# numpy.random is loaded here only as the reference the port is checked against
-@settings(max_examples=300, deadline=None)
-@example(seed=0, count=6)
-@example(seed=2**32 - 1, count=18)
-@example(seed=2**32, count=18)
-@example(seed=2**64, count=6)
-@example(seed=2**128 + 5, count=18)
-@example(seed=2**200 + 12345, count=6)
-@given(seed=st.integers(0, 2**200), count=st.sampled_from(range(6, 19, 2)))
-def test_pcg64_port_matches_numpy_bit_for_bit(seed, count):
-    assert sampling._pcg64_uniforms(seed, count) == np.random.default_rng(seed).random(count).tolist()
-
-
-def test_pcg64_port_rejects_what_is_not_a_seed():
-    with pytest.raises(ValueError):
-        sampling._pcg64_uniforms(-1, 6)
+def test_directions_reject_what_is_not_a_seed():
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        sphere_directions(3, 8, -1)  # random.Random would read it as 1
     for seed in (None, 1.0):  # None would otherwise draw OS entropy
         with pytest.raises(TypeError):
-            sampling._pcg64_uniforms(seed, 6)
+            sphere_directions(3, 8, seed)
+
+
+def test_directions_take_any_non_negative_integer_seed():
+    assert sphere_directions(3, 8, np.int64(5)).tobytes() == sphere_directions(3, 8, 5).tobytes()
+    big = sphere_directions(3, 8, 2**200)
+    assert np.max(np.abs(np.linalg.norm(big, axis=1) - 1.0)) <= 1e-12
+    assert not np.allclose(big, sphere_directions(3, 8, 0))
 
 
 @pytest.mark.parametrize("n", [0, -1])
