@@ -4,8 +4,9 @@ The sharp function of f at z is the supremum, over unit directions v, of the
 square root of the Levi form of log(1+|f|^2).  The closed form collapses this
 to |grad f| / (1+|f|^2); the oracle instead takes the discrete Levi form
 along n^2 probe directions, polarizes them into the complex Hessian of
-log(1+|f|^2), and maximizes its Hermitian form over 256 sampled directions,
-from values of f alone.  This script shows the two agree.
+log(1+|f|^2), and takes the square root of its top eigenvalue, the supremum
+of its Hermitian form over unit directions, from values of f alone.  This
+script shows the two agree.
 """
 
 import random
@@ -33,7 +34,7 @@ def main():
             for _ in range(3)
         ]
         closed = sharp_batch(f, points)
-        oracles = sharp_fd(f, points, 256, 1e-4)
+        oracles = sharp_fd(f, points, 1e-4)
         for z, s, oracle in zip(points, closed, oracles):
             dev = abs(s - oracle) / (1.0 + s)
             zs = " ".join(f"{c:.3f}" for c in z)

@@ -128,20 +128,19 @@ def _polarize(levi: np.ndarray, n: int) -> np.ndarray:
     return hessian
 
 
-def sharp_fd(f: HoloExpr, points, sphere_samples: int, h: float, seed: int = 0) -> np.ndarray:
-    """Brute-force oracle for `sharp_batch`: max over sampled unit directions v
-    of sqrt(max(0, L(v))) at each row z of an (N, n) point array, (N,), along
-    one direction set, with L(v) = sum_jk v_j H_jk conj(v_k) the Levi form of
-    log(1+|f|^2) from its finite-difference complex Hessian H.  H comes from
-    `levi_form_fd` along the n^2 `_probes` by polarization, so a point costs
-    4 n^2 + 1 evaluations of f, whatever the number of directions; values
-    only, no derivatives of f.  EvaluationError when 4 h^2 is 0 or inf, when a
-    point's real or imaginary part absorbs +-h, or when the stencil is not finite."""
+def sharp_fd(f: HoloExpr, points, h: float) -> np.ndarray:
+    """Brute-force oracle for `sharp_batch`: sqrt(max(0, lambda_max(H))) at
+    each row z of an (N, n) point array, (N,), with H the finite-difference
+    complex Hessian of log(1+|f|^2), whose top eigenvalue is the supremum of
+    its Levi form sum_jk v_j H_jk conj(v_k) over unit directions v.  H comes
+    from `levi_form_fd` along the n^2 `_probes` by polarization, so a point
+    costs 4 n^2 + 1 evaluations of f; values only, no derivatives of f.
+    EvaluationError when 4 h^2 is 0 or inf, when a point's real or imaginary
+    part absorbs +-h, or when H or its top eigenvalue is not finite."""
     z = np.asarray(points, dtype=complex)
     n = f.dimension
     if z.ndim != 2 or z.shape[1] != n:
         raise DimensionMismatchError(f"points of shape {z.shape}, expression expects dimension {n}")
-    dirs = sphere_directions(n, sphere_samples, seed)
     not_finite = EvaluationError(f"finite-difference Levi form is not finite at h = {h!r}")
     if not 0.0 < 4.0 * h * h < math.inf:  # the stencil would read 0 / 0 or x / inf
         raise not_finite
@@ -150,10 +149,11 @@ def sharp_fd(f: HoloExpr, points, sphere_samples: int, h: float, seed: int = 0) 
         raise EvaluationError(f"finite-difference step h = {h!r} is below the float resolution of the points")
     with np.errstate(all="ignore"):
         hessian = _polarize(levi_form_fd(log1p_sq_field(f), z[:, None, :], _probes(n), h), n)
-        levi = np.einsum("mj,Njk,mk->Nm", dirs, hessian, dirs.conj()).real
-    if not np.isfinite(levi).all():
+    if not np.isfinite(hessian).all():  # before LAPACK sees a nan
         raise not_finite
-    peak = np.max(levi, axis=-1)
+    peak = np.linalg.eigvalsh(hessian)[:, -1]
+    if not np.isfinite(peak).all():  # past 1.8e308, with every entry of H finite
+        raise not_finite
     return np.sqrt(np.where(peak > 0.0, peak, 0.0))  # max(0, peak), never -0.0
 
 

@@ -248,22 +248,26 @@ def test_reproducible_outputs(tmp_path):
 def test_repeated_main_calls_share_no_arguments(tmp_path, capsys):
     # one process, one parser: no call's options may leak into the next
     sharp = {"command": "sharp", "function": "z1*z2^2+cos(z3)", "dimension": 3,
-             "points": [[[0.1, 0.2], [0.3, -0.1], [-0.2, 0.4]]], "sphere_samples": 16, "seed": 2}
+             "points": [[[0.1, 0.2], [0.3, -0.1], [-0.2, 0.4]]]}
+    rescale = _zalcman_config("sin(1/(1-z1))+z2*z3", 3, 64)  # a 3-D grid: seeds 0 and 1 give other bytes
     config = _write(tmp_path, "sharp.json", sharp)
-    seeded = _write(tmp_path, "seeded.json", {**sharp, "seed": 5})
+    unseeded = _write(tmp_path, "rescale.json", rescale)
+    seeded = _write(tmp_path, "seeded.json", {**rescale, "seed": 1})
     scan = _write(tmp_path, "scan.json", _scan_config(DISC))
 
     def files(out):
         return {path.name: path.read_bytes() for path in (tmp_path / out).iterdir()}
 
-    assert main(["sharp", "--config", config, "--out", str(tmp_path / "a"), "--seed", "5", "--format", "csv"]) == 0
+    assert main(["rescale", "--config", unseeded, "--out", str(tmp_path / "a"), "--seed", "1", "--format", "csv"]) == 0
     assert main(["marty-scan", "--config", scan, "--out", str(tmp_path / "b")]) == 0
     assert main(["check-config", "--config", config]) == 0
-    assert main(["sharp", "--config", config, "--out", str(tmp_path / "c")]) == 0
-    assert main(["sharp", "--config", seeded, "--out", str(tmp_path / "d")]) == 0
+    assert main(["sharp", "--config", config, "--out", str(tmp_path / "s")]) == 0
+    assert main(["rescale", "--config", unseeded, "--out", str(tmp_path / "c")]) == 0
+    assert main(["rescale", "--config", seeded, "--out", str(tmp_path / "d")]) == 0
     assert sorted(files("b")) == ["marty_scan.json", "marty_trend.csv"]
-    assert files("a") == {"sharp.csv": files("d")["sharp.csv"]}
-    assert files("c") != files("d")  # the --seed 5 of the first call did not stick
+    assert sorted(files("s")) == ["sharp.csv", "sharp.json"]
+    assert files("a") == {"rescale_run.csv": files("d")["rescale_run.csv"]}
+    assert files("c") != files("d")  # the --seed 1 of the first call did not stick
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["sharp", "--config", config, "--bogus"])
@@ -808,7 +812,12 @@ def _zalcman_config(function, n, grid_size):
 # sampling.sphere_directions, which reads the seed only for n >= 3.  Whether
 # two given seeds move a report depends on where the grid's supremum falls
 # (often on the seed-free axes), so each config runs seeds 0-7 and the test
-# names the files whose bytes vary among them.
+# names the files whose bytes vary among them.  A sharp run reads no seed:
+# its oracle is the top eigenvalue of the fd Hessian, not a direction set.
+_SHARP_3D = {"command": "sharp", "function": "exp(z1)*z2^2+z3", "dimension": 3,
+             "points": [[[0.1, 0.2], [0.3, -0.1], [-0.2, 0.4]], [[0.25, 0.0], [0.0, -0.3], [0.1, 0.1]]]}
+
+
 @pytest.mark.parametrize(
     "config,moved",
     [
@@ -816,8 +825,9 @@ def _zalcman_config(function, n, grid_size):
         (_zalcman_config("sin(1/(1-z1))+z2^2", 2, 64), set()),
         (_zalcman_config("sin(1/(1-z1))+z2*z3", 3, 16), set()),  # 4 points a ring: the axes alone
         (_zalcman_config("sin(1/(1-z1))+z2*z3", 3, 64), {"rescale_run.csv", "rescale.json"}),
+        (_SHARP_3D, set()),
     ],
-    ids=["counterexample", "rescale-2d", "rescale-3d-axes-only", "rescale-3d"],
+    ids=["counterexample", "rescale-2d", "rescale-3d-axes-only", "rescale-3d", "sharp-3d"],
 )
 def test_seed_moves_only_grids_filled_in_three_or_more_dimensions(tmp_path, config, moved):
     seeds = [str(seed) for seed in range(8)]

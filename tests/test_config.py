@@ -3,6 +3,7 @@ of JSON Schema: mutated configs of every command are accepted or rejected
 by both alike."""
 
 import copy
+import importlib.util
 import math
 import re
 from pathlib import Path
@@ -299,3 +300,17 @@ def test_readme_defaults_table_matches_the_schemas():
     }
     assert ("marty-scan", "plan.seed", 0) in expected
     assert rows == expected
+
+
+def test_bench_task_configs_pass_the_schema():
+    # the benchmark writes its configs by hand; a schema change that rejects
+    # one would make its tasks exit 2, and show only when the benchmark runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    tasks = [task for name in gen.WORKLOADS for task in gen.workload(name, 31)["tasks"]]
+    valid = [task["config"] for task in tasks if 2 not in task["expect"]["codes"]]
+    assert len(valid) == 116
+    for config in valid:
+        validate_config(config)

@@ -139,7 +139,7 @@ def test_sharp_product_value_confirmed_by_oracle():
     f = parse("z1*z2", 2)
     s = sharp_batch(f, [(1 + 0j, 1 + 0j)])[0]
     assert s == pytest.approx(math.sqrt(2) / 2)
-    oracle = sharp_fd(f, [(1 + 0j, 1 + 0j)], 256, 1e-4)[0]
+    oracle = sharp_fd(f, [(1 + 0j, 1 + 0j)], 1e-4)[0]
     assert abs(s - oracle) <= 1e-3 * (1 + s)
 
 
@@ -150,22 +150,23 @@ def test_sharp_and_levi_do_not_overflow():
     assert sharp_batch(f, [z])[0] == pytest.approx(math.exp(-400.0), rel=1e-12)
     assert levi_log1p_closed(f, (300 + 0j,), (1 + 0j,)) == pytest.approx(math.exp(-600.0), rel=1e-12)
     assert log1p_sq_field(f)(z) == pytest.approx(800.0, rel=1e-15)
-    assert math.isfinite(sharp_fd(f, [z], 8, 1e-4)[0])
+    assert math.isfinite(sharp_fd(f, [z], 1e-4)[0])
 
 
 def test_sharp_fd_identity_function():
-    oracle = sharp_fd(parse("z1", 1), [(0j,)], 64, 1e-4)
+    oracle = sharp_fd(parse("z1", 1), [(0j,)], 1e-4)
     assert oracle == pytest.approx([1.0], abs=1e-4)
 
 
 def test_sharp_fd_constant_zero():
-    assert sharp_fd(parse("2", 1), [(0.1 + 0.1j,)], 64, 1e-4).tolist() == [0.0]
+    assert sharp_fd(parse("2", 1), [(0.1 + 0.1j,)], 1e-4).tolist() == [0.0]
 
 
 def _point_major_sharp_fd(f, z, sphere_samples, h, seed=0):
-    """sharp_fd as it stood with the five-point stencil taken along every
-    sampled direction, its arms laid out point by point, (P, m, n), and both
-    logs taken everywhere: the reference for the polarized Hessian."""
+    """The oracle as it stood before the Hessian: the five-point stencil taken
+    along every sampled direction, its arms laid out point by point, (P, m, n),
+    both logs taken everywhere, and the max over the directions; a lower
+    bound on the supremum that `sharp_fd` reads."""
 
     def field(w):
         value = evaluate_batch(f, w.reshape(-1, f.dimension), gradient=False).check().value
@@ -185,33 +186,55 @@ def test_sharp_fd_over_points_is_one_stencil_pass(monkeypatch):
     f = parse("exp(0.3*z1)*z2+z3^2", 3)
     rng = np.random.default_rng(5)
     points = 0.4 * (rng.random((16, 3)) - 0.5 + 1j * (rng.random((16, 3)) - 0.5))
-    expected = _point_major_sharp_fd(f, points, 64, 1e-4, seed=2)
+    sampled = _point_major_sharp_fd(f, points, 64, 1e-4, seed=2)
     rows = _counting(monkeypatch, metrics, "evaluate_batch")
     directions = _counting(monkeypatch, metrics, "sphere_directions")
-    oracle = sharp_fd(f, points, 64, 1e-4, seed=2)
-    # one direction set; one field call over the four arms along the n^2
+    oracle = sharp_fd(f, points, 1e-4)
+    # no direction set; one field call over the four arms along the n^2
     # probes of every point, and the centres
-    assert len(directions) == 1
+    assert directions == []
     assert [len(args[1]) for args in rows] == [16 * (4 * 3**2 + 1)]
     assert oracle.shape == (16,)
-    assert np.all(np.abs(oracle**2 - expected**2) <= 1e-5 * (1 + expected**2))
-    assert sharp_fd(f, points[3:4], 64, 1e-4, seed=2).tolist() == oracle[3:4].tolist()
+    assert np.all(sampled**2 - oracle**2 <= 1e-5 * (1 + sampled**2))
+    assert sharp_fd(f, points[3:4], 1e-4).tolist() == oracle[3:4].tolist()
 
 
 @settings(max_examples=60, deadline=None)
 @example(tree_seed=2118, n=1, seed=2118)  # z1 + (2 e^2)^2: a sharp of 3e-4 under rounding noise
 @given(tree_seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), seed=st.integers(0, 2**16))
 def test_sharp_fd_matches_the_point_major_stencil(tree_seed, n, seed):
-    # Both are O(h^2) stencils of the same Levi form, so they agree to the
-    # stencil's error, not bit for bit.  They are compared on the Levi scale,
-    # sharp^2, where the rounding error (about eps |F| / h^2) adds: at a flat
-    # point the sharp reads its square root, up to 1e-4 at h = 1e-4, in either.
+    # The sampled max of the per-direction stencil is a lower bound on the
+    # top eigenvalue of the polarized Hessian, up to the stencils' O(h^2)
+    # error.  They are compared on the Levi scale, sharp^2, where the
+    # rounding error (about eps |F| / h^2) adds: at a flat point the sharp
+    # reads its square root, up to 1e-4 at h = 1e-4, in either.
     f = parse(_random_expr(random.Random(tree_seed), n), n)
     rng = np.random.default_rng(seed)
     points = rng.uniform(-1, 1, (4, n)) + 1j * rng.uniform(-1, 1, (4, n))
-    want = _point_major_sharp_fd(f, points, 32, 1e-4, seed)
-    got = sharp_fd(f, points, 32, 1e-4, seed)
-    assert np.all(np.abs(got**2 - want**2) <= 1e-5 * (1 + want**2))
+    sampled = _point_major_sharp_fd(f, points, 32, 1e-4, seed)
+    got = sharp_fd(f, points, 1e-4)
+    assert np.all(sampled**2 - got**2 <= 1e-5 * (1 + sampled**2))
+
+
+def _linear(coefficients) -> str:
+    return "+".join(f"({c.real!r}+{c.imag!r}*i)*z{k}" for k, c in enumerate(map(complex, coefficients), 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_sharp_fd_reads_the_closed_form_in_every_dimension(n, seed):
+    # lambda_max of the fd Hessian is the supremum over directions itself, so
+    # the oracle meets the closed form to the stencil's O(h^2) error in every
+    # dimension.  |b_k| >= 0.5 > |0.25 a_k cos(a.z)| keeps the gradient of
+    # f = b.z + 0.25 sin(a.z) off 0 on the box, and the sharp above 0.01,
+    # where the stencil's rounding would read its square root.
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-0.7, 0.7, n) + 1j * rng.uniform(-0.7, 0.7, n)
+    b = rng.uniform(0.5, 1.0, n) * np.exp(2j * np.pi * rng.random(n))
+    f = parse(f"{_linear(b)}+0.25*sin({_linear(a)})", n)
+    points = rng.uniform(-0.5, 0.5, (8, n)) + 1j * rng.uniform(-0.5, 0.5, (8, n))
+    s = sharp_batch(f, points)
+    assert np.all(np.abs(sharp_fd(f, points, 1e-4) - s) <= 1e-5 * (1 + s))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -250,16 +273,19 @@ def test_sharp_fd_rejects_a_non_finite_stencil():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError, match="not finite"):
-            sharp_fd(parse("z1^2", 1), [(0.5 + 0j,)], 64, 1e-200)
+            sharp_fd(parse("z1^2", 1), [(0.5 + 0j,)], 1e-200)
         with pytest.raises(EvaluationError, match="not finite at h = 1e[+]200"):
-            sharp_fd(parse("z1", 1), [(0.1 + 0j,)], 8, 1e200)
+            sharp_fd(parse("z1", 1), [(0.1 + 0j,)], 1e200)
+        # every entry of H is finite, but its top eigenvalue, 5 a^2, is past the float range
+        with pytest.raises(EvaluationError, match="not finite"):
+            sharp_fd(parse("7.017038286703722e+153*(z1+z2+z3+z4+z5)", 5), np.zeros((1, 5)), 3.665241237079671e-155)
 
 
 def test_sharp_fd_takes_a_point_array_only():
     f = parse("z1*z2", 2)
     for points in ((0.1j, 0.2), [(0.1j,)], [[(0.1j, 0.2)]]):  # one point, a short row, an extra axis
         with pytest.raises(DimensionMismatchError):
-            sharp_fd(f, points, 8, 1e-4)
+            sharp_fd(f, points, 1e-4)
 
 
 def test_hermitian_homogeneity():
