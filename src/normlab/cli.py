@@ -61,17 +61,18 @@ def _json(payload: dict) -> str:
     return "".join(parts)
 
 
-def _record_row(dtype: np.dtype) -> str:
+@functools.cache
+def _record_row(dtype: np.dtype) -> tuple[str, ...]:
     """One record of a record dtype as json.dumps(indent=2, sort_keys=True)
-    prints it inside a list that is a top-level key of a report, a %s in
-    place of each float (a complex is a [re, im] pair), preceded by its
-    newline and indentation."""
+    prints it inside a list that is a top-level key of a report, preceded by
+    its newline and indentation, split at each float (a complex is a [re, im]
+    pair): the k + 1 pieces around its k floats.  Built once per dtype."""
     record = {}
     for name in dtype.names:
         cell = ["%s", "%s"] if dtype[name].base.kind == "c" else "%s"
         record[name] = [cell] * dtype[name].shape[0] if dtype[name].shape else cell
     text = json.dumps({"records": [record]}, indent=2, sort_keys=True)
-    return text[text.index("[") + 1:text.rindex("\n  ]")].replace('"%s"', "%s")
+    return tuple(text[text.index("[") + 1:text.rindex("\n  ]")].split('"%s"'))
 
 
 def _records_json(records: np.ndarray) -> str:
@@ -79,21 +80,28 @@ def _records_json(records: np.ndarray) -> str:
     indent=2, sort_keys=True, allow_nan=False) prints it as a top-level key
     of a report (`marty_scan.json`'s samples, `sharp.json`'s rows): the
     floats of each record in sorted field order (a complex field's real and
-    imaginary parts in turn), through float.__repr__ as json does, filled
-    into the joined rows by one % format.  A report repeats most of its
-    floats (each scan point across its directions, say), so each distinct
-    one is printed once."""
+    imaginary parts in turn), through float.__repr__ as json does.  A report
+    repeats most of its floats (each scan point across its directions, say),
+    so each distinct one is printed once.  The float texts are laid between
+    the row's pieces (`_record_row`) in one table of strings, and the array
+    is joined once."""
     if not len(records):
         return "[]"
     columns = [records[name].reshape(len(records), -1) for name in sorted(records.dtype.names)]
-    table = np.hstack([c.view(float) if c.dtype.kind == "c" else c for c in columns]).ravel()
+    table = np.hstack([c.view(float) if c.dtype.kind == "c" else c for c in columns])
     for x in table[~np.isfinite(table)][:1].tolist():
         raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
     # keyed on the bit pattern, not the value, so -0.0 and 0.0 print apart
     bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
     text = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
-    rows = ",".join([_record_row(records.dtype)] * len(records))
-    return "[" + rows % tuple(text[inverse].tolist()) + "\n  ]"
+    pieces = _record_row(records.dtype)
+    cells = np.empty((len(records), 2 * len(pieces) - 1), dtype=object)
+    cells[:, 0::2] = pieces
+    cells[:, 1::2] = text[inverse.reshape(table.shape)]
+    cells[0, 0] = "[" + pieces[0]
+    cells[1:, 0] = "," + pieces[0]
+    cells[-1, -1] = pieces[-1] + "\n  ]"
+    return "".join(cells.ravel().tolist())
 
 
 def _csv(header: list[str], rows) -> str:

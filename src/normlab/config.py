@@ -32,7 +32,8 @@ from .rescaling import ExplicitScale, SequenceSpec, ZalcmanScale
 
 _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-_POSINT = {"type": "integer", "minimum": 1, "maximum": 2**20}  # a larger count outgrows memory
+_MAX_COUNT = 2**20  # a larger count, or a scan of more samples, outgrows memory
+_POSINT = {"type": "integer", "minimum": 1, "maximum": _MAX_COUNT}
 _SEED = {"type": "integer", "minimum": 0, "default": 0}
 _GRID_SIZE = {**_POSINT, "minimum": 2, "default": 64}  # the origin and one ring at least
 _FUNCTION = {"type": "string", "minLength": 1}
@@ -176,6 +177,19 @@ _BOUNDS = (
 )
 
 
+def _is_pair(value: Any) -> bool:
+    return isinstance(value, list) and len(value) == 2 and _is_number(value[0]) and _is_number(value[1])
+
+
+def _passes_at_once(items: list, schema: dict) -> bool:
+    """Whether one pass shows that every item breaks nothing of `schema`:
+    plain numbers under _NUMBER, pairs of them under _COMPLEX.  A list that
+    fails this is walked item by item, which names the violation."""
+    if schema is _NUMBER:
+        return all(map(_is_number, items))
+    return schema is _COMPLEX and all(map(_is_pair, items))
+
+
 def _violations(value: Any, schema: dict, path: str, out: list[tuple[str, str]]) -> None:
     """Append (json path, reason) for each way `value` breaks `schema`.  As in
     JSON Schema, a keyword constrains only values of its own type."""
@@ -199,8 +213,7 @@ def _violations(value: Any, schema: dict, path: str, out: list[tuple[str, str]])
             out.append((path, f"{value!r} is shorter than the minimum length of {schema['minItems']}"))
         if len(value) > schema.get("maxItems", math.inf):
             out.append((path, f"{value!r} is longer than the maximum length of {schema['maxItems']}"))
-        # a list of plain numbers breaks nothing of _NUMBER: one pass checks it
-        if "items" in schema and not (schema["items"] is _NUMBER and all(map(_is_number, value))):
+        if "items" in schema and not _passes_at_once(value, schema["items"]):
             for k, item in enumerate(value):
                 _violations(item, schema["items"], f"{path}[{k}]", out)
     elif isinstance(value, dict):
@@ -269,10 +282,12 @@ def parse_function(source: str, dimension: int) -> HoloExpr:
 
 def validate_config(config: dict[str, Any]) -> str:
     """Validate against the schema named by config['command'], check that a
-    sequence's j_start does not exceed its j_end, check every point, center,
-    radii, anchor and inward list against the dimension, and parse the
-    config's function, if it has one; returns the command.  The config gets
-    its defaults and plain types in place (`_typed`): 2.0 becomes 2, say."""
+    scan plan asks for at most 2^20 samples (shells x points x directions)
+    and that a sequence's j_start does not exceed its j_end, check every
+    point, center, radii, anchor and inward list against the dimension, and
+    parse the config's function, if it has one; returns the command.  The
+    config gets its defaults and plain types in place (`_typed`): 2.0
+    becomes 2, say."""
     command = config.get("command")
     if not isinstance(command, str) or command not in SCHEMAS:
         raise ConfigError(f"config must carry a 'command' key, one of {sorted(SCHEMAS)}")
@@ -281,6 +296,14 @@ def validate_config(config: dict[str, Any]) -> str:
     if errors:
         raise ConfigError("config schema violation: {}: {}".format(*errors[0]))
     _typed(config, SCHEMAS[command])
+    plan = config.get("plan")
+    if plan is not None:
+        shells, points, directions = len(plan["shells"]), plan["points_per_shell"], plan["directions_per_point"]
+        if shells * points * directions > _MAX_COUNT:
+            raise ConfigError(
+                f"plan asks for {shells} shells x {points} points x {directions} directions"
+                f" = {shells * points * directions} samples, more than the cap of {_MAX_COUNT}"
+            )
     sequence = config.get("sequence")
     if sequence is not None and sequence["j_start"] > sequence["j_end"]:
         raise ConfigError(f"sequence.j_start {sequence['j_start']} exceeds sequence.j_end {sequence['j_end']}")

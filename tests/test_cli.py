@@ -12,11 +12,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from normlab import DimensionMismatchError, parse
+from normlab import Ball, DimensionMismatchError, parse
 from normlab import config as cfg_module
 from normlab.cli import _json, _records_json, main
 from normlab.config import SCHEMAS, point_to_json
-from normlab.metrics import sample_dtype, sharp_batch
+from normlab.metrics import SamplingPlan, normality_scan, sample_dtype, sharp_batch, sharp_fd
 
 DISC = {"type": "ball", "center": [[0.0, 0.0]], "radius": 1.0}
 
@@ -633,11 +633,19 @@ def _records(n, *rows):
     return np.array(list(rows), sample_dtype(n)).view(np.recarray)
 
 
+def _bench_shaped_scan():
+    # a real scan at the benchmark's shape: 8 dyadic shells x 32 points x 4
+    # directions in 2-D, 1,024 rows, each point repeated across its directions
+    plan = SamplingPlan(tuple(2.0**-k for k in range(1, 9)), points_per_shell=32, directions_per_point=4, seed=7)
+    return normality_scan(parse("exp(z1*z2) + 1/(2 - z1)", 2), Ball((0j, 0j), 1.0), plan).samples
+
+
 # each example holds floats that are equal as values but differ in bits, or
 # differ in bits by one ulp: printing each distinct float once must keep them apart
 @example(_records(2, ((complex(-0.0, 0.0), complex(0.0, -0.0)), (0j, complex(-0.0, 1.0)), 0.0, -0.0, 1.0, -0.0, 0.0)))
 @example(_records(1, ((complex(5e-324, -5e-324),), (1 + 0j,), -5e-324, 5e-324, 1.0, 5e-324, -5e-324)))
 @example(_records(1, ((complex(0.1, _NEXT),), (complex(_NEXT, 0.1),), 0.1, _NEXT, 1e16, 1.0000000000000002e16, 0.1)))
+@example(_bench_shaped_scan())
 @given(
     _scan_samples(_EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)) | _scan_shaped_samples()
 )
@@ -668,6 +676,16 @@ def _sharp_rows(values):
     return st.integers(1, 3).flatmap(records)
 
 
+def _sharp_report_rows():
+    # the rows of a 16-point 3-D sharp report, as the `sharp` command builds them
+    f = parse("exp(z1*z2) + z3^2/(2 - z1)", 3)
+    z = np.array([[complex(0.1 * k, -0.05 * k), 0.3j, complex(-0.2, 0.01 * k)] for k in range(16)])
+    closed, oracle = sharp_batch(f, z), sharp_fd(f, z, 1e-4)
+    dtype = [("point", complex, (3,)), ("sharp_closed", float), ("sharp_fd", float), ("rel_dev", float)]
+    return np.rec.fromarrays([z, closed, oracle, np.abs(closed - oracle) / (1.0 + closed)], dtype=dtype)
+
+
+@example(_sharp_report_rows())
 @given(_sharp_rows(_EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)))
 def test_records_writer_prints_sharp_rows_as_stdlib_json(rows):
     expected = [

@@ -4,6 +4,7 @@ by both alike."""
 
 import copy
 import importlib.util
+import json
 import math
 import re
 from pathlib import Path
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normlab import config as config_module
+from normlab.cli import main
 from normlab.config import SCHEMAS, validate_config
 from normlab.errors import ConfigError
 
@@ -256,6 +259,57 @@ def test_counts_are_capped_at_two_to_the_twenty(config, path, value):
 def test_counts_at_the_cap_pass_the_schema(config, path):
     # the checks after the schema (the dimension, j order) may still object
     assert _walker_accepts(_at(config, path, 2**20))
+
+
+# each key passed its own cap, and a plan of 2^20 x 2^20 samples ended in a
+# MemoryError traceback or the process was killed
+@pytest.mark.parametrize(
+    "shells,points,directions",
+    [(1, 2**20, 2**20), (3, 2**19, 1), (2**20 + 1, 1, 1), (2, 2**10, 2**9 + 1)],
+)
+def test_scan_sample_count_is_capped(tmp_path, capsys, shells, points, directions):
+    plan = {"shells": [1.0] * shells, "points_per_shell": points, "directions_per_point": directions}
+    config = {**_SCAN, "plan": plan}
+    samples = shells * points * directions
+    message = (
+        f"plan asks for {shells} shells x {points} points x {directions} directions"
+        f" = {samples} samples, more than the cap of 1048576"
+    )
+    with pytest.raises(ConfigError) as info:
+        validate_config(copy.deepcopy(config))
+    assert str(info.value) == message
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(config))
+    assert main(["marty-scan", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_scan_at_the_sample_cap_passes():
+    plan = {"shells": [1.0, 0.5], "points_per_shell": 2**10, "directions_per_point": 2**9}
+    assert validate_config({**copy.deepcopy(_SCAN), "plan": plan}) == "marty-scan"
+
+
+def test_point_lists_are_checked_in_one_pass(monkeypatch):
+    # a list of [re, im] pairs of numbers is checked in one pass, not by one
+    # walk per coordinate; a list with any other item is walked item by item
+    calls = []
+    walk = config_module._violations
+
+    def counted(value, schema, path, out):
+        calls.append(path)
+        walk(value, schema, path, out)
+
+    monkeypatch.setattr(config_module, "_violations", counted)
+    points = [[[0.1 * k, -0.2], [0.0, 1], [2.5, 0.0]] for k in range(16)]
+    sharp = {**copy.deepcopy(_SHARP), "dimension": 3, "points": points}
+    validate_config(sharp)
+    assert len(calls) == 8 + 16  # the top level, its 7 keys, and each point
+    calls.clear()
+    sharp["points"][5] = [[0.0, 0.0], [0.0, True], [1.0, 0.0]]
+    with pytest.raises(ConfigError, match=re.escape("$.points[5][1][1]: True is not of type 'number'")):
+        validate_config(sharp)
+    assert "$.points[5][1]" in calls and "$.points[4][1]" not in calls
 
 
 def test_validation_fills_defaults_and_types_scalars():
