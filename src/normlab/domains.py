@@ -4,6 +4,7 @@ ray-extent and circumscribed-ball queries."""
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,7 +75,7 @@ def boundary_distance_batch(domain: Domain, points) -> np.ndarray:
         )
     d = p - np.asarray(domain.center, dtype=complex)
     if isinstance(domain, Ball):
-        return domain.radius - np.linalg.norm(d, axis=1)
+        return domain.radius - row_norms(d)
     return np.min(np.asarray(domain.radii) - np.abs(d), axis=1)
 
 
@@ -88,19 +89,18 @@ def circumscribed_ball(domain: Domain) -> Ball:
     if isinstance(domain, Ball):
         radius = domain.radius
     else:
-        radius = math.sqrt(sum(r * r for r in domain.radii))
+        radius = math.hypot(*domain.radii)
     if not math.isfinite(radius * radius):
         raise DomainError(f"ball radius {radius!r} squares past the largest finite float")
     return Ball(domain.center, radius)
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an (N, n) complex array, (N,), with the
-    bits of np.linalg.norm of that row alone: a dot of the real parts plus a
-    dot of the imaginary parts, here as stacked (1, n) @ (n, 1) products.
-    np.linalg.norm along axis 1 sums in another order."""
-    re, im = a.real, a.imag
-    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+    """Euclidean norm of each row of an (N, n) array, (N,): np.hypot folded
+    over the moduli column by column, which is np.hypot.reduce along each row
+    without numpy's slow pass along a short axis.  No term is squared, so a
+    norm is finite wherever it is representable."""
+    return functools.reduce(np.hypot, np.abs(a).T)
 
 
 def ray_extent_batch(domain: Domain, directions) -> np.ndarray:

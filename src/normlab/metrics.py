@@ -3,7 +3,6 @@ the explicit Kobayashi metric on balls, and normality-constant scans."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -46,10 +45,7 @@ def sharp_batch(f: HoloExpr, points) -> np.ndarray:
     length, zero iff the gradient vanishes.  Raises the error of the first
     point that fails to evaluate."""
     jets = evaluate_batch(f, points).check()
-    # hypot folded column by column, as np.hypot.reduce along the rows does
-    # it, without numpy's slow pass along a short axis
-    gradient_norm = functools.reduce(np.hypot, np.abs(jets.gradient).T)
-    return _over_one_plus_square(gradient_norm, np.abs(jets.value))
+    return _over_one_plus_square(domains.row_norms(jets.gradient), np.abs(jets.value))
 
 
 def levi_form_fd(field: Callable, z: CPoint, v, h: float):
@@ -136,7 +132,7 @@ def sharp_fd(f: HoloExpr, points, h: float) -> np.ndarray:
     from `levi_form_fd` along the n^2 `_probes` by polarization, so a point
     costs 4 n^2 + 1 evaluations of f; values only, no derivatives of f.
     EvaluationError when 4 h^2 is 0 or inf, when a point's real or imaginary
-    part absorbs +-h, or when H or its top eigenvalue is not finite."""
+    part absorbs +-h, or when an entry of H is not finite."""
     z = np.asarray(points, dtype=complex)
     n = f.dimension
     if z.ndim != 2 or z.shape[1] != n:
@@ -151,10 +147,11 @@ def sharp_fd(f: HoloExpr, points, h: float) -> np.ndarray:
         hessian = _polarize(levi_form_fd(log1p_sq_field(f), z[:, None, :], _probes(n), h), n)
     if not np.isfinite(hessian).all():  # before LAPACK sees a nan
         raise not_finite
-    peak = np.linalg.eigvalsh(hessian)[:, -1]
-    if not np.isfinite(peak).all():  # past 1.8e308, with every entry of H finite
-        raise not_finite
-    return np.sqrt(np.where(peak > 0.0, peak, 0.0))  # max(0, peak), never -0.0
+    # H / 4^k, its largest entry in [0.5, 2): an exact scaling, under which the
+    # top eigenvalue is finite even where sharp^2 is past the float range
+    k = np.frexp(np.abs(hessian).max(axis=(1, 2)))[1] // 2
+    peak = np.linalg.eigvalsh(np.ldexp(hessian.view(float), -2 * k[:, None, None]).view(complex))[:, -1]
+    return np.ldexp(np.sqrt(np.where(peak > 0.0, peak, 0.0)), k)  # max(0, peak), never -0.0
 
 
 # --------------------------------------------------------------------------
@@ -173,10 +170,10 @@ def kobayashi_ball_batch(offsets, radius, directions) -> np.ndarray:
     DomainError when a point is not strictly inside its ball."""
     w = np.asarray(offsets, dtype=complex)
     v = np.asarray(directions, dtype=complex)
-    v_sq = np.linalg.norm(v, axis=1) ** 2
+    v_sq = domains.row_norms(v) ** 2
     if np.any(v_sq == 0):
         raise ValueError("direction v must be nonzero")
-    slack = np.asarray(radius, dtype=float) ** 2 - np.linalg.norm(w, axis=1) ** 2
+    slack = np.asarray(radius, dtype=float) ** 2 - domains.row_norms(w) ** 2
     if np.any(slack <= 0):
         raise DomainError("point is not strictly inside the ball")
     pairing = np.sum(w[:, None, :] * np.conj(v)[None, :, :], axis=-1)

@@ -13,6 +13,7 @@ import random
 
 import numpy as np
 
+from .domains import row_norms
 from .errors import EvaluationError
 
 GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
@@ -86,9 +87,9 @@ def sphere_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
     steps = np.arange(1, count + 1)[:, None] * _rd_root(2 * n) ** -np.arange(1.0, 2 * n + 1)
     x = (steps + np.array([draw() for _ in range(2 * n)])) % 1.0
     v = np.sqrt(-2.0 * np.log1p(-x[:, :n])) * np.exp(2j * math.pi * x[:, n:])
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    norms = row_norms(v)
     norms[norms == 0] = 1.0
-    return v / norms
+    return v / norms[:, None]
 
 
 def scan_rays(n: int, count: int, seed: int = 0) -> np.ndarray:

@@ -416,6 +416,30 @@ def test_scan_overflow_to_inf(tmp_path):
     assert sum(int(m[1]) if m else 4 for m in counts) == payload["skipped"]
 
 
+@pytest.mark.parametrize(
+    "domain",
+    [
+        {"type": "ball", "center": [[0.0, 0.0]], "radius": 1e200},
+        {"type": "polydisc", "center": [[0.0, 0.0]], "radii": [1e200]},
+    ],
+    ids=["ball", "polydisc"],
+)
+def test_thm2_measures_centers_past_the_root_of_the_float_range(tmp_path, domain):
+    # |z_j| and delta(z_j) near 1e200, whose squares overflow: a norm that
+    # squared its coordinates once read p_1 as outside the ball (exit 3) and
+    # wrote abs_z_j = inf for the polydisc
+    config = _rescaling_config("thm2", anchor=[[1e200, 0.0]], inward=[[-1.0, 0.0]], c_p=9e199, a=1.0, j_start=2, j_end=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run(tmp_path, "thm2", {**config, "function": "z1", "domain": domain})
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO((out / "thm2_run.csv").read_text())))
+    assert [int(row["j"]) for row in rows] == list(range(2, 11))
+    for row in rows:
+        assert math.isfinite(float(row["abs_z_j"])) and math.isfinite(float(row["delta_j"]))
+        assert 0 < float(row["delta_j"]) and float(row["abs_z_j"]) < 1e200
+
+
 # Each list with one entry per coordinate, given one coordinate too many.
 # Unchecked, the rescale and thm2 runs dropped the extra coordinate silently
 # and exited 0 or 4, and the scan failed late with exit 3.

@@ -163,21 +163,38 @@ def _strided(rng, count, n):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_row_norms_are_the_norm_of_each_row_alone(n):
-    for rows in _strided(np.random.default_rng(n), 2000, n):
-        want = [np.linalg.norm(row) for row in rows]
-        assert row_norms(rows).tolist() == want
+    # the column-by-column fold is np.hypot.reduce along each row, bit for bit
+    rng = np.random.default_rng(n)
+    for rows in _strided(rng, 2000, n):
+        norms = row_norms(rows)
+        assert norms.tobytes() == np.hypot.reduce(np.abs(rows), axis=1).tobytes()
+        want = np.linalg.norm(rows, axis=1)
+        assert np.all(np.abs(norms - want) <= 1e-15 * want)
+        # rows past 1e154, where a sum of squares overflows, scale exactly
+        assert (row_norms(rows * 2.0**600) / 2.0**600).tobytes() == norms.tobytes()
+    # moduli from subnormal to near the largest float, and zeros
+    magnitudes = np.abs(rng.standard_normal((500, n))) * 10.0 ** rng.integers(-320, 308, (500, n))
+    magnitudes[rng.random((500, n)) < 0.1] = 0.0
+    norms = row_norms(magnitudes)
+    assert norms.tobytes() == np.hypot.reduce(magnitudes, axis=1).tobytes()
+    # a sum of squares overflows past about 1e154 and loses digits below
+    # about 1e-154; the fold stays finite, and agrees between
+    with np.errstate(over="ignore", under="ignore"):
+        squaring = np.linalg.norm(magnitudes, axis=1)
+    assert np.isfinite(norms).all() and not np.isfinite(squaring).all()
+    fair = np.isfinite(squaring) & (squaring > 1e-150)
+    assert np.all(np.abs(norms[fair] - squaring[fair]) <= 1e-15 * squaring[fair])
 
 
 def _ray_extent(domain, direction):
     """sup{t > 0 : center + t*direction inside the domain} for one ray, the
     reference for the batch."""
-    u = np.asarray(direction, dtype=complex)
-    norm = float(np.linalg.norm(u))
+    mags = np.abs(np.asarray(direction, dtype=complex))
+    norm = float(np.hypot.reduce(mags))
     if norm == 0:
         raise ValueError("direction must be nonzero")
     if isinstance(domain, Ball):
         return domain.radius / norm
-    mags = np.abs(u)
     with np.errstate(divide="ignore"):
         return float(np.min(np.where(mags > 0, np.asarray(domain.radii) / mags, np.inf)))
 
