@@ -3,10 +3,13 @@
 On a ball the metric is explicit; on other bounded domains we sandwich it
 between the metric of the circumscribed ball (lower bound) and that of the
 inscribed ball at the evaluation point (upper bound, by the
-distance-decreasing property of holomorphic inclusions).  On a ball, the
+distance-decreasing property of holomorphic inclusions), which at its own
+center is |v| / delta, delta the point's boundary distance.  On a ball, the
 Cauchy-Schwarz inequality |(w, v)| <= |w| |v| bounds the metric by
 d |v| / (d^2 - |w|^2), with equality when w is parallel to v.
 """
+
+import math
 
 import numpy as np
 
@@ -35,8 +38,8 @@ def main():
         v = tuple(complex(*rng.normal(size=2)) for _ in range(2))
         # the circumscribed ball and the polydisc share the center 0, so p is its own offset
         lower = kobayashi_ball_batch([p], outer.radius, [v])[0, 0]
-        # the inscribed ball at p: centered there, of radius p's boundary distance
-        upper = kobayashi_ball_batch([(0j, 0j)], boundary_distance_batch(poly, [p]), [v])[0, 0]
+        # the inscribed ball at p, of radius its boundary distance, at its own center
+        upper = math.hypot(*map(abs, v)) / boundary_distance_batch(poly, [p])[0]
         ps = " ".join(f"{c:.2f}" for c in p)
         print(f"{ps:>30} {lower:10.5f} {upper:10.5f}")
         assert lower <= upper

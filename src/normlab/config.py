@@ -34,6 +34,7 @@ _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _MAX_COUNT = 2**20  # a larger count, or a scan of more samples, outgrows memory
 _POSINT = {"type": "integer", "minimum": 1, "maximum": _MAX_COUNT}
+_DIMENSION = {**_POSINT, "maximum": 9}  # the grammar's z1..z9
 _SEED = {"type": "integer", "minimum": 0, "default": 0}
 _GRID_SIZE = {**_POSINT, "minimum": 2, "default": 64}  # the origin and one ring at least
 _FUNCTION = {"type": "string", "minLength": 1}
@@ -80,7 +81,7 @@ def _rescaling_schema(command: str, **scale: dict) -> dict:
     return _object(
         command={"const": command},
         function=_FUNCTION,
-        dimension=_POSINT,
+        dimension=_DIMENSION,
         domain=_DOMAIN,
         sequence=_object(
             anchor=_POINT,
@@ -102,7 +103,7 @@ SCHEMAS: dict[str, dict] = {
     "sharp": _object(
         command={"const": "sharp"},
         function=_FUNCTION,
-        dimension=_POSINT,
+        dimension=_DIMENSION,
         points={"type": "array", "items": _POINT, "minItems": 1},
         h={**_POSITIVE, "default": 1e-4},
         sphere_samples={**_POSINT, "default": 256},
@@ -111,7 +112,7 @@ SCHEMAS: dict[str, dict] = {
     "marty-scan": _object(
         command={"const": "marty-scan"},
         function=_FUNCTION,
-        dimension=_POSINT,
+        dimension=_DIMENSION,
         domain=_DOMAIN,
         plan=_PLAN,
     ),

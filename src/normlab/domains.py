@@ -83,16 +83,10 @@ NOT_INTERIOR = "point is not interior to the domain"
 
 
 def circumscribed_ball(domain: Domain) -> Ball:
-    """Smallest ball centered at the domain's center containing the domain.
-    DomainError when the square of its radius, which the ball's Kobayashi
-    metric takes, passes the float range."""
+    """Smallest ball centered at the domain's center containing the domain."""
     if isinstance(domain, Ball):
-        radius = domain.radius
-    else:
-        radius = math.hypot(*domain.radii)
-    if not math.isfinite(radius * radius):
-        raise DomainError(f"ball radius {radius!r} squares past the largest finite float")
-    return Ball(domain.center, radius)
+        return domain
+    return Ball(domain.center, math.hypot(*domain.radii))
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:

@@ -158,22 +158,27 @@ def sharp_fd(f: HoloExpr, points, h: float) -> np.ndarray:
 # Kobayashi metric on balls
 # --------------------------------------------------------------------------
 
-def kobayashi_ball_batch(offsets, radius, directions) -> np.ndarray:
-    """Exact Kobayashi metric of Euclidean balls, (N, m): row i is the point
-    at offset w = offsets[i] from the center of a ball of radius radius[i]
-    (or one radius for every row), along each of m directions (m, n):
+def kobayashi_ball_batch(offsets, radius: float, directions) -> np.ndarray:
+    """Exact Kobayashi metric of the Euclidean ball of radius d at offsets w
+    (N, n) from its center, along each of m directions v (m, n), (N, m):
 
         sqrt((d^2 - |w|^2) |v|^2 + |(w, v)|^2) / (d^2 - |w|^2),
 
     with (w, v) the Hermitian pairing (the modulus does not depend on which
-    slot carries the conjugation).  Raises ValueError on a zero direction and
-    DomainError when a point is not strictly inside its ball."""
+    slot carries the conjugation).  Raises DomainError when d^2 is 0 or past
+    the float range or a point is not strictly inside the ball, and
+    ValueError on a zero direction."""
+    radius = float(radius)
+    d_sq = radius * radius
+    if not 0.0 < d_sq < math.inf:
+        edge = "past the largest finite" if d_sq else "below the smallest positive"
+        raise DomainError(f"ball radius {radius!r} squares {edge} float")
     w = np.asarray(offsets, dtype=complex)
     v = np.asarray(directions, dtype=complex)
     v_sq = domains.row_norms(v) ** 2
     if np.any(v_sq == 0):
         raise ValueError("direction v must be nonzero")
-    slack = np.asarray(radius, dtype=float) ** 2 - domains.row_norms(w) ** 2
+    slack = d_sq - domains.row_norms(w) ** 2
     if np.any(slack <= 0):
         raise DomainError("point is not strictly inside the ball")
     pairing = np.sum(w[:, None, :] * np.conj(v)[None, :, :], axis=-1)
@@ -206,8 +211,8 @@ class SamplingPlan:
 def sample_dtype(dimension: int) -> np.dtype:
     """The record of one scan sample: its point and direction (n complex
     each), the Levi form, the Kobayashi sandwich, and the ratios
-    ratio_lower = levi / k_upper^2 (a lower bound on C at the sample, up to
-    floating-point rounding) and ratio_upper = levi / k_lower^2."""
+    ratio_lower = levi / k_upper / k_upper (a lower bound on C at the sample,
+    up to floating-point rounding) and ratio_upper = levi / k_lower / k_lower."""
     return np.dtype([("point", complex, (dimension,)), ("direction", complex, (dimension,)),
                      ("levi", float), ("k_lower", float), ("k_upper", float),
                      ("ratio_lower", float), ("ratio_upper", float)])
@@ -237,18 +242,17 @@ def _trend_verdict(maxima: list[float]) -> str:
 def normality_scan(f: HoloExpr, domain: Domain, plan: SamplingPlan) -> NormalityEstimate:
     """Scan Levi-form / Kobayashi ratios over shells approaching the boundary.
 
-    The max of levi / k_upper^2 over all samples is a lower bound, up to
-    floating-point rounding, on any constant C for which levi <= C * K^2
+    The max of levi / k_upper / k_upper over all samples is a lower bound, up
+    to floating-point rounding, on any constant C for which levi <= C * K^2
     could hold; the per-shell trend makes divergence toward the boundary
-    visible.  The verdict is numerical evidence, not proof.  A sample whose
-    Levi form or ratio is not finite is skipped, as are all samples at a
-    point that fails to evaluate; `errors` holds one message per point with
-    skips.  A skip in any of the last three shells makes the verdict
-    inconclusive, since the maxima that survived cannot speak for the
+    visible.  The verdict is numerical evidence, not proof.  A sample is kept
+    when its Levi form, bounds and ratios are all finite, and all samples at
+    a point that fails to evaluate are skipped; `errors` holds one message
+    per point with skips.  A skip in any of the last three shells makes the
+    verdict inconclusive, since the maxima that survived cannot speak for the
     skipped samples.  `samples` is one read-only record array of the kept
     samples (`sample_dtype`), in shell, point and direction order.
     """
-    outer = domains.circumscribed_ball(domain)  # first: it rejects a radius past the float range
     center = np.asarray(domain.center, dtype=complex)
     rays = scan_rays(f.dimension, plan.points_per_shell, plan.seed)
     dirs = sphere_directions(f.dimension, plan.directions_per_point, plan.seed + 1)
@@ -261,19 +265,18 @@ def normality_scan(f: HoloExpr, domain: Domain, plan: SamplingPlan) -> Normality
     usable = interior & (jets.status == OK)
     # the Kobayashi sandwich: inclusion decreases the metric, so the
     # circumscribed ball gives the lower bound and the inscribed ball at each
-    # point, of radius its boundary distance, the upper one
+    # point, of radius its boundary distance, the upper one: |v| / delta
     k_lower = np.full(levi.shape, math.nan)
-    k_upper = np.full(levi.shape, math.nan)
-    inside = points[usable]
-    k_lower[usable] = kobayashi_ball_batch(inside - center, outer.radius, dirs)
-    k_upper[usable] = kobayashi_ball_batch(np.zeros_like(inside), distance[usable], dirs)
+    outer = domains.circumscribed_ball(domain).radius
+    k_lower[usable] = kobayashi_ball_batch(points[usable] - center, outer, dirs)
     with np.errstate(all="ignore"):
-        ratio_lower = levi / (k_upper * k_upper)
-        ratio_upper = levi / (k_lower * k_lower)
-    # the bounds are nan at unusable points, and so are both ratios there
-    kept = np.isfinite(levi) & np.isfinite(ratio_lower) & np.isfinite(ratio_upper)
-    at, along = np.nonzero(kept)  # shell, point and direction order
+        k_upper = domains.row_norms(dirs) / distance[:, None]
+        ratio_lower = levi / k_upper / k_upper  # two divisions: no bound is squared
+        ratio_upper = levi / k_lower / k_lower
+    # k_lower is nan at unusable points, and so is ratio_upper: none is kept
     measured = (levi, k_lower, k_upper, ratio_lower, ratio_upper)
+    kept = np.isfinite(measured).all(axis=0)  # every number the sample prints
+    at, along = np.nonzero(kept)  # shell, point and direction order
     columns = [points[at], dirs[along], *(a[kept] for a in measured)]
     samples = np.rec.fromarrays(columns, dtype=sample_dtype(f.dimension))
     samples.flags.writeable = False  # the estimate is frozen, its samples too

@@ -416,6 +416,30 @@ def test_scan_overflow_to_inf(tmp_path):
     assert sum(int(m[1]) if m else 4 for m in counts) == payload["skipped"]
 
 
+# a coordinate radius past the range of 1/delta: |v| / delta is inf at every
+# point.  The scan once exited 3, "point is not strictly inside the ball",
+# since delta^2 underflowed in the ball kernel.  levi / inf / inf = 0 is
+# finite, so only a keep rule that reads k_upper too skips these samples.
+@pytest.mark.parametrize("tiny", [1e-320, 2.225073858507e-311])
+def test_scan_with_an_unmeasurable_upper_bound_skips_every_point(tmp_path, capsys, tiny):
+    config = {
+        **_scan_config({"type": "polydisc", "center": [[0.0, 0.0]] * 2, "radii": [1.0, tiny]}),
+        "function": "z1*z2",
+        "dimension": 2,
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run(tmp_path, "marty-scan", config)
+    assert code == 0 and capsys.readouterr().err == ""
+    payload = _strict_json(out / "marty_scan.json")
+    assert payload["samples"] == [] and payload["skipped"] == 3 * 4 * 4
+    assert payload["verdict"] == "inconclusive"
+    points = [e.split(": ")[0] for e in payload["errors"]]
+    assert len(points) == len(set(points)) == 3 * 4
+    assert all(e.endswith(": 4 of 4 directions skipped, non-finite value (overflow, or a non-finite input)")
+               for e in payload["errors"])
+
+
 @pytest.mark.parametrize(
     "domain",
     [
@@ -473,8 +497,9 @@ def _tiny_ball_config(command):
 # point's 0.1 absorbs, whose arms rounded onto the centre and read a sharp_fd
 # of 0.0 against a closed form of 0.990 with no warning, the overflowing
 # ratio, which exited 0 (rescale) or 4 (thm2) with a RuntimeWarning and a
-# ratio of inf in the run table, and the scan on a ball whose radius squared
-# overflows, which exited 0 with two RuntimeWarnings and every sample skipped.
+# ratio of inf in the run table, the scan on a ball whose radius squared
+# overflows, which exited 0 with two RuntimeWarnings and every sample skipped,
+# and the one whose radius squared underflows, which blamed its points.
 # Warnings are errors here, so none of them may reach stderr.
 @pytest.mark.parametrize(
     "config,code,message",
@@ -517,12 +542,22 @@ def _tiny_ball_config(command):
             3,
             "ball radius 1e+200 squares past the largest finite float",
         ),
+        (
+            {
+                **_scan_config({"type": "ball", "center": [[0.0, 0.0]] * 2, "radius": 5e-324}),
+                "function": "z1*z2",
+                "dimension": 2,
+            },
+            3,
+            "ball radius 5e-324 squares below the smallest positive float",
+        ),
     ],
     ids=[
         "rescale-j-range", "thm2-j-range", "rescale-grid-1", "thm2-grid-1", "counterexample-grid-1",
         "thm2-scale-underflow", "counterexample-center-on-boundary", "sharp-h-underflow",
         "sharp-h-overflow", "sharp-h-below-resolution",
         "rescale-ratio-overflow", "thm2-ratio-overflow", "sharp-pole", "scan-ball-radius-overflow",
+        "scan-ball-radius-underflow",
     ],
 )
 def test_run_input_errors_exit_with_their_code(tmp_path, capsys, config, code, message):

@@ -232,7 +232,6 @@ def _at(config, path, value):
 _SHARP, _SCAN = _VALID[0], _VALID[1]
 _THM2, _COUNTEREXAMPLE = _VALID[5], _VALID[6]
 _COUNTS = [
-    (_SHARP, "dimension"),
     (_SHARP, "sphere_samples"),
     (_SCAN, "plan.points_per_shell"),
     (_SCAN, "plan.directions_per_point"),
@@ -259,6 +258,35 @@ def test_counts_are_capped_at_two_to_the_twenty(config, path, value):
 def test_counts_at_the_cap_pass_the_schema(config, path):
     # the checks after the schema (the dimension, j order) may still object
     assert _walker_accepts(_at(config, path, 2**20))
+
+
+_DIMENSIONED = [_SHARP, _SCAN, _RESCALE, _THM2]
+
+
+# a sharp config of dimension 131072 passed the schema and ended in a
+# MemoryError traceback: sharp_fd's memory grows as n^3
+@pytest.mark.parametrize("value", [10, 131072, 2**20 + 1, 1e300])
+def test_dimension_is_capped_at_nine(tmp_path, capsys, value):
+    message = f"config schema violation: $.dimension: {value!r} is greater than the maximum of 9"
+    for config in _DIMENSIONED:
+        with pytest.raises(ConfigError) as info:
+            validate_config(_at(config, "dimension", value))
+        assert str(info.value) == message
+    path = tmp_path / "sharp.json"
+    path.write_text(json.dumps(_at(_SHARP, "dimension", value)))
+    assert main(["sharp", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_dimension_at_the_cap_passes_the_schema(tmp_path):
+    # z1..z9, the variables the grammar names
+    for config in _DIMENSIONED:
+        assert _walker_accepts(_at(config, "dimension", 9))
+    config = {**_SHARP, "function": "z1*z9", "dimension": 9, "points": [[[0.5, 0.0]] * 9]}
+    path = tmp_path / "sharp.json"
+    path.write_text(json.dumps(config))
+    assert main(["sharp", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 # each key passed its own cap, and a plan of 2^20 x 2^20 samples ended in a

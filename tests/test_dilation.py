@@ -12,6 +12,7 @@ here.
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,20 +63,39 @@ def _dilate_domain(domain, t):
     return Polydisc(center, tuple(t * r for r in domain.radii))
 
 
-@settings(max_examples=100, deadline=None)
-@given(_problems(60), st.integers(0, 100))
-def test_scan_is_dilation_covariant_bit_for_bit(problem, plan_seed):
-    """Up to |k| = 60 only: the scan squares the circumscribed radius, and
-    Levi forms overflow or underflow, well inside the double range (ROADMAP
-    items 8 and 9)."""
-    f, domain, t, _ = problem
-    plan = SamplingPlan(tuple(2.0**-k for k in range(1, 9)), 16, 8, plan_seed)
-    est, image = normality_scan(f, domain, plan), normality_scan(_dilated(f, t), _dilate_domain(domain, t), plan)
+def _assert_same_scan(est, image):
     assert est.samples.ratio_lower.tobytes() == image.samples.ratio_lower.tobytes()
     assert est.samples.ratio_upper.tobytes() == image.samples.ratio_upper.tobytes()
     assert est.verdict == image.verdict
     assert est.skipped == image.skipped
     assert est.c_required_lower_bound == image.c_required_lower_bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(_problems(60), st.integers(0, 100))
+def test_scan_is_dilation_covariant_bit_for_bit(problem, plan_seed):
+    """Up to |k| = 60 only: the Levi forms of random expressions overflow or
+    underflow well inside the double range (ROADMAP items 8 and 9)."""
+    f, domain, t, _ = problem
+    plan = SamplingPlan(tuple(2.0**-k for k in range(1, 9)), 16, 8, plan_seed)
+    est, image = normality_scan(f, domain, plan), normality_scan(_dilated(f, t), _dilate_domain(domain, t), plan)
+    _assert_same_scan(est, image)
+
+
+@pytest.mark.parametrize("k", [498, -498])
+@pytest.mark.parametrize("domain", [Ball((0j, 0j), 1.0), Polydisc((0j, 0j), (1.0, 1.0))], ids=["ball", "polydisc"])
+def test_scan_is_dilation_covariant_near_the_float_range(domain, k):
+    """At t = 2^-498 the inscribed ball's metric |v| / delta passes 1.3e154 in
+    the deepest shells.  A ratio that squared it read levi / inf = 0 there,
+    kept as a finite sample, and three zero maxima read bounded-consistent
+    whatever the function."""
+    f, t = parse("exp(0.5*z1-0.3*z2)*z1+z2^2", 2), 2.0**k
+    plan = SamplingPlan(tuple(2.0**-j for j in range(1, 25)), 8, 4, 3)
+    est, image = normality_scan(f, domain, plan), normality_scan(_dilated(f, t), _dilate_domain(domain, t), plan)
+    assert est.skipped == 0 and len(est.samples) == 24 * 8 * 4
+    _assert_same_scan(est, image)
+    assert [m for _, m, _ in image.shell_trend] == [m for _, m, _ in est.shell_trend]
+    assert min(m for _, m, _ in image.shell_trend) > 0.0
 
 
 def _outcome(f, domain, spec, radius, grid_size):

@@ -372,11 +372,13 @@ def _sandwich(domain, points, directions):
     """(lower, upper) bounds on the Kobayashi metric of the domain at interior
     points along directions, each (N, m).  Inclusion decreases the metric, so
     the circumscribed ball gives the lower bound and the inscribed ball at
-    each point, of radius its boundary distance, the upper one."""
+    each point, of radius its boundary distance delta, the upper one: its
+    metric at its own center, |v| / delta."""
     points = np.asarray(points, dtype=complex)
     outer = circumscribed_ball(domain)
     lower = kobayashi_ball_batch(points - np.asarray(outer.center, dtype=complex), outer.radius, directions)
-    upper = kobayashi_ball_batch(np.zeros_like(points), boundary_distance_batch(domain, points), directions)
+    delta = boundary_distance_batch(domain, points)
+    upper = domains.row_norms(np.asarray(directions, dtype=complex)) / delta[:, None]
     return lower, upper
 
 
@@ -500,8 +502,8 @@ def test_sandwich_batch_matches_single_samples_and_the_reference(seed, dim):
             assert lower[i, j] == pytest.approx(lo, rel=1e-12)
             assert upper[i, j] == pytest.approx(up, rel=1e-12)
             assert lo <= up
-            if t < 0.999:  # nearer the boundary both sides lose digits to d^2 - |w|^2
-                assert up == pytest.approx(_kobayashi_reference(p, delta, p, v), rel=1e-12)
+            assert up == pytest.approx(_kobayashi_reference(p, delta, p, v), rel=1e-12)
+            if t < 0.999:  # nearer the boundary the lower bound loses digits to d^2 - |w|^2
                 assert lo == pytest.approx(_kobayashi_reference(outer.center, outer.radius, p, v), rel=1e-12)
 
 
@@ -579,6 +581,26 @@ def test_kobayashi_kernels_reject_zero_directions_and_exterior_points():
         kobayashi_ball_batch([inside, outside], ball.radius, [e1])
 
 
+@pytest.mark.parametrize(
+    "radius,message",
+    [
+        (1e200, "ball radius 1e+200 squares past the largest finite float"),
+        (1e-170, "ball radius 1e-170 squares below the smallest positive float"),
+        (5e-324, "ball radius 5e-324 squares below the smallest positive float"),
+    ],
+    ids=["overflow", "underflow", "least-subnormal"],
+)
+def test_kobayashi_ball_radius_squares_inside_the_float_range(radius, message):
+    # d^2 is the one square of a length the scan takes; an underflowing one
+    # blamed the points ("not strictly inside"), and the kernel checks it even
+    # when no point is left to measure
+    for offsets in ([(0j, 0j)], np.zeros((0, 2))):
+        with pytest.raises(DomainError) as info:
+            kobayashi_ball_batch(offsets, radius, [(1 + 0j, 0j)])
+        assert str(info.value) == message
+    assert kobayashi_ball_batch([(0j, 0j)], 1e154, [(1 + 0j, 0j)])[0, 0] == pytest.approx(1e-154, rel=1e-15)
+
+
 # --------------------------------------------------------------------------
 # Normality scan
 # --------------------------------------------------------------------------
@@ -650,7 +672,7 @@ def test_scan_never_takes_the_per_sample_path(monkeypatch):
     plan = SamplingPlan(shells=(1e-20, 0.5, 0.25, 0.125), points_per_shell=4, directions_per_point=4)
     est = normality_scan(parse("z1*z2", 2), Polydisc((0j, 0j), (1.0, 2.0)), plan)
     assert {name: len(calls) for name, calls in counts.items()} == {
-        "ray_extent_batch": 1, "boundary_distance_batch": 1, "circumscribed_ball": 1, "kobayashi_ball_batch": 2,
+        "ray_extent_batch": 1, "boundary_distance_batch": 1, "circumscribed_ball": 1, "kobayashi_ball_batch": 1,
     }
     assert len(est.samples) == 3 * 4 * 4
     assert est.skipped == 4 * 4
@@ -675,8 +697,8 @@ def _scan_reference(f, domain, plan):
     k_upper = np.full(levi.shape, math.nan)
     k_lower[usable], k_upper[usable] = _sandwich(domain, points[usable], dirs)
     with np.errstate(all="ignore"):
-        ratio_lower = levi / (k_upper * k_upper)
-        ratio_upper = levi / (k_lower * k_lower)
+        ratio_lower = levi / k_upper / k_upper
+        ratio_upper = levi / k_lower / k_lower
 
     samples, errors, trend, skipped_per_shell = [], [], [], []
     for shell_idx, t in enumerate(plan.shells):
