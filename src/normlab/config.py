@@ -283,12 +283,12 @@ def parse_function(source: str, dimension: int) -> HoloExpr:
 
 def validate_config(config: dict[str, Any]) -> str:
     """Validate against the schema named by config['command'], check that a
-    scan plan asks for at most 2^20 samples (shells x points x directions)
-    and that a sequence's j_start does not exceed its j_end, check every
-    point, center, radii, anchor and inward list against the dimension, and
-    parse the config's function, if it has one; returns the command.  The
-    config gets its defaults and plain types in place (`_typed`): 2.0
-    becomes 2, say."""
+    scan plan asks for at most 2^20 samples (shells x points x directions), a
+    sharp config for 2^20 stencil rows (points x (4 n^2 + 1), held at once)
+    and a sequence's j_start not past its j_end, check every point, center,
+    radii, anchor and inward list against the dimension, and parse the
+    config's function, if any; returns the command.  The config gets its
+    defaults and plain types in place (`_typed`): 2.0 becomes 2, say."""
     command = config.get("command")
     if not isinstance(command, str) or command not in SCHEMAS:
         raise ConfigError(f"config must carry a 'command' key, one of {sorted(SCHEMAS)}")
@@ -305,6 +305,11 @@ def validate_config(config: dict[str, Any]) -> str:
                 f"plan asks for {shells} shells x {points} points x {directions} directions"
                 f" = {shells * points * directions} samples, more than the cap of {_MAX_COUNT}"
             )
+    if command == "sharp":
+        points, stencil = len(config["points"]), 4 * config["dimension"] ** 2 + 1
+        if points * stencil > _MAX_COUNT:
+            raise ConfigError(f"sharp asks for {points} points x {stencil} stencil rows"
+                              f" = {points * stencil} rows, more than the cap of {_MAX_COUNT}")
     sequence = config.get("sequence")
     if sequence is not None and sequence["j_start"] > sequence["j_end"]:
         raise ConfigError(f"sequence.j_start {sequence['j_start']} exceeds sequence.j_end {sequence['j_end']}")

@@ -1,5 +1,5 @@
-"""Bounded domains in C^n (balls and polydiscs) with exact boundary-distance,
-ray-extent and circumscribed-ball queries."""
+"""Bounded domains in C^n (balls and polydiscs) with exact boundary-distance
+and ray-extent queries."""
 
 from __future__ import annotations
 
@@ -68,12 +68,7 @@ def boundary_distance_batch(domain: Domain, points) -> np.ndarray:
     domain, on its boundary or with a non-finite coordinate is flagged by a
     distance <= 0 or nan, not raised.
     """
-    p = np.asarray(points, dtype=complex)
-    if p.ndim != 2 or p.shape[1] != domain.dimension:
-        raise DimensionMismatchError(
-            f"points of shape {p.shape}, domain expects dimension {domain.dimension}"
-        )
-    d = p - np.asarray(domain.center, dtype=complex)
+    d = offsets(domain, points)
     if isinstance(domain, Ball):
         return domain.radius - row_norms(d)
     return np.min(np.asarray(domain.radii) - np.abs(d), axis=1)
@@ -82,11 +77,12 @@ def boundary_distance_batch(domain: Domain, points) -> np.ndarray:
 NOT_INTERIOR = "point is not interior to the domain"
 
 
-def circumscribed_ball(domain: Domain) -> Ball:
-    """Smallest ball centered at the domain's center containing the domain."""
-    if isinstance(domain, Ball):
-        return domain
-    return Ball(domain.center, math.hypot(*domain.radii))
+def offsets(domain: Domain, points) -> np.ndarray:
+    """p - center for each row p of an (N, n) point array of the domain's dimension."""
+    p = np.asarray(points, dtype=complex)
+    if p.ndim != 2 or p.shape[1] != domain.dimension:
+        raise DimensionMismatchError(f"points of shape {p.shape}, domain expects dimension {domain.dimension}")
+    return p - np.asarray(domain.center, dtype=complex)
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:

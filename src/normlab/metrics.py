@@ -1,5 +1,5 @@
 """Levi-form kernels, the sharp function and its finite-difference oracle,
-the explicit Kobayashi metric on balls, and normality-constant scans."""
+the Kobayashi metric on balls and polydiscs, and normality-constant scans."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from . import domains
-from .domains import Domain
+from .domains import Ball, Domain
 from .errors import DimensionMismatchError, DomainError, EvaluationError
 from .expr import NONFINITE, OK, CPoint, HoloExpr, evaluate_batch, evaluate_jet, status_error
 from .sampling import scan_rays, sphere_directions
@@ -155,35 +155,36 @@ def sharp_fd(f: HoloExpr, points, h: float) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Kobayashi metric on balls
+# Kobayashi metric on balls and polydiscs
 # --------------------------------------------------------------------------
 
-def kobayashi_ball_batch(offsets, radius: float, directions) -> np.ndarray:
-    """Exact Kobayashi metric of the Euclidean ball of radius d at offsets w
-    (N, n) from its center, along each of m directions v (m, n), (N, m):
-
-        sqrt((d^2 - |w|^2) |v|^2 + |(w, v)|^2) / (d^2 - |w|^2),
-
-    with (w, v) the Hermitian pairing (the modulus does not depend on which
-    slot carries the conjugation).  Raises DomainError when d^2 is 0 or past
-    the float range or a point is not strictly inside the ball, and
-    ValueError on a zero direction."""
-    radius = float(radius)
-    d_sq = radius * radius
-    if not 0.0 < d_sq < math.inf:
-        edge = "past the largest finite" if d_sq else "below the smallest positive"
-        raise DomainError(f"ball radius {radius!r} squares {edge} float")
-    w = np.asarray(offsets, dtype=complex)
+def kobayashi_batch(domain: Domain, points, directions) -> np.ndarray:
+    """Exact Kobayashi metric of the domain at each row z of an (N, n) point
+    array along each of m directions v (m, n), (N, m).  With w = z - center, a
+    ball of radius d has sqrt((d^2 - |w|^2) |v|^2 + |(w, v)|^2) / (d^2 - |w|^2),
+    (w, v) the Hermitian pairing, and a polydisc the largest of its factor
+    discs' metrics |v_k| r_k / (r_k^2 - |w_k|^2), taken as |v_k| / ((r_k - |w_k|)
+    (1 + |w_k| / r_k)) to square no length.  DomainError when the largest radius
+    squares to 0 or inf, a scale where the Levi form, an inverse length squared,
+    is lost too, or a point is not strictly inside; ValueError if |v|^2 = 0."""
+    ball = isinstance(domain, Ball)
+    kind, largest = ("ball", float(domain.radius)) if ball else ("polydisc", float(max(domain.radii)))
+    if not 0.0 < largest * largest < math.inf:
+        edge = "past the largest finite" if largest > 1.0 else "below the smallest positive"
+        raise DomainError(f"{kind} radius {largest!r} squares {edge} float")
+    w = domains.offsets(domain, points)
     v = np.asarray(directions, dtype=complex)
     v_sq = domains.row_norms(v) ** 2
     if np.any(v_sq == 0):
         raise ValueError("direction v must be nonzero")
-    slack = d_sq - domains.row_norms(w) ** 2
-    if np.any(slack <= 0):
-        raise DomainError("point is not strictly inside the ball")
-    pairing = np.sum(w[:, None, :] * np.conj(v)[None, :, :], axis=-1)
-    slack = slack[:, None]
-    return np.sqrt(slack * v_sq + np.abs(pairing) ** 2) / slack
+    slack = largest * largest - domains.row_norms(w) ** 2 if ball else np.asarray(domain.radii) - np.abs(w)
+    if not np.all(slack > 0):
+        raise DomainError(f"point is not strictly inside the {kind}")
+    if ball:
+        pairing = np.sum(w[:, None, :] * np.conj(v)[None, :, :], axis=-1)
+        return np.sqrt(slack[:, None] * v_sq + np.abs(pairing) ** 2) / slack[:, None]
+    with np.errstate(over="ignore"):  # a metric past the float range is inf
+        return np.max(np.abs(v)[None, :, :] / (slack * (1.0 + np.abs(w) / domain.radii))[:, None, :], axis=-1)
 
 
 # --------------------------------------------------------------------------
@@ -210,7 +211,8 @@ class SamplingPlan:
 
 def sample_dtype(dimension: int) -> np.dtype:
     """The record of one scan sample: its point and direction (n complex
-    each), the Levi form, the Kobayashi sandwich, and the ratios
+    each), the Levi form, the domain's exact Kobayashi metric k_lower and the
+    inscribed ball's k_upper = |v| / delta above it, and the ratios
     ratio_lower = levi / k_upper / k_upper (a lower bound on C at the sample,
     up to floating-point rounding) and ratio_upper = levi / k_lower / k_lower."""
     return np.dtype([("point", complex, (dimension,)), ("direction", complex, (dimension,)),
@@ -263,12 +265,10 @@ def normality_scan(f: HoloExpr, domain: Domain, plan: SamplingPlan) -> Normality
     distance = domains.boundary_distance_batch(domain, points)
     interior = distance > 0
     usable = interior & (jets.status == OK)
-    # the Kobayashi sandwich: inclusion decreases the metric, so the
-    # circumscribed ball gives the lower bound and the inscribed ball at each
-    # point, of radius its boundary distance, the upper one: |v| / delta
+    # the exact metric, and above it, since inclusion decreases the metric,
+    # the inscribed ball's at its center, of radius the boundary distance: |v| / delta
     k_lower = np.full(levi.shape, math.nan)
-    outer = domains.circumscribed_ball(domain).radius
-    k_lower[usable] = kobayashi_ball_batch(points[usable] - center, outer, dirs)
+    k_lower[usable] = kobayashi_batch(domain, points[usable], dirs)
     with np.errstate(all="ignore"):
         k_upper = domains.row_norms(dirs) / distance[:, None]
         ratio_lower = levi / k_upper / k_upper  # two divisions: no bound is squared

@@ -17,6 +17,7 @@ from normlab import config as cfg_module
 from normlab.cli import _json, _records_json, main
 from normlab.config import SCHEMAS, point_to_json
 from normlab.metrics import SamplingPlan, normality_scan, sample_dtype, sharp_batch, sharp_fd
+from test_config import _perfbench
 
 DISC = {"type": "ball", "center": [[0.0, 0.0]], "radius": 1.0}
 
@@ -31,6 +32,21 @@ def _run(tmp_path, command, config, outdir="out", extra=()):
     cfg = _write(tmp_path, f"{command}.json", config)
     out = tmp_path / outdir
     return main([command, "--config", cfg, "--out", str(out), *extra]), out
+
+
+# The benchmark refuses a run whose outputs break its checks (a k_lower above
+# k_upper, a verdict flip on a normal family, a sharp_fd above the closed
+# form), but only when it runs; one cycle of each compute workload's tasks,
+# through main and the benchmark's own checker, shows such a change here.
+@pytest.mark.parametrize("workload", ["scan", "oracle", "rescale"])
+def test_bench_tasks_pass_the_bench_checks(tmp_path, capsys, workload):
+    gen, check = _perfbench("gen"), _perfbench("check")
+    pool = gen.workload(workload, 31)
+    for k, task in enumerate(pool["tasks"][: pool["cycle"]]):
+        (tmp_path / str(k)).mkdir()
+        code, out = _run(tmp_path / str(k), task["command"], task["config"])
+        captured = capsys.readouterr()
+        check.check_task(task, code, captured.out, captured.err, out)
 
 
 def test_sharp_command(tmp_path):
@@ -499,7 +515,9 @@ def _tiny_ball_config(command):
 # ratio, which exited 0 (rescale) or 4 (thm2) with a RuntimeWarning and a
 # ratio of inf in the run table, the scan on a ball whose radius squared
 # overflows, which exited 0 with two RuntimeWarnings and every sample skipped,
-# and the one whose radius squared underflows, which blamed its points.
+# and the one whose radius squared underflows, which blamed its points.  The
+# polydisc whose largest radius squares past the float range exited 3 naming
+# a "ball radius", that of the circumscribed ball the scan once measured.
 # Warnings are errors here, so none of them may reach stderr.
 @pytest.mark.parametrize(
     "config,code,message",
@@ -551,13 +569,22 @@ def _tiny_ball_config(command):
             3,
             "ball radius 5e-324 squares below the smallest positive float",
         ),
+        (
+            {
+                **_scan_config({"type": "polydisc", "center": [[0.0, 0.0]] * 2, "radii": [1e308, 1.0]}),
+                "function": "z1*z2",
+                "dimension": 2,
+            },
+            3,
+            "polydisc radius 1e+308 squares past the largest finite float",
+        ),
     ],
     ids=[
         "rescale-j-range", "thm2-j-range", "rescale-grid-1", "thm2-grid-1", "counterexample-grid-1",
         "thm2-scale-underflow", "counterexample-center-on-boundary", "sharp-h-underflow",
         "sharp-h-overflow", "sharp-h-below-resolution",
         "rescale-ratio-overflow", "thm2-ratio-overflow", "sharp-pole", "scan-ball-radius-overflow",
-        "scan-ball-radius-underflow",
+        "scan-ball-radius-underflow", "scan-polydisc-radius-overflow",
     ],
 )
 def test_run_input_errors_exit_with_their_code(tmp_path, capsys, config, code, message):

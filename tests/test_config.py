@@ -318,6 +318,25 @@ def test_scan_at_the_sample_cap_passes():
     assert validate_config({**copy.deepcopy(_SCAN), "plan": plan}) == "marty-scan"
 
 
+# sharp_fd holds points x (4 n^2 + 1) stencil rows at once, about 0.11 MB a
+# point in 9-D (374 MB peak RSS at 3,226 points): a config of 65,536 points
+# passed, and by that rate would need some 7 GB
+def test_sharp_stencil_row_count_is_capped(tmp_path, capsys):
+    def config(points):
+        return {**_SHARP, "function": "z1*z9", "dimension": 9, "points": [[[0.5, 0.0]] * 9] * points}
+
+    assert validate_config(config(3226)) == "sharp"  # 3226 x 325 = 1048450 rows
+    message = "sharp asks for 3227 points x 325 stencil rows = 1048775 rows, more than the cap of 1048576"
+    with pytest.raises(ConfigError) as info:
+        validate_config(config(3227))
+    assert str(info.value) == message
+    path = tmp_path / "sharp.json"
+    path.write_text(json.dumps(config(3227)))
+    assert main(["sharp", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_point_lists_are_checked_in_one_pass(monkeypatch):
     # a list of [re, im] pairs of numbers is checked in one pass, not by one
     # walk per coordinate; a list with any other item is walked item by item
@@ -384,13 +403,19 @@ def test_readme_defaults_table_matches_the_schemas():
     assert rows == expected
 
 
+def _perfbench(name):
+    """A module of the benchmark, `perfbench/<name>.py`, loaded by its path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_task_configs_pass_the_schema():
     # the benchmark writes its configs by hand; a schema change that rejects
     # one would make its tasks exit 2, and show only when the benchmark runs
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = _perfbench("gen")
     tasks = [task for name in gen.WORKLOADS for task in gen.workload(name, 31)["tasks"]]
     valid = [task["config"] for task in tasks if 2 not in task["expect"]["codes"]]
     assert len(valid) == 116

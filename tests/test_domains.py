@@ -10,7 +10,6 @@ from normlab import (
     DomainError,
     Polydisc,
     boundary_distance_batch,
-    circumscribed_ball,
 )
 from normlab.domains import ray_extent_batch, row_norms
 
@@ -73,21 +72,6 @@ def test_inscribed_ball_membership_sampling(domain):
         assert boundary_distance_batch(domain, [q])[0] > 0
 
 
-def test_circumscribed_ball_values():
-    assert circumscribed_ball(UNIT_DISC) == UNIT_DISC
-    big = circumscribed_ball(Polydisc((0j, 0j), (1.0, 1.0)))
-    assert big.radius == pytest.approx(math.sqrt(2))
-
-
-@pytest.mark.parametrize("domain", [UNIT_BALL2, POLY])
-def test_circumscribed_ball_membership_sampling(domain):
-    rng = random.Random(11)
-    big = circumscribed_ball(domain)
-    for _ in range(1000):
-        p = _random_interior(rng, domain)
-        assert boundary_distance_batch(big, [p])[0] > 0
-
-
 @pytest.mark.parametrize("domain", [UNIT_DISC, UNIT_BALL2, POLY])
 def test_boundary_distance_lipschitz_along_segments(domain):
     rng = random.Random(13)
@@ -136,20 +120,6 @@ def test_non_finite_domain_parameters_rejected(make):
     # nan fails every comparison, so a test of the sign alone passes it
     with pytest.raises(DomainError, match="finite"):
         make()
-
-
-def test_huge_polydisc_has_no_circumscribed_ball():
-    # sqrt(sum r_k^2) overflows: a scan there would compare against an infinite ball
-    with pytest.raises(DomainError, match="finite"):
-        circumscribed_ball(Polydisc((0j, 0j), (1.5e308, 1.5e308)))
-
-
-def test_circumscribed_ball_takes_no_square():
-    # the radius is math.hypot's; whether the ball kernel can square it is the
-    # kernel's check (test_kobayashi_ball_radius_squares_inside_the_float_range)
-    assert circumscribed_ball(Ball((0j, 0j), 1e200)) == Ball((0j, 0j), 1e200)
-    assert circumscribed_ball(Polydisc((0j, 0j), (1e200, 1e200))).radius == math.hypot(1e200, 1e200)
-    assert circumscribed_ball(Polydisc((0j, 0j), (1.0, 1e-320))) == Ball((0j, 0j), 1.0)
 
 
 def _strided(rng, count, n):

@@ -16,8 +16,7 @@ from normlab import (
     Polydisc,
     SamplingPlan,
     boundary_distance_batch,
-    circumscribed_ball,
-    kobayashi_ball_batch,
+    kobayashi_batch,
     levi_form_fd,
     levi_log1p_closed,
     log1p_sq_field,
@@ -359,42 +358,43 @@ def test_sharp_unitary_invariance(seed, dim):
 # Kobayashi metric
 # --------------------------------------------------------------------------
 
-def _cauchy_schwarz(offsets, radius, directions):
-    """The Cauchy-Schwarz upper bound d |v| / (d^2 - |w|^2) on
-    `kobayashi_ball_batch`, with its arguments and shape (N, m), by its float
+def _cauchy_schwarz(ball, points, directions):
+    """The Cauchy-Schwarz upper bound d |v| / (d^2 - |w|^2) on the ball's
+    `kobayashi_batch`, with its arguments and shape (N, m), by its float
     operations; equal to it in one variable and whenever w is parallel to v."""
-    w, v = np.asarray(offsets, dtype=complex), np.asarray(directions, dtype=complex)
-    slack = np.asarray(radius, dtype=float) ** 2 - np.hypot.reduce(np.abs(w), axis=1) ** 2
-    return np.reshape(radius, (-1, 1)) * np.sqrt(np.hypot.reduce(np.abs(v), axis=1) ** 2) / slack[:, None]
+    w = np.asarray(points, dtype=complex) - np.asarray(ball.center, dtype=complex)
+    v = np.asarray(directions, dtype=complex)
+    slack = ball.radius**2 - np.hypot.reduce(np.abs(w), axis=1) ** 2
+    return ball.radius * np.sqrt(np.hypot.reduce(np.abs(v), axis=1) ** 2) / slack[:, None]
 
 
 def _sandwich(domain, points, directions):
     """(lower, upper) bounds on the Kobayashi metric of the domain at interior
-    points along directions, each (N, m).  Inclusion decreases the metric, so
-    the circumscribed ball gives the lower bound and the inscribed ball at
-    each point, of radius its boundary distance delta, the upper one: its
-    metric at its own center, |v| / delta."""
+    points along directions, each (N, m): the exact metric, and above it,
+    since inclusion decreases the metric, that of the inscribed ball at each
+    point, of radius its boundary distance delta, at its own center: |v| / delta."""
     points = np.asarray(points, dtype=complex)
-    outer = circumscribed_ball(domain)
-    lower = kobayashi_ball_batch(points - np.asarray(outer.center, dtype=complex), outer.radius, directions)
+    lower = kobayashi_batch(domain, points, directions)
     delta = boundary_distance_batch(domain, points)
     upper = domains.row_norms(np.asarray(directions, dtype=complex)) / delta[:, None]
     return lower, upper
 
 
 def test_kobayashi_at_center():
-    center, v = [(0j, 0j)], [(0.6 + 0j, 0.8j)]  # the offset of the center from itself
-    assert kobayashi_ball_batch(center, 0.7, v)[0, 0] == pytest.approx(1.0 / 0.7)
-    assert _cauchy_schwarz(center, 0.7, v)[0, 0] == pytest.approx(1.0 / 0.7)
+    ball, center, v = Ball((0j, 0j), 0.7), [(0j, 0j)], [(0.6 + 0j, 0.8j)]
+    assert kobayashi_batch(ball, center, v)[0, 0] == pytest.approx(1.0 / 0.7)
+    assert _cauchy_schwarz(ball, center, v)[0, 0] == pytest.approx(1.0 / 0.7)
 
 
 def test_kobayashi_unit_disc_values():
-    assert kobayashi_ball_batch([(0.5 + 0j,)], 1.0, [(1 + 0j,)])[0, 0] == pytest.approx(4 / 3)
-    assert _cauchy_schwarz([(0.5 + 0j,)], 1.0, [(1 + 0j,)])[0, 0] == pytest.approx(4 / 3)
+    # the unit disc as a ball and as a polydisc of one factor
+    for disc in (UNIT_DISC, Polydisc((0j,), (1.0,))):
+        assert kobayashi_batch(disc, [(0.5 + 0j,)], [(1 + 0j,)])[0, 0] == pytest.approx(4 / 3)
+    assert _cauchy_schwarz(UNIT_DISC, [(0.5 + 0j,)], [(1 + 0j,)])[0, 0] == pytest.approx(4 / 3)
 
 
 def test_kobayashi_unit_ball_orthogonal_direction():
-    value = kobayashi_ball_batch([(0.5 + 0j, 0j)], 1.0, [(0j, 1 + 0j)])[0, 0]
+    value = kobayashi_batch(Ball((0j, 0j), 1.0), [(0.5 + 0j, 0j)], [(0j, 1 + 0j)])[0, 0]
     assert value == pytest.approx(1 / math.sqrt(0.75))
 
 
@@ -419,8 +419,7 @@ def test_kobayashi_upper_bound_random():
         v = _random_point(rng, 2, 1.0)
         if all(c == 0 for c in v):
             continue
-        w = [np.subtract(z, ball.center)]
-        assert kobayashi_ball_batch(w, ball.radius, [v]) <= _cauchy_schwarz(w, ball.radius, [v])
+        assert kobayashi_batch(ball, [z], [v]) <= _cauchy_schwarz(ball, [z], [v])
 
 
 def test_concentric_ball_monotonicity():
@@ -432,8 +431,7 @@ def test_concentric_ball_monotonicity():
         v = _random_point(rng, 2, 1.0)
         if all(c_ == 0 for c_ in v):
             continue
-        w = [np.subtract(z, c)]
-        assert kobayashi_ball_batch(w, big.radius, [v]) <= kobayashi_ball_batch(w, small.radius, [v])
+        assert kobayashi_batch(big, [z], [v]) <= kobayashi_batch(small, [z], [v])
 
 
 def test_domain_bounds_unit_disc():
@@ -466,6 +464,13 @@ def _kobayashi_reference(center, radius, z, v):
     return math.sqrt(slack * sum(abs(x) ** 2 for x in v) + abs(pairing) ** 2) / slack
 
 
+def _polydisc_reference(center, radii, z, v):
+    """The polydisc's Kobayashi metric in plain Python, the largest of its
+    factor discs' metrics |v_k| r_k / (r_k^2 - |w_k|^2), the reference for
+    the kernel."""
+    return max(abs(b) * r / (r**2 - abs(a - c) ** 2) for a, b, c, r in zip(z, v, center, radii))
+
+
 def _unit(rng, dim):
     v = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim)]
     norm = math.sqrt(sum(abs(c) ** 2 for c in v))
@@ -494,7 +499,6 @@ def test_sandwich_batch_matches_single_samples_and_the_reference(seed, dim):
     dirs = [_unit(rng, dim) for _ in range(5)]
     lower, upper = _sandwich(domain, points, dirs)
     assert lower.shape == upper.shape == (len(points), len(dirs))
-    outer = circumscribed_ball(domain)
     for i, (p, t) in enumerate(zip(points, fractions)):
         delta = boundary_distance_batch(domain, [p])[0]
         for j, v in enumerate(dirs):
@@ -503,8 +507,12 @@ def test_sandwich_batch_matches_single_samples_and_the_reference(seed, dim):
             assert upper[i, j] == pytest.approx(up, rel=1e-12)
             assert lo <= up
             assert up == pytest.approx(_kobayashi_reference(p, delta, p, v), rel=1e-12)
-            if t < 0.999:  # nearer the boundary the lower bound loses digits to d^2 - |w|^2
-                assert lo == pytest.approx(_kobayashi_reference(outer.center, outer.radius, p, v), rel=1e-12)
+            if t < 0.999:  # nearer the boundary the references lose digits to d^2 - |w|^2
+                if isinstance(domain, Ball):
+                    exact = _kobayashi_reference(domain.center, domain.radius, p, v)
+                else:
+                    exact = _polydisc_reference(domain.center, domain.radii, p, v)
+                assert lo == pytest.approx(exact, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -521,8 +529,8 @@ def test_kobayashi_ball_unitary_invariance(seed, dim):
         w = gauss(dim)
         w *= rng.uniform(0.0, 0.9) * radius / np.linalg.norm(w)
         v = gauss(dim)
-        expected = kobayashi_ball_batch([(center + w) - center], ball.radius, [v])[0, 0]
-        mapped = kobayashi_ball_batch([(image_center + unitary @ w) - image_center], image.radius, [unitary @ v])[0, 0]
+        expected = kobayashi_batch(ball, [center + w], [v])[0, 0]
+        mapped = kobayashi_batch(image, [image_center + unitary @ w], [unitary @ v])[0, 0]
         assert mapped == pytest.approx(expected, rel=1e-12)
 
 
@@ -560,25 +568,29 @@ def test_kobayashi_ball_automorphism_invariance(n):
     h = 1e-6  # the closed-form derivative against central differences
     fd = (_ball_automorphism(a, z + h * v, v)[0] - _ball_automorphism(a, z - h * v, v)[0]) / (2 * h)
     assert np.all(np.linalg.norm(fd - push, axis=1) <= 1e-6 * np.linalg.norm(push, axis=1))
-    metric = lambda w, u: np.array([kobayashi_ball_batch([p], 1.0, [d])[0, 0] for p, d in zip(w, u)])  # noqa: E731
+    ball = Ball((0j,) * n, 1.0)
+    metric = lambda w, u: np.array([kobayashi_batch(ball, [p], [d])[0, 0] for p, d in zip(w, u)])  # noqa: E731
     before, after = metric(z, v), metric(image, push)
     assert np.all(np.abs(after - before) <= 1e-12 * before)
 
 
 def test_kobayashi_kernels_reject_zero_directions_and_exterior_points():
-    ball = Ball((0j, 0j), 1.0)
     inside, outside, zero, e1 = (0.5 + 0j, 0j), (3 + 0j, 0j), (0j, 0j), (1 + 0j, 0j)
-    # the ball is centered at 0, so its points are their own offsets
-    with pytest.raises(ValueError):
-        kobayashi_ball_batch([inside], ball.radius, [zero])
-    with pytest.raises(DomainError):
-        kobayashi_ball_batch([outside], ball.radius, [e1])
-    with pytest.raises(DomainError):
-        kobayashi_ball_batch([e1], ball.radius, [e1])  # on the sphere
-    with pytest.raises(ValueError):
-        kobayashi_ball_batch([inside], ball.radius, [e1, zero])
-    with pytest.raises(DomainError):
-        kobayashi_ball_batch([inside, outside], ball.radius, [e1])
+    for domain, kind in ((Ball((0j, 0j), 1.0), "ball"), (Polydisc((0j, 0j), (1.0, 1.0)), "polydisc")):
+        with pytest.raises(ValueError):
+            kobayashi_batch(domain, [inside], [zero])
+        with pytest.raises(DomainError, match=f"not strictly inside the {kind}$"):
+            kobayashi_batch(domain, [outside], [e1])
+        with pytest.raises(DomainError):
+            kobayashi_batch(domain, [e1], [e1])  # on the boundary
+        with pytest.raises(DomainError):
+            kobayashi_batch(domain, [(complex("nan"), 0j)], [e1])
+        with pytest.raises(ValueError):
+            kobayashi_batch(domain, [inside], [e1, zero])
+        with pytest.raises(DomainError):
+            kobayashi_batch(domain, [inside, outside], [e1])
+        with pytest.raises(DimensionMismatchError):
+            kobayashi_batch(domain, [(0j,)], [e1])  # a point would broadcast against the center
 
 
 @pytest.mark.parametrize(
@@ -594,11 +606,84 @@ def test_kobayashi_ball_radius_squares_inside_the_float_range(radius, message):
     # d^2 is the one square of a length the scan takes; an underflowing one
     # blamed the points ("not strictly inside"), and the kernel checks it even
     # when no point is left to measure
-    for offsets in ([(0j, 0j)], np.zeros((0, 2))):
+    for points in ([(0j, 0j)], np.zeros((0, 2))):
         with pytest.raises(DomainError) as info:
-            kobayashi_ball_batch(offsets, radius, [(1 + 0j, 0j)])
+            kobayashi_batch(Ball((0j, 0j), radius), points, [(1 + 0j, 0j)])
         assert str(info.value) == message
-    assert kobayashi_ball_batch([(0j, 0j)], 1e154, [(1 + 0j, 0j)])[0, 0] == pytest.approx(1e-154, rel=1e-15)
+    at_center = kobayashi_batch(Ball((0j, 0j), 1e154), [(0j, 0j)], [(1 + 0j, 0j)])[0, 0]
+    assert at_center == pytest.approx(1e-154, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "radii,message",
+    [
+        ((1e308, 1.0), "polydisc radius 1e+308 squares past the largest finite float"),
+        ((1e-170, 1e-200), "polydisc radius 1e-170 squares below the smallest positive float"),
+    ],
+    ids=["overflow", "underflow"],
+)
+def test_kobayashi_polydisc_largest_radius_squares_inside_the_float_range(radii, message):
+    # the polydisc's metric squares no length, but the Levi form it meets is
+    # an inverse length squared: that of z1*z2 reads exactly 0.0 at
+    # (5e-171, 5e-171).  Only the largest radius is checked, so a subnormal
+    # factor beside a radius of 1 is measured, its metric past the float range.
+    for points in ([(0j, 0j)], np.zeros((0, 2))):
+        with pytest.raises(DomainError) as info:
+            kobayashi_batch(Polydisc((0j, 0j), radii), points, [(1 + 0j, 0j)])
+        assert str(info.value) == message
+    metric = kobayashi_batch(Polydisc((0j, 0j), (1.0, 1e-320)), [(0.5 + 0j, 0j)], [(1 + 0j, 0j), (0j, 1 + 0j)])
+    assert metric[0, 0] == pytest.approx(4 / 3) and metric[0, 1] == math.inf
+
+
+def _random_polydisc_problem(rng, dim, count):
+    """A random polydisc, `count` points inside it at fractions up to 0.9 of
+    each factor radius, and `count` directions, as numpy arrays."""
+    gauss = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)  # noqa: E731
+    center, radii = gauss(dim), rng.uniform(0.1, 3.0, dim)
+    unit = np.exp(2j * np.pi * rng.random((count, dim)))
+    points = center + unit * radii * rng.uniform(0.0, 0.9, (count, dim))
+    return Polydisc(tuple(center), tuple(radii)), points, gauss(count, dim)
+
+
+def _disc_automorphism(a, phase, zeta):
+    """phi(zeta) = phase (zeta - a) / (1 - conj(a) zeta), |a| < 1 = |phase|, an
+    automorphism of the unit disc, and its derivative
+    phase (1 - |a|^2) / (1 - conj(a) zeta)^2."""
+    denominator = 1.0 - np.conj(a) * zeta
+    return phase * (zeta - a) / denominator, phase * (1.0 - np.abs(a) ** 2) / denominator**2
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4))
+def test_kobayashi_polydisc_automorphism_invariance(seed, dim):
+    # a product of disc automorphisms, psi_k(z) = c_k + r_k phi_k((z_k - c_k) / r_k),
+    # maps the polydisc onto itself and preserves its metric: K(psi(z); dpsi(z) v) = K(z; v)
+    rng = np.random.default_rng(seed)
+    poly, points, v = _random_polydisc_problem(rng, dim, 200)
+    center, radii = np.asarray(poly.center), np.asarray(poly.radii)
+    a = np.exp(2j * np.pi * rng.random(dim)) * rng.uniform(0.0, 0.9, dim)
+    phase = np.exp(2j * np.pi * rng.random(dim))
+    image, slope = _disc_automorphism(a, phase, (points - center) / radii)
+    before = np.diagonal(kobayashi_batch(poly, points, v))
+    after = np.diagonal(kobayashi_batch(poly, center + radii * image, slope * v))
+    assert np.all(np.abs(after - before) <= 1e-12 * before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4))
+def test_kobayashi_polydisc_matches_the_reference_inside_its_sandwich(seed, dim):
+    # the plain-Python product formula, and inclusion: the polydisc lies
+    # inside the ball about its center of radius |r| and holds the ball of
+    # radius delta about each point, so its metric lies between theirs
+    rng = np.random.default_rng(seed)
+    poly, points, v = _random_polydisc_problem(rng, dim, 50)
+    metric = kobayashi_batch(poly, points, v)
+    outer = kobayashi_batch(Ball(poly.center, float(np.linalg.norm(poly.radii))), points, v)
+    inner = domains.row_norms(v) / boundary_distance_batch(poly, points)[:, None]
+    assert np.all(outer <= metric * (1 + 1e-12)) and np.all(metric <= inner * (1 + 1e-12))
+    for i, z in enumerate(points.tolist()):
+        for j, d in enumerate(v.tolist()):
+            assert metric[i, j] == pytest.approx(_polydisc_reference(poly.center, poly.radii, z, d), rel=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -666,13 +751,13 @@ def test_scan_never_takes_the_per_sample_path(monkeypatch):
     counts = {
         name: _counting(monkeypatch, module, name)
         for module, name in [(domains, "ray_extent_batch"), (domains, "boundary_distance_batch"),
-                             (domains, "circumscribed_ball"), (metrics, "kobayashi_ball_batch")]
+                             (metrics, "kobayashi_batch")]
     }
     # the shell at 1e-20 rounds onto the boundary, so its points are skipped
     plan = SamplingPlan(shells=(1e-20, 0.5, 0.25, 0.125), points_per_shell=4, directions_per_point=4)
     est = normality_scan(parse("z1*z2", 2), Polydisc((0j, 0j), (1.0, 2.0)), plan)
     assert {name: len(calls) for name, calls in counts.items()} == {
-        "ray_extent_batch": 1, "boundary_distance_batch": 1, "circumscribed_ball": 1, "kobayashi_ball_batch": 1,
+        "ray_extent_batch": 1, "boundary_distance_batch": 1, "kobayashi_batch": 1,
     }
     assert len(est.samples) == 3 * 4 * 4
     assert est.skipped == 4 * 4
