@@ -20,6 +20,7 @@ SUITE = [
     ("sin(1/(1-z1))", 1),
     ("z1*z2", 2),
     ("exp(z1+z2)", 2),
+    ("exp(-z1*z2)", 2),
 ]
 
 

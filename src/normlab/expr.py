@@ -104,14 +104,6 @@ class HoloExpr:
     root: Node
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Function value together with the complex gradient (d/dz_1,...,d/dz_n)."""
-
-    value: complex
-    gradient: tuple[complex, ...]
-
-
 # --------------------------------------------------------------------------
 # Tokenizer / parser
 # --------------------------------------------------------------------------
@@ -497,10 +489,11 @@ def evaluate_batch(expr: HoloExpr, points, gradient: bool = True) -> Batch:
     return Batch(value, grad, walk.status)
 
 
-def evaluate_jet(expr: HoloExpr, z: CPoint) -> Jet:
-    """Value and complex gradient at z, by forward-mode differentiation."""
-    jet = evaluate_batch(expr, [z]).check()
-    return Jet(complex(jet.value[0]), tuple(jet.gradient[0].tolist()))
+def evaluate_jet(expr: HoloExpr, z: CPoint) -> Batch:
+    """Value and complex gradient at the one point z, by forward-mode
+    differentiation: the checked `evaluate_batch` of [z], value (1,) and
+    gradient (1, n)."""
+    return evaluate_batch(expr, [z]).check()
 
 
 # --------------------------------------------------------------------------

@@ -96,8 +96,7 @@ def levi_log1p_closed(f: HoloExpr, z: CPoint, v: CPoint) -> float:
     """Levi form of log(1+|f|^2) at z along v, in closed form (`levi_batch`);
     `levi_form_fd` on `log1p_sq_field` is the independent check."""
     jet = evaluate_jet(f, z)
-    levi = levi_batch(np.array([jet.value]), np.array([jet.gradient]), np.array([v], dtype=complex))
-    return float(levi[0, 0])
+    return float(levi_batch(jet.value, jet.gradient, np.array([v], dtype=complex))[0, 0])
 
 
 def _probes(n: int) -> np.ndarray:

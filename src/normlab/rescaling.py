@@ -66,21 +66,6 @@ def _power_law(c: float, exponent: float, indices: range) -> np.ndarray:
     return np.array([c * float(j) ** -exponent for j in indices])
 
 
-def rescale_sharp_identity_check(
-    f: HoloExpr, center: CPoint, rho: float, test_points: list[CPoint]
-) -> float:
-    """Max relative deviation between sharp(g, zeta) and rho * sharp(f,
-    center + rho*zeta) for g the rescaled function.  An algebraic identity
-    (invariance of the Levi form under affine maps), so the deviation is
-    rounding noise."""
-    g = affine_pullback(f, center, rho)
-    zeta = np.asarray(test_points, dtype=complex).reshape(-1, f.dimension)
-    lhs = sharp_batch(g, zeta)
-    rhs = rho * sharp_batch(f, np.asarray(center) + rho * zeta)
-    scale = np.maximum(lhs, rhs)  # where it is 0, so is the deviation
-    return float(np.max(np.abs(lhs - rhs) / np.where(scale > 0, scale, 1.0), initial=0.0))
-
-
 @dataclass(frozen=True, eq=False)
 class RescalingRun:
     """The rescaling sequence g_j(zeta) = f(z_j + rho_j*zeta) of one run, as
@@ -90,7 +75,6 @@ class RescalingRun:
     (J,), `entries.z_j` is (J, n)), and iterating it gives the records."""
 
     f: HoloExpr
-    domain: Domain
     entries: np.recarray
     hypothesis_flags: tuple[str, ...]
 
@@ -152,7 +136,7 @@ def rescaling_run(f: HoloExpr, domain: Domain, spec: SequenceSpec) -> RescalingR
     columns = [np.arange(spec.j_start, spec.j_end + 1), centers, delta, rho, ratio]
     entries = np.rec.fromarrays(columns, dtype=fields)
     entries.flags.writeable = False  # the run is frozen, its records too
-    return RescalingRun(f, domain, entries, tuple(flags))
+    return RescalingRun(f, entries, tuple(flags))
 
 
 # --------------------------------------------------------------------------

@@ -49,17 +49,17 @@ def sphere_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
     The set is tuned for estimating sup_{|v|=1} |<g, v>| over a fixed linear
     functional g, which is invariant under a global phase of v:
 
-    - n = 1: equispaced phases (the functional's modulus is phase-invariant,
-      so any single direction is already exact);
     - n = 2: Hopf lifts of a Fibonacci lattice on S^2, i.e. a low-discrepancy
       sweep of the phase-quotient CP^1 (plain sampling of S^3 would waste
       budget on the irrelevant global phase);
-    - n >= 3: an R_d Kronecker sequence in d = 2n dimensions, frac(s + k*alpha)
-      for k = 1..count with alpha_j = phi^-j, phi the positive root of
-      x^(d+1) = x + 1 correctly rounded (`_rd_root`) and the shift s drawn
-      from the seed; Box-Muller turns each coordinate pair
+    - every other n: an R_d Kronecker sequence in d = 2n dimensions,
+      frac(s + k*alpha) for k = 1..count with alpha_j = phi^-j, phi the
+      positive root of x^(d+1) = x + 1 correctly rounded (`_rd_root`) and the
+      shift s drawn from the seed; Box-Muller turns each coordinate pair
       (u, w) into the complex Gaussian sqrt(-2 log(1-u)) exp(2 pi i w), and
-      the rows are normalized.
+      the rows are normalized.  For n = 1 that leaves the distinct unit
+      phases exp(2 pi i w) (the functional's modulus is phase-invariant, so
+      any single direction is already exact there).
 
     The shift s is the first 2n numbers of `random.Random(seed).random()`
     (MT19937, the same for an int seed in every Python release), so a numpy
@@ -69,9 +69,6 @@ def sphere_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
         raise ValueError("n must be positive")
     if count < 1:
         raise ValueError("count must be positive")
-    if n == 1:
-        phases = 2.0 * math.pi * np.arange(count) / count
-        return np.exp(1j * phases).reshape(count, 1)
     if n == 2:
         k = np.arange(count)
         cos_theta = 1.0 - (2.0 * k + 1.0) / count
@@ -106,7 +103,9 @@ def scan_rays(n: int, count: int, seed: int = 0) -> np.ndarray:
 def ball_grid(n: int, radius: float, grid_size: int, seed: int = 0) -> np.ndarray:
     """Deterministic covering of the closed ball |zeta| <= radius in C^n.
 
-    Concentric spheres at radii k/m * radius, the origin included first.  The
+    Concentric spheres at radii k/m * radius, the origin included first.  Each
+    ring holds at least 2n points, and for n >= 2 its first 2n are the signed
+    coordinate axes (`scan_rays`), so every coordinate moves on the grid.  The
     outermost shell always contains +/- radius * e_1 exactly, so suprema of
     affine functions are attained on the grid.  Returns shape (N, n).
     Raises EvaluationError when radius times the ring count passes the
@@ -119,7 +118,7 @@ def ball_grid(n: int, radius: float, grid_size: int, seed: int = 0) -> np.ndarra
     n_rings = max(2, int(round(math.sqrt(grid_size))))
     if not math.isfinite(radius * n_rings):
         raise EvaluationError(f"grid radius {radius!r} times {n_rings} rings passes the largest finite float")
-    per_ring = max(4, -(-grid_size // n_rings))
+    per_ring = max(4, 2 * n, -(-grid_size // n_rings))  # every signed axis on every ring
     if per_ring % 2:
         per_ring += 1
     k = np.arange(1, n_rings + 1)

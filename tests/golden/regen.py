@@ -43,6 +43,8 @@ CASES = {
     "rescale-1d": ["rescale", "rescale-1d.json"],
     "rescale-2d": ["rescale", "rescale-2d.json", "--format", "json"],
     "rescale-flagged": ["rescale", "rescale-flagged.json"],
+    # a blow-up along the last axis, which a ring of fewer than 2n points would miss
+    "rescale-5d-z5": ["rescale", "rescale-5d-z5.json"],
     "thm2-1d-ball": ["thm2", "thm2-1d-ball.json"],
     "thm2-2d-polydisc": ["thm2", "thm2-2d-polydisc.json", "--format", "csv"],
     "thm2-3d-ball": ["thm2", "thm2-3d-ball.json"],

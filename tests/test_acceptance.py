@@ -24,12 +24,12 @@ from normlab import (
     normality_scan,
     parse,
     remark_counterexample,
-    rescale_sharp_identity_check,
     rescaling_run,
     sharp_batch,
     sharp_fd,
 )
 from test_metrics import _cauchy_schwarz
+from test_rescaling import _rescale_sharp_identity_check
 
 UNIT_DISC = Ball((0j,), 1.0)
 
@@ -138,7 +138,7 @@ def test_criterion_3_rescaling_identity():
             )
             rho = rng.uniform(0.05, 0.6)
             points = _points(rng, dim, 0.8, count=8)
-            worst = max(worst, rescale_sharp_identity_check(f, center, rho, points))
+            worst = max(worst, _rescale_sharp_identity_check(f, center, rho, points))
     _report(3, f"rescaling sharp identity, max rel deviation {worst:.3e} <= 1e-10", worst <= 1e-10)
 
 

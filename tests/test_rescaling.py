@@ -23,7 +23,6 @@ from normlab import (
     marty_bound,
     parse,
     remark_counterexample,
-    rescale_sharp_identity_check,
     rescaling_run,
 )
 from normlab import domains, rescaling
@@ -147,7 +146,7 @@ def _zalcman_rescale(f, domain, spec):
     for k in np.flatnonzero(~np.isfinite(rho))[:1]:
         raise NormlabError(f"sharp(f, z_{spec.j_start + k}) vanishes; rescaling scale undefined")
     flags = ("rho-not-decreasing",) if np.any(rho[1:] >= rho[:-1]) else ()
-    return RescalingRun(f, domain, _entries(spec, centers, rho, delta), flags)
+    return RescalingRun(f, _entries(spec, centers, rho, delta), flags)
 
 
 def _explicit_rescale(f, domain, spec):
@@ -159,7 +158,7 @@ def _explicit_rescale(f, domain, spec):
     flags = ["ratio-not-decreasing"] if np.any(ratio[1:] >= ratio[:-1]) else []
     if ratio[-1] >= 0.1:
         flags.append("final-ratio-not-small")
-    return RescalingRun(f, domain, entries, tuple(flags))
+    return RescalingRun(f, entries, tuple(flags))
 
 
 def _outcome(build, f, domain, spec):
@@ -269,6 +268,19 @@ def test_rescaled_function_trivial():
     assert pytest.approx(abs(sharp_batch(g, zeta)[0])) == sharp_batch(f, zeta)[0]
 
 
+def _rescale_sharp_identity_check(f, center, rho, test_points) -> float:
+    """Max relative deviation between sharp(g, zeta) and rho * sharp(f,
+    center + rho*zeta) for g the rescaled function.  An algebraic identity
+    (invariance of the Levi form under affine maps), so the deviation is
+    rounding noise."""
+    g = affine_pullback(f, center, rho)
+    zeta = np.asarray(test_points, dtype=complex).reshape(-1, f.dimension)
+    lhs = sharp_batch(g, zeta)
+    rhs = rho * sharp_batch(f, np.asarray(center) + rho * zeta)
+    scale = np.maximum(lhs, rhs)  # where it is 0, so is the deviation
+    return float(np.max(np.abs(lhs - rhs) / np.where(scale > 0, scale, 1.0), initial=0.0))
+
+
 def test_rescaled_sharp_at_zero():
     f = parse("z1^2", 1)
     center, rho = (0.5 + 0j,), 0.1
@@ -278,13 +290,13 @@ def test_rescaled_sharp_at_zero():
 
 def test_sharp_identity_square():
     points = [(complex(0.1 * k, 0.05 * k),) for k in range(-10, 10)]
-    dev = rescale_sharp_identity_check(parse("z1^2", 1), (0.5 + 0j,), 0.1, points)
+    dev = _rescale_sharp_identity_check(parse("z1^2", 1), (0.5 + 0j,), 0.1, points)
     assert dev <= 1e-10
 
 
 def test_sharp_identity_constant_vacuous():
     points = [(0.2 + 0.1j,), (0j,)]
-    assert rescale_sharp_identity_check(parse("7", 1), (0j,), 0.5, points) == 0.0
+    assert _rescale_sharp_identity_check(parse("7", 1), (0j,), 0.5, points) == 0.0
 
 
 def test_sharp_identity_zalcman_normalized_center():
@@ -292,7 +304,7 @@ def test_sharp_identity_zalcman_normalized_center():
     z5 = (complex(1 - 1 / (10 * math.pi)),)
     rho = 1.0 / sharp_batch(f, [z5])[0]
     points = [(complex(0.2 * math.cos(t), 0.2 * math.sin(t)),) for t in range(10)]
-    assert rescale_sharp_identity_check(f, z5, rho, points) <= 1e-10
+    assert _rescale_sharp_identity_check(f, z5, rho, points) <= 1e-10
     g = affine_pullback(f, z5, rho)
     assert sharp_batch(g, [(0j,)])[0] == pytest.approx(1.0, abs=1e-10)
 
@@ -316,7 +328,7 @@ def test_sharp_identity_randomized():
                 )
                 for _ in range(5)
             ]
-            assert rescale_sharp_identity_check(f, center, rho, points) <= 1e-10
+            assert _rescale_sharp_identity_check(f, center, rho, points) <= 1e-10
 
 
 # --------------------------------------------------------------------------

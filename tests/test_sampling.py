@@ -139,7 +139,7 @@ def _reference_scan_rays(n, count, seed):
 def _reference_ball_grid(n, radius, grid_size, seed):
     """ball_grid as a plain loop, one ring and one point at a time."""
     n_rings = max(2, int(round(math.sqrt(grid_size))))
-    per_ring = max(4, -(-grid_size // n_rings))
+    per_ring = max(4, 2 * n, -(-grid_size // n_rings))
     if per_ring % 2:
         per_ring += 1
     points = [np.zeros(n, dtype=complex)]
@@ -163,6 +163,27 @@ def test_scan_rays_match_the_loop_bit_for_bit(n, count):
     got, expected = scan_rays(n, count, 11), _reference_scan_rays(n, count, 11)
     assert got.dtype == expected.dtype and got.shape == expected.shape == (count, n)
     assert got.tobytes() == expected.tobytes()  # -0.0 in the negated axes included
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_scan_rays_are_distinct(n):
+    for count in range(2, 65):
+        rays = scan_rays(n, count, 11)
+        gaps = np.max(np.abs(rays[:, None, :] - rays[None, :, :]), axis=-1)
+        np.fill_diagonal(gaps, np.inf)
+        assert gaps.min() > 1e-6, (count, np.unravel_index(np.argmin(gaps), gaps.shape))
+
+
+@settings(max_examples=150, deadline=None)
+@example(n=3, radius=1.0, grid_size=16)
+@example(n=5, radius=1.0, grid_size=64)
+@example(n=9, radius=1.0, grid_size=64)
+@given(n=st.integers(1, 9), radius=st.floats(1e-3, 1e3), grid_size=st.integers(2, 1024))
+def test_ball_grid_reaches_every_signed_axis(n, radius, grid_size):
+    # each coordinate moves, out to the radius, both ways along its real axis
+    grid = ball_grid(n, radius, grid_size)
+    for part in (grid.real.max(axis=0), -grid.real.min(axis=0)):
+        np.testing.assert_allclose(part, radius, rtol=1e-12)
 
 
 # the broadcast and the loop must round alike: numpy's array ops can differ
