@@ -46,7 +46,6 @@ from .rescaling import (
     ZalcmanScale,
     convergence_report,
     limit_sharp_check,
-    marty_bound,
     remark_counterexample,
     rescaling_run,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "levi_log1p_closed",
     "limit_sharp_check",
     "log1p_sq_field",
-    "marty_bound",
     "normality_scan",
     "parse",
     "remark_counterexample",

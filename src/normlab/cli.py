@@ -11,9 +11,7 @@ that --format selects, so a run that fails writes no file and no directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -35,30 +33,17 @@ EXIT_FLAGGED = 4
 
 
 def _json(payload: dict) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
-    byte for byte, for a payload of str keys.  json's indenting encoder is pure
-    Python, slow on long lists, so the report is printed one top-level key at
-    a time, in sorted order: a record array by `_records_json`, a non-empty
-    list of plain finite ints and floats joined by repr, as json prints them,
-    and any other value by json.dumps, indented one level."""
-    if not payload:
-        return "{}\n"
-    parts = []
-    for key in sorted(payload):
-        value = payload[key]
-        parts += [",\n  ", json.dumps(key), ": "]
-        if isinstance(value, np.recarray):
-            parts.append(_records_json(value))
-            continue
-        if type(value) is list and value and all(type(x) in (int, float) for x in value):
-            text = ",\n    ".join(map(repr, value))
-            if "n" not in text:  # only nan, inf and -inf print an n; json rejects them
-                parts += ["[\n    ", text, "\n  ]"]
-                continue
-        parts.append(json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n  "))
-    parts[0] = "{\n  "
-    parts.append("\n}\n")
-    return "".join(parts)
+    """json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    for a payload of str keys, with each record array printed by
+    `_records_json` in place of the null that json prints for it: a newline,
+    two spaces and a quoted key open only a top-level entry, since json
+    escapes every newline and quote inside a string."""
+    records = {key: value for key, value in payload.items() if isinstance(value, np.recarray)}
+    text = json.dumps({**payload, **dict.fromkeys(records)}, indent=2, sort_keys=True, allow_nan=False)
+    for key, value in records.items():
+        entry = f"\n  {json.dumps(key)}: "
+        text = text.replace(entry + "null", entry + _records_json(value), 1)
+    return text + "\n"
 
 
 @functools.cache
@@ -105,12 +90,9 @@ def _records_json(records: np.ndarray) -> str:
 
 
 def _csv(header: list[str], rows) -> str:
-    """The rows as csv.writer prints them: str of a float is its repr."""
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return text.getvalue()
+    """The rows as csv.writer prints them, for cells that need no quoting:
+    str of each cell (of a float, its repr), commas and CRLF line ends."""
+    return "".join(",".join(map(str, row)) + "\r\n" for row in [header, *rows])
 
 
 def _point_str(z) -> str:
@@ -141,19 +123,18 @@ def _run_marty_scan(config: dict) -> tuple[int, dict[str, str]]:
     domain = cfg.parse_domain(config["domain"])
     plan = cfg.parse_plan(config["plan"])
     est = normality_scan(f, domain, plan)
+    payload = {
+        "function": config["function"],
+        "c_required_lower_bound": est.c_required_lower_bound,
+        "verdict": est.verdict,
+        "skipped": est.skipped,
+        "errors": est.errors,
+        "shell_trend": est.shell_trend,
+        "samples": est.samples,
+    }
     return EXIT_OK, {
         "marty_trend.csv": _csv(["shell", "max_ratio_lower", "min_boundary_distance"], est.shell_trend),
-        "marty_scan.json": _json(
-            {
-                "function": config["function"],
-                "c_required_lower_bound": est.c_required_lower_bound,
-                "verdict": est.verdict,
-                "skipped": est.skipped,
-                "errors": list(est.errors),
-                "shell_trend": [list(t) for t in est.shell_trend],
-                "samples": est.samples,
-            }
-        ),
+        "marty_scan.json": _json(payload),
     }
 
 
@@ -184,11 +165,11 @@ def _run_rescaling(config: dict) -> tuple[int, dict[str, str]]:
         "verdict": report.verdict,
         "tol": report.tol,
         "radius": report.radius,
-        "indices": list(report.indices),
+        "indices": report.indices,
         "osc": report.osc.tolist(),
         "cauchy_gaps": report.cauchy_gaps.tolist(),
-        "excluded": list(report.excluded),
-        "hypothesis_flags": list(run.hypothesis_flags),
+        "excluded": report.excluded,
+        "hypothesis_flags": run.hypothesis_flags,
         "limit_proxy": to_source(report.limit_proxy),
     }
     if command == "rescale":
@@ -209,19 +190,18 @@ def _run_rescaling(config: dict) -> tuple[int, dict[str, str]]:
 def _run_counterexample(config: dict) -> tuple[int, dict[str, str]]:
     report = remark_counterexample(config["n_max"], config["R"], config["grid_size"])
     rows = zip(report.indices, report.ratios, report.sup_dev, report.bounds)
+    payload = {
+        "verdict": report.verdict,
+        "radius": report.radius,
+        "indices": report.indices,
+        "ratios": report.ratios,
+        "sup_dev": report.sup_dev,
+        "bounds": report.bounds,
+        "convergence_verdict": report.convergence.verdict,
+    }
     return EXIT_OK, {
         "counterexample.csv": _csv(["n", "ratio", "sup_dev", "bound"], rows),
-        "counterexample.json": _json(
-            {
-                "verdict": report.verdict,
-                "radius": report.radius,
-                "indices": list(report.indices),
-                "ratios": list(report.ratios),
-                "sup_dev": list(report.sup_dev),
-                "bounds": list(report.bounds),
-                "convergence_verdict": report.convergence.verdict,
-            }
-        ),
+        "counterexample.json": _json(payload),
     }
 
 

@@ -19,6 +19,7 @@ that the walker ignores, as JSON Schema does, and `validate_config` applies.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -145,13 +146,15 @@ def parse_int(text: str) -> int:
 
 
 def load_config(path: str) -> dict[str, Any]:
-    """Read a JSON config; NaN, Infinity and overflowing numbers are rejected."""
+    """Read a JSON config; NaN, Infinity and overflowing numbers are rejected,
+    as are a file that is not UTF-8 or JSON (ValueError) and one nested past
+    the parser's recursion limit."""
     try:
         with open(path, encoding="utf-8") as fh:
             config = json.load(
                 fh, parse_constant=_finite_float, parse_float=_finite_float, parse_int=parse_int
             )
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
@@ -184,11 +187,20 @@ def _is_pair(value: Any) -> bool:
 
 def _passes_at_once(items: list, schema: dict) -> bool:
     """Whether one pass shows that every item breaks nothing of `schema`:
-    plain numbers under _NUMBER, pairs of them under _COMPLEX.  A list that
-    fails this is walked item by item, which names the violation."""
-    if schema is _NUMBER:
-        return all(map(_is_number, items))
-    return schema is _COMPLEX and all(map(_is_pair, items))
+    pairs of plain numbers under _COMPLEX, and plain ints and floats within
+    the bounds of a number schema (shells, radii).  A list that fails this
+    is walked item by item, which names the violation."""
+    if schema is _COMPLEX:
+        return all(map(_is_pair, items))
+    return (
+        schema.get("type") == "number"
+        and set(map(type, items)) <= {int, float}
+        and not any(
+            any(map(fails, items, itertools.repeat(schema[keyword])))
+            for keyword, fails, _ in _BOUNDS
+            if keyword in schema
+        )
+    )
 
 
 def _violations(value: Any, schema: dict, path: str, out: list[tuple[str, str]]) -> None:
@@ -283,12 +295,13 @@ def parse_function(source: str, dimension: int) -> HoloExpr:
 
 def validate_config(config: dict[str, Any]) -> str:
     """Validate against the schema named by config['command'], check that a
-    scan plan asks for at most 2^20 samples (shells x points x directions), a
-    sharp config for 2^20 stencil rows (points x (4 n^2 + 1), held at once)
-    and a sequence's j_start not past its j_end, check every point, center,
-    radii, anchor and inward list against the dimension, and parse the
-    config's function, if any; returns the command.  The config gets its
-    defaults and plain types in place (`_typed`): 2.0 becomes 2, say."""
+    scan plan asks for at most 2^20 samples (shells x points x directions) and
+    for at least 2 * dimension points per shell, a sharp config for 2^20
+    stencil rows (points x (4 n^2 + 1), held at once) and a sequence's
+    j_start not past its j_end, check every point, center, radii, anchor and
+    inward list against the dimension, and parse the config's function, if
+    any; returns the command.  The config gets its defaults and plain types
+    in place (`_typed`): 2.0 becomes 2, say."""
     command = config.get("command")
     if not isinstance(command, str) or command not in SCHEMAS:
         raise ConfigError(f"config must carry a 'command' key, one of {sorted(SCHEMAS)}")
@@ -304,6 +317,11 @@ def validate_config(config: dict[str, Any]) -> str:
             raise ConfigError(
                 f"plan asks for {shells} shells x {points} points x {directions} directions"
                 f" = {shells * points * directions} samples, more than the cap of {_MAX_COUNT}"
+            )
+        if points < 2 * config["dimension"]:  # a shell's first 2n points are the signed axes
+            raise ConfigError(
+                f"plan.points_per_shell {points} is below 2 * dimension = {2 * config['dimension']},"
+                " so the scan would miss a signed coordinate axis"
             )
     if command == "sharp":
         points, stencil = len(config["points"]), 4 * config["dimension"] ** 2 + 1

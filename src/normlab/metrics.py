@@ -43,9 +43,14 @@ def sharp_batch(f: HoloExpr, points) -> np.ndarray:
     direction with the conjugate gradient.  For n=1 this is the classical
     spherical derivative |f'|/(1+|f|^2).  Nonnegative, scales like an inverse
     length, zero iff the gradient vanishes.  Raises the error of the first
-    point that fails to evaluate."""
+    point that fails to evaluate, and EvaluationError for the first point
+    whose gradient norm, and so sharp value, passes the float range."""
     jets = evaluate_batch(f, points).check()
-    return _over_one_plus_square(domains.row_norms(jets.gradient), np.abs(jets.value))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
+        sharp = _over_one_plus_square(domains.row_norms(jets.gradient), np.abs(jets.value))
+    for k in np.flatnonzero(~np.isfinite(sharp))[:1]:
+        raise EvaluationError(f"sharp function at point {k} passes the float range (its gradient norm overflows)")
+    return sharp
 
 
 def levi_form_fd(field: Callable, z: CPoint, v, h: float):

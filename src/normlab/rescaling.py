@@ -255,15 +255,6 @@ def limit_sharp_check(report: ConvergenceReport, tol: float) -> SharpProfile:
     return SharpProfile(s0, max_sharp, argmax, passed=passed)
 
 
-def marty_bound(c: float, r: float, delta: float, zeta_abs: float) -> float:
-    """sqrt(c) * r * delta / (delta^2 - (r*|zeta|)^2): the bound obeyed by
-    sharp(g_j, zeta) when the original function admits the constant c."""
-    slack = delta * delta - (r * zeta_abs) ** 2
-    if slack <= 0:
-        return math.inf
-    return math.sqrt(c) * r * delta / slack
-
-
 # --------------------------------------------------------------------------
 # The linear counterexample
 # --------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from normlab import (
     kobayashi_batch,
     levi_log1p_closed,
     limit_sharp_check,
-    marty_bound,
     normality_scan,
     parse,
     remark_counterexample,
@@ -159,12 +158,13 @@ def test_criterion_4_thm2_desk_scale():
     for j, osc in zip(report.indices, report.osc):
         if abs(osc - float(j) ** -2) > 1e-12:
             ok = False
-    # Marty chain with C = 1 at every grid point and index
+    # Marty chain with C = 1 at every grid point and index: sharp(g_j) is at
+    # most rho delta / (delta^2 - (rho |zeta|)^2), and rho_j = j^-2 < delta_j = 1/j
     for e in run.entries:
         g_j = affine_pullback(f, e.z_j, e.rho_j)
-        for zeta, lhs in zip(report.grid, sharp_batch(g_j, report.grid)):
-            if lhs > marty_bound(1.0, e.rho_j, e.delta_j, abs(zeta[0])) + 1e-8:
-                ok = False
+        bound = e.rho_j * e.delta_j / (e.delta_j**2 - (e.rho_j * np.abs(report.grid[:, 0])) ** 2)
+        if np.any(sharp_batch(g_j, report.grid) > bound + 1e-8):
+            ok = False
     _report(4, "f=z constant-limit run: osc_j = j^-2, Marty chain with C=1", ok)
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from normlab import Ball, DimensionMismatchError, parse
 from normlab import config as cfg_module
-from normlab.cli import _json, _records_json, main
+from normlab.cli import _csv, _json, _records_json, main
 from normlab.config import SCHEMAS, point_to_json
 from normlab.metrics import SamplingPlan, normality_scan, sample_dtype, sharp_batch, sharp_fd
 from test_config import _perfbench
@@ -501,6 +501,9 @@ def test_coordinate_list_of_wrong_length_is_config_error(tmp_path, capsys, confi
     assert not out.exists()
 
 
+_HUGE_GRADIENT = "1e308*(" + "+".join(f"z{k}" for k in range(1, 10)) + ")"  # |grad| = 3e308
+
+
 def _tiny_ball_config(command):
     # the one center, p_1 = 0, lies 5e-324 inside the ball, so rho_1 / delta_1 overflows
     config = _rescaling_config(command, c_p=1.0, a=1.0, j_start=1, j_end=1)
@@ -517,7 +520,11 @@ def _tiny_ball_config(command):
 # overflows, which exited 0 with two RuntimeWarnings and every sample skipped,
 # and the one whose radius squared underflows, which blamed its points.  The
 # polydisc whose largest radius squares past the float range exited 3 naming
-# a "ball radius", that of the circumscribed ball the scan once measured.
+# a "ball radius", that of the circumscribed ball the scan once measured.  The
+# 9-D sharp run of a function whose gradient norm, 3e308, overflows printed a
+# sharp value of inf and a rel_dev of nan, which the JSON writer refused in a
+# ValueError traceback; its Zalcman rescale took rho = 1/inf = 0 and ended in
+# affine_pullback's "scale must be nonzero".
 # Warnings are errors here, so none of them may reach stderr.
 @pytest.mark.parametrize(
     "config,code,message",
@@ -578,13 +585,34 @@ def _tiny_ball_config(command):
             3,
             "polydisc radius 1e+308 squares past the largest finite float",
         ),
+        (
+            {"command": "sharp", "function": _HUGE_GRADIENT, "dimension": 9, "points": [[[0.0, 0.0]] * 9]},
+            3,
+            "sharp function at point 0 passes the float range",
+        ),
+        (
+            {
+                **_rescale_config(),
+                "function": _HUGE_GRADIENT,
+                "dimension": 9,
+                "domain": {"type": "ball", "center": [[0.0, 0.0]] * 9, "radius": 1.0},
+                "sequence": {
+                    **_rescale_config()["sequence"],
+                    "anchor": [[1.0, 0.0]] + [[0.0, 0.0]] * 8,
+                    "inward": [[-1.0, 0.0]] + [[0.0, 0.0]] * 8,
+                },
+            },
+            3,
+            "sharp function at point 0 passes the float range",
+        ),
     ],
     ids=[
         "rescale-j-range", "thm2-j-range", "rescale-grid-1", "thm2-grid-1", "counterexample-grid-1",
         "thm2-scale-underflow", "counterexample-center-on-boundary", "sharp-h-underflow",
         "sharp-h-overflow", "sharp-h-below-resolution",
         "rescale-ratio-overflow", "thm2-ratio-overflow", "sharp-pole", "scan-ball-radius-overflow",
-        "scan-ball-radius-underflow", "scan-polydisc-radius-overflow",
+        "scan-ball-radius-underflow", "scan-polydisc-radius-overflow", "sharp-9d-gradient-overflow",
+        "rescale-9d-gradient-overflow",
     ],
 )
 def test_run_input_errors_exit_with_their_code(tmp_path, capsys, config, code, message):
@@ -595,6 +623,26 @@ def test_run_input_errors_exit_with_their_code(tmp_path, capsys, config, code, m
     prefix = {2: "config error: ", 3: "evaluation error: "}[code]
     assert err.startswith(prefix) and err.count("\n") == 1 and message in err
     assert not (tmp_path / "e").exists()  # a failed run writes no file and makes no directory
+
+
+# Each ended in a traceback (exit 1): a UnicodeDecodeError, and json's
+# RecursionError on a config nested about as deep as the recursion limit.
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (b'{"command": "sharp", "function": "z1\xff", "dimension": 1, "points": [[[0.1, 0.0]]]}',
+         "can't decode byte 0xff"),
+        (b'{"command": "sharp", "x": ' + b"[" * 1000 + b"]" * 1000 + b"}", "maximum recursion depth exceeded"),
+    ],
+    ids=["not-utf8", "nested-1000-deep"],
+)
+def test_unreadable_config_is_config_error(tmp_path, capsys, text, message):
+    path = tmp_path / "sharp.json"
+    path.write_bytes(text)
+    assert main(["sharp", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("where", ["out-is-a-file", "output-is-a-directory"])
@@ -633,7 +681,7 @@ def _scan(function, n, **plan):
         "function": function,
         "dimension": n,
         "domain": _ball(n),
-        "plan": {"shells": [0.5, 0.25, 0.125], "points_per_shell": 3,
+        "plan": {"shells": [0.5, 0.25, 0.125], "points_per_shell": 6,
                  "directions_per_point": 2, **plan},
     }
 
@@ -663,7 +711,7 @@ def test_reports_are_canonical_json(tmp_path, config, report):
     if config["command"] == "marty-scan":
         skipped_all = config["function"] == "1/(z1-z1)"
         assert (payload["samples"] == []) == skipped_all
-        assert payload["skipped"] == (3 * 3 * 2 if skipped_all else 0)
+        assert payload["skipped"] == (3 * 6 * 2 if skipped_all else 0)
 
 
 def _stdlib_samples(samples):
@@ -809,8 +857,8 @@ def _stdlib_json(payload):
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-# plain ints and floats, which _json joins itself in a top-level list, beside
-# bools, which are ints to isinstance but print as true and false
+# plain ints and floats, beside bools, which are ints to isinstance but
+# print as true and false
 _NUMBERS = (
     st.integers()
     | st.integers(2**63 - 2, 2**80)
@@ -858,6 +906,22 @@ def test_json_writer_prints_record_arrays_in_key_order():
     expected = {"a": 1, "samples": [{"x": 1.0}, {"x": 0.5}], "z": [0.5, 2]}
     assert _json({"z": [0.5, 2], "samples": samples, "a": 1}) == _stdlib_json(expected)
     assert _json({"a": 1, "samples": samples[:0]}) == _stdlib_json({"a": 1, "samples": []})
+    # keys and strings that spell the record array's entry, and a null beside it
+    decoys = {'\n  "samples": null': '\n  "samples": null', "a": None, "b": {"samples": None}}
+    expected = {**decoys, "samples": [{"x": 1.0}, {"x": 0.5}]}
+    assert _json({**decoys, "samples": samples}) == _stdlib_json(expected)
+
+
+# cells as the runners give them: ints, finite and non-finite floats, and
+# the comma-free point strings of `_point_str`
+_CELLS = st.integers() | st.floats() | st.from_regex(r"[0-9e.;+ -]+", fullmatch=True)
+
+
+@given(st.lists(st.text("abc_", min_size=1), min_size=1, max_size=4), st.lists(st.lists(_CELLS, max_size=5)))
+def test_csv_writer_matches_stdlib_csv(header, rows):
+    expected = io.StringIO()
+    csv.writer(expected).writerows([header, *rows])
+    assert _csv(header, rows) == expected.getvalue()
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,6 @@ PACKAGE = ROOT / "src" / "normlab"
 UNREAD = {
     "expr.evaluate_jet": "perfbench's span test calls it (ROADMAP item 1)",
     "metrics.levi_log1p_closed": "perfbench's span test calls it (ROADMAP item 1)",
-    "rescaling.marty_bound": "the thm2 runner's chain bound is to report it (ROADMAP item 15)",
 }
 
 # Profiles every call from before `import normlab` on, through every golden

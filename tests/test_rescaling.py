@@ -20,7 +20,6 @@ from normlab import (
     affine_pullback,
     convergence_report,
     limit_sharp_check,
-    marty_bound,
     parse,
     remark_counterexample,
     rescaling_run,
@@ -634,15 +633,16 @@ def test_thm2_hypothesis_flag_on_large_ratio():
 
 def test_marty_bound_chain_identity_function():
     # normal f = z on the disc admits C = 1; the rescaled sharp obeys the bound
+    # sqrt(C) rho delta / (delta^2 - (rho |zeta|)^2), whose slack is positive
+    # on |zeta| <= 1 since rho_j = j^-2 < delta_j = 1/j
     f = parse("z1", 1)
     spec = _disc_spec(1.0, 1.0, ExplicitScale(1.0, 2.0), 2, 30)
     run = rescaling_run(f, UNIT_DISC, spec)
     report = convergence_report(run, 1.0, 48, 1e-3)
     for e in run.entries:
         g_j = affine_pullback(f, e.z_j, e.rho_j)
-        for zeta, lhs in zip(report.grid, sharp_batch(g_j, report.grid)):
-            rhs = marty_bound(1.0, e.rho_j, e.delta_j, abs(zeta[0]))
-            assert lhs <= rhs + 1e-8
+        bound = e.rho_j * e.delta_j / (e.delta_j**2 - (e.rho_j * np.abs(report.grid[:, 0])) ** 2)
+        assert np.all(sharp_batch(g_j, report.grid) <= bound + 1e-8)
 
 
 # --------------------------------------------------------------------------

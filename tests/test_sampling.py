@@ -55,6 +55,14 @@ def test_three_dimensional_runs_leave_numpy_random_out(argv, tmp_path):
     assert list(tmp_path.iterdir())  # the run did write its report
 
 
+def test_cli_run_leaves_csv_out(tmp_path):
+    # the run tables are printed by one join, not by csv.writer
+    config = Path(__file__).resolve().parent / "golden" / "rescale-1d.json"
+    run = f"assert normlab.cli.main({['rescale', '--config', str(config), '--out', str(tmp_path)]!r}) == 0"
+    assert _cli_import_loads(["csv", "_csv"], run) == "[]"
+    assert (tmp_path / "rescale_run.csv").exists()
+
+
 def test_cli_import_leaves_jsonschema_out():
     # jsonschema and what it imports; attrs installs the modules attr and attrs
     packages = ["jsonschema", "jsonschema_specifications", "referencing", "rpds", "attr", "attrs", "jsonpointer"]
