@@ -4,17 +4,21 @@ Subcommands: sharp, marty-scan, rescale, thm2, counterexample, check-config.
 Exit codes: 0 success, 2 config error or an output that cannot be written,
 3 evaluation error, 4 run completed with hypothesis flags raised.  Identical
 config + seed gives byte-identical outputs.  Each runner returns its exit code
-and the text of every output file; `main` then makes --out and writes those
-that --format selects, so a run that fails writes no file and no directory.
+and the pieces of every output file's text, with every number checked; `main`
+then makes --out and writes those that --format selects, piece by piece, so a
+run that fails writes no file and no directory, and an output left out is
+never printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -32,18 +36,23 @@ EXIT_EVAL = 3
 EXIT_FLAGGED = 4
 
 
-def _json(payload: dict) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    for a payload of str keys, with each record array printed by
-    `_records_json` in place of the null that json prints for it: a newline,
-    two spaces and a quoted key open only a top-level entry, since json
-    escapes every newline and quote inside a string."""
+def _json(payload: dict) -> Iterator[str]:
+    """The pieces of json.dumps(payload, indent=2, sort_keys=True,
+    allow_nan=False) + "\n" for a payload of str keys: the text json prints
+    before each record array's entry, that array's blocks (`_records_json`)
+    in place of the null that json prints for it, and the text after.  A
+    newline, two spaces and a quoted key open only a top-level entry, since
+    json escapes every newline and quote inside a string, and the entries
+    come in sorted key order.  Every number is checked before this returns."""
     records = {key: value for key, value in payload.items() if isinstance(value, np.recarray)}
-    text = json.dumps({**payload, **dict.fromkeys(records)}, indent=2, sort_keys=True, allow_nan=False)
-    for key, value in records.items():
+    text = json.dumps({**payload, **dict.fromkeys(records)}, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    pieces, start = [], 0
+    for key in sorted(records):
         entry = f"\n  {json.dumps(key)}: "
-        text = text.replace(entry + "null", entry + _records_json(value), 1)
-    return text + "\n"
+        cut = text.index(entry + "null", start) + len(entry)
+        pieces += [(text[start:cut],), _records_json(records[key])]
+        start = cut + len("null")
+    return itertools.chain(*pieces, (text[start:],))
 
 
 @functools.cache
@@ -60,39 +69,61 @@ def _record_row(dtype: np.dtype) -> tuple[str, ...]:
     return tuple(text[text.index("[") + 1:text.rindex("\n  ]")].split('"%s"'))
 
 
-def _records_json(records: np.ndarray) -> str:
+_BLOCK_FLOATS = 2**12  # as `rescaling._grid_chunks` bounds its batches
+
+
+def _records_json(records: np.ndarray) -> Iterator[str]:
     """A record array as a list of objects, byte for byte as json.dumps(
     indent=2, sort_keys=True, allow_nan=False) prints it as a top-level key
     of a report (`marty_scan.json`'s samples, `sharp.json`'s rows): the
     floats of each record in sorted field order (a complex field's real and
-    imaginary parts in turn), through float.__repr__ as json does.  A report
-    repeats most of its floats (each scan point across its directions, say),
-    so each distinct one is printed once.  The float texts are laid between
-    the row's pieces (`_record_row`) in one table of strings, and the array
-    is joined once."""
+    imaginary parts in turn), through float.__repr__ as json does.  Every
+    float is checked here, so a non-finite one raises json's ValueError
+    before this returns; the text then comes lazily, in blocks of at most
+    2^12 floats, so that a writer holds one block's text at a time."""
     if not len(records):
-        return "[]"
-    columns = [records[name].reshape(len(records), -1) for name in sorted(records.dtype.names)]
-    table = np.hstack([c.view(float) if c.dtype.kind == "c" else c for c in columns])
-    for x in table[~np.isfinite(table)][:1].tolist():
-        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-    # keyed on the bit pattern, not the value, so -0.0 and 0.0 print apart
-    bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
-    text = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
+        return iter(("[]",))
     pieces = _record_row(records.dtype)
-    cells = np.empty((len(records), 2 * len(pieces) - 1), dtype=object)
-    cells[:, 0::2] = pieces
-    cells[:, 1::2] = text[inverse.reshape(table.shape)]
-    cells[0, 0] = "[" + pieces[0]
-    cells[1:, 0] = "," + pieces[0]
-    cells[-1, -1] = pieces[-1] + "\n  ]"
-    return "".join(cells.ravel().tolist())
+    columns = [records[name].reshape(len(records), -1) for name in sorted(records.dtype.names)]
+    columns = [c.view(float) if c.dtype.kind == "c" else c for c in columns]
+    step = max(1, _BLOCK_FLOATS // (len(pieces) - 1))
+    rest = range(step, len(records), step)
+
+    def table(start):
+        return np.hstack([c[start:start + step] for c in columns])
+
+    first = table(0)
+    for block in itertools.chain((first,), map(table, rest)):
+        for x in block[~np.isfinite(block)][:1].tolist():
+            raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return _record_blocks(pieces, itertools.chain((first,), map(table, rest)))
 
 
-def _csv(header: list[str], rows) -> str:
-    """The rows as csv.writer prints them, for cells that need no quoting:
-    str of each cell (of a float, its repr), commas and CRLF line ends."""
-    return "".join(",".join(map(str, row)) + "\r\n" for row in [header, *rows])
+def _record_blocks(pieces: tuple[str, ...], tables) -> Iterator[str]:
+    """The text of `_records_json`, one block of rows (a table of their
+    floats) at a time.  A report repeats most of its floats (each scan point
+    across its directions, say), so each distinct float of a block is printed
+    once; the float texts are laid between the row's pieces in one table of
+    strings, and the block is joined once."""
+    lead = "["
+    for table in tables:
+        # keyed on the bit pattern, not the value, so -0.0 and 0.0 print apart
+        bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
+        text = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
+        cells = np.empty((len(table), 2 * len(pieces) - 1), dtype=object)
+        cells[:, 0::2] = ("," + pieces[0], *pieces[1:])
+        cells[:, 1::2] = text[inverse.reshape(table.shape)]
+        cells[0, 0] = lead + pieces[0]
+        lead = ","
+        yield "".join(cells.ravel().tolist())
+    yield "\n  ]"
+
+
+def _csv(header: list[str], rows) -> Iterator[str]:
+    """The lines of the rows as csv.writer prints them, for cells that need
+    no quoting: str of each cell (of a float, its repr), commas and CRLF
+    line ends."""
+    return (",".join(map(str, row)) + "\r\n" for row in itertools.chain((header,), rows))
 
 
 def _point_str(z) -> str:
@@ -100,7 +131,7 @@ def _point_str(z) -> str:
     return ";".join(f"{complex(c).real!r} {complex(c).imag!r}" for c in z)
 
 
-def _run_sharp(config: dict) -> tuple[int, dict[str, str]]:
+def _run_sharp(config: dict) -> tuple[int, dict[str, Iterable[str]]]:
     f = cfg.parse_function(config["function"], config["dimension"])
     points = [cfg.parse_point(raw) for raw in config["points"]]
     z = np.array(points, dtype=complex)
@@ -118,7 +149,7 @@ def _run_sharp(config: dict) -> tuple[int, dict[str, str]]:
     }
 
 
-def _run_marty_scan(config: dict) -> tuple[int, dict[str, str]]:
+def _run_marty_scan(config: dict) -> tuple[int, dict[str, Iterable[str]]]:
     f = cfg.parse_function(config["function"], config["dimension"])
     domain = cfg.parse_domain(config["domain"])
     plan = cfg.parse_plan(config["plan"])
@@ -151,7 +182,7 @@ def _run_rows(run, report):
 _RUN_HEADER = ["j", "abs_z_j", "delta_j", "rho_j", "ratio", "osc_j", "cauchy_gap_j"]
 
 
-def _run_rescaling(config: dict) -> tuple[int, dict[str, str]]:
+def _run_rescaling(config: dict) -> tuple[int, dict[str, Iterable[str]]]:
     """`rescale` and `thm2`, whose configs differ in the scale rule; outputs
     are <command>_run.csv and <command>.json, the latter with the limit's
     sharp profile under `rescale`."""
@@ -187,7 +218,7 @@ def _run_rescaling(config: dict) -> tuple[int, dict[str, str]]:
     }
 
 
-def _run_counterexample(config: dict) -> tuple[int, dict[str, str]]:
+def _run_counterexample(config: dict) -> tuple[int, dict[str, Iterable[str]]]:
     report = remark_counterexample(config["n_max"], config["R"], config["grid_size"])
     rows = zip(report.indices, report.ratios, report.sup_dev, report.bounds)
     payload = {
@@ -269,9 +300,10 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name, text in outputs.items():
+        for name, pieces in outputs.items():
             if args.format in ("both", Path(name).suffix[1:]):
-                (out / name).write_text(text, encoding="utf-8", newline="")
+                with open(out / name, "w", encoding="utf-8", newline="") as file:
+                    file.writelines(pieces)
     except OSError as exc:  # the output directory or a file in it cannot be written
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -6,7 +6,9 @@ and of stderr, and the name and SHA-256 of every file the run writes.
 `tests/test_golden.py` reruns the cases and compares them with the manifest,
 so a change that moves any output byte fails tier-1.  The manifest records the
 numpy version too: numpy's rounding feeds every number, so under another numpy
-the test fails rather than passing on different bytes.
+the test fails rather than passing on different bytes.  So does numpy's x86-64
+dispatch group (`dispatch_group`): the SIMD loops numpy picks at import round
+`exp`, `log` and complex products differently from one group to the next.
 
 Run this only when outputs are meant to change, and say in the change which
 files moved and why; it prints each case whose record changed, with what moved
@@ -69,6 +71,18 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def dispatch_group() -> str | None:
+    """numpy's x86-64 dispatch group in this process: the highest `X86_V*`
+    feature its runtime dispatch has on (`X86_V4` on an AVX-512 host, lower
+    where `NPY_DISABLE_CPU_FEATURES` turns it off), or None off x86.  The
+    group, not the top target: output bits were seen to move only across
+    the V4, V3 and V2 groups."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    groups = [name for name, on in __cpu_features__.items() if on and name.startswith("X86_V")]
+    return max(groups, key=lambda name: int(name.removeprefix("X86_V")), default=None)
+
+
 def run_case(case: list[str], out: Path) -> dict:
     """One case through `main`, writing into `out`, as the manifest records it."""
     subcommand, config, *extra = case
@@ -87,6 +101,7 @@ def run_case(case: list[str], out: Path) -> dict:
 def manifest(work: Path) -> dict:
     return {
         "numpy": np.__version__,
+        "numpy_dispatch": dispatch_group(),
         "cases": {name: run_case(case, work / name) for name, case in CASES.items()},
     }
 
@@ -115,6 +130,8 @@ if __name__ == "__main__":
     MANIFEST.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
     if old.get("numpy", np.__version__) != np.__version__:
         print(f"numpy {old['numpy']} -> {np.__version__}")
+    if old.get("numpy_dispatch", new["numpy_dispatch"]) != new["numpy_dispatch"]:
+        print(f"numpy dispatch group {old['numpy_dispatch']} -> {new['numpy_dispatch']}")
     for name, parts in moved(old, new).items():
         print(f"{name}: {', '.join(parts)}")
     print(f"wrote {MANIFEST}")

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import jsonschema
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from normlab import Ball, DimensionMismatchError, parse
 from normlab import config as cfg_module
-from normlab.cli import _csv, _json, _records_json, main
+from normlab.cli import _BLOCK_FLOATS, _csv, _json, _records_json, main
 from normlab.config import SCHEMAS, point_to_json
 from normlab.metrics import SamplingPlan, normality_scan, sample_dtype, sharp_batch, sharp_fd
 from test_config import _perfbench
@@ -784,7 +785,7 @@ def _bench_shaped_scan():
     _scan_samples(_EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)) | _scan_shaped_samples()
 )
 def test_samples_writer_matches_stdlib_json(samples):
-    assert '{\n  "samples": ' + _records_json(samples) + "\n}" == _stdlib_samples(samples)
+    assert '{\n  "samples": ' + "".join(_records_json(samples)) + "\n}" == _stdlib_samples(samples)
 
 
 @given(_scan_samples(st.sampled_from([math.nan, math.inf, -math.inf, 1.0])))
@@ -796,7 +797,91 @@ def test_samples_writer_rejects_non_finite_as_stdlib_json(samples):
             _records_json(samples)
         assert "not JSON compliant" in str(exc)
     else:
-        assert '{\n  "samples": ' + _records_json(samples) + "\n}" == expected
+        assert '{\n  "samples": ' + "".join(_records_json(samples)) + "\n}" == expected
+
+
+def _stdlib_records(records):
+    # the reference for any record array of float and complex fields: each
+    # record as a dict, a complex as its [re, im] pair, through the stdlib encoder
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return plain(value.tolist())
+        if isinstance(value, complex):
+            return [value.real, value.imag]
+        return [plain(v) for v in value] if isinstance(value, list) else value
+
+    rows = [dict(zip(records.dtype.names, map(plain, row))) for row in records.tolist()]
+    return json.dumps({"samples": rows}, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _block_rows(dtype):
+    # the rows of one block of `_records_json`: at most 2^12 floats, one row at least
+    return max(1, _BLOCK_FLOATS // (dtype.itemsize // 8))
+
+
+def _blocks_of(dtype, blocks):
+    # a record array of `blocks` blocks, the last holding one row: floats
+    # from a small pool (signed zeros, neighbours one ulp apart) that repeat
+    # within and across blocks, and scattered ones of every magnitude
+    rng = np.random.default_rng(5)
+    shape = (_block_rows(dtype) * (blocks - 1) + 1, dtype.itemsize // 8)
+    pool = np.array([-0.0, 0.0, 5e-324, -5e-324, 0.1, _NEXT, -2.5, 1e16, 1.7e308])
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    values = np.where(rng.random(shape) < 0.5, rng.choice(pool, shape), values)
+    return values.view(dtype).reshape(-1).view(np.recarray)
+
+
+_WIDE_ROW = np.dtype([("a", float), ("point", complex, (2048,))])  # 4,097 floats: one row per block
+
+
+@pytest.mark.parametrize("dtype", [sample_dtype(1), sample_dtype(2), sample_dtype(9), _WIDE_ROW],
+                         ids=["1-D", "2-D", "9-D", "wide-row"])
+def test_records_writer_prints_many_blocks_as_stdlib_json(dtype):
+    records = _blocks_of(dtype, 3)
+    pieces = list(_records_json(records))
+    assert '{\n  "samples": ' + "".join(pieces) + "\n}" == _stdlib_records(records)
+    # each piece holds one block of rows at most, and the last block one row
+    assert [piece.count("\n    {") for piece in pieces] == [_block_rows(dtype)] * 2 + [1, 0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["point", "ratio_upper"])
+@pytest.mark.parametrize("n", [2, 9])
+def test_records_writer_rejects_a_non_finite_last_row_before_printing(n, field, bad):
+    # a run that fails writes no file: the check covers the last block before
+    # the writer hands back any text, with json's error and message
+    records = _blocks_of(sample_dtype(n), 3)
+    if field == "point":
+        records.point[-1, -1] = complex(1.0, bad)
+    else:
+        records.ratio_upper[-1] = bad
+    with pytest.raises(ValueError) as expected:
+        _stdlib_records(records)
+    with pytest.raises(ValueError) as got:
+        _records_json(records)
+    assert str(got.value) == str(expected.value)
+
+
+def test_scan_output_holds_one_block_of_text_at_a_time(tmp_path):
+    # Peak traced memory (numpy's buffers included) of one 8,192-sample 2-D
+    # scan through main, per sample: 8 shells x 64 points x 16 directions.
+    # With the samples printed in blocks as they are written it was 281 B
+    # (306 B on a cold first call); a writer that held the whole report's text
+    # and its table of strings, as the one before did, peaked at 1,642 B.
+    config = {
+        "command": "marty-scan", "function": "exp(z1*z2) + 1/(2 - z1)", "dimension": 2,
+        "domain": {"type": "ball", "center": [[0, 0], [0, 0]], "radius": 1.0},
+        "plan": {"shells": [2.0**-k for k in range(1, 9)], "points_per_shell": 64, "directions_per_point": 16},
+    }
+    tracemalloc.start()
+    try:
+        code, out = _run(tmp_path, "marty-scan", config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(json.loads((out / "marty_scan.json").read_text())["samples"]) == 8192
+    assert peak / 8192 < 600
 
 
 def _sharp_rows(values):
@@ -826,7 +911,7 @@ def test_records_writer_prints_sharp_rows_as_stdlib_json(rows):
         {"point": point_to_json(point), "sharp_closed": s, "sharp_fd": s_fd, "rel_dev": d}
         for point, s, s_fd, d in rows.tolist()
     ]
-    text = _json({"function": "z1", "rows": rows})
+    text = "".join(_json({"function": "z1", "rows": rows}))
     assert text == _stdlib_json({"function": "z1", "rows": expected})
 
 
@@ -884,7 +969,7 @@ _PAYLOADS = st.dictionaries(st.text(max_size=6), st.lists(_NUMBERS, max_size=8) 
 @example({'"samples": []': [1.0], "\n  \"x\": []": [2.0], "x": [3.0]})
 @given(_PAYLOADS)
 def test_json_writer_matches_stdlib_json(payload):
-    assert _json(payload) == _stdlib_json(payload)
+    assert "".join(_json(payload)) == _stdlib_json(payload)
 
 
 @given(_PAYLOADS, st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
@@ -904,12 +989,12 @@ def test_json_writer_rejects_non_finite_as_stdlib_json(payload, bad, data):
 def test_json_writer_prints_record_arrays_in_key_order():
     samples = np.rec.fromarrays([np.array([1.0, 0.5])], dtype=[("x", float)])
     expected = {"a": 1, "samples": [{"x": 1.0}, {"x": 0.5}], "z": [0.5, 2]}
-    assert _json({"z": [0.5, 2], "samples": samples, "a": 1}) == _stdlib_json(expected)
-    assert _json({"a": 1, "samples": samples[:0]}) == _stdlib_json({"a": 1, "samples": []})
+    assert "".join(_json({"z": [0.5, 2], "samples": samples, "a": 1})) == _stdlib_json(expected)
+    assert "".join(_json({"a": 1, "samples": samples[:0]})) == _stdlib_json({"a": 1, "samples": []})
     # keys and strings that spell the record array's entry, and a null beside it
     decoys = {'\n  "samples": null': '\n  "samples": null', "a": None, "b": {"samples": None}}
     expected = {**decoys, "samples": [{"x": 1.0}, {"x": 0.5}]}
-    assert _json({**decoys, "samples": samples}) == _stdlib_json(expected)
+    assert "".join(_json({**decoys, "samples": samples})) == _stdlib_json(expected)
 
 
 # cells as the runners give them: ints, finite and non-finite floats, and
@@ -921,7 +1006,7 @@ _CELLS = st.integers() | st.floats() | st.from_regex(r"[0-9e.;+ -]+", fullmatch=
 def test_csv_writer_matches_stdlib_csv(header, rows):
     expected = io.StringIO()
     csv.writer(expected).writerows([header, *rows])
-    assert _csv(header, rows) == expected.getvalue()
+    assert "".join(_csv(header, rows)) == expected.getvalue()
 
 
 # --------------------------------------------------------------------------

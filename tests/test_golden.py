@@ -21,6 +21,12 @@ def test_cli_outputs_match_the_golden_manifest(tmp_path):
         f"{np.__version__}; numpy's rounding feeds every output number, so rerun "
         "tests/golden/regen.py on purpose and review the manifest diff"
     )
+    assert manifest["numpy_dispatch"] == regen.dispatch_group(), (
+        f"the golden manifest was made under numpy's {manifest['numpy_dispatch']} dispatch group, and "
+        f"numpy runs {regen.dispatch_group()} here; the SIMD loops of each group round exp, log and "
+        "complex products in their own way, so run tests/golden/regen.py under this group on purpose "
+        "and review the manifest diff"
+    )
     assert manifest["cases"].keys() == regen.CASES.keys()
     configs = {path.name for path in GOLDEN.glob("*.json")} - {regen.MANIFEST.name}
     assert configs == {case[1] for case in regen.CASES.values()}  # no config left unused
