@@ -69,7 +69,7 @@ def _record_row(dtype: np.dtype) -> tuple[str, ...]:
     return tuple(text[text.index("[") + 1:text.rindex("\n  ]")].split('"%s"'))
 
 
-_BLOCK_FLOATS = 2**12  # as `rescaling._grid_chunks` bounds its batches
+_BLOCK_FLOATS = 2**12  # bounds the text a writer holds, as `rescaling._CHUNK_ROWS` bounds a grid pass
 
 
 def _records_json(records: np.ndarray) -> Iterator[str]:
@@ -99,7 +99,7 @@ def _records_json(records: np.ndarray) -> Iterator[str]:
     return _record_blocks(pieces, itertools.chain((first,), map(table, rest)))
 
 
-def _record_blocks(pieces: tuple[str, ...], tables) -> Iterator[str]:
+def _record_blocks(pieces: tuple[str, ...], tables: Iterable[np.ndarray]) -> Iterator[str]:
     """The text of `_records_json`, one block of rows (a table of their
     floats) at a time.  A report repeats most of its floats (each scan point
     across its directions, say), so each distinct float of a block is printed
