@@ -42,6 +42,9 @@ CASES = {
     "scan-2d-polydisc": ["marty-scan", "scan-2d-polydisc.json", "--format", "json"],
     "scan-2d-ball-seed": ["marty-scan", "scan-2d-ball.json", "--seed", "11"],
     "scan-3d-polydisc": ["marty-scan", "scan-3d-polydisc.json", "--format", "csv"],
+    # the bench's scan shape, 8 shells x 32 points x 4 directions: a report
+    # with enough distinct floats to take the writer's vectorized printer
+    "scan-2d-ball-1024": ["marty-scan", "scan-2d-ball-1024.json"],
     "rescale-1d": ["rescale", "rescale-1d.json"],
     "rescale-2d": ["rescale", "rescale-2d.json", "--format", "json"],
     "rescale-flagged": ["rescale", "rescale-flagged.json"],
