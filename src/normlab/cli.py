@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfg
+from . import floattext
 from .domains import row_norms
 from .errors import ConfigError, NormlabError
 from .expr import to_source
@@ -70,6 +71,10 @@ def _record_row(dtype: np.dtype) -> tuple[str, ...]:
 
 
 _BLOCK_FLOATS = 2**12  # bounds the text a writer holds, as `rescaling._CHUNK_ROWS` bounds a grid pass
+_BATCH_BLOCKS = 4  # blocks whose distinct floats are printed together
+# below this many distinct floats in a batch, float.__repr__ one at a time
+# beats `floattext.reprs`'s fixed cost of a few dozen array passes
+_KERNEL_FLOATS = 2**11
 
 
 def _records_json(records: np.ndarray) -> Iterator[str]:
@@ -77,45 +82,46 @@ def _records_json(records: np.ndarray) -> Iterator[str]:
     indent=2, sort_keys=True, allow_nan=False) prints it as a top-level key
     of a report (`marty_scan.json`'s samples, `sharp.json`'s rows): the
     floats of each record in sorted field order (a complex field's real and
-    imaginary parts in turn), through float.__repr__ as json does.  Every
-    float is checked here, so a non-finite one raises json's ValueError
-    before this returns; the text then comes lazily, in blocks of at most
-    2^12 floats, so that a writer holds one block's text at a time."""
+    imaginary parts in turn), as float.__repr__ prints them, as json does.
+    Every float is checked here, so a non-finite one raises json's
+    ValueError before this returns; the text then comes lazily, in blocks of
+    at most 2^12 floats, so that a writer holds one block's text at a time."""
     if not len(records):
         return iter(("[]",))
     pieces = _record_row(records.dtype)
     columns = [records[name].reshape(len(records), -1) for name in sorted(records.dtype.names)]
     columns = [c.view(float) if c.dtype.kind == "c" else c for c in columns]
+    finite = np.logical_and.reduce([np.isfinite(c).all(axis=1) for c in columns])
+    if not finite.all():  # json names the first non-finite float it meets
+        row = np.hstack([c[np.argmin(finite)] for c in columns])
+        raise ValueError(f"Out of range float values are not JSON compliant: {float(row[~np.isfinite(row)][0])!r}")
+    return _record_blocks(pieces, columns)
+
+
+def _record_blocks(pieces: tuple[str, ...], columns: list[np.ndarray]) -> Iterator[str]:
+    """The text of `_records_json`, one block of rows at a time.  A report
+    repeats most of its floats (each scan point across its directions, say),
+    so each distinct float of a batch of blocks is printed once, through
+    `floattext.reprs` when the batch has enough of them; each block's float
+    texts are laid between the row's pieces in one table of strings, and the
+    block is joined once."""
     step = max(1, _BLOCK_FLOATS // (len(pieces) - 1))
-    rest = range(step, len(records), step)
-
-    def table(start):
-        return np.hstack([c[start:start + step] for c in columns])
-
-    first = table(0)
-    for block in itertools.chain((first,), map(table, rest)):
-        for x in block[~np.isfinite(block)][:1].tolist():
-            raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-    return _record_blocks(pieces, itertools.chain((first,), map(table, rest)))
-
-
-def _record_blocks(pieces: tuple[str, ...], tables: Iterable[np.ndarray]) -> Iterator[str]:
-    """The text of `_records_json`, one block of rows (a table of their
-    floats) at a time.  A report repeats most of its floats (each scan point
-    across its directions, say), so each distinct float of a block is printed
-    once; the float texts are laid between the row's pieces in one table of
-    strings, and the block is joined once."""
     lead = "["
-    for table in tables:
+    for start in range(0, len(columns[0]), step * _BATCH_BLOCKS):
+        batch = np.hstack([c[start:start + step * _BATCH_BLOCKS] for c in columns])
         # keyed on the bit pattern, not the value, so -0.0 and 0.0 print apart
-        bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
-        text = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
-        cells = np.empty((len(table), 2 * len(pieces) - 1), dtype=object)
-        cells[:, 0::2] = ("," + pieces[0], *pieces[1:])
-        cells[:, 1::2] = text[inverse.reshape(table.shape)]
-        cells[0, 0] = lead + pieces[0]
-        lead = ","
-        yield "".join(cells.ravel().tolist())
+        bits, inverse = np.unique(batch.view(np.int64), return_inverse=True)
+        floats = bits.view(float)
+        text = floattext.reprs(floats) if len(floats) >= _KERNEL_FLOATS else list(map(float.__repr__, floats.tolist()))
+        text = np.array(text, dtype=object)[inverse.reshape(batch.shape)]
+        for block in range(0, len(batch), step):
+            rows = text[block:block + step]
+            cells = np.empty((len(rows), 2 * len(pieces) - 1), dtype=object)
+            cells[:, 0::2] = ("," + pieces[0], *pieces[1:])
+            cells[:, 1::2] = rows
+            cells[0, 0] = lead + pieces[0]
+            lead = ","
+            yield "".join(cells.ravel().tolist())
     yield "\n  ]"
 
 
