@@ -113,12 +113,11 @@ def _record_blocks(pieces: tuple[str, ...], columns: list[np.ndarray]) -> Iterat
         bits, inverse = np.unique(batch.view(np.int64), return_inverse=True)
         floats = bits.view(float)
         text = floattext.reprs(floats) if len(floats) >= _KERNEL_FLOATS else list(map(float.__repr__, floats.tolist()))
-        text = np.array(text, dtype=object)[inverse.reshape(batch.shape)]
+        text, inverse = np.array(text, dtype=object), inverse.reshape(batch.shape)
         for block in range(0, len(batch), step):
-            rows = text[block:block + step]
-            cells = np.empty((len(rows), 2 * len(pieces) - 1), dtype=object)
+            cells = np.empty((len(inverse[block:block + step]), 2 * len(pieces) - 1), dtype=object)
             cells[:, 0::2] = ("," + pieces[0], *pieces[1:])
-            cells[:, 1::2] = rows
+            cells[:, 1::2] = text[inverse[block:block + step]]
             cells[0, 0] = lead + pieces[0]
             lead = ","
             yield "".join(cells.ravel().tolist())

@@ -31,7 +31,10 @@ _CONSTANTS = np.frombuffer(b"0.-e\0", np.uint8)
 _CLASSES = 22
 _POW10 = np.array([10**i for i in range(_ALIGNED)], np.uint64)
 _M32, _M63 = np.uint64(2**32 - 1), np.uint64(2**63 - 1)
-_SLICE = 2**10
+# most doubles per pass of `_normal_reprs`, whose working arrays take about
+# 250 B per double: the passes split an array evenly, so a benchmark scan's
+# 4,700 distinct floats take two passes of 2,350
+_PASS = 2**12
 
 
 def _layout(neg: bool, digits: int, cls: int) -> list[int]:
@@ -120,29 +123,35 @@ def _rop(g1: np.ndarray, g_halves, cp: np.ndarray) -> np.ndarray:
     return high
 
 
+def _scaled(bits: np.ndarray):
+    """Schubfach's k and the operands of its three rops for normal doubles:
+    c 2^q is the double, and the rounding interval's ends are (c -+ 1/2) 2^q,
+    its lower end at (c - 1/4) 2^q when c is a power of two (the double below
+    is then half as far as the one above), which also changes k from
+    floor(log10(2^q)) to floor(log10(3/4 2^q))."""
+    g1_table, g0_table, p_table, _ = _tables()
+    biased = (bits >> 52) & np.uint64(0x7FF)
+    c = bits & np.uint64(2**52 - 1)
+    irregular = (c == 0) & (biased != 1)
+    c |= np.uint64(2**52)
+    q = biased.astype(np.int64) - 1075
+    k = (q * 661_971_961_083 - np.where(irregular, 274_743_187_321, 0)) >> 41
+    index = k - _K_MIN
+    h = (q + p_table[index] + 2).astype(np.uint64)  # 1..4
+    g1 = g1_table[index]
+    halves = (_split(g1), _split(g0_table[index]))
+    cb = c << np.uint64(2)
+    ends = (cb << h, (cb - np.where(irregular, 1, 2).astype(np.uint64)) << h, (cb + np.uint64(2)) << h)
+    return k, c & np.uint64(1), g1, halves, ends
+
+
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(f, k) with f 10^k the shortest closest decimal of each normal double
     of the bit patterns, sign aside, f of up to 18 digits with trailing zeros
     kept: Giulietti's figure 7, computed as in figure 9 over whole arrays."""
-    g1_table, g0_table, p_table, _ = _tables()
-    t = bits & np.uint64(2**52 - 1)
-    biased = (bits >> 52) & np.uint64(0x7FF)
-    c = t | np.uint64(2**52)
-    q = biased.astype(np.int64) - 1075
-    # the double below a power of two is half as far as the one above, so
-    # its rounding interval is uneven, and k is floor(log10(3/4 2^q))
-    irregular = (t == 0) & (biased != 1)
-    k = (q * 661_971_961_083 - np.where(irregular, 274_743_187_321, 0)) >> 41  # floor(log10(2^q)), or of 3/4 2^q
-    g1, g0 = g1_table[k - _K_MIN], g0_table[k - _K_MIN]
-    h = (q + p_table[k - _K_MIN] + 2).astype(np.uint64)  # 1..4
-    cb = c << np.uint64(2)
-    # 4 v 10^-k and the rounding interval's ends, each as its rop
-    halves = (_split(g1), _split(g0))
-    vb = _rop(g1, halves, cb << h)
-    vbl = _rop(g1, halves, (cb - np.where(irregular, 1, 2).astype(np.uint64)) << h)
-    vbr = _rop(g1, halves, (cb + np.uint64(2)) << h)
-    out = c & np.uint64(1)  # the interval's ends belong to it when c is even
-    lower, upper = vbl + out, vbr - out
+    k, out, g1, halves, ends = _scaled(bits)
+    vb, vbl, vbr = (_rop(g1, halves, end) for end in ends)  # 4 v 10^-k and the interval's ends
+    lower, upper = vbl + out, vbr - out  # the interval's ends belong to it when c is even
     s = vb >> 2
     # a decimal of one digit fewer in the interval is the shortest, and unique
     sp10 = s // np.uint64(10) * np.uint64(10)
@@ -168,10 +177,12 @@ def _normal_reprs(bits: np.ndarray) -> list[str]:
     # left-aligned in 18 rows (its trailing zeros are not printed), then its
     # exponent's digits and sign and the constant chars
     source = np.empty((_PAD + 1, len(bits)), np.uint8)
-    rest = f * _POW10[_ALIGNED - length]
-    for row in range(_ALIGNED - 1, -1, -1):
+    aligned = f * _POW10[_ALIGNED - length]
+    high = aligned // np.uint64(10**9)
+    rest = np.stack([high, aligned - high * np.uint64(10**9)])  # digits 0-8 and 9-17
+    for row in range(8, -1, -1):
         quotient = rest // np.uint64(10)
-        source[row] = rest - quotient * np.uint64(10)
+        source[row:_ALIGNED:9] = rest - quotient * np.uint64(10)
         rest = quotient
     digits = np.max((source[:_ALIGNED] != 0) * np.arange(1, _ALIGNED + 1, dtype=np.uint8)[:, None], axis=0)
     digits = digits.astype(np.int64)
@@ -184,13 +195,11 @@ def _normal_reprs(bits: np.ndarray) -> list[str]:
     cls = np.where(positional, point + 3, np.where(size < 100, 20, 21))
     key = ((bits.view(np.int64) < 0) * _DIGITS + digits - 1) * _CLASSES + cls
     # char j of each double's repr is source[template[j], double]
-    chars = np.empty((len(bits), _WIDTH), np.uint8)
+    chars = np.empty((len(bits), _WIDTH), np.uint32)
     doubles = np.arange(len(bits))
     for j, template in enumerate(templates):
         chars[:, j] = np.take(source, np.take(template, key) * len(bits) + doubles)
-    # str objects from UCS-4 rows, a slice at a time to keep the copy small
-    return [text for start in range(0, len(chars), _SLICE)
-            for text in chars[start:start + _SLICE].astype(np.uint32).view(f"U{_WIDTH}")[:, 0].tolist()]
+    return chars.view(f"U{_WIDTH}")[:, 0].tolist()  # str objects from UCS-4 rows
 
 
 def reprs(values: np.ndarray) -> list[str]:
@@ -199,9 +208,12 @@ def reprs(values: np.ndarray) -> list[str]:
     bits = np.ascontiguousarray(values, np.float64).view(np.uint64)
     biased = (bits >> 52) & np.uint64(0x7FF)
     normal = (biased != 0) & (biased != 0x7FF)
-    if normal.all():
-        return _normal_reprs(bits)
-    text = np.empty(len(bits), dtype=object)
-    text[normal] = _normal_reprs(bits[normal])
-    text[~normal] = list(map(float.__repr__, bits[~normal].view(np.float64).tolist()))
-    return text.tolist()
+    normals = bits[normal]
+    passes = np.array_split(normals, -(-len(normals) // _PASS)) if len(normals) else []
+    text = [text for part in passes for text in _normal_reprs(part)]
+    if len(normals) == len(bits):
+        return text
+    out = np.empty(len(bits), dtype=object)
+    out[normal] = text
+    out[~normal] = list(map(float.__repr__, bits[~normal].view(np.float64).tolist()))
+    return out.tolist()
