@@ -73,7 +73,8 @@ def _record_row(dtype: np.dtype) -> tuple[str, ...]:
 _BLOCK_FLOATS = 2**12  # bounds the text a writer holds, as `rescaling._CHUNK_ROWS` bounds a grid pass
 _BATCH_BLOCKS = 4  # blocks whose distinct floats are printed together
 # below this many distinct floats in a batch, float.__repr__ one at a time
-# beats `floattext.reprs`'s fixed cost of a few dozen array passes
+# beats `floattext.reprs`, whose couple of hundred array operations cost
+# about 0.5 ms whatever the batch (the two break even near 1,000 floats)
 _KERNEL_FLOATS = 2**11
 
 

@@ -22,8 +22,9 @@ _K_MIN, _K_MAX = -324, 292  # the decimal exponents k Schubfach scales a normal 
 _DIGITS = 17  # a double's shortest decimal has at most 17 digits
 _ALIGNED = 18  # Schubfach's f, trailing zeros kept, has at most 18
 _WIDTH = 24  # the longest repr: "-" + 17 digits + "." + "e-308"
-# columns of a double's source row: the digits of f left-aligned, then the
-# three digits of its exponent, the exponent's sign and the constant chars
+# rows of a double's column of `_normal_reprs`' source table: the digits of
+# f left-aligned, then the three digits of its exponent, the exponent's sign
+# and the constant chars
 _EXP, _EXP_SIGN, _ZERO, _DOT, _MINUS, _E, _PAD = 18, 21, 22, 23, 24, 25, 26
 _CONSTANTS = np.frombuffer(b"0.-e\0", np.uint8)
 # layout classes: a positional repr per decimal point position -3..16, then
@@ -38,7 +39,7 @@ _PASS = 2**12
 
 
 def _layout(neg: bool, digits: int, cls: int) -> list[int]:
-    """The source columns of one layout class's repr, as Python's 'r' format
+    """The source rows of one layout class's repr, as Python's 'r' format
     lays out `digits` digits: positional when the decimal point falls at
     position -3..16 of the digits, else d.ddde±XX with at least two exponent
     digits; an integral value ends in ".0"."""
@@ -65,8 +66,8 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
     For each k of _K_MIN.._K_MAX write 10^-k = beta 2^r with 2^125 <= beta <
     2^126; then g = floor(beta) + 1, split into its high and low 63 bits, and
-    p = r + 125 = floor(log2(10^-k)).  The templates hold one row of source
-    columns per (sign, digit count, layout class)."""
+    p = r + 125 = floor(log2(10^-k)).  The templates hold the source rows of
+    each (sign, digit count, layout class), one row per char of a repr."""
     g1, g0, p = [], [], []
     for k in range(_K_MIN, _K_MAX + 1):
         if k <= 0:
@@ -81,7 +82,7 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         g0.append(g & (2**63 - 1))
         p.append(r + 125)
     templates = [_layout(neg, digits, cls) for neg in (0, 1) for digits in range(1, _DIGITS + 1) for cls in range(_CLASSES)]
-    templates = np.array(templates, np.intp).T.copy()  # one row per char of a repr
+    templates = np.array(templates, np.intp).T.copy()
     return np.array(g1, np.uint64), np.array(g0, np.uint64), np.array(p, np.int64), templates
 
 
@@ -135,6 +136,8 @@ def _scaled(bits: np.ndarray):
     irregular = (c == 0) & (biased != 1)
     c |= np.uint64(2**52)
     q = biased.astype(np.int64) - 1075
+    # floor(log10(2^q)), or floor(log10(3/4 2^q)), by Giulietti's multiply
+    # and shift, exact for |q| < 5.4e6
     k = (q * 661_971_961_083 - np.where(irregular, 274_743_187_321, 0)) >> 41
     index = k - _K_MIN
     h = (q + p_table[index] + 2).astype(np.uint64)  # 1..4
