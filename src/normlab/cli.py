@@ -71,11 +71,10 @@ def _record_row(dtype: np.dtype) -> tuple[str, ...]:
 
 
 _BLOCK_FLOATS = 2**12  # bounds the text a writer holds, as `rescaling._CHUNK_ROWS` bounds a grid pass
-_BATCH_BLOCKS = 4  # blocks whose distinct floats are printed together
-# below this many distinct floats in a batch, float.__repr__ one at a time
-# beats `floattext.reprs`, whose couple of hundred array operations cost
-# about 0.5 ms whatever the batch (the two break even near 1,000 floats)
-_KERNEL_FLOATS = 2**11
+# below this many distinct floats in a block, float.__repr__ one at a time
+# beats `floattext.reprs`, whose hundred-odd array operations cost a few
+# hundred microseconds whatever their length
+_KERNEL_FLOATS = 2**10
 
 
 def _records_json(records: np.ndarray) -> Iterator[str]:
@@ -96,32 +95,30 @@ def _records_json(records: np.ndarray) -> Iterator[str]:
     if not finite.all():  # json names the first non-finite float it meets
         row = np.hstack([c[np.argmin(finite)] for c in columns])
         raise ValueError(f"Out of range float values are not JSON compliant: {float(row[~np.isfinite(row)][0])!r}")
-    return _record_blocks(pieces, columns)
-
-
-def _record_blocks(pieces: tuple[str, ...], columns: list[np.ndarray]) -> Iterator[str]:
-    """The text of `_records_json`, one block of rows at a time.  A report
-    repeats most of its floats (each scan point across its directions, say),
-    so each distinct float of a batch of blocks is printed once, through
-    `floattext.reprs` when the batch has enough of them; each block's float
-    texts are laid between the row's pieces in one table of strings, and the
-    block is joined once."""
     step = max(1, _BLOCK_FLOATS // (len(pieces) - 1))
+    tables = (np.hstack([c[start:start + step] for c in columns]) for start in range(0, len(records), step))
+    return _record_blocks(pieces, tables)
+
+
+def _record_blocks(pieces: tuple[str, ...], tables: Iterable[np.ndarray]) -> Iterator[str]:
+    """The text of `_records_json`, one block of rows (a table of their
+    floats) at a time.  A report repeats most of its floats (each scan point
+    across its directions, say), so each distinct float of a block is printed
+    once, through `floattext.reprs` when the block has enough of them; the
+    float texts are laid between the row's pieces in one table of strings,
+    and the block is joined once."""
     lead = "["
-    for start in range(0, len(columns[0]), step * _BATCH_BLOCKS):
-        batch = np.hstack([c[start:start + step * _BATCH_BLOCKS] for c in columns])
+    for table in tables:
         # keyed on the bit pattern, not the value, so -0.0 and 0.0 print apart
-        bits, inverse = np.unique(batch.view(np.int64), return_inverse=True)
+        bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
         floats = bits.view(float)
         text = floattext.reprs(floats) if len(floats) >= _KERNEL_FLOATS else list(map(float.__repr__, floats.tolist()))
-        text, inverse = np.array(text, dtype=object), inverse.reshape(batch.shape)
-        for block in range(0, len(batch), step):
-            cells = np.empty((len(inverse[block:block + step]), 2 * len(pieces) - 1), dtype=object)
-            cells[:, 0::2] = ("," + pieces[0], *pieces[1:])
-            cells[:, 1::2] = text[inverse[block:block + step]]
-            cells[0, 0] = lead + pieces[0]
-            lead = ","
-            yield "".join(cells.ravel().tolist())
+        cells = np.empty((len(table), 2 * len(pieces) - 1), dtype=object)
+        cells[:, 0::2] = ("," + pieces[0], *pieces[1:])
+        cells[:, 1::2] = np.array(text, dtype=object)[inverse.reshape(table.shape)]
+        cells[0, 0] = lead + pieces[0]
+        lead = ","
+        yield "".join(cells.ravel().tolist())
     yield "\n  ]"
 
 

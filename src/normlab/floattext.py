@@ -15,27 +15,28 @@ Schubfach keeps a second digit (4.9e-324) where Python prints one (5e-324).
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
 _K_MIN, _K_MAX = -324, 292  # the decimal exponents k Schubfach scales a normal double by
 _DIGITS = 17  # a double's shortest decimal has at most 17 digits
-_ALIGNED = 18  # Schubfach's f, trailing zeros kept, has at most 18
+_ALIGNED = 18  # f, of 16 or 17 digits, is printed from 18 with trailing zeros
 _WIDTH = 24  # the longest repr: "-" + 17 digits + "." + "e-308"
-# rows of a double's column of `_normal_reprs`' source table: the digits of
-# f left-aligned, then the three digits of its exponent, the exponent's sign
-# and the constant chars
+# rows of a double's column of `_source`'s table: the digits of f
+# left-aligned, then the three digits of its exponent, the exponent's sign and
+# the constant chars
 _EXP, _EXP_SIGN, _ZERO, _DOT, _MINUS, _E, _PAD = 18, 21, 22, 23, 24, 25, 26
 _CONSTANTS = np.frombuffer(b"0.-e\0", np.uint8)
 # layout classes: a positional repr per decimal point position -3..16, then
 # an exponent of two digits or of three
 _CLASSES = 22
-_POW10 = np.array([10**i for i in range(_ALIGNED)], np.uint64)
+_PLACES = np.arange(1, _ALIGNED + 1, dtype=np.uint8)[:, None]
 _M32, _M63 = np.uint64(2**32 - 1), np.uint64(2**63 - 1)
-# most doubles per pass of `_normal_reprs`, whose working arrays take about
-# 250 B per double: the passes split an array evenly, so a benchmark scan's
-# 4,700 distinct floats take two passes of 2,350
-_PASS = 2**12
+# most doubles per pass of `_normal_reprs`, whose working arrays peak at
+# about 300 B per double; the passes split an array evenly.  A block of a
+# benchmark scan's report holds 1,200-1,700 distinct floats: one pass
+_PASS = 2**11
 
 
 def _layout(neg: bool, digits: int, cls: int) -> list[int]:
@@ -60,14 +61,15 @@ def _layout(neg: bool, digits: int, cls: int) -> list[int]:
 
 
 @functools.cache
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Schubfach's g table and the layout templates, built on first use so
-    that a process that never prints a large batch never pays for them.
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Schubfach's g table and the layout tables, built on first use so
+    that a process that never prints a large block never pays for them.
 
     For each k of _K_MIN.._K_MAX write 10^-k = beta 2^r with 2^125 <= beta <
     2^126; then g = floor(beta) + 1, split into its high and low 63 bits, and
     p = r + 125 = floor(log2(10^-k)).  The templates hold the source rows of
-    each (sign, digit count, layout class), one row per char of a repr."""
+    each (sign, digit count, layout class), one row per char of a repr, and
+    quads the four ASCII digits of each number below 10^4, one per row."""
     g1, g0, p = [], [], []
     for k in range(_K_MIN, _K_MAX + 1):
         if k <= 0:
@@ -81,9 +83,12 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         g1.append(g >> 63)
         g0.append(g & (2**63 - 1))
         p.append(r + 125)
-    templates = [_layout(neg, digits, cls) for neg in (0, 1) for digits in range(1, _DIGITS + 1) for cls in range(_CLASSES)]
-    templates = np.array(templates, np.intp).T.copy()
-    return np.array(g1, np.uint64), np.array(g0, np.uint64), np.array(p, np.int64), templates
+    templates = np.empty((2 * _DIGITS * _CLASSES, _WIDTH), np.uint8)
+    for row, (neg, digits, cls) in enumerate(itertools.product((0, 1), range(1, _DIGITS + 1), range(_CLASSES))):
+        templates[row] = _layout(neg, digits, cls)
+    ascii_digits = np.frombuffer(b"0123456789", np.uint8)
+    quads = np.stack(np.meshgrid(*[ascii_digits] * 4, indexing="ij")).reshape(4, -1)
+    return np.array(g1, np.uint64), np.array(g0, np.uint64), np.array(p, np.int64), templates, quads
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,30 +97,31 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _mulhi(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The high 64 bits of the 128-bit products of two uint64 arrays, each
-    given as its 32-bit halves (high, low)."""
+    given as its 32-bit halves (high, low), as in Warren's Hacker's Delight,
+    section 8-2: no partial sum overflows 64 bits."""
     (a_hi, a_lo), (b_hi, b_lo) = a, b
-    cross1, cross2, mid = a_lo * b_hi, a_hi * b_lo, a_lo * b_lo
-    mid >>= 32
-    mid += cross1 & _M32
-    mid += cross2 & _M32
-    mid >>= 32
-    cross1 >>= 32
-    cross2 >>= 32
+    carry = a_lo * b_lo
+    carry >>= 32
+    carry += a_hi * b_lo
+    middle = carry & _M32
+    carry >>= 32
+    middle += a_lo * b_hi
+    middle >>= 32
     high = a_hi * b_hi
-    high += cross1
-    high += cross2
-    high += mid
+    high += carry
+    high += middle
     return high
 
 
-def _rop(g1: np.ndarray, g_halves, cp: np.ndarray) -> np.ndarray:
-    """Schubfach's rop: floor(cp g 2^-127) rounded to odd, for g = g1 2^63 +
-    g0 (Giulietti, figure 8); g_halves holds the 32-bit halves of g1 and g0."""
-    cp_halves = _split(cp)
+def _rop(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """Schubfach's rop: floor(g cp 2^-127) rounded to odd, for g = g1 2^63 +
+    g0 (Giulietti, figure 8), for each row of cp at once; cp is overwritten."""
     z = g1 * cp  # the low 64 bits of g1 cp: uint64 products wrap
     z >>= 1
-    z += _mulhi(g_halves[1], cp_halves)
-    high = _mulhi(g_halves[0], cp_halves)
+    cp_halves = cp, cp & _M32
+    cp >>= 32
+    z += _mulhi(_split(g0), cp_halves)
+    high = _mulhi(_split(g1), cp_halves)
     high += z >> 63
     z &= _M63
     z += _M63
@@ -124,13 +130,16 @@ def _rop(g1: np.ndarray, g_halves, cp: np.ndarray) -> np.ndarray:
     return high
 
 
-def _scaled(bits: np.ndarray):
-    """Schubfach's k and the operands of its three rops for normal doubles:
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, k) with f 10^k the shortest closest decimal of each normal double
+    of the bit patterns, sign aside, f of 16 or 17 digits with trailing zeros
+    kept: Giulietti's figure 7, computed as in figure 9 over whole arrays.
+
     c 2^q is the double, and the rounding interval's ends are (c -+ 1/2) 2^q,
     its lower end at (c - 1/4) 2^q when c is a power of two (the double below
     is then half as far as the one above), which also changes k from
     floor(log10(2^q)) to floor(log10(3/4 2^q))."""
-    g1_table, g0_table, p_table, _ = _tables()
+    g1_table, g0_table, p_table = _tables()[:3]
     biased = (bits >> 52) & np.uint64(0x7FF)
     c = bits & np.uint64(2**52 - 1)
     irregular = (c == 0) & (biased != 1)
@@ -140,21 +149,16 @@ def _scaled(bits: np.ndarray):
     # and shift, exact for |q| < 5.4e6
     k = (q * 661_971_961_083 - np.where(irregular, 274_743_187_321, 0)) >> 41
     index = k - _K_MIN
-    h = (q + p_table[index] + 2).astype(np.uint64)  # 1..4
-    g1 = g1_table[index]
-    halves = (_split(g1), _split(g0_table[index]))
-    cb = c << np.uint64(2)
-    ends = (cb << h, (cb - np.where(irregular, 1, 2).astype(np.uint64)) << h, (cb + np.uint64(2)) << h)
-    return k, c & np.uint64(1), g1, halves, ends
-
-
-def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f, k) with f 10^k the shortest closest decimal of each normal double
-    of the bit patterns, sign aside, f of up to 18 digits with trailing zeros
-    kept: Giulietti's figure 7, computed as in figure 9 over whole arrays."""
-    k, out, g1, halves, ends = _scaled(bits)
-    vb, vbl, vbr = (_rop(g1, halves, end) for end in ends)  # 4 v 10^-k and the interval's ends
-    lower, upper = vbl + out, vbr - out  # the interval's ends belong to it when c is even
+    # 4 c and the interval's ends, 4 c - 2 (or - 1) and 4 c + 2, shifted by 1..4
+    cp = np.empty((3, len(bits)), np.uint64)
+    cp[0] = c << np.uint64(2)
+    cp[1] = cp[0] - np.where(irregular, np.uint64(1), np.uint64(2))
+    cp[2] = cp[0] + np.uint64(2)
+    cp <<= (q + p_table[index] + 2).astype(np.uint64)
+    vb, lower, upper = _rop(g1_table[index], g0_table[index], cp)  # 4 v 10^-k and the interval's ends
+    out = c & np.uint64(1)  # the interval's ends belong to it when c is even
+    lower += out
+    upper -= out
     s = vb >> 2
     # a decimal of one digit fewer in the interval is the shortest, and unique
     sp10 = s // np.uint64(10) * np.uint64(10)
@@ -168,41 +172,60 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f, k
 
 
-def _normal_reprs(bits: np.ndarray) -> list[str]:
-    """`reprs` of normal doubles, given as their bit patterns."""
-    templates = _tables()[3]
+def _source(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The chars each normal double's repr is drawn from, one row per source
+    column and one column per double (the digits of its shortest decimal
+    left-aligned in 18 rows, its trailing zeros not printed, then its
+    exponent's digits and sign and the constant chars), and the key of its
+    layout template: its sign, digit count and layout class."""
     f, k = _shortest(bits)
-    length = np.searchsorted(_POW10, f, side="right")
-    point = length + k  # the value is 0.DIGITS x 10^point
+    quads = _tables()[4]
+    short = f < np.uint64(10**16)  # f has 16 or 17 digits
+    point = k + 17  # the value is 0.DIGITS x 10^point
+    point -= short
     exponent = point - 1  # and D.IGITS x 10^exponent
     size = np.abs(exponent)
-    # one row per source column, one column per double: the digits of f
-    # left-aligned in 18 rows (its trailing zeros are not printed), then its
-    # exponent's digits and sign and the constant chars
-    source = np.empty((_PAD + 1, len(bits)), np.uint8)
-    aligned = f * _POW10[_ALIGNED - length]
-    high = aligned // np.uint64(10**9)
-    rest = np.stack([high, aligned - high * np.uint64(10**9)])  # digits 0-8 and 9-17
-    for row in range(8, -1, -1):
-        quotient = rest // np.uint64(10)
-        source[row:_ALIGNED:9] = rest - quotient * np.uint64(10)
-        rest = quotient
-    digits = np.max((source[:_ALIGNED] != 0) * np.arange(1, _ALIGNED + 1, dtype=np.uint8)[:, None], axis=0)
-    digits = digits.astype(np.int64)
-    hundreds, tens = size // 100, size // 10
-    source[_EXP], source[_EXP + 1], source[_EXP + 2] = hundreds, tens - 10 * hundreds, size - 10 * tens
-    source[:_EXP_SIGN] += ord("0")
+    count = len(bits)
+    source = np.empty((_PAD + 1, count), np.uint8)
+    # the 18 digits as two halves of 9, each a digit and two quads of 4
+    aligned = f * np.where(short, np.uint64(100), np.uint64(10))
+    rest = np.empty((2, count), np.uint64)
+    rest[0] = aligned // np.uint64(10**9)
+    rest[1] = aligned - rest[0] * np.uint64(10**9)
+    halves = source[:_ALIGNED].reshape(2, 9, count)
+    lead = rest // np.uint64(10**8)
+    halves[:, 0] = lead + np.uint64(ord("0"))
+    rest -= lead * np.uint64(10**8)
+    quad = rest // np.uint64(10**4)
+    halves[:, 1:5] = np.take(quads, quad, axis=1).swapaxes(0, 1)
+    rest -= quad * np.uint64(10**4)
+    halves[:, 5:] = np.take(quads, rest, axis=1).swapaxes(0, 1)
+    source[_EXP:_EXP_SIGN] = np.take(quads[1:], size, axis=1)
     source[_EXP_SIGN] = np.where(exponent < 0, ord("-"), ord("+"))
     source[_ZERO:] = _CONSTANTS[:, None]
-    positional = (point > -4) & (point <= 16)
-    cls = np.where(positional, point + 3, np.where(size < 100, 20, 21))
-    key = ((bits.view(np.int64) < 0) * _DIGITS + digits - 1) * _CLASSES + cls
-    # char j of each double's repr is source[template[j], double]
-    chars = np.empty((len(bits), _WIDTH), np.uint32)
-    doubles = np.arange(len(bits))
-    for j, template in enumerate(templates):
-        chars[:, j] = np.take(source, np.take(template, key) * len(bits) + doubles)
-    return chars.view(f"U{_WIDTH}")[:, 0].tolist()  # str objects from UCS-4 rows
+    digits = np.maximum.reduce((source[:_ALIGNED] != ord("0")).view(np.uint8) * _PLACES).astype(np.int64)
+    cls = np.where((point > -4) & (point <= 16), point + 3, np.where(size < 100, 20, 21))
+    return source, np.where(bits.view(np.int64) < 0, _DIGITS * _CLASSES, 0) + (digits - 1) * _CLASSES + cls
+
+
+def _normal_reprs(bits: np.ndarray) -> list[str]:
+    """`reprs` of normal doubles, given as their bit patterns."""
+    source, key = _source(bits)
+    # char j of each double's repr is source[templates[key, j], double]
+    index = np.take(_tables()[3], key, axis=0) * np.intp(len(bits))
+    index += np.arange(len(bits))[:, None]
+    chars = np.take(source, index)
+    del source, key, index  # before the strs are made
+    return chars.astype(np.uint32).view(f"U{_WIDTH}")[:, 0].tolist()  # str objects from UCS-4 rows
+
+
+def _passes(bits: np.ndarray) -> list[str]:
+    """`_normal_reprs` in passes of equal length, at most `_PASS` each."""
+    step = -(-len(bits) // -(-len(bits) // _PASS)) if len(bits) else 1
+    text = []
+    for start in range(0, len(bits), step):
+        text += _normal_reprs(bits[start:start + step])
+    return text
 
 
 def reprs(values: np.ndarray) -> list[str]:
@@ -210,13 +233,10 @@ def reprs(values: np.ndarray) -> list[str]:
     byte for byte."""
     bits = np.ascontiguousarray(values, np.float64).view(np.uint64)
     biased = (bits >> 52) & np.uint64(0x7FF)
-    normal = (biased != 0) & (biased != 0x7FF)
-    normals = bits[normal]
-    passes = np.array_split(normals, -(-len(normals) // _PASS)) if len(normals) else []
-    text = [text for part in passes for text in _normal_reprs(part)]
-    if len(normals) == len(bits):
-        return text
+    normal = biased - np.uint64(1) < np.uint64(0x7FE)  # the biased exponent is neither 0 nor 0x7FF
+    if normal.all():
+        return _passes(bits)
     out = np.empty(len(bits), dtype=object)
-    out[normal] = text
+    out[normal] = _passes(bits[normal])
     out[~normal] = list(map(float.__repr__, bits[~normal].view(np.float64).tolist()))
     return out.tolist()
