@@ -71,9 +71,9 @@ def _record_row(dtype: np.dtype) -> tuple[str, ...]:
 
 
 _BLOCK_FLOATS = 2**12  # bounds the text a writer holds, as `rescaling._CHUNK_ROWS` bounds a grid pass
-# below this many distinct floats in a block, float.__repr__ one at a time
-# beats `floattext.reprs`, whose hundred-odd array operations cost a few
-# hundred microseconds whatever their length
+# below this many distinct floats in a block, float.__repr__ one at a time:
+# `floattext.reprs` costs about 0.2 ms a call whatever the count and breaks
+# even near 500 floats, and small reports never build its tables
 _KERNEL_FLOATS = 2**10
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +61,16 @@ def _layout(neg: bool, digits: int, cls: int) -> list[int]:
     return body + [_PAD] * (_WIDTH - len(body))
 
 
+class _Tables(NamedTuple):
+    g1: np.ndarray
+    g0: np.ndarray
+    p: np.ndarray
+    templates: np.ndarray
+    quads: np.ndarray
+
+
 @functools.cache
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _tables() -> _Tables:
     """Schubfach's g table and the layout tables, built on first use so
     that a process that never prints a large block never pays for them.
 
@@ -88,7 +97,7 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarra
         templates[row] = _layout(neg, digits, cls)
     ascii_digits = np.frombuffer(b"0123456789", np.uint8)
     quads = np.stack(np.meshgrid(*[ascii_digits] * 4, indexing="ij")).reshape(4, -1)
-    return np.array(g1, np.uint64), np.array(g0, np.uint64), np.array(p, np.int64), templates, quads
+    return _Tables(np.array(g1, np.uint64), np.array(g0, np.uint64), np.array(p, np.int64), templates, quads)
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,8 +127,9 @@ def _rop(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
     g0 (Giulietti, figure 8), for each row of cp at once; cp is overwritten."""
     z = g1 * cp  # the low 64 bits of g1 cp: uint64 products wrap
     z >>= 1
-    cp_halves = cp, cp & _M32
+    low = cp & _M32
     cp >>= 32
+    cp_halves = cp, low
     z += _mulhi(_split(g0), cp_halves)
     high = _mulhi(_split(g1), cp_halves)
     high += z >> 63
@@ -139,7 +149,7 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its lower end at (c - 1/4) 2^q when c is a power of two (the double below
     is then half as far as the one above), which also changes k from
     floor(log10(2^q)) to floor(log10(3/4 2^q))."""
-    g1_table, g0_table, p_table = _tables()[:3]
+    tables = _tables()
     biased = (bits >> 52) & np.uint64(0x7FF)
     c = bits & np.uint64(2**52 - 1)
     irregular = (c == 0) & (biased != 1)
@@ -154,8 +164,8 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cp[0] = c << np.uint64(2)
     cp[1] = cp[0] - np.where(irregular, np.uint64(1), np.uint64(2))
     cp[2] = cp[0] + np.uint64(2)
-    cp <<= (q + p_table[index] + 2).astype(np.uint64)
-    vb, lower, upper = _rop(g1_table[index], g0_table[index], cp)  # 4 v 10^-k and the interval's ends
+    cp <<= (q + tables.p[index] + 2).astype(np.uint64)
+    vb, lower, upper = _rop(tables.g1[index], tables.g0[index], cp)  # 4 v 10^-k and the interval's ends
     out = c & np.uint64(1)  # the interval's ends belong to it when c is even
     lower += out
     upper -= out
@@ -179,7 +189,7 @@ def _source(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exponent's digits and sign and the constant chars), and the key of its
     layout template: its sign, digit count and layout class."""
     f, k = _shortest(bits)
-    quads = _tables()[4]
+    quads = _tables().quads
     short = f < np.uint64(10**16)  # f has 16 or 17 digits
     point = k + 17  # the value is 0.DIGITS x 10^point
     point -= short
@@ -212,7 +222,7 @@ def _normal_reprs(bits: np.ndarray) -> list[str]:
     """`reprs` of normal doubles, given as their bit patterns."""
     source, key = _source(bits)
     # char j of each double's repr is source[templates[key, j], double]
-    index = np.take(_tables()[3], key, axis=0) * np.intp(len(bits))
+    index = np.take(_tables().templates, key, axis=0) * np.intp(len(bits))
     index += np.arange(len(bits))[:, None]
     chars = np.take(source, index)
     del source, key, index  # before the strs are made
