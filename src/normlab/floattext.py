@@ -22,7 +22,7 @@ import numpy as np
 
 _K_MIN, _K_MAX = -324, 292  # the decimal exponents k Schubfach scales a normal double by
 _DIGITS = 17  # a double's shortest decimal has at most 17 digits
-_ALIGNED = 18  # f, of 16 or 17 digits, is printed from 18 with trailing zeros
+_ALIGNED = 18  # f has 16 or 17 digits, laid out left-aligned in 18 with trailing zeros
 _WIDTH = 24  # the longest repr: "-" + 17 digits + "." + "e-308"
 # rows of a double's column of `_source`'s table: the digits of f
 # left-aligned, then the three digits of its exponent, the exponent's sign and
@@ -36,7 +36,7 @@ _PLACES = np.arange(1, _ALIGNED + 1, dtype=np.uint8)[:, None]
 _M32, _M63 = np.uint64(2**32 - 1), np.uint64(2**63 - 1)
 # most doubles per pass of `_normal_reprs`, whose working arrays peak at
 # about 300 B per double; the passes split an array evenly.  A block of a
-# benchmark scan's report holds 1,200-1,700 distinct floats: one pass
+# benchmark scan's report holds 1,170-1,720 distinct floats: one pass
 _PASS = 2**11
 
 
