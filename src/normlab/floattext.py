@@ -34,10 +34,6 @@ _CONSTANTS = np.frombuffer(b"0.-e\0", np.uint8)
 _CLASSES = 22
 _PLACES = np.arange(1, _ALIGNED + 1, dtype=np.uint8)[:, None]
 _M32, _M63 = np.uint64(2**32 - 1), np.uint64(2**63 - 1)
-# most doubles per pass of `_normal_reprs`, whose working arrays peak at
-# about 300 B per double; the passes split an array evenly.  A block of a
-# benchmark scan's report holds 1,170-1,720 distinct floats: one pass
-_PASS = 2**11
 
 
 def _layout(neg: bool, digits: int, cls: int) -> list[int]:
@@ -221,21 +217,15 @@ def _source(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _normal_reprs(bits: np.ndarray) -> list[str]:
     """`reprs` of normal doubles, given as their bit patterns."""
     source, key = _source(bits)
-    # char j of each double's repr is source[templates[key, j], double]
-    index = np.take(_tables().templates, key, axis=0) * np.intp(len(bits))
+    # char j of each double's repr is source[templates[key, j], double]; the
+    # templates are widened before the multiply, since numpy before 2.0 types
+    # uint8 times a scalar by the scalar's value (uint8 or uint16 here)
+    index = np.take(_tables().templates, key, axis=0).astype(np.intp)
+    index *= len(bits)
     index += np.arange(len(bits))[:, None]
     chars = np.take(source, index)
     del source, key, index  # before the strs are made
     return chars.astype(np.uint32).view(f"U{_WIDTH}")[:, 0].tolist()  # str objects from UCS-4 rows
-
-
-def _passes(bits: np.ndarray) -> list[str]:
-    """`_normal_reprs` in passes of equal length, at most `_PASS` each."""
-    step = -(-len(bits) // -(-len(bits) // _PASS)) if len(bits) else 1
-    text = []
-    for start in range(0, len(bits), step):
-        text += _normal_reprs(bits[start:start + step])
-    return text
 
 
 def reprs(values: np.ndarray) -> list[str]:
@@ -245,8 +235,8 @@ def reprs(values: np.ndarray) -> list[str]:
     biased = (bits >> 52) & np.uint64(0x7FF)
     normal = biased - np.uint64(1) < np.uint64(0x7FE)  # the biased exponent is neither 0 nor 0x7FF
     if normal.all():
-        return _passes(bits)
+        return _normal_reprs(bits)
     out = np.empty(len(bits), dtype=object)
-    out[normal] = _passes(bits[normal])
+    out[normal] = _normal_reprs(bits[normal])
     out[~normal] = list(map(float.__repr__, bits[~normal].view(np.float64).tolist()))
     return out.tolist()
