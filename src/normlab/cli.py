@@ -39,14 +39,17 @@ EXIT_FLAGGED = 4
 
 def _json(payload: dict) -> Iterator[str]:
     """The pieces of json.dumps(payload, indent=2, sort_keys=True,
-    allow_nan=False) + "\n" for a payload of str keys: the text json prints
-    before each record array's entry, that array's blocks (`_records_json`)
-    in place of the null that json prints for it, and the text after.  A
+    allow_nan=False) + "\n" for a payload of str keys, in which any other
+    numpy array prints as its `.tolist()`: the text json prints before each
+    record array's entry, that array's blocks (`_records_json`) in place of
+    the null that json prints for it, and the text after.  A
     newline, two spaces and a quoted key open only a top-level entry, since
     json escapes every newline and quote inside a string, and the entries
     come in sorted key order.  Every number is checked before this returns."""
     records = {key: value for key, value in payload.items() if isinstance(value, np.recarray)}
-    text = json.dumps({**payload, **dict.fromkeys(records)}, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = json.dumps(
+        {**payload, **dict.fromkeys(records)}, indent=2, sort_keys=True, allow_nan=False, default=np.ndarray.tolist
+    ) + "\n"
     pieces, start = [], 0
     for key in sorted(records):
         entry = f"\n  {json.dumps(key)}: "
@@ -157,18 +160,9 @@ def _run_marty_scan(config: dict) -> tuple[int, dict[str, Iterable[str]]]:
     domain = cfg.parse_domain(config["domain"])
     plan = cfg.parse_plan(config["plan"])
     est = normality_scan(f, domain, plan)
-    payload = {
-        "function": config["function"],
-        "c_required_lower_bound": est.c_required_lower_bound,
-        "verdict": est.verdict,
-        "skipped": est.skipped,
-        "errors": est.errors,
-        "shell_trend": est.shell_trend,
-        "samples": est.samples,
-    }
     return EXIT_OK, {
         "marty_trend.csv": _csv(["shell", "max_ratio_lower", "min_boundary_distance"], est.shell_trend),
-        "marty_scan.json": _json(payload),
+        "marty_scan.json": _json({"function": config["function"], **vars(est)}),
     }
 
 
@@ -195,26 +189,11 @@ def _run_rescaling(config: dict) -> tuple[int, dict[str, Iterable[str]]]:
     spec = cfg.parse_sequence(config["sequence"])
     run = rescaling_run(f, domain, spec)
     report = convergence_report(run, config["R"], config["grid_size"], config["tol"], config["seed"])
-    payload = {
-        "verdict": report.verdict,
-        "tol": report.tol,
-        "radius": report.radius,
-        "indices": report.indices,
-        "osc": report.osc.tolist(),
-        "cauchy_gaps": report.cauchy_gaps.tolist(),
-        "excluded": report.excluded,
-        "hypothesis_flags": run.hypothesis_flags,
-        "limit_proxy": to_source(report.limit_proxy),
-    }
+    payload = dict(vars(report), hypothesis_flags=run.hypothesis_flags, limit_proxy=to_source(report.limit_proxy))
+    del payload["grid"]
     if command == "rescale":
         profile = limit_sharp_check(report, report.tol)
-        payload["sharp_profile"] = {
-            "sharp_at_zero": profile.sharp_at_zero,
-            "max_sharp": profile.max_sharp,
-            "argmax": cfg.point_to_json(profile.argmax),
-            "passed": profile.passed,
-            "vacuous": profile.vacuous,
-        }
+        payload["sharp_profile"] = {**vars(profile), "argmax": cfg.point_to_json(profile.argmax)}
     return EXIT_FLAGGED if run.hypothesis_flags else EXIT_OK, {
         f"{command}_run.csv": _csv(_RUN_HEADER, _run_rows(run, report)),
         f"{command}.json": _json(payload),
@@ -224,15 +203,8 @@ def _run_rescaling(config: dict) -> tuple[int, dict[str, Iterable[str]]]:
 def _run_counterexample(config: dict) -> tuple[int, dict[str, Iterable[str]]]:
     report = remark_counterexample(config["n_max"], config["R"], config["grid_size"])
     rows = zip(report.indices, report.ratios, report.sup_dev, report.bounds)
-    payload = {
-        "verdict": report.verdict,
-        "radius": report.radius,
-        "indices": report.indices,
-        "ratios": report.ratios,
-        "sup_dev": report.sup_dev,
-        "bounds": report.bounds,
-        "convergence_verdict": report.convergence.verdict,
-    }
+    payload = dict(vars(report), convergence_verdict=report.convergence.verdict)
+    del payload["convergence"]
     return EXIT_OK, {
         "counterexample.csv": _csv(["n", "ratio", "sup_dev", "bound"], rows),
         "counterexample.json": _json(payload),
@@ -268,12 +240,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if args.seed is not None and args.seed < 0:  # the schema never sees the override
-        print(f"config error: --seed: {args.seed} is less than the minimum of 0", file=sys.stderr)
-        return EXIT_CONFIG
-
     try:
         config = cfg.load_config(args.config)
+        if args.seed is not None:  # validated with the rest: a scan's seed is its plan's
+            plan = config.get("plan")
+            (plan if isinstance(plan, dict) else config)["seed"] = args.seed
         command = cfg.validate_config(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -289,9 +260,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
-
-    if args.seed is not None:
-        config.get("plan", config)["seed"] = args.seed
 
     try:
         code, outputs = _RUNNERS[command](config)

@@ -218,8 +218,8 @@ def _normal_reprs(bits: np.ndarray) -> list[str]:
     """`reprs` of normal doubles, given as their bit patterns."""
     source, key = _source(bits)
     # char j of each double's repr is source[templates[key, j], double]; the
-    # templates are widened before the multiply, since numpy before 2.0 types
-    # uint8 times a scalar by the scalar's value (uint8 or uint16 here)
+    # uint8 templates are widened before the multiply, since under NEP 50 a
+    # uint8 array times a Python int stays uint8 and raises OverflowError past 255
     index = np.take(_tables().templates, key, axis=0).astype(np.intp)
     index *= len(bits)
     index += np.arange(len(bits))[:, None]

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -17,7 +18,8 @@ from normlab import Ball, DimensionMismatchError, parse
 from normlab import config as cfg_module
 from normlab.cli import _BLOCK_FLOATS, _csv, _json, _records_json, main
 from normlab.config import SCHEMAS, point_to_json
-from normlab.metrics import SamplingPlan, normality_scan, sample_dtype, sharp_batch, sharp_fd
+from normlab.metrics import NormalityEstimate, SamplingPlan, normality_scan, sample_dtype, sharp_batch, sharp_fd
+from normlab.rescaling import ConvergenceReport, RemarkReport, SharpProfile
 from test_config import _perfbench
 
 DISC = {"type": "ball", "center": [[0.0, 0.0]], "radius": 1.0}
@@ -1024,15 +1026,27 @@ _SMALL_CONFIGS = {
 }
 
 
-# The override is applied after schema validation: a 3-D sharp run ended in a
-# numpy traceback (exit 1), the other runs exited 0.
+# The override was once applied after schema validation: a 3-D sharp run
+# ended in a numpy traceback (exit 1), the other runs exited 0.  It now goes
+# into the config before validation, so the schema names the key it replaced.
 @pytest.mark.parametrize("command", sorted(_SMALL_CONFIGS))
 def test_negative_seed_override_is_config_error(tmp_path, capsys, command):
     code, out = _run(tmp_path, command, _SMALL_CONFIGS[command], extra=("--seed", "-1"))
     err = capsys.readouterr().err
+    key = "$.plan.seed" if command == "marty-scan" else "$.seed"
     assert code == 2
-    assert err == "config error: --seed: -1 is less than the minimum of 0\n"
+    assert err == f"config error: config schema violation: {key}: -1 is less than the minimum of 0\n"
     assert "Traceback" not in err and not out.exists()
+
+
+# a plan that is not an object cannot take the override: the seed goes to the
+# top level, and the schema names the plan first
+def test_seed_override_with_a_non_object_plan_names_the_plan(tmp_path, capsys):
+    config = {**_scan_config(DISC), "plan": [0.5]}
+    code, out = _run(tmp_path, "marty-scan", config, extra=("--seed", "5"))
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err == "config error: config schema violation: $.plan: [0.5] is not of type 'object'\n"
 
 
 # the grid's ring radii overflowed: three RuntimeWarnings (an exception under
@@ -1116,6 +1130,25 @@ def test_format_flag_selects_the_outputs(tmp_path, command, fmt):
     assert {path.name for path in out.iterdir()} == expected
     for name in expected:
         assert (out / name).read_bytes() == (both / name).read_bytes()
+
+
+# each JSON report is its result record's fields, less and plus the few its
+# runner names, so a field added to a record is reported
+@pytest.mark.parametrize(
+    "command,record,dropped,added",
+    [
+        ("marty-scan", NormalityEstimate, set(), {"function"}),
+        ("rescale", ConvergenceReport, {"grid"}, {"hypothesis_flags", "limit_proxy", "sharp_profile"}),
+        ("thm2", ConvergenceReport, {"grid"}, {"hypothesis_flags", "limit_proxy"}),
+        ("counterexample", RemarkReport, {"convergence"}, {"convergence_verdict"}),
+    ],
+)
+def test_json_report_is_its_result_record(tmp_path, command, record, dropped, added):
+    code, out = _run(tmp_path, command, _SMALL_CONFIGS[command], extra=("--format", "json"))
+    report = json.loads((out / _OUTPUTS[command][1]).read_text())
+    assert set(report) == {field.name for field in dataclasses.fields(record)} - dropped | added
+    if command == "rescale":
+        assert set(report["sharp_profile"]) == {field.name for field in dataclasses.fields(SharpProfile)}
 
 
 # --------------------------------------------------------------------------
