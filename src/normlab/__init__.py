@@ -21,7 +21,6 @@ from .expr import (
     HoloExpr,
     affine_pullback,
     evaluate_batch,
-    evaluate_jet,
     parse,
     to_source,
 )
@@ -30,7 +29,6 @@ from .metrics import (
     SamplingPlan,
     kobayashi_batch,
     levi_form_fd,
-    levi_log1p_closed,
     log1p_sq_field,
     normality_scan,
     sharp_batch,
@@ -80,10 +78,8 @@ __all__ = [
     "boundary_distance_batch",
     "convergence_report",
     "evaluate_batch",
-    "evaluate_jet",
     "kobayashi_batch",
     "levi_form_fd",
-    "levi_log1p_closed",
     "limit_sharp_check",
     "log1p_sq_field",
     "normality_scan",

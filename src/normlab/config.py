@@ -243,18 +243,16 @@ def _violations(value: Any, schema: dict, path: str, out: list[tuple[str, str]])
         if unexpected and schema.get("additionalProperties") is False:
             out.append((path, f"unknown key(s) {', '.join(map(repr, unexpected))}"))
     if "oneOf" in schema:
+        # every oneOf in SCHEMAS has exclusive branches (a test checks it): one match is valid
         branches = []
         for branch in schema["oneOf"]:
             branches.append([])
             _violations(value, branch, path, branches[-1])
-        matched = branches.count([])
-        counts = sorted(map(len, branches))
-        if matched > 1:
-            out.append((path, f"{value!r} is valid under more than one of the given schemas"))
-        elif not matched and counts[0] < counts[1]:
+        fewest, second = sorted(map(len, branches))[:2]
+        if fewest and fewest < second:
             # the branch of the value's own kind fails the fewest keywords
             out += min(branches, key=len)
-        elif not matched:
+        elif fewest:
             out.append((path, f"{value!r} is not valid under any of the given schemas"))
 
 

@@ -490,9 +490,9 @@ def evaluate_batch(expr: HoloExpr, points, gradient: bool = True) -> Batch:
 
 
 def evaluate_jet(expr: HoloExpr, z: CPoint) -> Batch:
-    """Value and complex gradient at the one point z, by forward-mode
-    differentiation: the checked `evaluate_batch` of [z], value (1,) and
-    gradient (1, n)."""
+    """The checked `evaluate_batch` of [z].  Not exported and entered by no
+    run: kept only as a fixture of the span test and the trace of the
+    benchmark (`perfbench/`), until ROADMAP item 1 moves them."""
     return evaluate_batch(expr, [z]).check()
 
 

@@ -98,8 +98,9 @@ def log1p_sq_field(f: HoloExpr) -> Callable:
 
 
 def levi_log1p_closed(f: HoloExpr, z: CPoint, v: CPoint) -> float:
-    """Levi form of log(1+|f|^2) at z along v, in closed form (`levi_batch`);
-    `levi_form_fd` on `log1p_sq_field` is the independent check."""
+    """`levi_batch` at the one point z along v.  Not exported and entered by
+    no run: kept only as a fixture of the span test and the trace of the
+    benchmark (`perfbench/`), until ROADMAP item 1 moves them."""
     jet = evaluate_jet(f, z)
     return float(levi_batch(jet.value, jet.gradient, np.array([v], dtype=complex))[0, 0])
 

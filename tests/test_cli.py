@@ -628,23 +628,26 @@ def test_run_input_errors_exit_with_their_code(tmp_path, capsys, config, code, m
     assert not (tmp_path / "e").exists()  # a failed run writes no file and makes no directory
 
 
-# Each ended in a traceback (exit 1): a UnicodeDecodeError, and json's
-# RecursionError on a config nested about as deep as the recursion limit.
+# The first two ended in a traceback (exit 1): a UnicodeDecodeError, and
+# json's RecursionError on a config nested about as deep as the recursion
+# limit.  The last is JSON, but not an object.
 @pytest.mark.parametrize(
-    "text,message",
+    "text,start,message",
     [
         (b'{"command": "sharp", "function": "z1\xff", "dimension": 1, "points": [[[0.1, 0.0]]]}',
-         "can't decode byte 0xff"),
-        (b'{"command": "sharp", "x": ' + b"[" * 1000 + b"]" * 1000 + b"}", "maximum recursion depth exceeded"),
+         "cannot read config ", "can't decode byte 0xff"),
+        (b'{"command": "sharp", "x": ' + b"[" * 1000 + b"]" * 1000 + b"}",
+         "cannot read config ", "maximum recursion depth exceeded"),
+        (b"[1]", "config root must be a JSON object\n", ""),
     ],
-    ids=["not-utf8", "nested-1000-deep"],
+    ids=["not-utf8", "nested-1000-deep", "root-is-an-array"],
 )
-def test_unreadable_config_is_config_error(tmp_path, capsys, text, message):
+def test_unreadable_config_is_config_error(tmp_path, capsys, text, start, message):
     path = tmp_path / "sharp.json"
     path.write_bytes(text)
     assert main(["sharp", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: cannot read config ") and err.count("\n") == 1 and message in err
+    assert err.startswith("config error: " + start) and err.count("\n") == 1 and message in err
     assert not (tmp_path / "out").exists()
 
 

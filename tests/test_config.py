@@ -178,6 +178,37 @@ def test_walker_agrees_with_jsonschema(data):
         assert _walker_accepts(copy.deepcopy(config)) == expected, config
 
 
+def _one_ofs(node):
+    """The branch lists of every oneOf below `node`."""
+    if isinstance(node, dict):
+        if "oneOf" in node:
+            yield node["oneOf"]
+        for value in node.values():
+            yield from _one_ofs(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _one_ofs(value)
+
+
+# The walker takes a value that matches one branch of a oneOf as valid and
+# does not look for a second match, which JSON Schema would refuse; that is
+# right only while no value can match two branches.
+def test_every_one_of_fixes_a_shared_key_to_distinct_consts():
+    found = list(_one_ofs(SCHEMAS))
+    assert found  # the domain's
+    for branches in found:
+        consts = [
+            {
+                key: sub["const"]
+                for key, sub in branch["properties"].items()
+                if "const" in sub and key in branch["required"]  # an absent key would match any const
+            }
+            for branch in branches
+        ]
+        shared = set.intersection(*map(set, consts))
+        assert any(len({c[key] for c in consts}) == len(branches) for key in shared), branches
+
+
 @pytest.mark.parametrize("config", _VALID, ids=lambda c: c["command"])
 def test_valid_configs_pass(config):
     assert validate_config(copy.deepcopy(config)) == config["command"]

@@ -16,7 +16,6 @@ from normlab import (
     ExprSyntaxError,
     PoleError,
     affine_pullback,
-    evaluate_jet,
     parse,
     to_source,
 )
@@ -54,17 +53,27 @@ def test_parse_structure_sin_reciprocal():
 def test_variable_index_exceeds_dimension():
     with pytest.raises(ExprSyntaxError):
         parse("z3", 2)
+    with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
+        parse("z1", 0)
 
 
 def test_unknown_identifier_and_syntax_errors():
-    with pytest.raises(ExprSyntaxError):
-        parse("foo(z1)", 1)
-    with pytest.raises(ExprSyntaxError):
-        parse("z1 +", 1)
-    with pytest.raises(ExprSyntaxError):
-        parse("", 1)
-    err = pytest.raises(ExprSyntaxError, parse, "z1 + $", 1).value
-    assert err.position == 5
+    # source, message and position of each syntax error
+    cases = [
+        ("foo(z1)", "unknown identifier 'foo'", 0),
+        ("z1 +", "unexpected end of input", 4),
+        ("", "empty source", 0),
+        ("z1 + $", "unexpected character '$'", 5),
+        ("1.2.3", "malformed number '1.2.3'", 0),
+        ("sin 2", "expected '('", 4),
+        ("z1 z1", "unexpected trailing input 'z1'", 3),
+        ("z1^z1", "expected integer exponent", 3),
+        ("z0", "invalid variable 'z0'", 0),
+        (")", "unexpected token ')'", 0),
+    ]
+    for source, message, position in cases:
+        err = pytest.raises(ExprSyntaxError, parse, source, 1).value
+        assert (str(err), err.position) == (f"{message} (at position {position})", position), source
 
 
 def test_non_integer_exponent_rejected():
@@ -107,16 +116,18 @@ def test_pole_and_branch_errors():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         evaluate_batch(parse("z1", 1), [(0j, 0j)])
+    with pytest.raises(DimensionMismatchError, match="^base has dimension 1, expression expects 2$"):
+        affine_pullback(parse("z1*z2", 2), (0j,), 0.5)
 
 
 def test_jet_product():
-    jet = evaluate_jet(parse("z1*z2", 2), (1 + 0j, 1 + 0j))
+    jet = evaluate_batch(parse("z1*z2", 2), [(1 + 0j, 1 + 0j)]).check()
     assert jet.value.tolist() == [1]
     assert jet.gradient.tolist() == [[1 + 0j, 1 + 0j]]
 
 
 def test_jet_exp():
-    jet = evaluate_jet(parse("exp(z1)", 1), (0j,))
+    jet = evaluate_batch(parse("exp(z1)", 1), [(0j,)]).check()
     assert jet.value.tolist() == [1]
     assert jet.gradient.tolist() == [[1 + 0j]]
 
@@ -124,7 +135,7 @@ def test_jet_exp():
 def test_jet_sin_reciprocal_analytic_derivative():
     # d/dz sin(1/(1-z)) = cos(1/(1-z)) / (1-z)^2; at z = 1 - 1/(2pi) this is (2pi)^2
     z = complex(1 - 1 / (2 * math.pi))
-    jet = evaluate_jet(parse("sin(1/(1-z1))", 1), (z,))
+    jet = evaluate_batch(parse("sin(1/(1-z1))", 1), [(z,)]).check()
     expected = (2 * math.pi) ** 2
     assert abs(jet.gradient[0, 0] - expected) <= 1e-8 * expected
 
@@ -163,7 +174,7 @@ def test_jet_matches_central_differences(dim):
         z = tuple(
             complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8)) for _ in range(dim)
         )
-        jet = evaluate_jet(expr, z)
+        jet = evaluate_batch(expr, [z]).check()
         h = 1e-6 * (1 + max(abs(c) for c in z))
         for got, want in zip(jet.gradient[0], _fd_gradient(expr, z, h)):
             assert abs(got - want) <= 1e-5 * (1 + abs(want))
@@ -182,8 +193,8 @@ def test_affine_pullback_chain_rule():
     g = affine_pullback(f, base, scale)
     zeta = (0.4 - 0.2j, 0.1 + 0.3j)
     shifted = tuple(b + scale * t for b, t in zip(base, zeta))
-    jet_g = evaluate_jet(g, zeta)
-    jet_f = evaluate_jet(f, shifted)
+    jet_g = evaluate_batch(g, [zeta]).check()
+    jet_f = evaluate_batch(f, [shifted]).check()
     for gg, gf in zip(jet_g.gradient[0], jet_f.gradient[0]):
         assert abs(gg - scale * gf) <= 1e-12 * (1 + abs(gf))
 
@@ -241,6 +252,13 @@ def test_print_parse_roundtrip():
     assert to_source(parse("-" * 60 + "z1", 1)) == "-" * 60 + "z1"
 
 
+def test_unknown_node_is_a_type_error():
+    f = HoloExpr(1, "x")
+    for refuse in (lambda: to_source(f), lambda: evaluate_batch(f, [(0j,)])):
+        with pytest.raises(TypeError, match="^unknown node 'x'$"):
+            refuse()
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3))
 def test_print_parse_roundtrip_random(seed, dim):
@@ -285,7 +303,7 @@ def test_roundtrip_at_the_depth_cap():
 def test_jet_value_matches_evaluate():
     f = parse("cos(z1)/(2-z1)", 1)
     z = (0.3 + 0.4j,)
-    assert evaluate_jet(f, z).value[0] == evaluate_batch(f, [z], gradient=False).check().value[0]
+    assert evaluate_batch(f, [z]).check().value[0] == evaluate_batch(f, [z], gradient=False).check().value[0]
 
 
 def test_evaluate_overflow_raises():
@@ -337,7 +355,7 @@ def test_batch_rows_match_single_points_and_any_chunking(seed, dim):
     values = evaluate_batch(expr, points, gradient=False)
     for i, z in enumerate(points):
         if jets.status[i] == OK:
-            jet = evaluate_jet(expr, tuple(z))
+            jet = evaluate_batch(expr, [z]).check()
             assert _same_bits(jet.value[0], jets.value[i])
             assert _same_bits(jet.gradient[0], jets.gradient[i])
         if values.status[i] == OK:
@@ -350,17 +368,14 @@ def test_batch_status_matches_single_point_exception(seed, dim):
     rng = random.Random(seed)
     expr = parse(_hostile_expr(rng, dim), dim)
     points = _hostile_points(rng, dim, 9)
-    def value_only(expr, z):
-        return evaluate_batch(expr, [z], gradient=False).check()
-
-    for gradient, single in ((True, evaluate_jet), (False, value_only)):
+    for gradient in (True, False):
         batch = evaluate_batch(expr, points, gradient)
         for z, status in zip(points, batch.status):
             if status == OK:
-                single(expr, tuple(z))
+                evaluate_batch(expr, [z], gradient).check()
                 continue
             with pytest.raises(EvaluationError) as info:
-                single(expr, tuple(z))
+                evaluate_batch(expr, [z], gradient).check()
             assert type(info.value) is type(status_error(status))
 
 
@@ -497,7 +512,7 @@ def test_non_finite_input_raises():
         with pytest.raises(EvaluationError):
             evaluate_batch(f, [(bad,)], gradient=False).check()
         with pytest.raises(EvaluationError):
-            evaluate_jet(f, (bad,))
+            evaluate_batch(f, [(bad,)]).check()
 
 
 def test_no_warnings_leak(recwarn):

@@ -18,7 +18,6 @@ from normlab import (
     boundary_distance_batch,
     kobayashi_batch,
     levi_form_fd,
-    levi_log1p_closed,
     log1p_sq_field,
     normality_scan,
     parse,
@@ -51,6 +50,13 @@ def test_levi_fd_constant_field_zero():
     assert levi_form_fd(lambda z: np.full(z.shape[:-1], 2.5), (0.1 + 0.2j,), (1 + 0j,), 1e-4) == 0.0
 
 
+def test_levi_fd_rejects_a_step_that_is_not_positive():
+    field = lambda z: abs(z[..., 0]) ** 2
+    for h in (0.0, -1e-4):
+        with pytest.raises(ValueError, match="^h must be positive$"):
+            levi_form_fd(field, (0j,), (1 + 0j,), h)
+
+
 def test_levi_fd_log1p_identity_at_origin():
     f = parse("z1", 1)
     value = levi_form_fd(log1p_sq_field(f), (0j,), (1 + 0j,), 1e-4)
@@ -69,17 +75,19 @@ def test_levi_fd_direction_array_matches_single_directions():
 
 
 def test_levi_closed_constant_zero():
-    f = parse("3+2*i", 1)
-    assert levi_log1p_closed(f, (0.5 + 0.5j,), (1 + 0j,)) == 0.0
+    jet = evaluate_batch(parse("3+2*i", 1), [(0.5 + 0.5j,)]).check()
+    assert metrics.levi_batch(jet.value, jet.gradient, np.array([[1 + 0j]])).tolist() == [[0.0]]
 
 
 def test_levi_closed_identity_function():
-    assert levi_log1p_closed(parse("z1", 1), (0j,), (1 + 0j,)) == 1.0
+    jet = evaluate_batch(parse("z1", 1), [(0j,)]).check()
+    assert metrics.levi_batch(jet.value, jet.gradient, np.array([[1 + 0j]])).tolist() == [[1.0]]
 
 
 def test_levi_closed_vs_fd_square():
     f = parse("z1^2", 1)
-    closed = levi_log1p_closed(f, (1 + 0j,), (1 + 0j,))
+    jet = evaluate_batch(f, [(1 + 0j,)]).check()
+    closed = metrics.levi_batch(jet.value, jet.gradient, np.array([[1 + 0j]]))[0, 0]
     assert closed == pytest.approx(1.0)  # |2|^2 / (1+1)^2
     fd = levi_form_fd(log1p_sq_field(f), (1 + 0j,), (1 + 0j,), 1e-4)
     assert abs(closed - fd) <= 1e-6
@@ -115,9 +123,26 @@ def test_levi_closed_agrees_with_fd(source, dim):
         v = _random_point(rng, dim, 1.0)
         if all(c == 0 for c in v):
             continue
-        closed = levi_log1p_closed(f, z, v)
+        jet = evaluate_batch(f, [z]).check()
+        closed = metrics.levi_batch(jet.value, jet.gradient, np.array([v]))[0, 0]
         fd = levi_form_fd(log1p_sq_field(f), z, v, 1e-4 * (1 + max(abs(c) for c in z)))
         assert abs(closed - fd) <= 1e-5 * (1 + closed)
+
+
+# The benchmark's span test and trace still call these two one-point forms
+# (ROADMAP item 1); until they go, each is its batch kernel on one point.
+def test_perfbench_fixtures_are_the_batch_kernels_of_one_point():
+    from normlab.expr import evaluate_jet
+
+    f = parse("exp(z1)*z2 + 1/z1", 2)
+    z, v = (0.3 - 0.2j, 0.5 + 0.1j), (1.0 - 0.5j, 0.25j)
+    batch = evaluate_batch(f, [z]).check()
+    jet = evaluate_jet(f, z)
+    assert (jet.value.tobytes(), jet.gradient.tobytes()) == (batch.value.tobytes(), batch.gradient.tobytes())
+    assert metrics.levi_log1p_closed(f, z, v) == metrics.levi_batch(batch.value, batch.gradient, np.array([v]))[0, 0]
+    for single in (lambda: evaluate_jet(f, (0j, 1 + 0j)), lambda: metrics.levi_log1p_closed(f, (0j, 1 + 0j), v)):
+        with pytest.raises(EvaluationError, match="^division or negative power of a near-zero value$"):
+            single()
 
 
 # --------------------------------------------------------------------------
@@ -147,7 +172,10 @@ def test_sharp_and_levi_do_not_overflow():
     f = parse("exp(z1)", 1)
     z = (400 + 0j,)
     assert sharp_batch(f, [z])[0] == pytest.approx(math.exp(-400.0), rel=1e-12)
-    assert levi_log1p_closed(f, (300 + 0j,), (1 + 0j,)) == pytest.approx(math.exp(-600.0), rel=1e-12)
+    jet = evaluate_batch(f, [(300 + 0j,)]).check()
+    assert metrics.levi_batch(jet.value, jet.gradient, np.array([[1 + 0j]]))[0, 0] == pytest.approx(
+        math.exp(-600.0), rel=1e-12
+    )
     assert log1p_sq_field(f)(z) == pytest.approx(800.0, rel=1e-15)
     assert math.isfinite(sharp_fd(f, [z], 1e-4)[0])
 
@@ -271,6 +299,10 @@ def test_sharp_fd_rejects_a_non_finite_stencil():
             sharp_fd(parse("z1^2", 1), [(0.5 + 0j,)], 1e-200)
         with pytest.raises(EvaluationError, match="not finite at h = 1e[+]200"):
             sharp_fd(parse("z1", 1), [(0.1 + 0j,)], 1e200)
+        # 4 h^2 is subnormal but positive, so the stencil runs, and its
+        # Hessian overflows: the last check refuses it
+        with pytest.raises(EvaluationError, match="^finite-difference Levi form is not finite at h = 1e-160$"):
+            sharp_fd(parse("exp(1e155*z1)", 1), [(0j,)], 1e-160)
 
 
 def test_sharp_fd_reads_a_sharp_whose_square_is_past_the_float_range():
@@ -301,8 +333,9 @@ def test_hermitian_homogeneity():
         z = _random_point(rng, 2)
         v = _random_point(rng, 2, 1.0)
         lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        lhs = levi_log1p_closed(f, z, tuple(lam * c for c in v))
-        rhs = abs(lam) ** 2 * levi_log1p_closed(f, z, v)
+        jet = evaluate_batch(f, [z]).check()
+        lhs, levi = metrics.levi_batch(jet.value, jet.gradient, np.array([[lam * c for c in v], v]))[0]
+        rhs = abs(lam) ** 2 * levi
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
@@ -310,8 +343,10 @@ def test_levi_nonnegative():
     rng = random.Random(37)
     for source, dim in _SUITE:
         f = parse(source, dim)
-        for _ in range(10):
-            assert levi_log1p_closed(f, _random_point(rng, dim, 0.5), _random_point(rng, dim, 1.0)) >= 0.0
+        pairs = [(_random_point(rng, dim, 0.5), _random_point(rng, dim, 1.0)) for _ in range(10)]
+        jets = evaluate_batch(f, [z for z, _ in pairs]).check()
+        # every point along every direction, the ten drawn pairs among them
+        assert (metrics.levi_batch(jets.value, jets.gradient, np.array([v for _, v in pairs])) >= 0.0).all()
 
 
 def test_unimodular_invariance():
@@ -691,6 +726,14 @@ def test_kobayashi_polydisc_matches_the_reference_inside_its_sandwich(seed, dim)
 # --------------------------------------------------------------------------
 
 _PLAN = SamplingPlan(shells=(0.5, 0.25, 0.125, 0.0625), points_per_shell=8, directions_per_point=8, seed=0)
+
+
+def test_sampling_plan_rejects_shells_outside_the_unit_interval_and_empty_counts():
+    with pytest.raises(ValueError, match=r"^shells must be fractions in \(0, 1\]$"):
+        SamplingPlan((0.0,), 2, 1)
+    for points, directions in ((0, 1), (2, 0)):
+        with pytest.raises(ValueError, match="^points and directions per shell must be positive$"):
+            SamplingPlan((0.5,), points, directions)
 
 
 def test_scan_constant_function():

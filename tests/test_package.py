@@ -14,8 +14,8 @@ PACKAGE = ROOT / "src" / "normlab"
 # functions that no CLI run, demo or README example enters, each with the
 # reason it stays in the package
 UNREAD = {
-    "expr.evaluate_jet": "perfbench's span test calls it (ROADMAP item 1)",
-    "metrics.levi_log1p_closed": "perfbench's span test calls it (ROADMAP item 1)",
+    "expr.evaluate_jet": "not exported; perfbench's span test calls it and its trace names it (ROADMAP item 1)",
+    "metrics.levi_log1p_closed": "not exported; perfbench's span test calls it and its trace names it (ROADMAP item 1)",
 }
 
 # Profiles every call from before `import normlab` on, through every golden

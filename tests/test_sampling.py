@@ -90,6 +90,16 @@ def test_directions_need_a_positive_dimension(n):
         sphere_directions(n, 4, 0)
 
 
+def test_directions_and_grids_reject_empty_sizes():
+    with pytest.raises(ValueError, match="^count must be positive$"):
+        sphere_directions(2, 0)
+    for radius in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^radius must be positive$"):
+            ball_grid(1, radius, 4)
+    with pytest.raises(ValueError, match="^grid_size must be at least 2$"):
+        ball_grid(1, 1.0, 1)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_directions_are_unit_and_a_pure_function_of_the_seed(n):
     v = sphere_directions(n, 100, 5)
