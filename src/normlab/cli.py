@@ -3,7 +3,7 @@
 Subcommands: sharp, marty-scan, rescale, thm2, counterexample, check-config.
 Exit codes: 0 success, 2 config error or an output that cannot be written,
 3 evaluation error, 4 run completed with hypothesis flags raised.  Identical
-config + seed gives byte-identical outputs.  Each runner returns its exit code
+config gives byte-identical outputs.  Each runner returns its exit code
 and the pieces of every output file's text, with every number checked; `main`
 then makes --out and writes those that --format selects, piece by piece, so a
 run that fails writes no file and no directory, and an output left out is
@@ -188,7 +188,7 @@ def _run_rescaling(config: dict) -> tuple[int, dict[str, Iterable[str]]]:
     domain = cfg.parse_domain(config["domain"])
     spec = cfg.parse_sequence(config["sequence"])
     run = rescaling_run(f, domain, spec)
-    report = convergence_report(run, config["R"], config["grid_size"], config["tol"], config["seed"])
+    report = convergence_report(run, config["R"], config["grid_size"], config["tol"])
     payload = dict(vars(report), hypothesis_flags=run.hypothesis_flags, limit_proxy=to_source(report.limit_proxy))
     del payload["grid"]
     if command == "rescale":
@@ -233,7 +233,6 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to JSON run config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--format", choices=["json", "csv", "both"], default="both")
     return parser
 
@@ -242,9 +241,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = cfg.load_config(args.config)
-        if args.seed is not None:  # validated with the rest: a scan's seed is its plan's
-            plan = config.get("plan")
-            (plan if isinstance(plan, dict) else config)["seed"] = args.seed
         command = cfg.validate_config(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -174,9 +174,7 @@ def _grid_chunks(run: RescalingRun, grid: np.ndarray) -> Iterator[Batch]:
         yield evaluate_batch(run.f, points.reshape(len(points), -1).T, gradient=False)
 
 
-def convergence_report(
-    run: RescalingRun, radius: float, grid_size: int, tol: float, seed: int = 0
-) -> ConvergenceReport:
+def convergence_report(run: RescalingRun, radius: float, grid_size: int, tol: float) -> ConvergenceReport:
     """Finite-range locally-uniform-convergence evidence on |zeta| <= radius.
 
     g_j(zeta) = f(z_j + rho_j*zeta) is evaluated on the grid in chunks of
@@ -189,7 +187,7 @@ def convergence_report(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    grid = ball_grid(run.f.dimension, radius, grid_size, seed)
+    grid = ball_grid(run.f.dimension, radius, grid_size)
     return _converge(run, radius, grid, tol, _grid_chunks(run, grid))
 
 

@@ -1,7 +1,8 @@
 """Deterministic direction and grid generators.
 
-All generators are pure functions of (dimension, count, seed), so any report
-built on them is reproducible bit-for-bit.
+All generators are pure functions of their arguments (a direction set's and
+a ray set's include a seed, a grid's none), so any report built on them is
+reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ def sphere_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
         raise ValueError("n must be positive")
     if count < 1:
         raise ValueError("count must be positive")
+    if (seed := operator.index(seed)) < 0:  # random.Random would fold it onto its absolute value
+        raise ValueError("seed must be non-negative")
     if n == 2:
         k = np.arange(count)
         cos_theta = 1.0 - (2.0 * k + 1.0) / count
@@ -78,8 +81,6 @@ def sphere_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
         v[:, 0] = np.cos(theta / 2.0)
         v[:, 1] = np.sin(theta / 2.0) * np.exp(1j * phi)
         return v
-    if (seed := operator.index(seed)) < 0:  # random.Random would fold it onto its absolute value
-        raise ValueError("seed must be non-negative")
     draw = random.Random(seed).random
     steps = np.arange(1, count + 1)[:, None] * _rd_root(2 * n) ** -np.arange(1.0, 2 * n + 1)
     x = (steps + np.array([draw() for _ in range(2 * n)])) % 1.0
@@ -100,14 +101,14 @@ def scan_rays(n: int, count: int, seed: int = 0) -> np.ndarray:
     return rays
 
 
-def ball_grid(n: int, radius: float, grid_size: int, seed: int = 0) -> np.ndarray:
+def ball_grid(n: int, radius: float, grid_size: int) -> np.ndarray:
     """Deterministic covering of the closed ball |zeta| <= radius in C^n.
 
     Concentric spheres at radii k/m * radius, the origin included first.  Each
-    ring holds at least 2n points, and for n >= 2 its first 2n are the signed
-    coordinate axes (`scan_rays`), so every coordinate moves on the grid.  The
-    outermost shell always contains +/- radius * e_1 exactly, so suprema of
-    affine functions are attained on the grid.  Returns shape (N, n).
+    ring holds at least 2n points, and for n >= 2 they are `scan_rays` at
+    seed 0: the signed coordinate axes first, so every coordinate moves on
+    the grid.  The outermost shell always contains +/- radius * e_1 exactly,
+    so suprema of affine functions are attained on the grid.  Returns shape (N, n).
     Raises EvaluationError when radius times the ring count passes the
     largest finite float, since the rings' radii would not all be finite.
     """
@@ -129,5 +130,5 @@ def ball_grid(n: int, radius: float, grid_size: int, seed: int = 0) -> np.ndarra
         angles = 2.0 * math.pi * (np.arange(per_ring) + offsets) / per_ring
         rings = radii * np.exp(1j * angles)
     else:
-        rings = radii[:, :, None] * scan_rays(n, per_ring, seed)
+        rings = radii[:, :, None] * scan_rays(n, per_ring)
     return np.concatenate([np.zeros((1, n), dtype=complex), rings.reshape(-1, n)])

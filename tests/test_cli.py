@@ -268,30 +268,28 @@ def test_repeated_main_calls_share_no_arguments(tmp_path, capsys):
     # one process, one parser: no call's options may leak into the next
     sharp = {"command": "sharp", "function": "z1*z2^2+cos(z3)", "dimension": 3,
              "points": [[[0.1, 0.2], [0.3, -0.1], [-0.2, 0.4]]]}
-    rescale = _zalcman_config("sin(1/(1-z1))+z2*z3", 3, 64)  # a 3-D grid: seeds 0 and 1 give other bytes
     config = _write(tmp_path, "sharp.json", sharp)
-    unseeded = _write(tmp_path, "rescale.json", rescale)
-    seeded = _write(tmp_path, "seeded.json", {**rescale, "seed": 1})
+    rescale = _write(tmp_path, "rescale.json", _rescale_config())
     scan = _write(tmp_path, "scan.json", _scan_config(DISC))
 
     def files(out):
         return {path.name: path.read_bytes() for path in (tmp_path / out).iterdir()}
 
-    assert main(["rescale", "--config", unseeded, "--out", str(tmp_path / "a"), "--seed", "1", "--format", "csv"]) == 0
+    assert main(["rescale", "--config", rescale, "--out", str(tmp_path / "a"), "--format", "csv"]) == 0
     assert main(["marty-scan", "--config", scan, "--out", str(tmp_path / "b")]) == 0
     assert main(["check-config", "--config", config]) == 0
     assert main(["sharp", "--config", config, "--out", str(tmp_path / "s")]) == 0
-    assert main(["rescale", "--config", unseeded, "--out", str(tmp_path / "c")]) == 0
-    assert main(["rescale", "--config", seeded, "--out", str(tmp_path / "d")]) == 0
+    assert main(["rescale", "--config", rescale, "--out", str(tmp_path / "c")]) == 0
     assert sorted(files("b")) == ["marty_scan.json", "marty_trend.csv"]
     assert sorted(files("s")) == ["sharp.csv", "sharp.json"]
-    assert files("a") == {"rescale_run.csv": files("d")["rescale_run.csv"]}
-    assert files("c") != files("d")  # the --seed 1 of the first call did not stick
+    assert sorted(files("c")) == ["rescale.json", "rescale_run.csv"]  # the --format csv of the first call did not stick
+    assert files("a") == {"rescale_run.csv": files("c")["rescale_run.csv"]}
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["sharp", "--config", config, "--bogus"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    for extra in (["--bogus"], ["--seed", "1"]):  # a run is its config file: no option replaces a seed
+        with pytest.raises(SystemExit) as exc:
+            main(["sharp", "--config", config, *extra])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------
@@ -773,23 +771,24 @@ def _records(n, *rows):
     return np.array(list(rows), sample_dtype(n)).view(np.recarray)
 
 
-def _bench_shaped_scan():
-    # a real scan at the benchmark's shape: 8 dyadic shells x 32 points x 4
-    # directions in 2-D, 1,024 rows, each point repeated across its directions
-    plan = SamplingPlan(tuple(2.0**-k for k in range(1, 9)), points_per_shell=32, directions_per_point=4, seed=7)
-    return normality_scan(parse("exp(z1*z2) + 1/(2 - z1)", 2), Ball((0j, 0j), 1.0), plan).samples
-
-
 # each example holds floats that are equal as values but differ in bits, or
 # differ in bits by one ulp: printing each distinct float once must keep them apart
 @example(_records(2, ((complex(-0.0, 0.0), complex(0.0, -0.0)), (0j, complex(-0.0, 1.0)), 0.0, -0.0, 1.0, -0.0, 0.0)))
 @example(_records(1, ((complex(5e-324, -5e-324),), (1 + 0j,), -5e-324, 5e-324, 1.0, 5e-324, -5e-324)))
 @example(_records(1, ((complex(0.1, _NEXT),), (complex(_NEXT, 0.1),), 0.1, _NEXT, 1e16, 1.0000000000000002e16, 0.1)))
-@example(_bench_shaped_scan())
 @given(
     _scan_samples(_EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)) | _scan_shaped_samples()
 )
 def test_samples_writer_matches_stdlib_json(samples):
+    assert '{\n  "samples": ' + "".join(_records_json(samples)) + "\n}" == _stdlib_samples(samples)
+
+
+# a real scan at the benchmark's shape: 8 dyadic shells x 32 points x 4
+# directions in 2-D, 1,024 rows, each point repeated across its directions.
+# A plain test, so no Hypothesis deadline times its 80 ms or so.
+def test_samples_writer_matches_stdlib_json_at_the_bench_scan_shape():
+    plan = SamplingPlan(tuple(2.0**-k for k in range(1, 9)), points_per_shell=32, directions_per_point=4, seed=7)
+    samples = normality_scan(parse("exp(z1*z2) + 1/(2 - z1)", 2), Ball((0j, 0j), 1.0), plan).samples
     assert '{\n  "samples": ' + "".join(_records_json(samples)) + "\n}" == _stdlib_samples(samples)
 
 
@@ -1015,7 +1014,7 @@ def test_csv_writer_matches_stdlib_csv(header, rows):
 
 
 # --------------------------------------------------------------------------
-# The --seed override
+# Seeds: every config takes one, and only a scan reads its own
 # --------------------------------------------------------------------------
 
 _COUNTEREXAMPLE = {"command": "counterexample", "n_max": 10, "R": 1.0}
@@ -1029,27 +1028,24 @@ _SMALL_CONFIGS = {
 }
 
 
-# The override was once applied after schema validation: a 3-D sharp run
-# ended in a numpy traceback (exit 1), the other runs exited 0.  It now goes
-# into the config before validation, so the schema names the key it replaced.
+def _seeded(config, seed):
+    """The config with its seed set: a scan's is its plan's."""
+    if config["command"] == "marty-scan":
+        return {**config, "plan": {**config["plan"], "seed": seed}}
+    return {**config, "seed": seed}
+
+
+# the schema refuses a negative seed under every command, check-config
+# included, and names its key: one that reached a 3-D sharp run ended in a
+# numpy traceback (exit 1)
 @pytest.mark.parametrize("command", sorted(_SMALL_CONFIGS))
-def test_negative_seed_override_is_config_error(tmp_path, capsys, command):
-    code, out = _run(tmp_path, command, _SMALL_CONFIGS[command], extra=("--seed", "-1"))
+def test_negative_seed_is_config_error(tmp_path, capsys, command):
+    code, out = _run(tmp_path, command, _seeded(_SMALL_CONFIGS[command], -1))
     err = capsys.readouterr().err
     key = "$.plan.seed" if command == "marty-scan" else "$.seed"
     assert code == 2
     assert err == f"config error: config schema violation: {key}: -1 is less than the minimum of 0\n"
     assert "Traceback" not in err and not out.exists()
-
-
-# a plan that is not an object cannot take the override: the seed goes to the
-# top level, and the schema names the plan first
-def test_seed_override_with_a_non_object_plan_names_the_plan(tmp_path, capsys):
-    config = {**_scan_config(DISC), "plan": [0.5]}
-    code, out = _run(tmp_path, "marty-scan", config, extra=("--seed", "5"))
-    err = capsys.readouterr().err
-    assert code == 2 and not out.exists()
-    assert err == "config error: config schema violation: $.plan: [0.5] is not of type 'object'\n"
 
 
 # the grid's ring radii overflowed: three RuntimeWarnings (an exception under
@@ -1077,32 +1073,36 @@ def _zalcman_config(function, n, grid_size):
     }
 
 
-# A rescaling run reads its seed only through its grid: each ring of
-# sampling.ball_grid takes the 2n signed axes first and fills the rest from
-# sampling.sphere_directions, which reads the seed only for n >= 3.  Whether
-# two given seeds move a report depends on where the grid's supremum falls
-# (often on the seed-free axes), so each config runs seeds 0-7 and the test
-# names the files whose bytes vary among them.  A sharp run reads no seed:
-# its oracle is the top eigenvalue of the fd Hessian, not a direction set.
+# Only a scan reads its seed, `plan.seed`: its rays past the 2n signed axes
+# and its directions come from sampling.sphere_directions, which reads the
+# seed for n = 1 and n >= 3, and not for n = 2 (a Hopf lattice).  Every other
+# command accepts a seed and reads none: a rescaling grid's rings fill from
+# the seed-0 set in every dimension, and a sharp run's oracle is the top
+# eigenvalue of the fd Hessian, not a direction set.  Each config runs seeds
+# 0-7 and the test names the files whose bytes vary among them.
 _SHARP_3D = {"command": "sharp", "function": "exp(z1)*z2^2+z3", "dimension": 3,
              "points": [[[0.1, 0.2], [0.3, -0.1], [-0.2, 0.4]], [[0.25, 0.0], [0.0, -0.3], [0.1, 0.1]]]}
+_THM2_3D = _zalcman_config("z1+z2*z3", 3, 64)
+_THM2_3D.update(command="thm2", sequence={**_THM2_3D["sequence"], "c_p": 0.5, "c_r": 0.3, "b": 2.0})
 
 
 @pytest.mark.parametrize(
     "config,moved",
     [
+        (_scan("sin(1/(1-z1))", 1), {"marty_scan.json", "marty_trend.csv"}),
+        (_scan("z1*z2-1e16*z2", 2), set()),
+        (_scan("z1+z2*z3^2", 3), {"marty_scan.json", "marty_trend.csv"}),
         (_COUNTEREXAMPLE, set()),
         (_zalcman_config("sin(1/(1-z1))+z2^2", 2, 64), set()),
-        (_zalcman_config("sin(1/(1-z1))+z2*z3", 3, 16), set()),  # 4 points a ring: the axes alone
-        (_zalcman_config("sin(1/(1-z1))+z2*z3", 3, 64), {"rescale_run.csv", "rescale.json"}),
+        (_zalcman_config("sin(1/(1-z1))+z2*z3", 3, 64), set()),  # rings of 8: two points past the 6 axes
+        (_THM2_3D, set()),
         (_SHARP_3D, set()),
     ],
-    ids=["counterexample", "rescale-2d", "rescale-3d-axes-only", "rescale-3d", "sharp-3d"],
+    ids=["scan-1d", "scan-2d", "scan-3d", "counterexample", "rescale-2d", "rescale-3d", "thm2-3d", "sharp-3d"],
 )
-def test_seed_moves_only_grids_filled_in_three_or_more_dimensions(tmp_path, config, moved):
-    seeds = [str(seed) for seed in range(8)]
-    runs = [_run(tmp_path, config["command"], config, outdir=seed, extra=("--seed", seed)) for seed in seeds]
-    assert [code for code, _ in runs] == [0] * len(seeds)
+def test_only_a_scan_reads_its_seed(tmp_path, config, moved):
+    runs = [_run(tmp_path, config["command"], _seeded(config, seed), outdir=str(seed)) for seed in range(8)]
+    assert [code for code, _ in runs] == [0] * len(runs)
     files = [{path.name: path.read_bytes() for path in out.iterdir()} for _, out in runs]
     assert all(run.keys() == files[0].keys() for run in files)
     assert {name for name in files[0] if len({run[name] for run in files}) > 1} == moved

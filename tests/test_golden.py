@@ -43,7 +43,7 @@ def test_regen_names_the_cases_and_files_that_moved():
     manifest = json.loads(regen.MANIFEST.read_text())
     assert regen.moved(manifest, manifest) == {}
     changed = copy.deepcopy(manifest)
-    changed["cases"]["sharp-3d-seed"]["code"] = 3
-    changed["cases"]["sharp-3d-seed"]["files"]["sharp.csv"] = "0" * 64
+    changed["cases"]["sharp-3d"]["code"] = 3
+    changed["cases"]["sharp-3d"]["files"]["sharp.csv"] = "0" * 64
     del changed["cases"]["pole"]
-    assert regen.moved(manifest, changed) == {"pole": ["case removed"], "sharp-3d-seed": ["code", "sharp.csv"]}
+    assert regen.moved(manifest, changed) == {"pole": ["case removed"], "sharp-3d": ["code", "sharp.csv"]}

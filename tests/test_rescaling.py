@@ -444,11 +444,11 @@ def test_convergence_excludes_index_with_a_grid_pole():
     assert report.indices == (3, 4, 5, 6)
 
 
-def _reference_report(run, radius, grid_size, tol, seed=0):
+def _reference_report(run, radius, grid_size, tol):
     """convergence_report as the former per-index loop: (indices, excluded,
     osc, gaps, verdict), osc and gaps as the bytes of float arrays, or None
     when no index is usable."""
-    grid = ball_grid(run.f.dimension, radius, grid_size, seed)
+    grid = ball_grid(run.f.dimension, radius, grid_size)
     usable, values, excluded = [], [], []
     for entry in run.entries:
         batch = evaluate_batch(run.f, np.asarray(entry.z_j) + entry.rho_j * grid, gradient=False)
@@ -705,12 +705,12 @@ def test_remark_evaluates_each_chunk_once(monkeypatch, n_max, grid_size):
     assert len(calls) == math.ceil(n_max / per_chunk)
 
 
-def _two_pass_counterexample(n_max, radius, grid_size, seed):
+def _two_pass_counterexample(n_max, radius, grid_size):
     """remark_counterexample as two grid passes: a chunked sup |g_n - 1| pass,
     then convergence_report, which evaluates every g_n again."""
     spec = SequenceSpec((1 + 0j,), (-1 + 0j,), 1.0, 3.0, ExplicitScale(1.0, 2.0), 1, n_max)
     run = rescaling_run(parse("z1", 1), UNIT_DISC, spec)
-    grid = ball_grid(1, radius, grid_size, seed)
+    grid = ball_grid(1, radius, grid_size)
     per_chunk = max(1, 4096 // len(grid))
     sup_dev = []
     for start in range(0, n_max, per_chunk):
@@ -719,7 +719,7 @@ def _two_pass_counterexample(n_max, radius, grid_size, seed):
         batch = evaluate_batch(run.f, points.reshape(-1, 1), gradient=False)
         sup_dev += np.max(np.abs(batch.check().value.reshape(-1, len(grid)) - 1.0), axis=1).tolist()
     bounds = [float(n) ** -3 + float(n) ** -2 * radius for n in spec.indices]
-    conv = convergence_report(run, radius, grid_size, 1e-3, seed)
+    conv = convergence_report(run, radius, grid_size, 1e-3)
     return tuple(spec.indices), tuple(sup_dev), tuple(bounds), conv, run.hypothesis_flags
 
 
@@ -728,11 +728,10 @@ def _two_pass_counterexample(n_max, radius, grid_size, seed):
     n_max=st.integers(3, 150),
     radius=st.floats(0.01, 10.0),
     grid_size=st.integers(2, 5000),
-    seed=st.integers(0, 2**32 - 1),
 )
-def test_remark_single_pass_matches_two_passes(n_max, radius, grid_size, seed):
+def test_remark_single_pass_matches_two_passes(n_max, radius, grid_size):
     report = remark_counterexample(n_max, radius, grid_size)
-    indices, sup_dev, bounds, conv, flags = _two_pass_counterexample(n_max, radius, grid_size, seed)
+    indices, sup_dev, bounds, conv, flags = _two_pass_counterexample(n_max, radius, grid_size)
     assert (report.indices, report.sup_dev, report.bounds) == (indices, sup_dev, bounds)
     # the ratio n grows past 0.1: the run breaks the hypothesis r_n/delta_n -> 0 on purpose
     assert flags == ("ratio-not-decreasing", "final-ratio-not-small")

@@ -70,11 +70,12 @@ def test_cli_import_leaves_jsonschema_out():
 
 
 def test_directions_reject_what_is_not_a_seed():
-    with pytest.raises(ValueError, match="seed must be non-negative"):
-        sphere_directions(3, 8, -1)  # random.Random would read it as 1
-    for seed in (None, 1.0):  # None would otherwise draw OS entropy
-        with pytest.raises(TypeError):
-            sphere_directions(3, 8, seed)
+    for n in (1, 2, 3):  # n = 2 reads no seed (a Hopf lattice), and rejects a bad one all the same
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            sphere_directions(n, 4, -1)  # random.Random would read it as 1
+        for seed in (None, 1.0, 1.5):  # None would otherwise draw OS entropy
+            with pytest.raises(TypeError):
+                sphere_directions(n, 4, seed)
 
 
 def test_directions_take_any_non_negative_integer_seed():
@@ -154,7 +155,7 @@ def _reference_scan_rays(n, count, seed):
     return np.asarray(rays[:count])
 
 
-def _reference_ball_grid(n, radius, grid_size, seed):
+def _reference_ball_grid(n, radius, grid_size):
     """ball_grid as a plain loop, one ring and one point at a time."""
     n_rings = max(2, int(round(math.sqrt(grid_size))))
     per_ring = max(4, 2 * n, -(-grid_size // n_rings))
@@ -168,7 +169,7 @@ def _reference_ball_grid(n, radius, grid_size, seed):
             angles = 2.0 * math.pi * (np.arange(per_ring) + offset) / per_ring
             points.extend((r * np.exp(1j * a)).reshape(1) for a in angles)
     else:
-        dirs = _reference_scan_rays(n, per_ring, seed)
+        dirs = _reference_scan_rays(n, per_ring, 0)
         for k in range(1, n_rings + 1):
             r = radius * k / n_rings
             points.extend(r * d for d in dirs)
@@ -207,16 +208,11 @@ def test_ball_grid_reaches_every_signed_axis(n, radius, grid_size):
 # the broadcast and the loop must round alike: numpy's array ops can differ
 # from its scalar ones in the last bit (see rescaling._power_law)
 @settings(max_examples=150, deadline=None)
-@example(n=1, radius=1e-3, grid_size=2, seed=0)
-@example(n=2, radius=1e3, grid_size=1024, seed=0)
-@example(n=3, radius=1.0, grid_size=1024, seed=2**32 - 1)
-@given(
-    n=st.integers(1, 3),
-    radius=st.floats(1e-3, 1e3),
-    grid_size=st.integers(2, 1024),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_ball_grid_matches_the_loop_bit_for_bit(n, radius, grid_size, seed):
-    got, expected = ball_grid(n, radius, grid_size, seed), _reference_ball_grid(n, radius, grid_size, seed)
+@example(n=1, radius=1e-3, grid_size=2)
+@example(n=2, radius=1e3, grid_size=1024)
+@example(n=3, radius=1.0, grid_size=1024)
+@given(n=st.integers(1, 3), radius=st.floats(1e-3, 1e3), grid_size=st.integers(2, 1024))
+def test_ball_grid_matches_the_loop_bit_for_bit(n, radius, grid_size):
+    got, expected = ball_grid(n, radius, grid_size), _reference_ball_grid(n, radius, grid_size)
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
