@@ -1094,11 +1094,13 @@ _THM2_3D.update(command="thm2", sequence={**_THM2_3D["sequence"], "c_p": 0.5, "c
         (_scan("z1+z2*z3^2", 3), {"marty_scan.json", "marty_trend.csv"}),
         (_COUNTEREXAMPLE, set()),
         (_zalcman_config("sin(1/(1-z1))+z2^2", 2, 64), set()),
+        (_zalcman_config("sin(1/(1-z1))+z2*z3", 3, 16), set()),  # 4 points a ring: the axes alone
         (_zalcman_config("sin(1/(1-z1))+z2*z3", 3, 64), set()),  # rings of 8: two points past the 6 axes
         (_THM2_3D, set()),
         (_SHARP_3D, set()),
     ],
-    ids=["scan-1d", "scan-2d", "scan-3d", "counterexample", "rescale-2d", "rescale-3d", "thm2-3d", "sharp-3d"],
+    ids=["scan-1d", "scan-2d", "scan-3d", "counterexample", "rescale-2d", "rescale-3d-axes-only", "rescale-3d",
+         "thm2-3d", "sharp-3d"],
 )
 def test_only_a_scan_reads_its_seed(tmp_path, config, moved):
     runs = [_run(tmp_path, config["command"], _seeded(config, seed), outdir=str(seed)) for seed in range(8)]
