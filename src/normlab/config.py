@@ -12,8 +12,8 @@ and ``oneOf``.  It follows JSON Schema's type rules, not Python's: a bool is
 neither an integer nor a number, and an integer-valued float such as ``2.0``
 is an integer.  A violation is reported as ``config schema violation: <json
 path>: <reason>``, e.g. ``$.grid_size: 1 is less than the minimum of 2``.
-A property is optional exactly when it has a ``default``, an annotation
-that the walker ignores, as JSON Schema does, and `validate_config` applies.
+The walk fills in each absent property's ``default`` (one is optional exactly
+when it has one) and types each number by its schema, in the domain and arrays too.
 """
 
 from __future__ import annotations
@@ -172,6 +172,7 @@ _TYPES = {
     "number": _is_number,
     "integer": lambda value: _is_number(value) and (isinstance(value, int) or value.is_integer()),
 }
+_CASTS = {"integer": int, "number": float}  # the plain type of a value, by its schema type
 
 # keyword, test that fails the number against the bound, and the reason
 _BOUNDS = (
@@ -203,13 +204,16 @@ def _passes_at_once(items: list, schema: dict) -> bool:
     )
 
 
-def _violations(value: Any, schema: dict, path: str, out: list[tuple[str, str]]) -> None:
-    """Append (json path, reason) for each way `value` breaks `schema`.  As in
+def _walk(value: Any, schema: dict, path: str, out: list[tuple[str, str]]) -> Any:
+    """Append (json path, reason) for each way `value` breaks `schema`, and
+    return `value` typed, of use only if nothing was appended, leaving `value`
+    as it is: each absent property's default filled in and each number an int
+    or a float by its type, in arrays and a oneOf's matched branch too.  As in
     JSON Schema, a keyword constrains only values of its own type."""
     kind = schema.get("type")
     if kind is not None and not _TYPES[kind](value):
         out.append((path, f"{value!r} is not of type {kind!r}"))
-        return
+        return value
     if "const" in schema and value != schema["const"]:  # every const in SCHEMAS is a string
         out.append((path, f"{schema['const']!r} was expected"))
     if _is_number(value):
@@ -226,49 +230,37 @@ def _violations(value: Any, schema: dict, path: str, out: list[tuple[str, str]])
             out.append((path, f"{value!r} is shorter than the minimum length of {schema['minItems']}"))
         if len(value) > schema.get("maxItems", math.inf):
             out.append((path, f"{value!r} is longer than the maximum length of {schema['maxItems']}"))
-        if "items" in schema and not _passes_at_once(value, schema["items"]):
-            for k, item in enumerate(value):
-                _violations(item, schema["items"], f"{path}[{k}]", out)
+        items = schema.get("items", {})
+        if not _passes_at_once(value, items):
+            value = [_walk(item, items, f"{path}[{k}]", out) for k, item in enumerate(value)]
+        elif items.get("type") in _CASTS:
+            value = list(map(_CASTS[items["type"]], value))
     elif isinstance(value, dict):
         properties = schema.get("properties", {})
+        typed = {}
         for key, subschema in properties.items():
             if key in value:
-                _violations(value[key], subschema, f"{path}.{key}", out)
-        out += [
-            (path, f"{key!r} is a required property")
-            for key in schema.get("required", ())
-            if key not in value
-        ]
+                typed[key] = _walk(value[key], subschema, f"{path}.{key}", out)
+            elif "default" in subschema:
+                typed[key] = subschema["default"]
+        out += [(path, f"{key!r} is a required property") for key in schema.get("required", ()) if key not in value]
         unexpected = [key for key in value if key not in properties]
         if unexpected and schema.get("additionalProperties") is False:
             out.append((path, f"unknown key(s) {', '.join(map(repr, unexpected))}"))
+        value = {**value, **typed}
     if "oneOf" in schema:
         # every oneOf in SCHEMAS has exclusive branches (a test checks it): one match is valid
-        branches = []
-        for branch in schema["oneOf"]:
-            branches.append([])
-            _violations(value, branch, path, branches[-1])
+        branches = [[] for _ in schema["oneOf"]]
+        typed = [_walk(value, branch, path, errors) for branch, errors in zip(schema["oneOf"], branches)]
         fewest, second = sorted(map(len, branches))[:2]
         if fewest and fewest < second:
             # the branch of the value's own kind fails the fewest keywords
             out += min(branches, key=len)
         elif fewest:
             out.append((path, f"{value!r} is not valid under any of the given schemas"))
-
-
-_CASTS = {"integer": int, "number": float}
-
-
-def _typed(value: dict[str, Any], schema: dict) -> None:
-    """After a passing walk: fill in absent properties' defaults, make integer and number
-    properties ints and floats, and recurse into objects, but not arrays or oneOf."""
-    for key, subschema in schema["properties"].items():
-        if key not in value:  # a passing walk leaves only keys with a default absent
-            value[key] = subschema["default"]
-        elif subschema.get("type") in _CASTS:
-            value[key] = _CASTS[subschema["type"]](value[key])
-        elif "properties" in subschema:
-            _typed(value[key], subschema)
+        else:
+            value = typed[branches.index([])]
+    return _CASTS[kind](value) if kind in _CASTS else value
 
 
 def _coordinate_lists(config: dict[str, Any]) -> list[tuple[str, list]]:
@@ -298,16 +290,17 @@ def validate_config(config: dict[str, Any]) -> str:
     stencil rows (points x (4 n^2 + 1), held at once) and a sequence's
     j_start not past its j_end, check every point, center, radii, anchor and
     inward list against the dimension, and parse the config's function, if
-    any; returns the command.  The config gets its defaults and plain types
-    in place (`_typed`): 2.0 becomes 2, say."""
+    any; returns the command.  The one walk of the schema also gives the
+    config, in place, its defaults and plain types, in the domain and number
+    arrays too: an integer 2.0 becomes 2, and a number 1 becomes 1.0."""
     command = config.get("command")
     if not isinstance(command, str) or command not in SCHEMAS:
         raise ConfigError(f"config must carry a 'command' key, one of {sorted(SCHEMAS)}")
     errors: list[tuple[str, str]] = []
-    _violations(config, SCHEMAS[command], "$", errors)
+    typed = _walk(config, SCHEMAS[command], "$", errors)
     if errors:
         raise ConfigError("config schema violation: {}: {}".format(*errors[0]))
-    _typed(config, SCHEMAS[command])
+    config.update(typed)
     plan = config.get("plan")
     if plan is not None:
         shells, points, directions = len(plan["shells"]), plan["points_per_shell"], plan["directions_per_point"]
@@ -350,13 +343,13 @@ def parse_point(raw: list[list[float]]) -> CPoint:
 def parse_domain(raw: dict[str, Any]) -> Domain:
     center = parse_point(raw["center"])
     if raw["type"] == "ball":
-        return Ball(center, float(raw["radius"]))
-    return Polydisc(center, tuple(float(r) for r in raw["radii"]))
+        return Ball(center, raw["radius"])
+    return Polydisc(center, tuple(raw["radii"]))
 
 
 def parse_plan(raw: dict[str, Any]) -> SamplingPlan:
     """A validated plan, whose keys are the fields of SamplingPlan."""
-    return SamplingPlan(**{**raw, "shells": tuple(float(t) for t in raw["shells"])})
+    return SamplingPlan(**{**raw, "shells": tuple(raw["shells"])})
 
 
 def parse_sequence(raw: dict[str, Any]) -> SequenceSpec:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import domains
 from .domains import Ball, Domain
-from .errors import DomainError, NormlabError
+from .errors import DomainError, EvaluationError, NormlabError
 from .expr import Batch, CPoint, HoloExpr, affine_pullback, evaluate_batch, parse
 from .metrics import sharp_batch
 from .sampling import ball_grid
@@ -180,7 +180,8 @@ def convergence_report(run: RescalingRun, radius: float, grid_size: int, tol: fl
     g_j(zeta) = f(z_j + rho_j*zeta) is evaluated on the grid in chunks of
     consecutive indices (`_grid_chunks`); an index with any failing grid
     point is excluded.  Oscillations and Cauchy gaps are reduced chunk by
-    chunk, the last usable row carried into the next chunk's first gap.
+    chunk, the last usable row carried into the next chunk's first gap; one
+    past the float range, of finite values, is an EvaluationError.
     Verdict thresholds: constant-limit if the final oscillation and final
     Cauchy gap are both <= tol; nonconstant-limit if the final gap is <= tol
     but the final oscillation exceeds 10*tol; otherwise no-convergence.
@@ -200,13 +201,18 @@ def _converge(run, radius, grid, tol, chunks: Iterable[Batch]) -> ConvergenceRep
         ok = ~batch.status.reshape(values.shape).any(axis=1)
         usable.append(ok)
         rows = values[ok]
-        osc.append(np.max(np.abs(rows - rows[:, :1]), axis=1))  # grid[0] is zeta = 0
         chain = np.concatenate([previous, rows])
-        gaps.append(np.max(np.abs(chain[1:] - chain[:-1]), axis=1))
+        with np.errstate(over="ignore"):  # finite values can differ by more than the float range
+            osc.append(np.max(np.abs(rows - rows[:, :1]), axis=1))  # grid[0] is zeta = 0
+            gaps.append(np.max(np.abs(chain[1:] - chain[:-1]), axis=1))
         previous = chain[-1:]
     ok, osc, gaps = np.concatenate(usable), np.concatenate(osc), np.concatenate(gaps)
     if not len(osc):
         raise NormlabError("no index in the run is evaluable on the grid")
+    indices = run.entries.j[ok]
+    for k in np.flatnonzero(~np.isfinite(np.maximum(osc, np.append(0.0, gaps))))[:1]:  # g_j's gap is gaps[k - 1]
+        name = "osc" if math.isinf(osc[k]) else "cauchy_gap"
+        raise EvaluationError(f"{name}_{indices[k]} of g_{indices[k]} on the grid overflows")
     final_gap = gaps[-1] if len(gaps) else math.inf
     if final_gap <= tol and osc[-1] <= tol:
         verdict = "constant-limit"
@@ -220,7 +226,7 @@ def _converge(run, radius, grid, tol, chunks: Iterable[Batch]) -> ConvergenceRep
     return ConvergenceReport(
         radius=radius,
         grid=grid,
-        indices=tuple(run.entries.j[ok].tolist()),
+        indices=tuple(indices.tolist()),
         osc=osc,
         cauchy_gaps=gaps,
         limit_proxy=affine_pullback(run.f, last.z_j, last.rho_j),

@@ -61,6 +61,8 @@ CASES = {
     "schema-violation": ["sharp", "schema-violation.json"],
     "pole": ["sharp", "pole.json"],
     "thm2-ratio-overflow": ["thm2", "thm2-ratio-overflow.json"],
+    # finite values of g_1 and g_2 whose difference passes the float range
+    "thm2-gap-overflow": ["thm2", "thm2-gap-overflow.json"],
     # the five known-defect inputs of perfbench/gen.py, rebuilt here
     "nan-point": ["sharp", "nan-point.json"],
     "infinite-radius": ["marty-scan", "infinite-radius.json"],

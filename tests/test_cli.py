@@ -1059,6 +1059,60 @@ def test_grid_radius_past_the_float_range_is_one_evaluation_error(tmp_path, caps
     )
 
 
+# g_1 and g_2 of 1.7e308*cos(...) are finite on the grid, but they differ by
+# more than the largest float: json refused the report's inf gap, and main
+# ended in that ValueError's traceback (exit 1)
+def test_cauchy_gap_past_the_float_range_is_one_evaluation_error(tmp_path, capsys):
+    config = {
+        **_rescaling_config("thm2", c_p=0.9, c_r=0.02, b=1.0, j_start=1, j_end=3),
+        "function": "1.7e308*cos(6.981317007977318*(z1-0.1))",
+        "R": 1.0,
+        "grid_size": 16,
+    }
+    code, out = _run(tmp_path, "thm2", config, outdir="e/out")
+    assert code == 3 and not (tmp_path / "e").exists()
+    assert capsys.readouterr().err == "evaluation error: cauchy_gap_2 of g_2 on the grid overflows\n"
+
+
+_INTEGER_KEYS = {"dimension", "points_per_shell", "directions_per_point", "seed", "j_start", "j_end", "grid_size"}
+
+
+def _spelled(value, cast, key=None):
+    """`value` with each integral number of a key that the schema types as a
+    number, not an integer, written through `cast`: as an int or a float."""
+    if isinstance(value, dict):
+        return {k: _spelled(item, cast, k) for k, item in value.items()}
+    if isinstance(value, list):
+        return [_spelled(item, cast, key) for item in value]
+    if type(value) in (int, float) and key not in _INTEGER_KEYS and float(value).is_integer():
+        return cast(value)
+    return value
+
+
+# The walk of the schema types every number the runs read, in the domain and
+# in number arrays too: `"radius": 1` runs exactly as `"radius": 1.0` does.
+@pytest.mark.parametrize(
+    "config",
+    [
+        _scan_config({"type": "ball", "center": [[0, 0]], "radius": 1}) | {
+            "plan": {"shells": [1, 0.5], "points_per_shell": 4, "directions_per_point": 2}},
+        _scan_config({"type": "polydisc", "center": [[0, 0], [0, 0]], "radii": [1, 2]}) | {
+            "function": "z1*z2", "dimension": 2, "plan": {"shells": [1], "points_per_shell": 4, "directions_per_point": 2}},
+        _rescaling_config("thm2", c_p=1, c_r=1) | {"R": 1, "tol": 1, "grid_size": 8},
+    ],
+    ids=["scan-ball", "scan-polydisc", "thm2"],
+)
+def test_integral_numbers_run_alike_as_ints_and_floats(tmp_path, config):
+    texts, runs = [], []
+    for cast in (int, float):
+        written = _spelled(config, cast)
+        code, out = _run(tmp_path, config["command"], written, outdir=cast.__name__)
+        texts.append(json.dumps(written))
+        runs.append((code, {path.name: path.read_bytes() for path in out.iterdir()}))
+    assert texts[0] != texts[1]  # the two spellings differ
+    assert runs[0] == runs[1] and runs[0][1]
+
+
 def _zalcman_config(function, n, grid_size):
     rest = [[0.0, 0.0]] * (n - 1)
     return {

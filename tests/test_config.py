@@ -234,6 +234,9 @@ def test_valid_configs_pass(config):
         # a pair of numbers passes in one check; a pair with anything else is walked item by item
         ({"sequence": {**_SEQUENCE, "anchor": [[1.0, 0.0], [0.0, True]]}},
          "$.sequence.anchor[1][1]: True is not of type 'number'"),
+        # a message shows the value as written, not as the walk types it
+        ({"domain": {"type": "cube", "center": [[0, 0]], "radius": 1, "radii": [1]}},
+         "$.domain: {'type': 'cube', 'center': [[0, 0]], 'radius': 1, 'radii': [1]} is not valid under any"),
     ],
 )
 def test_violation_names_its_json_path(change, message):
@@ -372,13 +375,13 @@ def test_point_lists_are_checked_in_one_pass(monkeypatch):
     # a list of [re, im] pairs of numbers is checked in one pass, not by one
     # walk per coordinate; a list with any other item is walked item by item
     calls = []
-    walk = config_module._violations
+    walk = config_module._walk
 
     def counted(value, schema, path, out):
         calls.append(path)
-        walk(value, schema, path, out)
+        return walk(value, schema, path, out)
 
-    monkeypatch.setattr(config_module, "_violations", counted)
+    monkeypatch.setattr(config_module, "_walk", counted)
     points = [[[0.1 * k, -0.2], [0.0, 1], [2.5, 0.0]] for k in range(16)]
     sharp = {**copy.deepcopy(_SHARP), "dimension": 3, "points": points}
     validate_config(sharp)
@@ -395,13 +398,13 @@ def test_bounded_number_lists_are_checked_in_one_pass(monkeypatch):
     # not by one walk per item (2^20 shells took 1.9 s); a list that breaks
     # them is walked item by item, which names the item
     calls = []
-    walk = config_module._violations
+    walk = config_module._walk
 
     def counted(value, schema, path, out):
         calls.append(path)
-        walk(value, schema, path, out)
+        return walk(value, schema, path, out)
 
-    monkeypatch.setattr(config_module, "_violations", counted)
+    monkeypatch.setattr(config_module, "_walk", counted)
     scan = copy.deepcopy(_VALID[2])  # the polydisc scan
     scan["plan"]["shells"] = [2.0**-k for k in range(64)] + [1]
     validate_config(copy.deepcopy(scan))
@@ -461,8 +464,13 @@ def test_validation_fills_defaults_and_types_scalars():
     validate_config(config)
     assert config["plan"] == {"shells": [1], "points_per_shell": 2, "directions_per_point": 3, "seed": 0}
     assert type(config["dimension"]) is type(config["plan"]["points_per_shell"]) is int
-    # the domain's branches are not walked: parse_domain converts what it reads
-    assert config["domain"]["radius"] == 1 and type(config["domain"]["radius"]) is int
+    # number arrays and the matched branch of the domain are typed too
+    assert type(config["plan"]["shells"][0]) is type(config["domain"]["radius"]) is float
+    polydisc = {**copy.deepcopy(config), "dimension": 2,
+                "domain": {"type": "polydisc", "center": [[0, 0], [0, 0]], "radii": [1, 2]}}
+    polydisc["plan"]["points_per_shell"] = 4
+    validate_config(polydisc)
+    assert polydisc["domain"]["radii"] == [1.0, 2.0] and set(map(type, polydisc["domain"]["radii"])) == {float}
     thm2 = {**copy.deepcopy(_THM2), "R": 2}
     del thm2["grid_size"], thm2["tol"], thm2["seed"]
     validate_config(thm2)

@@ -760,6 +760,17 @@ def test_scan_nonnormal_function_divergent():
     assert maxima[-1] >= 10 * maxima[-3]
 
 
+# Every shell reuses the same rays from the center, and on the ball a
+# non-normal function blows up only along a complex-tangential approach to the
+# boundary: past about 2^-7 the ray nearest e_1 (0.091 rad off it) sees no
+# growth, and the deepest shells' maxima fall like the boundary distance.
+@pytest.mark.xfail(strict=True, reason="ray scans miss the tangential blow-up on the ball (ROADMAP item 14)")
+def test_deep_ball_scan_does_not_read_a_non_normal_function_as_bounded():
+    plan = SamplingPlan(shells=tuple(2.0**-k for k in range(1, 17)), points_per_shell=64, directions_per_point=2)
+    est = normality_scan(parse("sin(0.5821/(1-z1))*z2", 2), Ball((0j, 0j), 1.0), plan)
+    assert est.verdict != "bounded-consistent", est.c_required_lower_bound
+
+
 def test_scan_skips_non_finite_samples():
     # exp(10/(1-z1)) overflows near z1 = 1 and its Levi form passes the float
     # range before that; such samples are skipped and counted, never reported
