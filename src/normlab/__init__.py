@@ -37,14 +37,12 @@ from .metrics import (
 from .rescaling import (
     ConvergenceReport,
     ExplicitScale,
-    RemarkReport,
     RescalingRun,
     SequenceSpec,
     SharpProfile,
     ZalcmanScale,
     convergence_report,
     limit_sharp_check,
-    remark_counterexample,
     rescaling_run,
 )
 from .sampling import ball_grid, scan_rays, sphere_directions
@@ -67,7 +65,6 @@ __all__ = [
     "NormlabError",
     "PoleError",
     "Polydisc",
-    "RemarkReport",
     "RescalingRun",
     "SamplingPlan",
     "SequenceSpec",
@@ -84,7 +81,6 @@ __all__ = [
     "log1p_sq_field",
     "normality_scan",
     "parse",
-    "remark_counterexample",
     "rescaling_run",
     "scan_rays",
     "sharp_batch",

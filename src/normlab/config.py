@@ -165,6 +165,15 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+_DOUBLE_LIMIT = 2**1024 - 2**970  # the least int that float() rounds past the largest double
+
+
+def _is_double(value: Any) -> bool:
+    """Whether a value is a number that float() takes: a float, or an int
+    inside the range of a double (float() raises OverflowError past it)."""
+    return isinstance(value, float) or (_is_number(value) and abs(value) < _DOUBLE_LIMIT)
+
+
 _TYPES = {
     "object": lambda value: isinstance(value, dict),
     "array": lambda value: isinstance(value, list),
@@ -183,19 +192,20 @@ _BOUNDS = (
 
 
 def _is_pair(value: Any) -> bool:
-    return isinstance(value, list) and len(value) == 2 and _is_number(value[0]) and _is_number(value[1])
+    return isinstance(value, list) and len(value) == 2 and _is_double(value[0]) and _is_double(value[1])
 
 
 def _passes_at_once(items: list, schema: dict) -> bool:
     """Whether one pass shows that every item breaks nothing of `schema`:
-    pairs of plain numbers under _COMPLEX, and plain ints and floats within
-    the bounds of a number schema (shells, radii).  A list that fails this
-    is walked item by item, which names the violation."""
+    pairs of numbers under _COMPLEX, and numbers within the bounds of a
+    number schema (shells, radii), each number a float or an int inside the
+    range of a double.  A list that fails this is walked item by item, which
+    names the violation."""
     if schema is _COMPLEX:
         return all(map(_is_pair, items))
     return (
         schema.get("type") == "number"
-        and set(map(type, items)) <= {int, float}
+        and all(map(_is_double, items))
         and not any(
             any(map(fails, items, itertools.repeat(schema[keyword])))
             for keyword, fails, _ in _BOUNDS
@@ -209,7 +219,12 @@ def _walk(value: Any, schema: dict, path: str, out: list[tuple[str, str]]) -> An
     return `value` typed, of use only if nothing was appended, leaving `value`
     as it is: each absent property's default filled in and each number an int
     or a float by its type, in arrays and a oneOf's matched branch too.  As in
-    JSON Schema, a keyword constrains only values of its own type."""
+    JSON Schema, a keyword constrains only values of its own type.  An int
+    past the range of a double is refused under any schema, as `parse_int`
+    refuses its literal, since the runs take numbers through float()."""
+    if _is_number(value) and not _is_double(value):  # before any message prints it
+        out.append((path, f"integer of {value.bit_length()} bits overflows a double"))
+        return value
     kind = schema.get("type")
     if kind is not None and not _TYPES[kind](value):
         out.append((path, f"{value!r} is not of type {kind!r}"))

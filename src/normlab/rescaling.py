@@ -1,6 +1,13 @@
 """Rescaling sequences g_j(zeta) = f(z_j + rho_j * zeta): blow-up runs with
 the sharp-normalized scale, constant-limit verification under slow scales,
-and the linear counterexample showing the unrestricted converse fails."""
+and convergence detection on finite grids.
+
+The paper's Remark, the linear counterexample showing that the unrestricted
+converse fails, is one explicit run of `rescaling_run` and
+`convergence_report`: it reads constant-limit with both ratio flags raised
+(the `thm2` config of tests/golden/thm2-remark.json).  `RemarkReport` and
+`remark_counterexample` are not exported; they stay only to serve the
+`counterexample` command, which the benchmark still runs, and go with it."""
 
 from __future__ import annotations
 
@@ -265,6 +272,9 @@ def limit_sharp_check(report: ConvergenceReport, tol: float) -> SharpProfile:
 
 @dataclass(frozen=True)
 class RemarkReport:
+    """What the `counterexample` command prints, and kept only for it: the
+    Remark's run with its exact ratios and analytic bounds."""
+
     indices: tuple[int, ...]
     ratios: tuple[float, ...]  # rho_n / (1 - |z_n|), exact integer values
     sup_dev: tuple[float, ...]  # sup_{|zeta|<=R} |g_n(zeta) - 1|
@@ -283,6 +293,11 @@ def remark_counterexample(n_max: int, radius: float, grid_size: int = 64) -> Rem
     force the scale/distance ratio to vanish.  `ratios` holds these exact
     values; the run's own ratios carry the rounding of 1 - n^-3.  From
     n = 2^18 on, 1 - n^-3 rounds to 1, and the run raises DomainError.
+
+    Not exported, and kept only to serve the `counterexample` command while
+    the benchmark runs it.  Elsewhere the Remark is the explicit `thm2` run it
+    is: `rescaling_run` and `convergence_report` on the same spec read
+    constant-limit and flag ratio-not-decreasing and final-ratio-not-small.
     """
     if n_max < 3:
         raise ValueError("n_max must be at least 3")

@@ -6,13 +6,16 @@ and of stderr, and the name and SHA-256 of every file the run writes.
 `tests/test_golden.py` reruns the cases and compares them with the manifest,
 so a change that moves any output byte fails tier-1.  The manifest records the
 numpy version too: numpy's rounding feeds every number, so under another numpy
-the test fails rather than passing on different bytes.  So does numpy's x86-64
-dispatch group (`dispatch_group`): the SIMD loops numpy picks at import round
-`exp`, `log` and complex products differently from one group to the next.
+the test fails rather than passing on different bytes.  It holds one set of
+records per x86-64 dispatch group of numpy (`dispatch_group`), since the SIMD
+loops numpy picks at import round `exp`, `log` and complex products differently
+from one group to the next, and the test compares with the set of the group it
+runs under.  Each set is computed in a child process whose numpy is forced to
+that group (`FORCED`); a group the host cannot reach gets no set.
 
 Run this only when outputs are meant to change, and say in the change which
-files moved and why; it prints each case whose record changed, with what moved
-in it (the exit code, stdout, stderr or an output file by name):
+files moved and why; it prints each case whose record changed, by group, with
+what moved in it (the exit code, stdout, stderr or an output file by name):
 
     PYTHONPATH=src python tests/golden/regen.py
 """
@@ -23,6 +26,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -32,6 +38,15 @@ from normlab.cli import main
 
 HERE = Path(__file__).resolve().parent
 MANIFEST = HERE / "manifest.json"
+
+# numpy's x86-64 dispatch groups that a child process is forced to, each with
+# the features that NPY_DISABLE_CPU_FEATURES turns off there; numpy runs a host
+# without a group's features in a lower group
+FORCED = {
+    "X86_V4": "",
+    "X86_V3": "AVX512_SPR AVX512_ICL X86_V4",
+    "X86_V2": "AVX512_SPR AVX512_ICL X86_V4 X86_V3",
+}
 
 # case name -> subcommand, config file of this directory, extra arguments
 CASES = {
@@ -53,6 +68,9 @@ CASES = {
     "thm2-1d-ball": ["thm2", "thm2-1d-ball.json"],
     "thm2-2d-polydisc": ["thm2", "thm2-2d-polydisc.json", "--format", "csv"],
     "thm2-3d-ball": ["thm2", "thm2-3d-ball.json"],
+    # the paper's Remark: a constant limit while rho_j / delta_j = j diverges,
+    # so both ratio flags are raised (exit 4)
+    "thm2-remark": ["thm2", "thm2-remark.json"],
     "counterexample": ["counterexample", "counterexample.json"],
     "counterexample-csv": ["counterexample", "counterexample.json", "--format", "csv"],
     "check-config": ["check-config", "thm2-1d-ball.json"],
@@ -103,20 +121,33 @@ def run_case(case: list[str], out: Path) -> dict:
     }
 
 
-def manifest(work: Path) -> dict:
-    return {
-        "numpy": np.__version__,
-        "numpy_dispatch": dispatch_group(),
-        "cases": {name: run_case(case, work / name) for name, case in CASES.items()},
-    }
+def records(work: Path) -> dict:
+    """Every case's record, each case writing into its own folder of `work`."""
+    return {name: run_case(case, work / name) for name, case in CASES.items()}
+
+
+def group_records() -> dict[str, dict]:
+    """The records of every case under each dispatch group of `FORCED` that a
+    child process reaches, by the group numpy reports there.  A child imports
+    modules from this process's path, so it runs the same normlab."""
+    sets = {}
+    for disabled in FORCED.values():
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "NPY_DISABLE_CPU_FEATURES": disabled}
+        child = subprocess.run([sys.executable, __file__, "--records"], env=env, capture_output=True, text=True)
+        if child.returncode:
+            print(f"no records with {disabled!r} turned off: {child.stderr.strip()}")
+            continue
+        result = json.loads(child.stdout)
+        sets.setdefault(str(result["group"]), result["cases"])
+    return sets
 
 
 def moved(old: dict, new: dict) -> dict[str, list[str]]:
-    """Each case whose record differs between two manifests, with what moved
-    in it: the exit code, stdout, stderr and the output files by name."""
+    """Each case whose record differs between two sets of records, with what
+    moved in it: the exit code, stdout, stderr and the output files by name."""
     out = {}
-    for name in sorted(old["cases"].keys() | new["cases"].keys()):
-        before, after = old["cases"].get(name), new["cases"].get(name)
+    for name in sorted(old.keys() | new.keys()):
+        before, after = old.get(name), new.get(name)
         if before is None or after is None:
             out[name] = ["case added" if before is None else "case removed"]
             continue
@@ -129,14 +160,20 @@ def moved(old: dict, new: dict) -> dict[str, list[str]]:
 
 
 if __name__ == "__main__":
-    old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {"cases": {}}
-    with tempfile.TemporaryDirectory() as work:
-        new = manifest(Path(work))
+    if sys.argv[1:] == ["--records"]:  # a child of group_records, under its forced group
+        with tempfile.TemporaryDirectory() as work:
+            print(json.dumps({"group": dispatch_group(), "cases": records(Path(work))}))
+        sys.exit()
+    old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
+    new = {"numpy": np.__version__, "groups": group_records()}
     MANIFEST.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
     if old.get("numpy", np.__version__) != np.__version__:
         print(f"numpy {old['numpy']} -> {np.__version__}")
-    if old.get("numpy_dispatch", new["numpy_dispatch"]) != new["numpy_dispatch"]:
-        print(f"numpy dispatch group {old['numpy_dispatch']} -> {new['numpy_dispatch']}")
-    for name, parts in moved(old, new).items():
-        print(f"{name}: {', '.join(parts)}")
+    before, after = old.get("groups", {}), new["groups"]
+    for group in sorted(before.keys() | after.keys()):
+        if group not in before or group not in after:
+            print(f"{group}: set {'added' if group not in before else 'removed'}")
+            continue
+        for name, parts in moved(before[group], after[group]).items():
+            print(f"{group} {name}: {', '.join(parts)}")
     print(f"wrote {MANIFEST}")

@@ -22,7 +22,6 @@ from normlab import (
     limit_sharp_check,
     normality_scan,
     parse,
-    remark_counterexample,
     rescaling_run,
     sharp_batch,
     sharp_fd,
@@ -170,13 +169,29 @@ def test_criterion_4_thm2_desk_scale():
 
 
 def test_criterion_5_remark_counterexample():
-    report = remark_counterexample(50, 1.0)
-    ok = report.ratios == tuple(float(n) for n in range(1, 51))
-    for n, dev in zip(report.indices, report.sup_dev):
-        if dev > float(n) ** -3 + float(n) ** -2 + 1e-12:
+    # the paper's Remark as an explicit run: f(z) = z on the unit disc, with
+    # z_n = 1 - n^-3 and rho_n = n^-2, so g_n(zeta) = 1 - n^-3 + n^-2 zeta
+    f = parse("z1", 1)
+    spec = SequenceSpec(
+        anchor=(1 + 0j,),
+        inward=(-1 + 0j,),
+        c_p=1.0,
+        a=3.0,
+        scale=ExplicitScale(1.0, 2.0),
+        j_start=1,
+        j_end=50,
+    )
+    run = rescaling_run(f, UNIT_DISC, spec)
+    report = convergence_report(run, 1.0, 64, 1e-3)
+    # rho_n / delta_n = n, up to the rounding of 1 - n^-3
+    ok = np.allclose(run.entries.ratio, run.entries.j, rtol=1e-10, atol=0)
+    for e in run.entries:
+        values = evaluate_batch(f, e.z_j + e.rho_j * report.grid, gradient=False).value
+        if np.max(np.abs(values - 1.0)) > float(e.j) ** -3 + float(e.j) ** -2 * report.radius + 1e-12:
             ok = False
-    ok = ok and report.verdict == "constant-limit-with-divergent-ratio"
-    _report(5, "linear counterexample: ratio = n exactly, constant limit flagged", ok)
+    ok = ok and report.verdict == "constant-limit"
+    ok = ok and run.hypothesis_flags == ("ratio-not-decreasing", "final-ratio-not-small")
+    _report(5, "linear counterexample: ratio = n, constant limit, both ratio flags raised", ok)
 
 
 def test_criterion_6_nonnormality_witness():

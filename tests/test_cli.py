@@ -7,6 +7,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -23,6 +24,7 @@ from normlab.rescaling import ConvergenceReport, RemarkReport, SharpProfile
 from test_config import _perfbench
 
 DISC = {"type": "ball", "center": [[0.0, 0.0]], "radius": 1.0}
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _write(tmp_path, name, payload):
@@ -200,6 +202,23 @@ def test_thm2_command(tmp_path):
     assert payload["verdict"] == "constant-limit"
 
 
+# the paper's Remark as a thm2 run: f(z) = z on the unit disc, z_j = 1 - j^-3
+# and rho_j = j^-2; the limit is constant while rho_j / delta_j = j diverges
+def test_thm2_remark_reads_a_constant_limit_with_both_ratio_flags(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["thm2", "--config", str(GOLDEN / "thm2-remark.json"), "--out", str(out)])
+    assert code == 4 and capsys.readouterr().err == ""
+    payload = json.loads((out / "thm2.json").read_text())
+    assert payload["verdict"] == "constant-limit"
+    assert payload["hypothesis_flags"] == ["ratio-not-decreasing", "final-ratio-not-small"]
+    with open(out / "thm2_run.csv", newline="") as file:
+        rows = list(csv.DictReader(file))
+    j = np.array([float(row["j"]) for row in rows])
+    assert j.tolist() == list(range(1, 51))
+    # the ratio is j up to the rounding of 1 - j^-3
+    np.testing.assert_allclose([float(row["ratio"]) for row in rows], j, rtol=1e-10, atol=0)
+
+
 def test_counterexample_command(tmp_path):
     config = {"command": "counterexample", "n_max": 40, "R": 1.0}
     code, out = _run(tmp_path, "counterexample", config)
@@ -213,14 +232,16 @@ def test_counterexample_command(tmp_path):
 
 
 def test_check_config(tmp_path, capsys):
-    cfg = _write(tmp_path, "ok.json", {"command": "counterexample", "n_max": 5, "R": 1.0})
+    cfg = _write(tmp_path, "ok.json", _rescaling_config("thm2"))
     assert main(["check-config", "--config", cfg]) == 0
+    assert capsys.readouterr().out == "config valid for command 'thm2'\n"
 
 
-def test_config_unknown_key_rejected(tmp_path):
-    config = {"command": "counterexample", "n_max": 5, "R": 1.0, "bogus": 1}
-    code, _ = _run(tmp_path, "counterexample", config)
+def test_config_unknown_key_rejected(tmp_path, capsys):
+    config = {**_rescaling_config("thm2"), "bogus": 1}
+    code, _ = _run(tmp_path, "thm2", config)
     assert code == 2
+    assert capsys.readouterr().err == "config error: config schema violation: $: unknown key(s) 'bogus'\n"
 
 
 def test_config_missing_field_rejected(tmp_path):
@@ -228,9 +249,10 @@ def test_config_missing_field_rejected(tmp_path):
     assert code == 2
 
 
-def test_config_command_mismatch(tmp_path):
-    cfg = _write(tmp_path, "mismatch.json", {"command": "counterexample", "n_max": 5, "R": 1.0})
+def test_config_command_mismatch(tmp_path, capsys):
+    cfg = _write(tmp_path, "mismatch.json", _rescaling_config("thm2"))
     assert main(["sharp", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: config is for 'thm2', invoked as 'sharp'\n"
 
 
 def test_evaluation_error_exit_code(tmp_path):

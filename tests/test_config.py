@@ -245,6 +245,39 @@ def test_violation_names_its_json_path(change, message):
     assert str(info.value).startswith("config schema violation: " + message)
 
 
+# load_config refuses such a literal, but from Python an int past the range of
+# a double reached a float() cast: the walk's own (h) raised OverflowError, and
+# so did cli._run_sharp's complex() of a coordinate that the pair check passed
+@pytest.mark.parametrize(
+    "change,path",
+    [
+        ({"h": 10**400}, "$.h"),
+        ({"h": -(10**400)}, "$.h"),
+        ({"points": [[[10**400, 0]]]}, "$.points[0][0][0]"),
+        ({"seed": 10**400}, "$.seed"),  # an integer key too, as load_config refuses its literal
+    ],
+)
+def test_integer_past_the_double_range_is_a_schema_violation(change, path):
+    config = {"command": "sharp", "function": "z1", "dimension": 1, "points": [[[0.1, 0]]], **change}
+    with pytest.raises(ConfigError) as info:
+        validate_config(config)
+    assert str(info.value) == f"config schema violation: {path}: integer of 1329 bits overflows a double"
+
+
+def test_integers_up_to_the_double_range_pass():
+    largest = 2**1024 - 2**970 - 1  # float() rounds it down to the largest double; one more overflows
+    config = {"command": "sharp", "function": "z1", "dimension": 1, "points": [[[largest, 0]]], "h": largest}
+    validate_config(config)
+    assert config["h"] == 1.7976931348623157e308
+    scan = copy.deepcopy(_VALID[2])  # the polydisc scan, whose radii pass in one check
+    scan["domain"]["radii"] = [1, largest]
+    validate_config(scan)
+    assert scan["domain"]["radii"] == [1.0, 1.7976931348623157e308]
+    scan["domain"]["radii"] = [1, largest + 1]
+    with pytest.raises(ConfigError, match=re.escape("$.domain.radii[1]: integer of 1024 bits overflows a double")):
+        validate_config(scan)
+
+
 # a command that is not a string once ended in a TypeError traceback (exit 1)
 @pytest.mark.parametrize("command", [["sharp"], {"sharp": 1}, None, 1, True])
 def test_command_of_another_type_is_config_error(command):

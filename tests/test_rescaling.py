@@ -21,13 +21,13 @@ from normlab import (
     convergence_report,
     limit_sharp_check,
     parse,
-    remark_counterexample,
     rescaling_run,
 )
 from normlab import domains, rescaling
 from normlab.errors import DomainError
 from normlab.expr import evaluate_batch, to_source
 from normlab.metrics import sharp_batch
+from normlab.rescaling import remark_counterexample
 from normlab.sampling import ball_grid
 
 UNIT_DISC = Ball((0j,), 1.0)
