@@ -25,11 +25,11 @@ import numpy as np
 
 from . import config as cfg
 from . import floattext
-from .domains import row_norms
+from .domains import Ball, row_norms
 from .errors import ConfigError, NormlabError
-from .expr import to_source
+from .expr import parse, to_source
 from .metrics import normality_scan, sharp_batch, sharp_fd
-from .rescaling import convergence_report, limit_sharp_check, remark_counterexample, rescaling_run
+from .rescaling import _CHUNK_ROWS, ExplicitScale, SequenceSpec, convergence_report, limit_sharp_check, rescaling_run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -201,13 +201,31 @@ def _run_rescaling(config: dict) -> tuple[int, dict[str, Iterable[str]]]:
 
 
 def _run_counterexample(config: dict) -> tuple[int, dict[str, Iterable[str]]]:
-    report = remark_counterexample(config["n_max"], config["R"], config["grid_size"])
-    rows = zip(report.indices, report.ratios, report.sup_dev, report.bounds)
-    payload = dict(vars(report), convergence_verdict=report.convergence.verdict)
-    del payload["convergence"]
+    """The paper's Remark, printed from its explicit run: f(z) = z on the unit
+    disc, z_n = 1 - n^-3, rho_n = n^-2, n = 1..n_max; g_n tends to 1 while
+    rho_n / (1 - |z_n|) = n diverges.  A row holds that exact ratio, sup
+    |g_n - 1| on the report's grid and its bound n^-3 + n^-2 R.  g_n(zeta) is
+    the point z_n + rho_n*zeta, so the sup comes from the run's columns, in the
+    chunks and by the arithmetic of `_grid_chunks`, bit for bit."""
+    radius = config["R"]
+    spec = SequenceSpec((1 + 0j,), (-1 + 0j,), 1.0, 3.0, ExplicitScale(1.0, 2.0), 1, config["n_max"])
+    run = rescaling_run(parse("z1", 1), Ball((0j,), 1.0), spec)
+    report = convergence_report(run, radius, config["grid_size"], 1e-3)
+    z, rho, zeta = run.entries.z_j, run.entries.rho_j, report.grid[:, 0]
+    step, sup_dev = max(1, _CHUNK_ROWS // len(zeta)), []
+    for k in range(0, len(rho), step):
+        g = rho[k:k + step, None] * zeta
+        g += z[k:k + step]
+        g -= 1.0
+        sup_dev += np.abs(g).max(axis=1).tolist()
+    indices = list(spec.indices)
+    ratios = [float(n) for n in indices]
+    bounds = [float(n) ** -3 + float(n) ** -2 * radius for n in indices]
+    verdict = "constant-limit-with-divergent-ratio" if report.verdict == "constant-limit" else "inconclusive"
+    payload = dict(indices=indices, ratios=ratios, sup_dev=sup_dev, bounds=bounds, radius=radius, verdict=verdict)
     return EXIT_OK, {
-        "counterexample.csv": _csv(["n", "ratio", "sup_dev", "bound"], rows),
-        "counterexample.json": _json(payload),
+        "counterexample.csv": _csv(["n", "ratio", "sup_dev", "bound"], zip(indices, ratios, sup_dev, bounds)),
+        "counterexample.json": _json({**payload, "convergence_verdict": report.verdict}),
     }
 
 

@@ -214,6 +214,16 @@ def _passes_at_once(items: list, schema: dict) -> bool:
     )
 
 
+def _overflow(value: Any, path: str) -> tuple[str, str] | None:
+    """(json path, reason) of the first int in `value` past the range of a
+    double, depth first: no message may print it, as repr stops at 4,300 digits."""
+    if _is_number(value) and not _is_double(value):
+        return path, f"integer of {value.bit_length()} bits overflows a double"
+    keyed = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    form = "{}.{}" if isinstance(value, dict) else "{}[{}]"
+    return next(filter(None, (_overflow(item, form.format(path, key)) for key, item in keyed)), None)
+
+
 def _walk(value: Any, schema: dict, path: str, out: list[tuple[str, str]]) -> Any:
     """Append (json path, reason) for each way `value` breaks `schema`, and
     return `value` typed, of use only if nothing was appended, leaving `value`
@@ -222,12 +232,12 @@ def _walk(value: Any, schema: dict, path: str, out: list[tuple[str, str]]) -> An
     JSON Schema, a keyword constrains only values of its own type.  An int
     past the range of a double is refused under any schema, as `parse_int`
     refuses its literal, since the runs take numbers through float()."""
-    if _is_number(value) and not _is_double(value):  # before any message prints it
-        out.append((path, f"integer of {value.bit_length()} bits overflows a double"))
+    if _is_number(value) and (huge := _overflow(value, path)):  # before any message prints it
+        out.append(huge)
         return value
     kind = schema.get("type")
     if kind is not None and not _TYPES[kind](value):
-        out.append((path, f"{value!r} is not of type {kind!r}"))
+        out.append(_overflow(value, path) or (path, f"{value!r} is not of type {kind!r}"))
         return value
     if "const" in schema and value != schema["const"]:  # every const in SCHEMAS is a string
         out.append((path, f"{schema['const']!r} was expected"))
@@ -242,9 +252,11 @@ def _walk(value: Any, schema: dict, path: str, out: list[tuple[str, str]]) -> An
             out.append((path, f"{value!r} is shorter than the minimum length of {schema['minLength']}"))
     elif isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
-            out.append((path, f"{value!r} is shorter than the minimum length of {schema['minItems']}"))
+            reason = f"is shorter than the minimum length of {schema['minItems']}"
+            out.append(_overflow(value, path) or (path, f"{value!r} {reason}"))
         if len(value) > schema.get("maxItems", math.inf):
-            out.append((path, f"{value!r} is longer than the maximum length of {schema['maxItems']}"))
+            reason = f"is longer than the maximum length of {schema['maxItems']}"
+            out.append(_overflow(value, path) or (path, f"{value!r} {reason}"))
         items = schema.get("items", {})
         if not _passes_at_once(value, items):
             value = [_walk(item, items, f"{path}[{k}]", out) for k, item in enumerate(value)]
@@ -272,7 +284,7 @@ def _walk(value: Any, schema: dict, path: str, out: list[tuple[str, str]]) -> An
             # the branch of the value's own kind fails the fewest keywords
             out += min(branches, key=len)
         elif fewest:
-            out.append((path, f"{value!r} is not valid under any of the given schemas"))
+            out.append(_overflow(value, path) or (path, f"{value!r} is not valid under any of the given schemas"))
         else:
             value = typed[branches.index([])]
     return _CASTS[kind](value) if kind in _CASTS else value

@@ -5,22 +5,21 @@ and convergence detection on finite grids.
 The paper's Remark, the linear counterexample showing that the unrestricted
 converse fails, is one explicit run of `rescaling_run` and
 `convergence_report`: it reads constant-limit with both ratio flags raised
-(the `thm2` config of tests/golden/thm2-remark.json).  `RemarkReport` and
-`remark_counterexample` are not exported; they stay only to serve the
-`counterexample` command, which the benchmark still runs, and go with it."""
+(the `thm2` config of tests/golden/thm2-remark.json).  No type here serves it
+alone; the `counterexample` command prints that run."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from . import domains
-from .domains import Ball, Domain
+from .domains import Domain
 from .errors import DomainError, EvaluationError, NormlabError
-from .expr import Batch, CPoint, HoloExpr, affine_pullback, evaluate_batch, parse
+from .expr import Batch, CPoint, HoloExpr, affine_pullback, evaluate_batch
 from .metrics import sharp_batch
 from .sampling import ball_grid
 
@@ -196,14 +195,9 @@ def convergence_report(run: RescalingRun, radius: float, grid_size: int, tol: fl
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid = ball_grid(run.f.dimension, radius, grid_size)
-    return _converge(run, radius, grid, tol, _grid_chunks(run, grid))
-
-
-def _converge(run, radius, grid, tol, chunks: Iterable[Batch]) -> ConvergenceReport:
-    """`convergence_report` over the batches of `_grid_chunks(run, grid)`."""
     usable, osc, gaps = [], [], []  # one array per chunk each
     previous = np.empty((0, len(grid)), dtype=complex)  # the last usable row, if any
-    for batch in chunks:
+    for batch in _grid_chunks(run, grid):
         values = batch.value.reshape(-1, len(grid))
         ok = ~batch.status.reshape(values.shape).any(axis=1)
         usable.append(ok)
@@ -264,62 +258,3 @@ def limit_sharp_check(report: ConvergenceReport, tol: float) -> SharpProfile:
         return SharpProfile(s0, max_sharp, argmax, passed=None, vacuous=True)
     passed = abs(s0 - 1.0) <= tol and max_sharp <= 1.0 + tol
     return SharpProfile(s0, max_sharp, argmax, passed=passed)
-
-
-# --------------------------------------------------------------------------
-# The linear counterexample
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RemarkReport:
-    """What the `counterexample` command prints, and kept only for it: the
-    Remark's run with its exact ratios and analytic bounds."""
-
-    indices: tuple[int, ...]
-    ratios: tuple[float, ...]  # rho_n / (1 - |z_n|), exact integer values
-    sup_dev: tuple[float, ...]  # sup_{|zeta|<=R} |g_n(zeta) - 1|
-    bounds: tuple[float, ...]  # n^-3 + n^-2 * R
-    radius: float
-    convergence: ConvergenceReport
-    verdict: str
-
-
-def remark_counterexample(n_max: int, radius: float, grid_size: int = 64) -> RemarkReport:
-    """f(z) = z on the unit disc with z_n = 1 - n^-3, rho_n = n^-2: the
-    explicit run with anchor 1, inward -1, c_p = 1, a = 3, c_r = 1, b = 2.
-
-    The rescaled sequence converges to the constant 1 while rho_n over the
-    boundary distance, n^-2 / n^-3 = n, diverges: a constant limit does not
-    force the scale/distance ratio to vanish.  `ratios` holds these exact
-    values; the run's own ratios carry the rounding of 1 - n^-3.  From
-    n = 2^18 on, 1 - n^-3 rounds to 1, and the run raises DomainError.
-
-    Not exported, and kept only to serve the `counterexample` command while
-    the benchmark runs it.  Elsewhere the Remark is the explicit `thm2` run it
-    is: `rescaling_run` and `convergence_report` on the same spec read
-    constant-limit and flag ratio-not-decreasing and final-ratio-not-small.
-    """
-    if n_max < 3:
-        raise ValueError("n_max must be at least 3")
-    spec = SequenceSpec((1 + 0j,), (-1 + 0j,), 1.0, 3.0, ExplicitScale(1.0, 2.0), 1, n_max)
-    run = rescaling_run(parse("z1", 1), Ball((0j,), 1.0), spec)
-    grid = ball_grid(1, radius, grid_size)
-    sup_dev: list[float] = []
-
-    def checked() -> Iterator[Batch]:  # each chunk once, sup |g_n - 1| taken on the way
-        for batch in _grid_chunks(run, grid):
-            values = batch.check().value.reshape(-1, len(grid))
-            sup_dev.extend(np.max(np.abs(values - 1.0), axis=1).tolist())
-            yield batch
-
-    conv = _converge(run, radius, grid, 1e-3, checked())
-    bounds = _power_law(1.0, 3.0, spec.indices) + _power_law(1.0, 2.0, spec.indices) * radius
-    return RemarkReport(
-        indices=tuple(spec.indices),
-        ratios=tuple(map(float, spec.indices)),
-        sup_dev=tuple(sup_dev),
-        bounds=tuple(bounds.tolist()),
-        radius=radius,
-        convergence=conv,
-        verdict="constant-limit-with-divergent-ratio" if conv.verdict == "constant-limit" else "inconclusive",
-    )

@@ -20,7 +20,7 @@ from normlab import config as cfg_module
 from normlab.cli import _BLOCK_FLOATS, _csv, _json, _records_json, main
 from normlab.config import SCHEMAS, point_to_json
 from normlab.metrics import NormalityEstimate, SamplingPlan, normality_scan, sample_dtype, sharp_batch, sharp_fd
-from normlab.rescaling import ConvergenceReport, RemarkReport, SharpProfile
+from normlab.rescaling import ConvergenceReport, SharpProfile
 from test_config import _perfbench
 
 DISC = {"type": "ball", "center": [[0.0, 0.0]], "radius": 1.0}
@@ -219,11 +219,14 @@ def test_thm2_remark_reads_a_constant_limit_with_both_ratio_flags(tmp_path, caps
     np.testing.assert_allclose([float(row["ratio"]) for row in rows], j, rtol=1e-10, atol=0)
 
 
+# the Remark printed from its explicit run: g_n(zeta) = 1 - n^-3 + n^-2 zeta
 def test_counterexample_command(tmp_path):
     config = {"command": "counterexample", "n_max": 40, "R": 1.0}
     code, out = _run(tmp_path, "counterexample", config)
     assert code == 0
     payload = json.loads((out / "counterexample.json").read_text())
+    assert set(payload) == {"indices", "ratios", "sup_dev", "bounds", "radius", "convergence_verdict", "verdict"}
+    assert payload["convergence_verdict"] == "constant-limit"
     assert payload["verdict"] == "constant-limit-with-divergent-ratio"
     assert payload["ratios"][:3] == [1.0, 2.0, 3.0]
     rows = (out / "counterexample.csv").read_text().strip().splitlines()
@@ -557,6 +560,7 @@ def _tiny_ball_config(command):
         ({**_rescaling_config("rescale"), "grid_size": 1}, 2, "1 is less than the minimum of 2"),
         ({**_rescaling_config("thm2"), "grid_size": 1}, 2, "1 is less than the minimum of 2"),
         ({"command": "counterexample", "n_max": 10, "R": 1.0, "grid_size": 1}, 2, "1 is less than the minimum of 2"),
+        ({"command": "counterexample", "n_max": 2, "R": 1.0}, 2, "2 is less than the minimum of 3"),
         (_rescaling_config("thm2", b=1100), 3, "scale r_2 underflows to 0"),
         ({"command": "counterexample", "n_max": 2**18, "R": 1.0}, 3, "p_262144 = ((1+0j),) exits the domain"),
         (
@@ -630,7 +634,7 @@ def _tiny_ball_config(command):
         ),
     ],
     ids=[
-        "rescale-j-range", "thm2-j-range", "rescale-grid-1", "thm2-grid-1", "counterexample-grid-1",
+        "rescale-j-range", "thm2-j-range", "rescale-grid-1", "thm2-grid-1", "counterexample-grid-1", "counterexample-n-2",
         "thm2-scale-underflow", "counterexample-center-on-boundary", "sharp-h-underflow",
         "sharp-h-overflow", "sharp-h-below-resolution",
         "rescale-ratio-overflow", "thm2-ratio-overflow", "sharp-pole", "scan-ball-radius-overflow",
@@ -1221,7 +1225,6 @@ def test_format_flag_selects_the_outputs(tmp_path, command, fmt):
         ("marty-scan", NormalityEstimate, set(), {"function"}),
         ("rescale", ConvergenceReport, {"grid"}, {"hypothesis_flags", "limit_proxy", "sharp_profile"}),
         ("thm2", ConvergenceReport, {"grid"}, {"hypothesis_flags", "limit_proxy"}),
-        ("counterexample", RemarkReport, {"convergence"}, {"convergence_verdict"}),
     ],
 )
 def test_json_report_is_its_result_record(tmp_path, command, record, dropped, added):

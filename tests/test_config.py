@@ -264,6 +264,24 @@ def test_integer_past_the_double_range_is_a_schema_violation(change, path):
     assert str(info.value) == f"config schema violation: {path}: integer of 1329 bits overflows a double"
 
 
+# repr prints no int of more than 4,300 digits, so a message that printed the
+# value holding one, a list or the domain object, ended in a ValueError
+@pytest.mark.parametrize(
+    "config,path",
+    [
+        ({**_VALID[1], "domain": {"type": "cube", "center": [[10**5000, 0]], "radius": 1, "radii": [1]}},
+         "$.domain.center[0][0]"),  # both domain kinds fail alike
+        ({**_VALID[0], "dimension": [10**5000]}, "$.dimension[0]"),  # not an integer
+        ({**_VALID[0], "points": [[[10**5000]]]}, "$.points[0][0][0]"),  # too short a pair
+    ],
+    ids=["domain-tie", "type-mismatch", "short-pair"],
+)
+def test_integer_past_the_repr_limit_is_a_schema_violation(config, path):
+    with pytest.raises(ConfigError) as info:
+        validate_config(copy.deepcopy(config))
+    assert str(info.value) == f"config schema violation: {path}: integer of 16610 bits overflows a double"
+
+
 def test_integers_up_to_the_double_range_pass():
     largest = 2**1024 - 2**970 - 1  # float() rounds it down to the largest double; one more overflows
     config = {"command": "sharp", "function": "z1", "dimension": 1, "points": [[[largest, 0]]], "h": largest}

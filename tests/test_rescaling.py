@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -24,10 +25,11 @@ from normlab import (
     rescaling_run,
 )
 from normlab import domains, rescaling
+from normlab.cli import _RUNNERS
+from normlab.config import validate_config
 from normlab.errors import DomainError
-from normlab.expr import evaluate_batch, to_source
+from normlab.expr import evaluate_batch
 from normlab.metrics import sharp_batch
-from normlab.rescaling import remark_counterexample
 from normlab.sampling import ball_grid
 
 UNIT_DISC = Ball((0j,), 1.0)
@@ -44,6 +46,16 @@ def _disc_spec(c_p, a, scale, j_start, j_end):
         j_start=j_start,
         j_end=j_end,
     )
+
+
+def _remark_spec(n_max):
+    """The paper's Remark: z_n = 1 - n^-3 and rho_n = n^-2 for n = 1..n_max."""
+    return _disc_spec(1.0, 3.0, ExplicitScale(1.0, 2.0), 1, n_max)
+
+
+def _remark_report(n_max, radius):
+    run = rescaling_run(parse("z1", 1), UNIT_DISC, _remark_spec(n_max))
+    return convergence_report(run, radius, 64, 1e-3)
 
 
 # --------------------------------------------------------------------------
@@ -389,7 +401,7 @@ def test_zalcman_vanishing_sharp_errors():
 # --------------------------------------------------------------------------
 
 def test_convergence_remark_run_constant_limit():
-    report = remark_counterexample(40, 1.0).convergence
+    report = _remark_report(40, 1.0)
     assert report.verdict == "constant-limit"
     # osc_n = rho_n * R = n^-2 exactly on a grid containing |zeta| = 1
     for n, osc in zip(report.indices, report.osc):
@@ -593,7 +605,7 @@ def test_limit_sharp_check_on_sin_limit():
 
 
 def test_limit_sharp_check_vacuous_on_constant_limit():
-    report = remark_counterexample(40, 1.0).convergence
+    report = _remark_report(40, 1.0)
     profile = limit_sharp_check(report, 1e-2)
     assert profile.vacuous
     assert profile.passed is None
@@ -664,51 +676,21 @@ def test_marty_bound_chain_identity_function():
 
 
 # --------------------------------------------------------------------------
-# remark_counterexample
+# The counterexample command: the Remark's run and sup |g_n - 1|
 # --------------------------------------------------------------------------
 
-def test_remark_ratios_exact():
-    report = remark_counterexample(10, 1.0)
-    assert report.ratios == tuple(float(n) for n in range(1, 11))
-
-
-def test_remark_sup_dev_bound():
-    report = remark_counterexample(10, 1.0)
-    n = 5
-    assert report.sup_dev[n - 1] <= 5**-3 + 5**-2 + 1e-12
-    assert report.sup_dev[n - 1] == pytest.approx(5**-3 + 5**-2, abs=1e-12)
-
-
-def test_remark_monotone_and_verdict():
-    report = remark_counterexample(40, 1.0)
-    assert all(b < a for a, b in zip(report.sup_dev[2:], report.sup_dev[3:]))
-    assert all(b > a for a, b in zip(report.ratios, report.ratios[1:]))
-    assert report.verdict == "constant-limit-with-divergent-ratio"
-
-
-def test_remark_center_rounding_onto_the_boundary_is_a_domain_error():
-    # 1 - n^-3 rounds to 1 from n = 2^18 on
-    with pytest.raises(DomainError, match=r"p_262144 = \(\(1\+0j\),\) exits the domain"):
-        remark_counterexample(2**18, 1.0)
-
-
-def test_remark_requires_min_index():
-    with pytest.raises(ValueError):
-        remark_counterexample(2, 1.0)
-
-
-@pytest.mark.parametrize("n_max,grid_size", [(200, 256), (100, 512), (40, 16), (30, 1100), (7, 4600)])
-def test_remark_evaluates_each_chunk_once(monkeypatch, n_max, grid_size):
-    calls = _counting(monkeypatch, rescaling, "evaluate_batch")
-    report = remark_counterexample(n_max, 1.0, grid_size)
-    per_chunk = max(1, 4096 // len(report.convergence.grid))
-    assert len(calls) == math.ceil(n_max / per_chunk)
+def _counterexample(n_max, radius, grid_size):
+    config = {"command": "counterexample", "n_max": n_max, "R": radius, "grid_size": grid_size}
+    validate_config(config)
+    code, outputs = _RUNNERS["counterexample"](config)
+    assert code == 0
+    return json.loads("".join(outputs["counterexample.json"]))
 
 
 def _two_pass_counterexample(n_max, radius, grid_size):
-    """remark_counterexample as two grid passes: a chunked sup |g_n - 1| pass,
-    then convergence_report, which evaluates every g_n again."""
-    spec = SequenceSpec((1 + 0j,), (-1 + 0j,), 1.0, 3.0, ExplicitScale(1.0, 2.0), 1, n_max)
+    """The counterexample as two grid passes: a chunked sup |g_n - 1| pass of
+    f's values, then convergence_report, which evaluates every g_n again."""
+    spec = _remark_spec(n_max)
     run = rescaling_run(parse("z1", 1), UNIT_DISC, spec)
     grid = ball_grid(1, radius, grid_size)
     per_chunk = max(1, 4096 // len(grid))
@@ -720,9 +702,38 @@ def _two_pass_counterexample(n_max, radius, grid_size):
         sup_dev += np.max(np.abs(batch.check().value.reshape(-1, len(grid)) - 1.0), axis=1).tolist()
     bounds = [float(n) ** -3 + float(n) ** -2 * radius for n in spec.indices]
     conv = convergence_report(run, radius, grid_size, 1e-3)
-    return tuple(spec.indices), tuple(sup_dev), tuple(bounds), conv, run.hypothesis_flags
+    return list(spec.indices), sup_dev, bounds, conv, run.hypothesis_flags
 
 
+def test_remark_ratios_exact():
+    # n itself, not the run's ratios, which carry the rounding of 1 - n^-3
+    assert _counterexample(10, 1.0, 64)["ratios"] == [float(n) for n in range(1, 11)]
+
+
+def test_remark_sup_dev_bound():
+    # sup |g_5 - 1| = 5^-3 + 5^-2 R, taken at zeta = -R
+    sup_dev = _counterexample(10, 1.0, 64)["sup_dev"]
+    assert sup_dev[4] <= 5**-3 + 5**-2 + 1e-12
+    assert sup_dev[4] == pytest.approx(5**-3 + 5**-2, abs=1e-12)
+
+
+def test_remark_monotone_and_verdict():
+    payload = _counterexample(40, 1.0, 64)
+    assert all(b < a for a, b in zip(payload["sup_dev"][2:], payload["sup_dev"][3:]))
+    assert all(b > a for a, b in zip(payload["ratios"], payload["ratios"][1:]))
+    assert payload["verdict"] == "constant-limit-with-divergent-ratio"
+
+
+# the sup |g_n - 1| pass reads the run's columns and evaluates nothing
+@pytest.mark.parametrize("n_max,grid_size", [(200, 256), (100, 512), (40, 16), (30, 1100), (7, 4600)])
+def test_remark_evaluates_each_chunk_once(monkeypatch, n_max, grid_size):
+    calls = _counting(monkeypatch, rescaling, "evaluate_batch")
+    _counterexample(n_max, 1.0, grid_size)
+    per_chunk = max(1, 4096 // len(ball_grid(1, 1.0, grid_size)))
+    assert len(calls) == math.ceil(n_max / per_chunk)
+
+
+# the command takes sup |g_n - 1| from the run's columns, not from f's values
 @settings(max_examples=25, deadline=None)
 @given(
     n_max=st.integers(3, 150),
@@ -730,17 +741,25 @@ def _two_pass_counterexample(n_max, radius, grid_size):
     grid_size=st.integers(2, 5000),
 )
 def test_remark_single_pass_matches_two_passes(n_max, radius, grid_size):
-    report = remark_counterexample(n_max, radius, grid_size)
+    payload = _counterexample(n_max, radius, grid_size)
     indices, sup_dev, bounds, conv, flags = _two_pass_counterexample(n_max, radius, grid_size)
-    assert (report.indices, report.sup_dev, report.bounds) == (indices, sup_dev, bounds)
+    # json prints each float as its repr, which reads back bit for bit
+    assert (payload["indices"], payload["sup_dev"], payload["bounds"]) == (indices, sup_dev, bounds)
+    assert payload["convergence_verdict"] == conv.verdict
     # the ratio n grows past 0.1: the run breaks the hypothesis r_n/delta_n -> 0 on purpose
     assert flags == ("ratio-not-decreasing", "final-ratio-not-small")
-    got = report.convergence
-    for name in ("grid", "osc", "cauchy_gaps"):
-        assert getattr(got, name).tobytes() == getattr(conv, name).tobytes(), name
-    for name in ("radius", "indices", "verdict", "tol", "excluded"):
-        assert getattr(got, name) == getattr(conv, name), name
-    assert to_source(got.limit_proxy) == to_source(conv.limit_proxy)
+
+
+def test_long_counterexample_takes_its_sup_in_chunks():
+    # 20,000 indices on 256 grid points are 82 MB of complex g_n values at once
+    tracemalloc.start()
+    try:
+        payload = _counterexample(20_000, 1.0, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20, peak
+    assert len(payload["sup_dev"]) == 20_000
 
 
 def test_long_explicit_run_holds_its_columns_only():
