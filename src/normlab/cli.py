@@ -41,22 +41,46 @@ def _json(payload: dict) -> Iterator[str]:
     """The pieces of json.dumps(payload, indent=2, sort_keys=True,
     allow_nan=False) + "\n" for a payload of str keys, in which any other
     numpy array prints as its `.tolist()`: the text json prints before each
-    record array's entry, that array's blocks (`_records_json`) in place of
-    the null that json prints for it, and the text after.  A
+    record array's or number list's entry, that entry's text in place of the
+    null that json prints for it, and the text after.  A record array prints
+    in blocks (`_records_json`); a number list, a non-empty flat list, tuple
+    or 1-D array of ints and floats (the per-index lists of a run, say), in
+    one join of their reprs, which is how json prints each of them.  A
     newline, two spaces and a quoted key open only a top-level entry, since
     json escapes every newline and quote inside a string, and the entries
     come in sorted key order.  Every number is checked before this returns."""
     records = {key: value for key, value in payload.items() if isinstance(value, np.recarray)}
+    lists = {key: texts for key, value in payload.items() if (texts := _number_texts(value)) is not None}
+    if any("nan" in texts or "inf" in texts or "-inf" in texts for texts in lists.values()):
+        # json names the first non-finite float it meets
+        rest = {key: value for key, value in payload.items() if key not in records}
+        json.dumps(rest, indent=2, sort_keys=True, allow_nan=False, default=np.ndarray.tolist)
     text = json.dumps(
-        {**payload, **dict.fromkeys(records)}, indent=2, sort_keys=True, allow_nan=False, default=np.ndarray.tolist
+        {**payload, **dict.fromkeys(records), **dict.fromkeys(lists)},
+        indent=2, sort_keys=True, allow_nan=False, default=np.ndarray.tolist,
     ) + "\n"
     pieces, start = [], 0
-    for key in sorted(records):
+    for key in sorted([*records, *lists]):
         entry = f"\n  {json.dumps(key)}: "
         cut = text.index(entry + "null", start) + len(entry)
-        pieces += [(text[start:cut],), _records_json(records[key])]
+        block = _records_json(records[key]) if key in records else ("[\n    " + ",\n    ".join(lists[key]) + "\n  ]",)
+        pieces += [(text[start:cut],), block]
         start = cut + len("null")
     return itertools.chain(*pieces, (text[start:],))
+
+
+def _number_texts(value) -> list[str] | None:
+    """The repr of each number of a non-empty flat list, tuple or 1-D array
+    of ints and floats (no bool), as json prints it; None for any other value."""
+    if isinstance(value, np.ndarray):
+        if value.ndim != 1 or value.dtype.kind not in "iuf":
+            return None
+        value = value.tolist()
+    elif not isinstance(value, (list, tuple)):
+        return None
+    if not value or not {int, float}.issuperset(map(type, value)):
+        return None
+    return list(map(repr, value))
 
 
 @functools.cache

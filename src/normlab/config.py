@@ -221,7 +221,18 @@ def _overflow(value: Any, path: str) -> tuple[str, str] | None:
         return path, f"integer of {value.bit_length()} bits overflows a double"
     keyed = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
     form = "{}.{}" if isinstance(value, dict) else "{}[{}]"
-    return next(filter(None, (_overflow(item, form.format(path, key)) for key, item in keyed)), None)
+    for key, item in keyed:  # a dict's key is looked at as if it were an item at the dict's path
+        found = (isinstance(value, dict) and _overflow(key, path)) or _overflow(item, form.format(path, key))
+        if found:
+            return found
+    return None
+
+
+def _key(key: Any) -> str:
+    """A key of a Python-built config as a message names it: its repr, or
+    its bit count if it is an int past the range of a double, as `_overflow`
+    names such a value."""
+    return f"<integer of {key.bit_length()} bits>" if _is_number(key) and not _is_double(key) else repr(key)
 
 
 def _walk(value: Any, schema: dict, path: str, out: list[tuple[str, str]]) -> Any:
@@ -273,7 +284,7 @@ def _walk(value: Any, schema: dict, path: str, out: list[tuple[str, str]]) -> An
         out += [(path, f"{key!r} is a required property") for key in schema.get("required", ()) if key not in value]
         unexpected = [key for key in value if key not in properties]
         if unexpected and schema.get("additionalProperties") is False:
-            out.append((path, f"unknown key(s) {', '.join(map(repr, unexpected))}"))
+            out.append((path, f"unknown key(s) {', '.join(map(_key, unexpected))}"))
         value = {**value, **typed}
     if "oneOf" in schema:
         # every oneOf in SCHEMAS has exclusive branches (a test checks it): one match is valid

@@ -386,10 +386,24 @@ class Batch:
 
 class _Walk:
     """Post-order walk of one expression over a point batch.  Each node gives
-    (value, gradient): the value is (N,), or (1,) for a subtree without
-    variables, and the gradient (N, width), (1, width) or a broadcastable
-    (width,) row.  The finiteness checks make one pass per coordinate column
-    or per node, not numpy's slow pass along the short coordinate axis."""
+    (value, gradient, untested): the value is (N,), or (1,) for a subtree
+    without variables, the gradient (N, width), (1, width) or a
+    broadcastable (width,) row, and `untested` says that the pair may hold a
+    non-finite number no test has seen.
+
+    Finiteness is tested at checkpoints, not at every node.  The result of
+    +, -, *, /, a nonzero power, exp, sin, cos or log is untested, and so is
+    the negation of an untested pair.  A non-finite number stays non-finite
+    through negation, +, -, *, sin, cos and positive powers (inf and NaN
+    absorb every finite operand there), and can vanish in only four places:
+    a divisor (x/inf = 0), the base of a power <= 0 (inf^0 = 1), exp's
+    argument (exp(-inf) = 0) and log's argument.  Just before each of them,
+    and at the root, every live untested pair is tested: the operands, and
+    the left operands of the enclosing binary operators, held in `pending`.
+    POLE and BRANCH are marked only after such a test, so each point keeps
+    its first failure in post-order, as a test at every node would give.
+    A test makes one summing pass per value and gradient column, not
+    numpy's slow pass along the short coordinate axis."""
 
     def __init__(self, Z: np.ndarray, gradient: bool):
         self.Z = Z
@@ -400,65 +414,86 @@ class _Walk:
         for k in range(Z.shape[1]):
             ok &= np.isfinite(Z[:, k])
         self.status = np.where(ok, OK, NONFINITE).astype(np.int8)
+        self.pending = []  # the untested left operands of the binary operators being walked
+        self.tests = 0  # checkpoints so far: a pending pair is tested once one passes
 
     def mark(self, bad: np.ndarray, code: int) -> None:
         if bad.any():
             self.status[bad & (self.status == OK)] = code
 
-    def finite(self, v: np.ndarray, g: np.ndarray):
+    def finite(self, v: np.ndarray, g: np.ndarray) -> None:
         # one summing pass each: a sum is finite when every term is (and may
         # overflow when they all are), so the points are looked at one by one
         # only when it is not
         if np.isfinite(np.add.reduce(v, None)) and (not self.width or np.isfinite(np.add.reduce(g, None))):
-            return v, g
+            return
         bad = ~np.isfinite(v)
         for k in range(self.width):
             bad = bad | ~np.isfinite(g[..., k])
         self.mark(bad, NONFINITE)
-        return v, g
+
+    def checkpoint(self, *operands) -> None:
+        """Test every live untested pair: the pending ones, then the operands
+        (value, gradient, untested) of the node about to consume them."""
+        for v, g in self.pending:
+            self.finite(v, g)
+        self.pending.clear()
+        self.tests += 1
+        for v, g, untested in operands:
+            if untested:
+                self.finite(v, g)
 
     def chain(self, v: np.ndarray, derivative, g: np.ndarray):
         # chain rule; the derivative is not computed when gradients are not asked for
-        return self.finite(v, derivative()[:, None] * g if self.width else g)
+        return v, derivative()[:, None] * g if self.width else g, True
 
     def __call__(self, node: Node):
         if isinstance(node, Var):
-            return self.Z[:, node.index - 1], self.units[node.index - 1]
+            return self.Z[:, node.index - 1], self.units[node.index - 1], False
         if isinstance(node, Const):
             # one element, broadcast like a scalar: a constant subtree runs the
             # same numpy loops as a variable one, not Python's complex arithmetic
-            return np.full(1, node.value), self.zero
+            return np.full(1, node.value), self.zero, False
         if isinstance(node, Neg):
-            v, g = self(node.child)
-            return -v, -g
+            v, g, untested = self(node.child)
+            return -v, -g if self.width else g, untested
         if isinstance(node, BinOp):
-            a, ga = self(node.left)
-            b, gb = self(node.right)
-            if node.op in "+-":
-                combine = _ARITHMETIC[node.op]
-                return self.finite(combine(a, b), combine(ga, gb))
+            a, ga, untested = self(node.left)
+            if untested:
+                self.pending.append((a, ga))
+            tests = self.tests
+            right = b, gb, _ = self(node.right)
+            if node.op == "/":
+                self.checkpoint(right)  # the left operand too, if still pending
+                self.mark(np.abs(b) < POLE_THRESHOLD, POLE)
+                v = a / b
+                return v, (ga - v[:, None] * gb) / b[:, None] if self.width else self.zero, True
+            if untested and tests == self.tests:  # no checkpoint has tested the left operand
+                self.pending.pop()
             if node.op == "*":
-                return self.finite(a * b, a[:, None] * gb + b[:, None] * ga)
-            self.mark(np.abs(b) < POLE_THRESHOLD, POLE)
-            v = a / b
-            return self.finite(v, (ga - v[:, None] * gb) / b[:, None])
+                return a * b, a[:, None] * gb + b[:, None] * ga if self.width else self.zero, True
+            combine = _ARITHMETIC[node.op]
+            return combine(a, b), combine(ga, gb) if self.width else self.zero, True
         if isinstance(node, Pow):
-            a, ga = self(node.base)
+            base = a, ga, _ = self(node.base)
             k = node.exponent
+            if k <= 0:
+                self.checkpoint(base)
             if k == 0:
-                return np.ones_like(a), self.zero
+                return np.ones_like(a), self.zero, False
             if k < 0:
                 self.mark(np.abs(a) < POLE_THRESHOLD, POLE)
             return self.chain(a**k, lambda: k * a ** (k - 1), ga)
         if isinstance(node, Func):
-            a, ga = self(node.arg)
-            if node.name == "exp":
-                v = np.exp(a)
-                return self.chain(v, lambda: v, ga)
+            arg = a, ga, _ = self(node.arg)
             if node.name == "sin":
                 return self.chain(np.sin(a), lambda: np.cos(a), ga)
             if node.name == "cos":
                 return self.chain(np.cos(a), lambda: -np.sin(a), ga)
+            self.checkpoint(arg)
+            if node.name == "exp":
+                v = np.exp(a)
+                return self.chain(v, lambda: v, ga)
             # log: principal branch, undefined at 0
             self.mark(np.abs(a) < POLE_THRESHOLD, BRANCH)
             return self.chain(np.log(a), lambda: 1.0 / a, ga)
@@ -483,7 +518,8 @@ def evaluate_batch(expr: HoloExpr, points, gradient: bool = True) -> Batch:
         )
     walk = _Walk(Z, gradient)
     with np.errstate(all="ignore"):
-        value, grad = walk(expr.root)
+        root = value, grad, _ = walk(expr.root)
+        walk.checkpoint(root)
     value = np.broadcast_to(value, len(Z)).copy()
     grad = np.broadcast_to(grad, (len(Z), walk.width)).copy()
     return Batch(value, grad, walk.status)

@@ -195,18 +195,21 @@ def convergence_report(run: RescalingRun, radius: float, grid_size: int, tol: fl
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid = ball_grid(run.f.dimension, radius, grid_size)
-    usable, osc, gaps = [], [], []  # one array per chunk each
-    previous = np.empty((0, len(grid)), dtype=complex)  # the last usable row, if any
+    usable, osc, gaps = [], [np.empty(0)], [np.empty(0)]  # arrays per chunk, after an empty one
+    previous = None  # the last usable row, if any
     for batch in _grid_chunks(run, grid):
         values = batch.value.reshape(-1, len(grid))
         ok = ~batch.status.reshape(values.shape).any(axis=1)
         usable.append(ok)
-        rows = values[ok]
-        chain = np.concatenate([previous, rows])
+        rows = values if ok.all() else values[ok]  # a fully usable chunk is not copied
+        if not len(rows):
+            continue
         with np.errstate(over="ignore"):  # finite values can differ by more than the float range
             osc.append(np.max(np.abs(rows - rows[:, :1]), axis=1))  # grid[0] is zeta = 0
-            gaps.append(np.max(np.abs(chain[1:] - chain[:-1]), axis=1))
-        previous = chain[-1:]
+            if previous is not None:  # the gap into the chunk, from the last usable row before it
+                gaps.append(np.max(np.abs(rows[:1] - previous), axis=1))
+            gaps.append(np.max(np.abs(rows[1:] - rows[:-1]), axis=1))
+        previous = rows[-1:]
     ok, osc, gaps = np.concatenate(usable), np.concatenate(osc), np.concatenate(gaps)
     if not len(osc):
         raise NormlabError("no index in the run is evaluable on the grid")

@@ -1016,6 +1016,62 @@ def test_json_writer_rejects_non_finite_as_stdlib_json(payload, bad, data):
     assert str(got.value) == str(expected.value)
 
 
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS
+
+
+def _layouts(numbers):
+    # ints past int64 make an object array, which is not a number array
+    array = np.array(numbers)
+    return [numbers, tuple(numbers), *([array] if array.dtype.kind in "iuf" else [])]
+
+
+# the per-index lists of the reports: floats, ints, or both, as lists,
+# tuples or 1-D arrays (which print as their `.tolist()`)
+_NUMBER_LISTS = (
+    st.lists(_FLOATS, min_size=1, max_size=8)
+    | st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=8)
+    | st.lists(_FLOATS | st.integers(), min_size=1, max_size=8)
+).flatmap(lambda numbers: st.sampled_from(_layouts(numbers)))
+_BESIDE_LISTS = (
+    _NUMBERS | st.text(max_size=4) | st.none() | st.just([]) | st.just(())
+    | st.lists(st.booleans() | st.text(max_size=2), min_size=1, max_size=3)
+    | st.lists(st.lists(_FLOATS, max_size=3), min_size=1, max_size=3)
+)
+_LIST_PAYLOADS = st.dictionaries(st.text(max_size=6), _NUMBER_LISTS | _BESIDE_LISTS, min_size=1, max_size=6)
+
+
+def _plain(payload):
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in payload.items()}
+
+
+@example({"osc": np.array([-0.0, 5e-324, 1e16, 1e-7, 1.7e308]), "indices": (1, 2, 3), "flags": [True, False]})
+@example({"a": [1, 0.5, -0.0], "b": [], "c": [[1.0]], "d": ["x"], "e": 2.5, "f": "[1]"})
+@given(_LIST_PAYLOADS)
+def test_json_writer_prints_number_lists_in_one_join(payload):
+    pieces = list(_json(payload))
+    assert "".join(pieces) == _stdlib_json(_plain(payload))
+    # each number list is one piece, between the text before and after it
+    lists = [value for value in payload.values() if isinstance(value, np.ndarray)
+             or (isinstance(value, (list, tuple)) and value and {int, float}.issuperset(map(type, value)))]
+    assert len(pieces) == 2 * len(lists) + 1
+
+
+@given(_LIST_PAYLOADS, st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+def test_json_writer_rejects_non_finite_in_number_lists_as_stdlib_json(payload, bad, data):
+    # in a top-level number list, and maybe a second non-finite float in
+    # another entry: json names the first it meets in key order
+    numbers = data.draw(st.lists(_FLOATS | st.integers(), max_size=6))
+    numbers.insert(data.draw(st.integers(0, len(numbers))), bad)
+    payload[data.draw(st.text(max_size=6))] = data.draw(st.sampled_from(_layouts(numbers)))
+    if data.draw(st.booleans()):
+        payload[data.draw(st.text(max_size=6))] = data.draw(st.sampled_from([math.nan, math.inf, [-math.inf]]))
+    with pytest.raises(ValueError) as expected:
+        _stdlib_json(_plain(payload))
+    with pytest.raises(ValueError) as got:
+        _json(payload)
+    assert str(got.value) == str(expected.value)
+
+
 def test_json_writer_prints_record_arrays_in_key_order():
     samples = np.rec.fromarrays([np.array([1.0, 0.5])], dtype=[("x", float)])
     expected = {"a": 1, "samples": [{"x": 1.0}, {"x": 0.5}], "z": [0.5, 2]}

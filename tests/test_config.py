@@ -282,6 +282,20 @@ def test_integer_past_the_repr_limit_is_a_schema_violation(config, path):
     assert str(info.value) == f"config schema violation: {path}: integer of 16610 bits overflows a double"
 
 
+def test_integer_key_past_the_repr_limit_is_a_schema_violation():
+    # JSON keys are strings, so only a Python-built config can hold such a key
+    config = {"command": "sharp", "function": "z1", "dimension": 1, "points": [[[0.1, 0]]], 10**5000: 1}
+    with pytest.raises(ConfigError) as info:
+        validate_config(config)
+    assert str(info.value) == "config schema violation: $: unknown key(s) <integer of 16610 bits>"
+    # a message that prints the whole object, here the domain `oneOf` tie
+    for value in (1, 10**5000):
+        domain = {"type": "cube", 10**5000: value, "center": [[0, 0]], "radius": 1, "radii": [1]}
+        with pytest.raises(ConfigError) as info:
+            validate_config({**copy.deepcopy(_VALID[1]), "domain": domain})
+        assert str(info.value) == "config schema violation: $.domain: integer of 16610 bits overflows a double"
+
+
 def test_integers_up_to_the_double_range_pass():
     largest = 2**1024 - 2**970 - 1  # float() rounds it down to the largest double; one more overflows
     config = {"command": "sharp", "function": "z1", "dimension": 1, "points": [[[largest, 0]]], "h": largest}

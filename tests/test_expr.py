@@ -662,6 +662,33 @@ def test_row_walk_reference_sees_every_failure():
         assert evaluate_batch(g, [(1e-170j,)], gradient).status.tolist() == [want]
 
 
+@pytest.mark.parametrize("source", [
+    # an earlier sibling overflows before a later pole: the pole comes second
+    "exp(exp(z1))*z2 + 1/(z2-z2)",
+    # each place where a non-finite value can vanish
+    "exp(-exp(exp(z1)))",
+    "1/exp(exp(z1))",
+    "exp(exp(z1))^0",
+    "exp(exp(z1))^-1",
+    "log(exp(exp(z1)))",
+    # a cancellation
+    "(exp(exp(z1))-exp(exp(z1)))*0+z1",
+])
+def test_finiteness_checkpoints_keep_the_first_failure(source):
+    # the walk tests finiteness only where a non-finite value can vanish and
+    # at the root; the reference tests it at every node
+    f = parse(source, 2)
+    points = [(10, 1), (0.5, 1), (-800, 2j), (6.5 + 0.1j, 1e-170j), (complex("nan"), 1)]
+    for gradient in (True, False):
+        value, grad, status = _row_walk_batch(f, points, gradient)
+        batch = evaluate_batch(f, points, gradient)
+        assert batch.status.tobytes() == status.tobytes()
+        assert batch.status[0] == NONFINITE  # exp(exp(10)) overflows
+        ok = status == OK
+        assert batch.value[ok].tobytes() == value[ok].tobytes()
+        assert batch.gradient[ok].tobytes() == grad[ok].tobytes()
+
+
 # --------------------------------------------------------------------------
 # Depth cap
 # --------------------------------------------------------------------------
