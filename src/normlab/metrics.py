@@ -22,17 +22,17 @@ def _over_one_plus_square(x: np.ndarray, a: np.ndarray) -> np.ndarray:
         return np.where(a > 1.0, x / a / (a + 1.0 / a), x / (1.0 + a * a))
 
 
-def levi_batch(value: np.ndarray, gradient: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Levi form of log(1+|f|^2) from N values (N,) and gradients (N, n) of f
-    along m directions (m, n); shape (N, m).
+def levi_root_batch(value: np.ndarray, gradient: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Root Levi form of log(1+|f|^2) from N values (N,) and gradients (N, n)
+    of f along m directions (m, n); shape (N, m).  Its square is the Levi form.
 
     For holomorphic f the mixed Hessian of log(1+|f|^2) is rank one and the
-    form collapses to |sum_k df/dz_k * v_k|^2 / (1+|f|^2)^2.
+    form collapses to |sum_k df/dz_k * v_k|^2 / (1+|f|^2)^2, the square of
+    |sum_k df/dz_k * v_k| / (1+|f|^2).  A form past the float range is inf.
     """
-    with np.errstate(all="ignore"):  # a form past the float range is inf
+    with np.errstate(all="ignore"):
         pairing = np.sum(gradient[:, None, :] * directions[None, :, :], axis=-1)
-        root = _over_one_plus_square(np.abs(pairing), np.abs(value)[:, None])
-        return root * root
+        return _over_one_plus_square(np.abs(pairing), np.abs(value)[:, None])
 
 
 def sharp_batch(f: HoloExpr, points) -> np.ndarray:
@@ -98,11 +98,12 @@ def log1p_sq_field(f: HoloExpr) -> Callable:
 
 
 def levi_log1p_closed(f: HoloExpr, z: CPoint, v: CPoint) -> float:
-    """`levi_batch` at the one point z along v.  Not exported and entered by
-    no run: kept only as a fixture of the span test and the trace of the
-    benchmark (`perfbench/`), until ROADMAP item 1 moves them."""
+    """`levi_root_batch`, squared, at the one point z along v.  Not exported
+    and entered by no run: kept only as a fixture of the span test and the
+    trace of the benchmark (`perfbench/`), until ROADMAP item 1 moves them."""
     jet = evaluate_jet(f, z)
-    return float(levi_batch(jet.value, jet.gradient, np.array([v], dtype=complex))[0, 0])
+    root = float(levi_root_batch(jet.value, jet.gradient, np.array([v], dtype=complex))[0, 0])
+    return root * root
 
 
 def _probes(n: int) -> np.ndarray:
@@ -218,8 +219,9 @@ def sample_dtype(dimension: int) -> np.dtype:
     """The record of one scan sample: its point and direction (n complex
     each), the Levi form, the domain's exact Kobayashi metric k_lower and the
     inscribed ball's k_upper = |v| / delta above it, and the ratios
-    ratio_lower = levi / k_upper / k_upper (a lower bound on C at the sample,
-    up to floating-point rounding) and ratio_upper = levi / k_lower / k_lower."""
+    ratio_lower = (root / k_upper)^2 (a lower bound on C at the sample, up to
+    floating-point rounding) and ratio_upper = (root / k_lower)^2, where root
+    is the root Levi form and levi = root^2."""
     return np.dtype([("point", complex, (dimension,)), ("direction", complex, (dimension,)),
                      ("levi", float), ("k_lower", float), ("k_upper", float),
                      ("ratio_lower", float), ("ratio_upper", float)])
@@ -249,7 +251,7 @@ def _trend_verdict(maxima: list[float]) -> str:
 def normality_scan(f: HoloExpr, domain: Domain, plan: SamplingPlan) -> NormalityEstimate:
     """Scan Levi-form / Kobayashi ratios over shells approaching the boundary.
 
-    The max of levi / k_upper / k_upper over all samples is a lower bound, up
+    The max of levi / k_upper^2 over all samples is a lower bound, up
     to floating-point rounding, on any constant C for which levi <= C * K^2
     could hold; the per-shell trend makes divergence toward the boundary
     visible.  The verdict is numerical evidence, not proof.  A sample is kept
@@ -266,18 +268,21 @@ def normality_scan(f: HoloExpr, domain: Domain, plan: SamplingPlan) -> Normality
     scale = (1.0 - np.asarray(plan.shells))[:, None] * domains.ray_extent_batch(domain, rays)
     points = (center + scale[:, :, None] * rays).reshape(-1, f.dimension)  # shell-major
     jets = evaluate_batch(f, points)
-    levi = levi_batch(jets.value, jets.gradient, dirs)
+    root = levi_root_batch(jets.value, jets.gradient, dirs)
     distance = domains.boundary_distance_batch(domain, points)
     interior = distance > 0
     usable = interior & (jets.status == OK)
     # the exact metric, and above it, since inclusion decreases the metric,
     # the inscribed ball's at its center, of radius the boundary distance: |v| / delta
-    k_lower = np.full(levi.shape, math.nan)
+    k_lower = np.full(root.shape, math.nan)
     k_lower[usable] = kobayashi_batch(domain, points[usable], dirs)
     with np.errstate(all="ignore"):
+        levi = root * root
         k_upper = domains.row_norms(dirs) / distance[:, None]
-        ratio_lower = levi / k_upper / k_upper  # two divisions: no bound is squared
-        ratio_upper = levi / k_lower / k_lower
+        # from the root form, and no bound is squared: levi / k / k would
+        # round in the subnormal range, where a dilation moves its last bit
+        ratio_lower = (root / k_upper) ** 2
+        ratio_upper = (root / k_lower) ** 2
     # k_lower is nan at unusable points, and so is ratio_upper: none is kept
     measured = (levi, k_lower, k_upper, ratio_lower, ratio_upper)
     kept = np.isfinite(measured).all(axis=0)  # every number the sample prints

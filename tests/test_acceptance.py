@@ -26,7 +26,7 @@ from normlab import (
     sharp_batch,
     sharp_fd,
 )
-from normlab.metrics import levi_batch
+from normlab.metrics import levi_root_batch
 from test_metrics import _cauchy_schwarz
 from test_rescaling import _rescale_sharp_identity_check
 
@@ -237,7 +237,7 @@ def test_criterion_7_property_suite():
         v = _points(rng, 2, 1.0, count=1)[0]
         lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         jet = evaluate_batch(f2, [z]).check()
-        levi, scaled = levi_batch(jet.value, jet.gradient, np.array([v, [lam * c for c in v]]))[0]
+        levi, scaled = levi_root_batch(jet.value, jet.gradient, np.array([v, [lam * c for c in v]]))[0] ** 2
         if levi < 0:
             ok = False
         if abs(scaled - abs(lam) ** 2 * levi) > 1e-12 * max(1.0, abs(levi)):

@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normlab import (
@@ -71,8 +71,20 @@ def _assert_same_scan(est, image):
     assert est.c_required_lower_bound == image.c_required_lower_bound
 
 
+# a Levi form in the subnormal range (1.87e-308), where levi / k / k rounded
+# the ratios' last bit apart at each of these dilations
+_SUBNORMAL_LEVI = (
+    parse("cos(sin(z1*z1)^2)", 1),
+    Polydisc(((0.4173438850250253 + 0.8698164688960459j),), (1.6495429998844033,)),
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_problems(60), st.integers(0, 100))
+@example((*_SUBNORMAL_LEVI, 2.0, None), 37)
+@example((*_SUBNORMAL_LEVI, 0.5, None), 37)
+@example((*_SUBNORMAL_LEVI, 2.0**10, None), 37)
+@example((*_SUBNORMAL_LEVI, 2.0**-10, None), 37)
 def test_scan_is_dilation_covariant_bit_for_bit(problem, plan_seed):
     """Up to |k| = 60 only: the Levi forms of random expressions overflow or
     underflow well inside the double range (ROADMAP items 8 and 9)."""

@@ -76,18 +76,18 @@ def test_levi_fd_direction_array_matches_single_directions():
 
 def test_levi_closed_constant_zero():
     jet = evaluate_batch(parse("3+2*i", 1), [(0.5 + 0.5j,)]).check()
-    assert metrics.levi_batch(jet.value, jet.gradient, np.array([[1 + 0j]])).tolist() == [[0.0]]
+    assert (metrics.levi_root_batch(jet.value, jet.gradient, np.array([[1 + 0j]])) ** 2).tolist() == [[0.0]]
 
 
 def test_levi_closed_identity_function():
     jet = evaluate_batch(parse("z1", 1), [(0j,)]).check()
-    assert metrics.levi_batch(jet.value, jet.gradient, np.array([[1 + 0j]])).tolist() == [[1.0]]
+    assert (metrics.levi_root_batch(jet.value, jet.gradient, np.array([[1 + 0j]])) ** 2).tolist() == [[1.0]]
 
 
 def test_levi_closed_vs_fd_square():
     f = parse("z1^2", 1)
     jet = evaluate_batch(f, [(1 + 0j,)]).check()
-    closed = metrics.levi_batch(jet.value, jet.gradient, np.array([[1 + 0j]]))[0, 0]
+    closed = (metrics.levi_root_batch(jet.value, jet.gradient, np.array([[1 + 0j]])) ** 2)[0, 0]
     assert closed == pytest.approx(1.0)  # |2|^2 / (1+1)^2
     fd = levi_form_fd(log1p_sq_field(f), (1 + 0j,), (1 + 0j,), 1e-4)
     assert abs(closed - fd) <= 1e-6
@@ -124,7 +124,7 @@ def test_levi_closed_agrees_with_fd(source, dim):
         if all(c == 0 for c in v):
             continue
         jet = evaluate_batch(f, [z]).check()
-        closed = metrics.levi_batch(jet.value, jet.gradient, np.array([v]))[0, 0]
+        closed = (metrics.levi_root_batch(jet.value, jet.gradient, np.array([v])) ** 2)[0, 0]
         fd = levi_form_fd(log1p_sq_field(f), z, v, 1e-4 * (1 + max(abs(c) for c in z)))
         assert abs(closed - fd) <= 1e-5 * (1 + closed)
 
@@ -139,7 +139,8 @@ def test_perfbench_fixtures_are_the_batch_kernels_of_one_point():
     batch = evaluate_batch(f, [z]).check()
     jet = evaluate_jet(f, z)
     assert (jet.value.tobytes(), jet.gradient.tobytes()) == (batch.value.tobytes(), batch.gradient.tobytes())
-    assert metrics.levi_log1p_closed(f, z, v) == metrics.levi_batch(batch.value, batch.gradient, np.array([v]))[0, 0]
+    root = metrics.levi_root_batch(batch.value, batch.gradient, np.array([v]))
+    assert metrics.levi_log1p_closed(f, z, v) == (root**2)[0, 0]
     for single in (lambda: evaluate_jet(f, (0j, 1 + 0j)), lambda: metrics.levi_log1p_closed(f, (0j, 1 + 0j), v)):
         with pytest.raises(EvaluationError, match="^division or negative power of a near-zero value$"):
             single()
@@ -173,7 +174,7 @@ def test_sharp_and_levi_do_not_overflow():
     z = (400 + 0j,)
     assert sharp_batch(f, [z])[0] == pytest.approx(math.exp(-400.0), rel=1e-12)
     jet = evaluate_batch(f, [(300 + 0j,)]).check()
-    assert metrics.levi_batch(jet.value, jet.gradient, np.array([[1 + 0j]]))[0, 0] == pytest.approx(
+    assert (metrics.levi_root_batch(jet.value, jet.gradient, np.array([[1 + 0j]])) ** 2)[0, 0] == pytest.approx(
         math.exp(-600.0), rel=1e-12
     )
     assert log1p_sq_field(f)(z) == pytest.approx(800.0, rel=1e-15)
@@ -334,7 +335,7 @@ def test_hermitian_homogeneity():
         v = _random_point(rng, 2, 1.0)
         lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         jet = evaluate_batch(f, [z]).check()
-        lhs, levi = metrics.levi_batch(jet.value, jet.gradient, np.array([[lam * c for c in v], v]))[0]
+        lhs, levi = metrics.levi_root_batch(jet.value, jet.gradient, np.array([[lam * c for c in v], v]))[0] ** 2
         rhs = abs(lam) ** 2 * levi
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
@@ -346,7 +347,7 @@ def test_levi_nonnegative():
         pairs = [(_random_point(rng, dim, 0.5), _random_point(rng, dim, 1.0)) for _ in range(10)]
         jets = evaluate_batch(f, [z for z, _ in pairs]).check()
         # every point along every direction, the ten drawn pairs among them
-        assert (metrics.levi_batch(jets.value, jets.gradient, np.array([v for _, v in pairs])) >= 0.0).all()
+        assert (metrics.levi_root_batch(jets.value, jets.gradient, np.array([v for _, v in pairs])) >= 0.0).all()
 
 
 def test_unimodular_invariance():
@@ -829,15 +830,16 @@ def _scan_reference(f, domain, plan):
     extents = [_ray_extent(domain, tuple(u)) for u in rays]
     points = np.array([center + (1.0 - t) * extent * u for t in plan.shells for u, extent in zip(rays, extents)])
     jets = evaluate_batch(f, points)
-    levi = metrics.levi_batch(jets.value, jets.gradient, dirs)
+    root = metrics.levi_root_batch(jets.value, jets.gradient, dirs)
     distance = domains.boundary_distance_batch(domain, points)
     usable = (distance > 0) & (jets.status == OK)
-    k_lower = np.full(levi.shape, math.nan)
-    k_upper = np.full(levi.shape, math.nan)
+    k_lower = np.full(root.shape, math.nan)
+    k_upper = np.full(root.shape, math.nan)
     k_lower[usable], k_upper[usable] = _sandwich(domain, points[usable], dirs)
     with np.errstate(all="ignore"):
-        ratio_lower = levi / k_upper / k_upper
-        ratio_upper = levi / k_lower / k_lower
+        levi = root * root
+        ratio_lower = (root / k_upper) ** 2
+        ratio_upper = (root / k_lower) ** 2
 
     samples, errors, trend, skipped_per_shell = [], [], [], []
     for shell_idx, t in enumerate(plan.shells):
