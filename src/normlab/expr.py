@@ -403,7 +403,9 @@ class _Walk:
     POLE and BRANCH are marked only after such a test, so each point keeps
     its first failure in post-order, as a test at every node would give.
     A test makes one summing pass per value and gradient column, not
-    numpy's slow pass along the short coordinate axis."""
+    numpy's slow pass along the short coordinate axis.  Without gradients
+    the width is 0 and no gradient arithmetic runs: every gradient is then
+    the empty row `zero` or a Var's empty unit row."""
 
     def __init__(self, Z: np.ndarray, gradient: bool):
         self.Z = Z
@@ -413,7 +415,7 @@ class _Walk:
         ok = np.ones(len(Z), dtype=bool)
         for k in range(Z.shape[1]):
             ok &= np.isfinite(Z[:, k])
-        self.status = np.where(ok, OK, NONFINITE).astype(np.int8)
+        self.status = (~ok).view(np.int8) * np.int8(NONFINITE)  # OK is 0
         self.pending = []  # the untested left operands of the binary operators being walked
         self.tests = 0  # checkpoints so far: a pending pair is tested once one passes
 
@@ -520,9 +522,17 @@ def evaluate_batch(expr: HoloExpr, points, gradient: bool = True) -> Batch:
     with np.errstate(all="ignore"):
         root = value, grad, _ = walk(expr.root)
         walk.checkpoint(root)
-    value = np.broadcast_to(value, len(Z)).copy()
-    grad = np.broadcast_to(grad, (len(Z), walk.width)).copy()
-    return Batch(value, grad, walk.status)
+    return Batch(_owned(value, (len(Z),)), _owned(grad, (len(Z), walk.width)), walk.status)
+
+
+def _owned(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A walk's result as an array of `shape` that the batch alone holds: a
+    full-shape array the walk computed is already that; a column of the
+    points, a constant or a gradient row is copied out, and an empty result
+    is made anew."""
+    if a.shape == shape and a.base is None:
+        return a
+    return np.empty(shape, dtype=complex) if 0 in shape else np.broadcast_to(a, shape).copy()
 
 
 def evaluate_jet(expr: HoloExpr, z: CPoint) -> Batch:

@@ -506,6 +506,26 @@ def test_batch_rejects_wrong_shape():
         evaluate_batch(parse("z1*z2", 2), np.zeros((4, 3), dtype=complex))
 
 
+@pytest.mark.parametrize("source", ["z2", "-z1", "2", "z1^0", "z1*z2", "exp(z1)+1"])
+@pytest.mark.parametrize("rows", [0, 1, 3])
+def test_batch_arrays_are_its_own(source, rows):
+    # a result the walk computed is handed over as it is; a column of the
+    # points, a constant or a gradient row is copied, so writing to the batch
+    # leaves the points and the next batch alone
+    f = parse(source, 2)
+    points = np.arange(2 * rows, dtype=complex).reshape(rows, 2) / 4
+    kept = points.copy()
+    for gradient in (True, False):
+        batch = evaluate_batch(f, points, gradient)
+        assert batch.value.shape == (rows,) and batch.gradient.shape == (rows, 2 if gradient else 0)
+        assert batch.value.flags.writeable and batch.gradient.flags.writeable
+        assert not np.shares_memory(batch.value, points) and not np.shares_memory(batch.gradient, points)
+        batch.value[:] = 7
+        batch.gradient[:] = 7
+        assert points.tobytes() == kept.tobytes()
+        assert (evaluate_batch(f, points, gradient).value != 7).all()
+
+
 def test_non_finite_input_raises():
     f = parse("z1", 1)
     for bad in (complex("nan"), complex("inf"), complex(0.5, float("nan"))):

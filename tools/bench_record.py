@@ -6,7 +6,11 @@ Run from the repository root, on an otherwise idle host.  Runs the benchmark
 that BENCHMARK.json declares (perfbench/run.py --trace 0) for its run_seconds
 on each of its workloads at seeds 1, 2 and 3, one run at a time, and writes
 the median of each end-to-end metric per workload, each run's values, the
-CPU count, the Python, numpy and mpmath versions and the commit.
+CPU count, the Python, numpy and mpmath versions, the commit and the bytecode
+state: `PYTHONDONTWRITEBYTECODE` as this process sees it (the runs inherit
+it), and whether `src/normlab/__pycache__` exists before the first run and
+after the last.  `setup_s` and cli-cold's wall times depend on that state,
+so compare only records made in the same one.
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ def main(argv: list[str]) -> int:
         sys.exit(__doc__)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [metric["name"] for metric in bench["end_to_end"]]
+    pycache = ROOT / "src" / "normlab" / "__pycache__"
+    bytecode = {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+                "pycache_before": pycache.is_dir()}
     workloads = {}
     for workload in (w["name"] for w in bench["workloads"]):
         runs = []
@@ -59,6 +66,7 @@ def main(argv: list[str]) -> int:
             print(f"{workload} seed {seed}: {runs[-1]['metrics']}", flush=True)
         median = {name: statistics.median(run["metrics"][name] for run in runs) for name in names}
         workloads[workload] = {"median": median, "runs": runs}
+    bytecode["pycache_after"] = pycache.is_dir()
     record = {
         "commit": _git("rev-parse", "HEAD"),
         "src_modified": bool(_git("status", "--porcelain", "--", "src")),
@@ -66,6 +74,7 @@ def main(argv: list[str]) -> int:
         "python": platform.python_version(),
         "numpy": _version("numpy"),
         "mpmath": _version("mpmath"),
+        "bytecode": bytecode,
         "seeds": list(SEEDS),
         "seconds": bench["run_seconds"],
         "workloads": workloads,
