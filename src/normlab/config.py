@@ -14,6 +14,8 @@ is an integer.  A violation is reported as ``config schema violation: <json
 path>: <reason>``, e.g. ``$.grid_size: 1 is less than the minimum of 2``.
 The walk fills in each absent property's ``default`` (one is optional exactly
 when it has one) and types each number by its schema, in the domain and arrays too.
+``load_config`` only reads JSON: the walk also refuses NaN, the infinities and
+an int past the range of a double, e.g. ``$.R: inf is not a finite number``.
 """
 
 from __future__ import annotations
@@ -129,36 +131,15 @@ SCHEMAS: dict[str, dict] = {
 }
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)  # NaN, Infinity and too large a literal are not finite
-    if not math.isfinite(value):
-        raise ConfigError(f"non-finite number {text} in config")
-    return value
-
-
-def parse_int(text: str) -> int:
-    """An integer literal of a config.  One past the range of a double is
-    rejected as a float literal is, since the runs take numbers through
-    float(); that includes every literal too long for int() to parse."""
-    if not math.isfinite(float(text)):
-        raise ConfigError(f"integer of {len(text.lstrip('-'))} digits in config overflows a double")
-    return int(text)
-
-
-def load_config(path: str) -> dict[str, Any]:
-    """Read a JSON config; NaN, Infinity and overflowing numbers are rejected,
-    as are a file that is not UTF-8 or JSON (ValueError) and one nested past
-    the parser's recursion limit."""
+def load_config(path: str) -> Any:
+    """Read a JSON config as json.load does; a file that is not UTF-8 or JSON
+    (ValueError) or is nested past the parser's recursion limit is a
+    ConfigError.  validate_config checks what it holds."""
     try:
         with open(path, encoding="utf-8") as fh:
-            config = json.load(
-                fh, parse_constant=_finite_float, parse_float=_finite_float, parse_int=parse_int
-            )
+            return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError("config root must be a JSON object")
-    return config
 
 
 def _is_number(value: Any) -> bool:
@@ -169,9 +150,12 @@ _DOUBLE_LIMIT = 2**1024 - 2**970  # the least int that float() rounds past the l
 
 
 def _is_double(value: Any) -> bool:
-    """Whether a value is a number that float() takes: a float, or an int
-    inside the range of a double (float() raises OverflowError past it)."""
-    return isinstance(value, float) or (_is_number(value) and abs(value) < _DOUBLE_LIMIT)
+    """Whether a value is a number that the runs take as a finite double: a
+    finite float, or an int inside the range of a double (float() raises
+    OverflowError past it)."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return _is_number(value) and abs(value) < _DOUBLE_LIMIT
 
 
 _TYPES = {
@@ -198,9 +182,8 @@ def _is_pair(value: Any) -> bool:
 def _passes_at_once(items: list, schema: dict) -> bool:
     """Whether one pass shows that every item breaks nothing of `schema`:
     pairs of numbers under _COMPLEX, and numbers within the bounds of a
-    number schema (shells, radii), each number a float or an int inside the
-    range of a double.  A list that fails this is walked item by item, which
-    names the violation."""
+    number schema (shells, radii), each number a finite double.  A list that
+    fails this is walked item by item, which names the violation."""
     if schema is _COMPLEX:
         return all(map(_is_pair, items))
     return (
@@ -214,15 +197,18 @@ def _passes_at_once(items: list, schema: dict) -> bool:
     )
 
 
-def _overflow(value: Any, path: str) -> tuple[str, str] | None:
-    """(json path, reason) of the first int in `value` past the range of a
-    double, depth first: no message may print it, as repr stops at 4,300 digits."""
+def _non_double(value: Any, path: str) -> tuple[str, str] | None:
+    """(json path, reason) of the first number in `value` that is not a finite
+    double, depth first: NaN, an infinity, or an int past the range of a
+    double, which no message may print, as repr stops at 4,300 digits."""
     if _is_number(value) and not _is_double(value):
+        if isinstance(value, float):
+            return path, f"{value!r} is not a finite number"
         return path, f"integer of {value.bit_length()} bits overflows a double"
     keyed = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
     form = "{}.{}" if isinstance(value, dict) else "{}[{}]"
     for key, item in keyed:  # a dict's key is looked at as if it were an item at the dict's path
-        found = (isinstance(value, dict) and _overflow(key, path)) or _overflow(item, form.format(path, key))
+        found = (isinstance(value, dict) and _non_double(key, path)) or _non_double(item, form.format(path, key))
         if found:
             return found
     return None
@@ -230,9 +216,10 @@ def _overflow(value: Any, path: str) -> tuple[str, str] | None:
 
 def _key(key: Any) -> str:
     """A key of a Python-built config as a message names it: its repr, or
-    its bit count if it is an int past the range of a double, as `_overflow`
+    its bit count if it is an int past the range of a double, as `_non_double`
     names such a value."""
-    return f"<integer of {key.bit_length()} bits>" if _is_number(key) and not _is_double(key) else repr(key)
+    huge = isinstance(key, int) and abs(key) >= _DOUBLE_LIMIT
+    return f"<integer of {key.bit_length()} bits>" if huge else repr(key)
 
 
 def _walk(value: Any, schema: dict, path: str, out: list[tuple[str, str]]) -> Any:
@@ -240,15 +227,15 @@ def _walk(value: Any, schema: dict, path: str, out: list[tuple[str, str]]) -> An
     return `value` typed, of use only if nothing was appended, leaving `value`
     as it is: each absent property's default filled in and each number an int
     or a float by its type, in arrays and a oneOf's matched branch too.  As in
-    JSON Schema, a keyword constrains only values of its own type.  An int
-    past the range of a double is refused under any schema, as `parse_int`
-    refuses its literal, since the runs take numbers through float()."""
-    if _is_number(value) and (huge := _overflow(value, path)):  # before any message prints it
-        out.append(huge)
+    JSON Schema, a keyword constrains only values of its own type.  A number
+    that is not a finite double is refused at its path under any schema, since
+    the runs take numbers through float()."""
+    if _is_number(value) and (bad := _non_double(value, path)):  # before any message prints it
+        out.append(bad)
         return value
     kind = schema.get("type")
     if kind is not None and not _TYPES[kind](value):
-        out.append(_overflow(value, path) or (path, f"{value!r} is not of type {kind!r}"))
+        out.append(_non_double(value, path) or (path, f"{value!r} is not of type {kind!r}"))
         return value
     if "const" in schema and value != schema["const"]:  # every const in SCHEMAS is a string
         out.append((path, f"{schema['const']!r} was expected"))
@@ -264,10 +251,10 @@ def _walk(value: Any, schema: dict, path: str, out: list[tuple[str, str]]) -> An
     elif isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
             reason = f"is shorter than the minimum length of {schema['minItems']}"
-            out.append(_overflow(value, path) or (path, f"{value!r} {reason}"))
+            out.append(_non_double(value, path) or (path, f"{value!r} {reason}"))
         if len(value) > schema.get("maxItems", math.inf):
             reason = f"is longer than the maximum length of {schema['maxItems']}"
-            out.append(_overflow(value, path) or (path, f"{value!r} {reason}"))
+            out.append(_non_double(value, path) or (path, f"{value!r} {reason}"))
         items = schema.get("items", {})
         if not _passes_at_once(value, items):
             value = [_walk(item, items, f"{path}[{k}]", out) for k, item in enumerate(value)]
@@ -295,7 +282,7 @@ def _walk(value: Any, schema: dict, path: str, out: list[tuple[str, str]]) -> An
             # the branch of the value's own kind fails the fewest keywords
             out += min(branches, key=len)
         elif fewest:
-            out.append(_overflow(value, path) or (path, f"{value!r} is not valid under any of the given schemas"))
+            out.append(_non_double(value, path) or (path, f"{value!r} is not valid under any of the given schemas"))
         else:
             value = typed[branches.index([])]
     return _CASTS[kind](value) if kind in _CASTS else value
@@ -321,7 +308,7 @@ def parse_function(source: str, dimension: int) -> HoloExpr:
     return parse(source, dimension)
 
 
-def validate_config(config: dict[str, Any]) -> str:
+def validate_config(config: Any) -> str:
     """Validate against the schema named by config['command'], check that a
     scan plan asks for at most 2^20 samples (shells x points x directions) and
     for at least 2 * dimension points per shell, a sharp config for 2^20
@@ -330,7 +317,10 @@ def validate_config(config: dict[str, Any]) -> str:
     inward list against the dimension, and parse the config's function, if
     any; returns the command.  The one walk of the schema also gives the
     config, in place, its defaults and plain types, in the domain and number
-    arrays too: an integer 2.0 becomes 2, and a number 1 becomes 1.0."""
+    arrays too: an integer 2.0 becomes 2, and a number 1 becomes 1.0.  It is
+    the one check of a config, whether load_config read it or not."""
+    if not isinstance(config, dict):
+        raise ConfigError("config root must be a JSON object")
     command = config.get("command")
     if not isinstance(command, str) or command not in SCHEMAS:
         raise ConfigError(f"config must carry a 'command' key, one of {sorted(SCHEMAS)}")

@@ -65,7 +65,7 @@ def levi_form_fd(field: Callable, z: CPoint, v, h: float):
     and is called once: on the four arms, stacked arm by arm over the
     broadcast shape, then the centres, one per point of z.
     """
-    if h <= 0:
+    if not h > 0:
         raise ValueError("h must be positive")
     z = np.asarray(z, dtype=complex)
     step = h * np.asarray(v, dtype=complex)

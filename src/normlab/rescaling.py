@@ -32,7 +32,7 @@ class ExplicitScale:
     b: float
 
     def __post_init__(self):
-        if self.c_r <= 0 or self.b <= 0:
+        if not (self.c_r > 0 and self.b > 0):
             raise ValueError("explicit scale requires c_r > 0 and b > 0")
 
 
@@ -56,7 +56,7 @@ class SequenceSpec:
     j_end: int
 
     def __post_init__(self):
-        if self.c_p <= 0 or self.a <= 0:
+        if not (self.c_p > 0 and self.a > 0):
             raise ValueError("center rule requires c_p > 0 and a > 0")
         if not (1 <= self.j_start <= self.j_end):
             raise ValueError("need 1 <= j_start <= j_end")
@@ -192,7 +192,7 @@ def convergence_report(run: RescalingRun, radius: float, grid_size: int, tol: fl
     Cauchy gap are both <= tol; nonconstant-limit if the final gap is <= tol
     but the final oscillation exceeds 10*tol; otherwise no-convergence.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     grid = ball_grid(run.f.dimension, radius, grid_size)
     usable, osc, gaps = [], [np.empty(0)], [np.empty(0)]  # arrays per chunk, after an empty one
@@ -253,10 +253,12 @@ def limit_sharp_check(report: ConvergenceReport, tol: float) -> SharpProfile:
     """Check the blow-up normalization on the limit proxy: sharp(g)(0) = 1 and
     sharp(g) <= 1 on the report's grid, both up to tol.  Vacuous
     (informational) unless the report's verdict is nonconstant-limit."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     points = report.grid  # grid[0] is zeta = 0
     sharps = sharp_batch(report.limit_proxy, points)
     best = int(np.argmax(sharps))  # the first maximum: the origin unless beaten
-    s0, max_sharp, argmax = float(sharps[0]), float(sharps[best]), tuple(points[best])
+    s0, max_sharp, argmax = float(sharps[0]), float(sharps[best]), tuple(points[best].tolist())
     if report.verdict != "nonconstant-limit":
         return SharpProfile(s0, max_sharp, argmax, passed=None, vacuous=True)
     passed = abs(s0 - 1.0) <= tol and max_sharp <= 1.0 + tol

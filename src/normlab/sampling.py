@@ -112,7 +112,7 @@ def ball_grid(n: int, radius: float, grid_size: int) -> np.ndarray:
     Raises EvaluationError when radius times the ring count passes the
     largest finite float, since the rings' radii would not all be finite.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")

@@ -361,47 +361,95 @@ def _rescaling_config(command, **sequence):
     return config
 
 
-def test_nan_point_is_config_error(tmp_path):
+def test_nan_point_is_config_error(tmp_path, capsys):
     text = '{"command": "sharp", "function": "z1", "dimension": 1, "points": [[[NaN, 0.3]]]}'
     code, out = _run_text(tmp_path, "sharp", text)
     assert code == 2
     assert not (out / "sharp.json").exists()
+    assert capsys.readouterr().err == (
+        "config error: config schema violation: $.points[0][0][0]: nan is not a finite number\n"
+    )
 
 
-def test_infinite_radius_is_config_error(tmp_path):
+def test_infinite_radius_is_config_error(tmp_path, capsys):
     text = (
         '{"command": "marty-scan", "function": "z1*z2", "dimension": 2, '
         '"domain": {"type": "ball", "center": [[0, 0], [0, 0]], "radius": Infinity}, '
         '"plan": {"shells": [0.5, 0.25, 0.125], "points_per_shell": 8, '
         '"directions_per_point": 4, "seed": 0}}'
     )
+    line = "config error: config schema violation: $.domain.radius: inf is not a finite number\n"
     assert _run_text(tmp_path, "marty-scan", text)[0] == 2
+    assert capsys.readouterr().err == line
     assert _run_text(tmp_path, "marty-scan", text.replace("Infinity", "1e999"))[0] == 2
+    assert capsys.readouterr().err == line
+
+
+# A number the runs cannot take as a finite double is refused by the schema
+# walk at its json path, wherever it sits: json reads NaN, Infinity and 1e999
+# as floats, and a long integer literal as an int.
+@pytest.mark.parametrize(
+    "literal,reason",
+    [
+        ("NaN", "nan is not a finite number"),
+        ("Infinity", "inf is not a finite number"),
+        ("-Infinity", "-inf is not a finite number"),
+        ("1e999", "inf is not a finite number"),
+        ("-1e999", "-inf is not a finite number"),
+        ("1" + "0" * 399, "integer of 1326 bits overflows a double"),
+    ],
+    ids=["nan", "infinity", "minus-infinity", "1e999", "minus-1e999", "400-digits"],
+)
+@pytest.mark.parametrize(
+    "command,config,path",
+    [
+        ("thm2", {**_rescaling_config("thm2"), "R": "BAD"}, "$.R"),
+        ("thm2", {**_rescaling_config("thm2"), "tol": "BAD"}, "$.tol"),
+        ("sharp", {"command": "sharp", "function": "z1", "dimension": 1, "points": [[[0.5, "BAD"]]]},
+         "$.points[0][0][1]"),
+        ("marty-scan", {**_scan_config(DISC), "plan": {"shells": [0.5, "BAD"], "points_per_shell": 4,
+                                                        "directions_per_point": 4}}, "$.plan.shells[1]"),
+    ],
+    ids=["R", "tol", "pair-member", "shell"],
+)
+def test_number_that_is_not_a_finite_double_is_config_error(tmp_path, capsys, command, config, path, literal, reason):
+    code, out = _run_text(tmp_path, command, json.dumps(config).replace('"BAD"', literal))
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == f"config error: config schema violation: {path}: {reason}\n"
 
 
 # Integer literals are parsed by int(), not by the float parser.  Past the
 # range of a double they passed validation and ended in an OverflowError
 # traceback (exit 1) at a run's float() or complex(); past 4300 digits int()
-# itself raised ValueError, in check-config too.
+# itself raised ValueError, in check-config too.  The walk names the first at
+# its path; json refuses the second as it reads the file.
 @pytest.mark.parametrize("literal", ["1" + "0" * 400, "9" * 5000], ids=["401-digits", "5000-digits"])
 @pytest.mark.parametrize(
-    "command,config",
+    "command,config,path",
     [
-        ("sharp", {"command": "sharp", "function": "z1", "dimension": 1, "points": [[["BIG", 0]]]}),
-        ("sharp", {"command": "sharp", "function": "z1", "dimension": 1, "points": [[[0.5, 0]]], "h": "BIG"}),
-        ("marty-scan", _scan_config({"type": "ball", "center": [[0, 0]], "radius": "BIG"})),
-        ("rescale", {**_rescaling_config("rescale"), "R": "BIG"}),
-        ("thm2", {**_rescaling_config("thm2"), "R": "BIG"}),
-        ("counterexample", {"command": "counterexample", "n_max": 10, "R": "BIG"}),
-        ("check-config", {"command": "counterexample", "n_max": 10, "R": "BIG"}),
+        ("sharp", {"command": "sharp", "function": "z1", "dimension": 1, "points": [[["BIG", 0]]]},
+         "$.points[0][0][0]"),
+        ("sharp", {"command": "sharp", "function": "z1", "dimension": 1, "points": [[[0.5, 0]]], "h": "BIG"}, "$.h"),
+        ("marty-scan", _scan_config({"type": "ball", "center": [[0, 0]], "radius": "BIG"}), "$.domain.radius"),
+        ("rescale", {**_rescaling_config("rescale"), "R": "BIG"}, "$.R"),
+        ("thm2", {**_rescaling_config("thm2"), "R": "BIG"}, "$.R"),
+        ("counterexample", {"command": "counterexample", "n_max": 10, "R": "BIG"}, "$.R"),
+        ("check-config", {"command": "counterexample", "n_max": 10, "R": "BIG"}, "$.R"),
     ],
     ids=["sharp-point", "sharp-h", "marty-scan", "rescale", "thm2", "counterexample", "check-config"],
 )
-def test_integer_past_the_double_range_is_config_error(tmp_path, capsys, command, config, literal):
+def test_integer_past_the_double_range_is_config_error(tmp_path, capsys, command, config, path, literal):
     code, out = _run_text(tmp_path, command, json.dumps(config).replace('"BIG"', literal))
     assert code == 2 and not out.exists()
     err = capsys.readouterr().err
-    assert err == f"config error: integer of {len(literal)} digits in config overflows a double\n"
+    if len(literal) == 401:
+        assert err == f"config error: config schema violation: {path}: integer of 1329 bits overflows a double\n"
+    else:
+        assert err == (
+            f"config error: cannot read config {str(tmp_path / 'raw.json')!r}: Exceeds the limit (4300 digits)"
+            " for integer string conversion: value has 5000 digits; use sys.set_int_max_str_digits()"
+            " to increase the limit\n"
+        )
 
 
 def test_deeply_nested_function_is_config_error(tmp_path, capsys):

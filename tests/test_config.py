@@ -245,16 +245,16 @@ def test_violation_names_its_json_path(change, message):
     assert str(info.value).startswith("config schema violation: " + message)
 
 
-# load_config refuses such a literal, but from Python an int past the range of
-# a double reached a float() cast: the walk's own (h) raised OverflowError, and
-# so did cli._run_sharp's complex() of a coordinate that the pair check passed
+# An int past the range of a double reached a float() cast: the walk's own (h)
+# raised OverflowError, and so did cli._run_sharp's complex() of a coordinate
+# that the pair check passed
 @pytest.mark.parametrize(
     "change,path",
     [
         ({"h": 10**400}, "$.h"),
         ({"h": -(10**400)}, "$.h"),
         ({"points": [[[10**400, 0]]]}, "$.points[0][0][0]"),
-        ({"seed": 10**400}, "$.seed"),  # an integer key too, as load_config refuses its literal
+        ({"seed": 10**400}, "$.seed"),  # an integer key too
     ],
 )
 def test_integer_past_the_double_range_is_a_schema_violation(change, path):
@@ -308,6 +308,48 @@ def test_integers_up_to_the_double_range_pass():
     scan["domain"]["radii"] = [1, largest + 1]
     with pytest.raises(ConfigError, match=re.escape("$.domain.radii[1]: integer of 1024 bits overflows a double")):
         validate_config(scan)
+
+
+def _number_slots(node, path="$"):
+    """(container, key, json path) for every number below `node`."""
+    for key, value in list(node.items() if isinstance(node, dict) else enumerate(node)):
+        at = f"{path}.{key}" if isinstance(node, dict) else f"{path}[{key}]"
+        if _is_number(value):
+            yield node, key, at
+        elif isinstance(value, (dict, list)):
+            yield from _number_slots(value, at)
+
+
+_NOT_DOUBLES = [
+    (math.nan, "nan is not a finite number"),
+    (math.inf, "inf is not a finite number"),
+    (-math.inf, "-inf is not a finite number"),
+    (2**1024, "integer of 1025 bits overflows a double"),
+    (-(2**1024), "integer of 1025 bits overflows a double"),
+]
+
+
+# One rule for every number, from a file or from Python: a scalar, a pair
+# member, a shells or radii item or a value in the domain that is not a finite
+# double is refused at its own path.  NaN and the infinities from Python once
+# passed, to end in a traceback (a nan tol) or a later, vaguer error.
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_number_that_is_not_a_finite_double_is_refused_at_its_path(data):
+    config = copy.deepcopy(data.draw(st.sampled_from(_VALID)))
+    container, key, path = data.draw(st.sampled_from(list(_number_slots(config))))
+    container[key], reason = data.draw(st.sampled_from(_NOT_DOUBLES))
+    with pytest.raises(ConfigError) as info:
+        validate_config(config)
+    assert str(info.value) == f"config schema violation: {path}: {reason}"
+
+
+# it raised AttributeError (no .get) when it did not come from load_config
+@pytest.mark.parametrize("config", [[1], None, "x", 3, [], 1.5], ids=repr)
+def test_root_that_is_not_an_object_is_config_error(config):
+    with pytest.raises(ConfigError) as info:
+        validate_config(config)
+    assert str(info.value) == "config root must be a JSON object"
 
 
 # a command that is not a string once ended in a TypeError traceback (exit 1)

@@ -29,7 +29,7 @@ from normlab.cli import _RUNNERS
 from normlab.config import validate_config
 from normlab.errors import DomainError
 from normlab.expr import evaluate_batch
-from normlab.metrics import sharp_batch
+from normlab.metrics import levi_form_fd, sharp_batch
 from normlab.sampling import ball_grid
 
 UNIT_DISC = Ball((0j,), 1.0)
@@ -588,15 +588,40 @@ def test_constant_limit_osc_nonincreasing_after_first_quartile():
     assert all(b <= a + 1e-15 for a, b in zip(tail, tail[1:]))
 
 
+# A guard written `x <= 0` let NaN through, to fail later and elsewhere: a
+# ratio nan / 0.5 "overflowed", a center ((nan+nanj),) "exited the domain",
+# a nan tol gave no-convergence, and a nan radius or step failed as overflow.
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: ExplicitScale(math.nan, 2.0), "explicit scale requires c_r > 0 and b > 0"),
+        (lambda: ExplicitScale(1.0, math.nan), "explicit scale requires c_r > 0 and b > 0"),
+        (lambda: _disc_spec(math.nan, 1.0, ZalcmanScale(), 2, 4), "center rule requires c_p > 0 and a > 0"),
+        (lambda: _disc_spec(1.0, math.nan, ZalcmanScale(), 2, 4), "center rule requires c_p > 0 and a > 0"),
+        (lambda: convergence_report(rescaling_run(parse("z1", 1), UNIT_DISC, _remark_spec(8)), 1.0, 16, math.nan),
+         "tol must be positive"),
+        (lambda: limit_sharp_check(_remark_report(8, 1.0), math.nan), "tol must be positive"),
+        (lambda: ball_grid(1, math.nan, 16), "radius must be positive"),
+        (lambda: levi_form_fd(lambda z: abs(z[..., 0]) ** 2, (0j,), (1 + 0j,), math.nan), "h must be positive"),
+    ],
+    ids=["c_r", "b", "c_p", "a", "convergence-tol", "limit-tol", "grid-radius", "levi-step"],
+)
+def test_positive_guards_refuse_nan(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 # --------------------------------------------------------------------------
 # limit_sharp_check
 # --------------------------------------------------------------------------
 
-def test_limit_sharp_check_on_sin_limit():
-    f = parse("sin(1/(1-z1))", 1)
+def _sin_run():
     spec = _disc_spec(1 / (2 * math.pi), 1.0, ZalcmanScale(), 2, 30)
-    run = rescaling_run(f, UNIT_DISC, spec)
-    report = convergence_report(run, 1.0, 64, 1e-3)
+    return rescaling_run(parse("sin(1/(1-z1))", 1), UNIT_DISC, spec)
+
+
+def test_limit_sharp_check_on_sin_limit():
+    report = convergence_report(_sin_run(), 1.0, 64, 1e-3)
     profile = limit_sharp_check(report, 1e-2)
     assert not profile.vacuous
     assert profile.sharp_at_zero == pytest.approx(1.0, abs=1e-2)
@@ -609,6 +634,13 @@ def test_limit_sharp_check_vacuous_on_constant_limit():
     profile = limit_sharp_check(report, 1e-2)
     assert profile.vacuous
     assert profile.passed is None
+
+
+def test_sharp_profile_argmax_holds_plain_complex():
+    # it held np.complex128, whose repr reads np.complex128(-1+1.22e-16j)
+    for report in (_remark_report(40, 1.0), convergence_report(_sin_run(), 1.0, 64, 1e-3)):
+        argmax = limit_sharp_check(report, 1e-2).argmax
+        assert argmax and all(type(z) is complex for z in argmax)
 
 
 def test_sharp_profile_not_normalized_proxy():

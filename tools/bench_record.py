@@ -6,11 +6,14 @@ Run from the repository root, on an otherwise idle host.  Runs the benchmark
 that BENCHMARK.json declares (perfbench/run.py --trace 0) for its run_seconds
 on each of its workloads at seeds 1, 2 and 3, one run at a time, and writes
 the median of each end-to-end metric per workload, each run's values, the
-CPU count, the Python, numpy and mpmath versions, the commit and the bytecode
-state: `PYTHONDONTWRITEBYTECODE` as this process sees it (the runs inherit
-it), and whether `src/normlab/__pycache__` exists before the first run and
-after the last.  `setup_s` and cli-cold's wall times depend on that state,
-so compare only records made in the same one.
+same two for the raw walls (`raw_wall_clock` of the run's results file,
+before the benchmark scales times by its reference kernel), the CPU count,
+the Python, numpy and mpmath versions, the commit and the bytecode state:
+`PYTHONDONTWRITEBYTECODE` as this process sees it (the runs inherit it), and
+whether `src/normlab/__pycache__` exists before the first run and after the
+last.  `setup_s` and cli-cold's wall times depend on that state, so compare
+only records made in the same one.  The raw walls tell a change of the code
+from a swing of the calibration, which moves `setup_s` most.
 """
 
 from __future__ import annotations
@@ -46,8 +49,10 @@ def _run(command: list[str], workload: str, seed: int, seconds: float) -> dict:
         sys.exit(f"{' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
     line = json.loads(done.stdout.splitlines()[-1])
     metrics = {name: value["value"] for name, value in line["metrics"].items()}
+    results = ROOT / "perfbench" / "out" / "results" / f"{workload}-seed{seed}-trace0.json"
+    raw = json.loads(results.read_text())["raw_wall_clock"]
     return {"seed": seed, "correct": line["correct"], "attempted": line["attempted"],
-            "failed": line["failed"], "metrics": metrics}
+            "failed": line["failed"], "metrics": metrics, "raw_wall_clock": raw}
 
 
 def main(argv: list[str]) -> int:
@@ -65,7 +70,8 @@ def main(argv: list[str]) -> int:
             runs.append(_run(bench["command"], workload, seed, bench["run_seconds"]))
             print(f"{workload} seed {seed}: {runs[-1]['metrics']}", flush=True)
         median = {name: statistics.median(run["metrics"][name] for run in runs) for name in names}
-        workloads[workload] = {"median": median, "runs": runs}
+        raw = {name: statistics.median(run["raw_wall_clock"][name] for run in runs) for name in names}
+        workloads[workload] = {"median": median, "raw_median": raw, "runs": runs}
     bytecode["pycache_after"] = pycache.is_dir()
     record = {
         "commit": _git("rev-parse", "HEAD"),
