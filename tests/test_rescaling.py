@@ -615,15 +615,15 @@ def test_positive_guards_refuse_nan(build, message):
 # limit_sharp_check
 # --------------------------------------------------------------------------
 
-def _sin_run():
-    spec = _disc_spec(1 / (2 * math.pi), 1.0, ZalcmanScale(), 2, 30)
-    return rescaling_run(parse("sin(1/(1-z1))", 1), UNIT_DISC, spec)
-
-
 def test_limit_sharp_check_on_sin_limit():
-    report = convergence_report(_sin_run(), 1.0, 64, 1e-3)
+    f = parse("sin(1/(1-z1))", 1)
+    spec = _disc_spec(1 / (2 * math.pi), 1.0, ZalcmanScale(), 2, 30)
+    run = rescaling_run(f, UNIT_DISC, spec)
+    report = convergence_report(run, 1.0, 64, 1e-3)
     profile = limit_sharp_check(report, 1e-2)
     assert not profile.vacuous
+    # plain complex: np.complex128's repr reads np.complex128(-1+1.22e-16j)
+    assert all(type(z) is complex for z in profile.argmax)
     assert profile.sharp_at_zero == pytest.approx(1.0, abs=1e-2)
     assert profile.max_sharp <= 1.0 + 1e-6
     assert profile.passed
@@ -634,13 +634,7 @@ def test_limit_sharp_check_vacuous_on_constant_limit():
     profile = limit_sharp_check(report, 1e-2)
     assert profile.vacuous
     assert profile.passed is None
-
-
-def test_sharp_profile_argmax_holds_plain_complex():
-    # it held np.complex128, whose repr reads np.complex128(-1+1.22e-16j)
-    for report in (_remark_report(40, 1.0), convergence_report(_sin_run(), 1.0, 64, 1e-3)):
-        argmax = limit_sharp_check(report, 1e-2).argmax
-        assert argmax and all(type(z) is complex for z in argmax)
+    assert all(type(z) is complex for z in profile.argmax)
 
 
 def test_sharp_profile_not_normalized_proxy():
