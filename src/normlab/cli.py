@@ -29,7 +29,7 @@ from .domains import Ball, row_norms
 from .errors import ConfigError, NormlabError
 from .expr import parse, to_source
 from .metrics import normality_scan, sharp_batch, sharp_fd
-from .rescaling import _CHUNK_ROWS, ExplicitScale, SequenceSpec, convergence_report, limit_sharp_check, rescaling_run
+from .rescaling import ExplicitScale, SequenceSpec, _grid_points, convergence_report, limit_sharp_check, rescaling_run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,38 +40,29 @@ EXIT_FLAGGED = 4
 def _json(payload: dict) -> Iterator[str]:
     """The pieces of json.dumps(payload, indent=2, sort_keys=True,
     allow_nan=False) + "\n" for a payload of str keys, in which any other
-    numpy array prints as its `.tolist()`: the text json prints before each
-    record array's or number list's entry, that entry's text in place of the
-    null that json prints for it, and the text after.  A record array prints
-    in blocks (`_records_json`); a number list, a non-empty flat list, tuple
-    or 1-D array of ints and floats (the per-index lists of a run, say), in
-    one join of their reprs, which is how json prints each of them.  A
-    newline, two spaces and a quoted key open only a top-level entry, since
-    json escapes every newline and quote inside a string, and the entries
-    come in sorted key order.  Every number is checked before this returns."""
-    records = {key: value for key, value in payload.items() if isinstance(value, np.recarray)}
-    lists = {key: texts for key, value in payload.items() if (texts := _number_texts(value)) is not None}
-    if any("nan" in texts or "inf" in texts or "-inf" in texts for texts in lists.values()):
-        # json names the first non-finite float it meets
-        rest = {key: value for key, value in payload.items() if key not in records}
-        json.dumps(rest, indent=2, sort_keys=True, allow_nan=False, default=np.ndarray.tolist)
-    text = json.dumps(
-        {**payload, **dict.fromkeys(records), **dict.fromkeys(lists)},
-        indent=2, sort_keys=True, allow_nan=False, default=np.ndarray.tolist,
-    ) + "\n"
-    pieces, start = [], 0
-    for key in sorted([*records, *lists]):
-        entry = f"\n  {json.dumps(key)}: "
-        cut = text.index(entry + "null", start) + len(entry)
-        block = _records_json(records[key]) if key in records else ("[\n    " + ",\n    ".join(lists[key]) + "\n  ]",)
-        pieces += [(text[start:cut],), block]
-        start = cut + len("null")
-    return itertools.chain(*pieces, (text[start:],))
+    numpy array prints as its `.tolist()`.  Each top-level entry, in sorted
+    key order, prints by its own rule: a record array in blocks
+    (`_records_json`), a number list (the per-index lists of a run, say) in
+    one join of its reprs (`_number_texts`), any other value through
+    json.dumps, one level in.  Each entry is checked as it comes, so json's
+    ValueError names the first non-finite float, before this returns."""
+    pieces = []
+    for key, value in sorted(payload.items()):  # keys are unique: no value is compared
+        if isinstance(value, np.recarray):
+            text = _records_json(value)
+        elif (texts := _number_texts(value)) is not None:
+            text = ("[\n    " + ",\n    ".join(texts) + "\n  ]",)
+        else:
+            dumped = json.dumps(value, indent=2, sort_keys=True, allow_nan=False, default=np.ndarray.tolist)
+            text = (dumped.replace("\n", "\n  "),)
+        pieces += [(f"{',' if pieces else '{'}\n  {json.dumps(key)}: ",), text]
+    return itertools.chain(*pieces, ("\n}\n" if pieces else "{}\n",))
 
 
 def _number_texts(value) -> list[str] | None:
     """The repr of each number of a non-empty flat list, tuple or 1-D array
-    of ints and floats (no bool), as json prints it; None for any other value."""
+    of finite ints and floats (no bool), as json prints it; None for any
+    other value, so that json refuses a nan or an infinity in its own words."""
     if isinstance(value, np.ndarray):
         if value.ndim != 1 or value.dtype.kind not in "iuf":
             return None
@@ -80,7 +71,8 @@ def _number_texts(value) -> list[str] | None:
         return None
     if not value or not {int, float}.issuperset(map(type, value)):
         return None
-    return list(map(repr, value))
+    texts = list(map(repr, value))
+    return texts if {"nan", "inf", "-inf"}.isdisjoint(texts) else None
 
 
 @functools.cache
@@ -229,19 +221,14 @@ def _run_counterexample(config: dict) -> tuple[int, dict[str, Iterable[str]]]:
     disc, z_n = 1 - n^-3, rho_n = n^-2, n = 1..n_max; g_n tends to 1 while
     rho_n / (1 - |z_n|) = n diverges.  A row holds that exact ratio, sup
     |g_n - 1| on the report's grid and its bound n^-3 + n^-2 R.  g_n(zeta) is
-    the point z_n + rho_n*zeta, so the sup comes from the run's columns, in the
-    chunks and by the arithmetic of `_grid_chunks`, bit for bit."""
+    the point z_n + rho_n*zeta, so the sup comes from the grid points that
+    `rescaling._grid_points` gives, chunk by chunk, with f evaluated nowhere."""
     radius = config["R"]
     spec = SequenceSpec((1 + 0j,), (-1 + 0j,), 1.0, 3.0, ExplicitScale(1.0, 2.0), 1, config["n_max"])
     run = rescaling_run(parse("z1", 1), Ball((0j,), 1.0), spec)
     report = convergence_report(run, radius, config["grid_size"], 1e-3)
-    z, rho, zeta = run.entries.z_j, run.entries.rho_j, report.grid[:, 0]
-    step, sup_dev = max(1, _CHUNK_ROWS // len(zeta)), []
-    for k in range(0, len(rho), step):
-        g = rho[k:k + step, None] * zeta
-        g += z[k:k + step]
-        g -= 1.0
-        sup_dev += np.abs(g).max(axis=1).tolist()
+    chunks = _grid_points(run, report.grid)
+    sup_dev = np.concatenate([np.abs(g.reshape(-1, len(report.grid)) - 1.0).max(axis=1) for g in chunks]).tolist()
     indices = list(spec.indices)
     ratios = [float(n) for n in indices]
     bounds = [float(n) ** -3 + float(n) ** -2 * radius for n in indices]

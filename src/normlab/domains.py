@@ -66,12 +66,14 @@ def boundary_distance_batch(domain: Domain, points) -> np.ndarray:
     coordinate disc, not the Euclidean distance to the topological boundary.
     A row is interior exactly where its distance is > 0; a row outside the
     domain, on its boundary or with a non-finite coordinate is flagged by a
-    distance <= 0 or nan, not raised.
+    distance <= 0 or nan, not raised, and an offset or a norm past the float
+    range reads inf, with no warning.
     """
-    d = offsets(domain, points)
-    if isinstance(domain, Ball):
-        return domain.radius - row_norms(d)
-    return np.min(np.asarray(domain.radii) - np.abs(d), axis=1)
+    with np.errstate(over="ignore"):
+        d = offsets(domain, points)
+        if isinstance(domain, Ball):
+            return domain.radius - row_norms(d)
+        return np.min(np.asarray(domain.radii) - np.abs(d), axis=1)
 
 
 NOT_INTERIOR = "point is not interior to the domain"

@@ -556,14 +556,18 @@ def _substitute(node: Node, replacements: dict[int, Node]) -> Node:
 
 
 def affine_pullback(expr: HoloExpr, base: CPoint, scale: complex) -> HoloExpr:
-    """Symbolic AST of zeta -> f(base + scale*zeta); exact, no approximation."""
+    """Symbolic AST of zeta -> f(base + scale*zeta); exact, no approximation.
+    The base and the scale must be finite, and the scale nonzero: a constant
+    nan or inf prints as source that does not parse back."""
     if len(base) != expr.dimension:
         raise DimensionMismatchError(
             f"base has dimension {len(base)}, expression expects {expr.dimension}"
         )
     scale = complex(scale)
-    if scale == 0:
-        raise ValueError("scale must be nonzero")
+    if not (cmath.isfinite(scale) and scale != 0):
+        raise ValueError("scale must be finite and nonzero")
+    if not all(map(cmath.isfinite, base)):
+        raise ValueError("base must be finite")
     replacements = {
         k + 1: BinOp("+", Const(complex(base[k])), BinOp("*", Const(scale), Var(k + 1)))
         for k in range(expr.dimension)

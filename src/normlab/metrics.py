@@ -164,6 +164,16 @@ def sharp_fd(f: HoloExpr, points, h: float) -> np.ndarray:
 # Kobayashi metric on balls and polydiscs
 # --------------------------------------------------------------------------
 
+def _largest_radius(domain: Domain) -> float:
+    """The domain's largest radius; DomainError when it squares to 0 or inf."""
+    ball = isinstance(domain, Ball)
+    largest = float(domain.radius) if ball else float(max(domain.radii))
+    if not 0.0 < largest * largest < math.inf:
+        edge = "past the largest finite" if largest > 1.0 else "below the smallest positive"
+        raise DomainError(f"{'ball' if ball else 'polydisc'} radius {largest!r} squares {edge} float")
+    return largest
+
+
 def kobayashi_batch(domain: Domain, points, directions) -> np.ndarray:
     """Exact Kobayashi metric of the domain at each row z of an (N, n) point
     array along each of m directions v (m, n), (N, m).  With w = z - center, a
@@ -172,12 +182,10 @@ def kobayashi_batch(domain: Domain, points, directions) -> np.ndarray:
     discs' metrics |v_k| r_k / (r_k^2 - |w_k|^2), taken as |v_k| / ((r_k - |w_k|)
     (1 + |w_k| / r_k)) to square no length.  DomainError when the largest radius
     squares to 0 or inf, a scale where the Levi form, an inverse length squared,
-    is lost too, or a point is not strictly inside; ValueError if |v|^2 = 0."""
-    ball = isinstance(domain, Ball)
-    kind, largest = ("ball", float(domain.radius)) if ball else ("polydisc", float(max(domain.radii)))
-    if not 0.0 < largest * largest < math.inf:
-        edge = "past the largest finite" if largest > 1.0 else "below the smallest positive"
-        raise DomainError(f"{kind} radius {largest!r} squares {edge} float")
+    is lost too (`_largest_radius`), or a point is not strictly inside;
+    ValueError if |v|^2 = 0."""
+    ball, largest = isinstance(domain, Ball), _largest_radius(domain)
+    kind = "ball" if ball else "polydisc"
     w = domains.offsets(domain, points)
     v = np.asarray(directions, dtype=complex)
     v_sq = domains.row_norms(v) ** 2
@@ -262,6 +270,7 @@ def normality_scan(f: HoloExpr, domain: Domain, plan: SamplingPlan) -> Normality
     skipped samples.  `samples` is one read-only record array of the kept
     samples (`sample_dtype`), in shell, point and direction order.
     """
+    _largest_radius(domain)  # before any point is placed: past this range, points and extents overflow
     center = np.asarray(domain.center, dtype=complex)
     rays = scan_rays(f.dimension, plan.points_per_shell, plan.seed)
     dirs = sphere_directions(f.dimension, plan.directions_per_point, plan.seed + 1)

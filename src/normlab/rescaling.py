@@ -19,7 +19,7 @@ import numpy as np
 from . import domains
 from .domains import Domain
 from .errors import DomainError, EvaluationError, NormlabError
-from .expr import Batch, CPoint, HoloExpr, affine_pullback, evaluate_batch
+from .expr import CPoint, HoloExpr, affine_pullback, evaluate_batch
 from .metrics import sharp_batch
 from .sampling import ball_grid
 
@@ -104,10 +104,11 @@ def rescaling_run(f: HoloExpr, domain: Domain, spec: SequenceSpec) -> RescalingR
     of spec's rule, the explicit r_j = c_r * j^(-b) or Zalcman's rho_j =
     1/sharp(f, z_j).
 
-    Errors, in this order: a center outside the domain (DomainError); a
-    scale that underflows to 0, which would make g_j constant, or a
-    vanishing sharp value, where the Zalcman scale is undefined; a ratio
-    rho_j / delta_j past the float range (NormlabError).
+    Errors, in this order: a center past the float range (NormlabError); a
+    center outside the domain (DomainError); a scale that underflows to 0,
+    which would make g_j constant, or a vanishing sharp value, where the
+    Zalcman scale is undefined; a ratio rho_j / delta_j past the float range
+    (NormlabError).
 
     Flags (never errors) record the rule's hypothesis as observed over the
     index range.  Under the explicit rule, the ratios r_j/delta_j not
@@ -116,7 +117,10 @@ def rescaling_run(f: HoloExpr, domain: Domain, spec: SequenceSpec) -> RescalingR
     explorable.  Under the Zalcman rule, rho_j not decreasing toward 0.
     """
     step = _power_law(spec.c_p, spec.a, spec.indices)
-    centers = np.asarray(spec.anchor, dtype=complex) + step[:, None] * np.asarray(spec.inward)
+    with np.errstate(over="ignore"):
+        centers = np.asarray(spec.anchor, dtype=complex) + step[:, None] * np.asarray(spec.inward)
+    for k in np.flatnonzero(~np.isfinite(centers).all(axis=1))[:1]:
+        raise NormlabError(f"generated center p_{spec.j_start + k} overflows")
     delta = domains.boundary_distance_batch(domain, centers)
     for k in np.flatnonzero(~(delta > 0))[:1]:
         p = tuple(centers[k].tolist())
@@ -165,29 +169,41 @@ class ConvergenceReport:  # grid, osc and cauchy_gaps are read-only arrays
 _CHUNK_ROWS = 2**12  # bounds the peak memory of a long run's grid pass
 
 
-def _grid_chunks(run: RescalingRun, grid: np.ndarray) -> Iterator[Batch]:
-    """g_j on the grid for consecutive entries, at most _CHUNK_ROWS rows (or
-    one entry) per chunk: evaluate_batch of f at the chunk's points
-    z_j + rho_j*zeta, entry-major.  The points are built coordinate by
-    coordinate, (n, J, G), and handed over as a (J*G, n) view."""
+def _grid_points(run: RescalingRun, grid: np.ndarray) -> Iterator[np.ndarray]:
+    """The points z_j + rho_j*zeta at which g_j reads f on the grid, for
+    consecutive entries, at most _CHUNK_ROWS rows (or one entry) per chunk,
+    entry-major.  The points are built coordinate by coordinate, (n, J, G),
+    and handed over as a (J*G, n) view.  A point past the float range is an
+    EvaluationError that names its g_j, raised before any chunk is built: as
+    rho_j > 0, each real and imaginary part of z_j + rho_j*zeta rounds
+    monotonically in zeta's, so it overflows somewhere on the grid exactly
+    where it does at the grid's least or greatest part."""
     rho = run.entries.rho_j
     centers = np.ascontiguousarray(run.entries.z_j.T)  # (n, J)
     zeta = np.ascontiguousarray(grid.T)  # (n, G)
+    least = zeta.real.min(axis=1) + 1j * zeta.imag.min(axis=1)
+    greatest = zeta.real.max(axis=1) + 1j * zeta.imag.max(axis=1)
+    with np.errstate(over="ignore"):
+        reach = centers[:, :, None] + rho[:, None] * np.stack([least, greatest], axis=1)[:, None, :]  # (n, J, 2)
+    for k in np.flatnonzero(~np.isfinite(reach).all(axis=(0, 2)))[:1]:
+        j = run.entries.j[k]
+        raise EvaluationError(f"grid point z_{j} + rho_{j}*zeta of g_{j} overflows")
     per_chunk = max(1, _CHUNK_ROWS // len(grid))
     for start in range(0, len(rho), per_chunk):
         chunk = slice(start, start + per_chunk)
         points = centers[:, chunk, None] + rho[chunk, None] * zeta[:, None, :]
-        yield evaluate_batch(run.f, points.reshape(len(points), -1).T, gradient=False)
+        yield points.reshape(len(points), -1).T
 
 
 def convergence_report(run: RescalingRun, radius: float, grid_size: int, tol: float) -> ConvergenceReport:
     """Finite-range locally-uniform-convergence evidence on |zeta| <= radius.
 
     g_j(zeta) = f(z_j + rho_j*zeta) is evaluated on the grid in chunks of
-    consecutive indices (`_grid_chunks`); an index with any failing grid
-    point is excluded.  Oscillations and Cauchy gaps are reduced chunk by
-    chunk, the last usable row carried into the next chunk's first gap; one
-    past the float range, of finite values, is an EvaluationError.
+    consecutive indices (`_grid_points`); a grid point past the float range
+    is an EvaluationError, and an index at which f fails at any grid point is
+    excluded.  Oscillations and Cauchy gaps are reduced chunk by chunk, the
+    last usable row carried into the next chunk's first gap; one past the
+    float range, of finite values, is an EvaluationError.
     Verdict thresholds: constant-limit if the final oscillation and final
     Cauchy gap are both <= tol; nonconstant-limit if the final gap is <= tol
     but the final oscillation exceeds 10*tol; otherwise no-convergence.
@@ -197,7 +213,8 @@ def convergence_report(run: RescalingRun, radius: float, grid_size: int, tol: fl
     grid = ball_grid(run.f.dimension, radius, grid_size)
     usable, osc, gaps = [], [np.empty(0)], [np.empty(0)]  # arrays per chunk, after an empty one
     previous = None  # the last usable row, if any
-    for batch in _grid_chunks(run, grid):
+    for points in _grid_points(run, grid):
+        batch = evaluate_batch(run.f, points, gradient=False)
         values = batch.value.reshape(-1, len(grid))
         ok = ~batch.status.reshape(values.shape).any(axis=1)
         usable.append(ok)

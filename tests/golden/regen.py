@@ -81,6 +81,12 @@ CASES = {
     "thm2-ratio-overflow": ["thm2", "thm2-ratio-overflow.json"],
     # finite values of g_1 and g_2 whose difference passes the float range
     "thm2-gap-overflow": ["thm2", "thm2-gap-overflow.json"],
+    # a center, a grid point z_j + rho_j*zeta, a center's offset and its norm
+    # past the float range: each one stderr line, with no numpy warning
+    "thm2-center-overflow": ["thm2", "thm2-center-overflow.json"],
+    "thm2-grid-point-overflow": ["thm2", "thm2-grid-point-overflow.json"],
+    "thm2-offset-overflow": ["thm2", "thm2-offset-overflow.json"],
+    "thm2-norm-overflow": ["thm2", "thm2-norm-overflow.json"],
     # the five known-defect inputs of perfbench/gen.py, rebuilt here
     "nan-point": ["sharp", "nan-point.json"],
     "infinite-radius": ["marty-scan", "infinite-radius.json"],

@@ -230,6 +230,25 @@ def test_zero_scale_rejected():
         affine_pullback(parse("z1", 1), (0j,), 0)
 
 
+# a nan scale printed as 0.0+nan*z1, and an infinite base as inf+1.0*z1,
+# which `parse` refuses; neither is a pullback
+@pytest.mark.parametrize(
+    "base,scale,message",
+    [
+        ((0j,), math.nan, "scale must be finite and nonzero"),
+        ((0j,), math.inf, "scale must be finite and nonzero"),
+        ((0j,), complex(1.0, -math.inf), "scale must be finite and nonzero"),
+        ((complex(math.inf, 0.0),), 1.0, "base must be finite"),
+        ((complex(0.0, math.nan),), 1.0, "base must be finite"),
+        ((0.5 + 0j, complex(-math.inf, 0.0)), 0.25, "base must be finite"),
+    ],
+)
+def test_non_finite_pullback_rejected(base, scale, message):
+    f = parse("z1" if len(base) == 1 else "z1*z2", len(base))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        affine_pullback(f, base, scale)
+
+
 def test_print_parse_roundtrip():
     sources = [
         "z1",

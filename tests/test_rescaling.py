@@ -530,6 +530,40 @@ def test_excluded_indices_fill_a_whole_chunk():
     assert got[1] == (8, 9, 10, 11, 12)
 
 
+# `_grid_points` looks for an overflow only at the grid's least and greatest
+# real and imaginary parts; every grid point, built by the same arithmetic, is
+# its reference.  Coordinates near the float range's end, grids up to 1e307.
+_HUGE = st.floats(-1.7e308, 1.7e308) | st.sampled_from([0.0, 1.7e308, -1.7e308, 1e308, -1e308])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    count=st.integers(1, 6),
+    grid_size=st.integers(2, 40),
+    radius=st.floats(1e-300, 1e307),
+    data=st.data(),
+)
+def test_grid_point_overflow_is_found_at_the_grid_extremes(n, count, grid_size, radius, data):
+    z = np.array(data.draw(st.lists(st.lists(st.builds(complex, _HUGE, _HUGE), min_size=n, max_size=n),
+                                    min_size=count, max_size=count)))
+    rho = np.array(data.draw(st.lists(st.floats(5e-324, 1.7e308), min_size=count, max_size=count)))
+    fields = [("j", np.int64), ("z_j", complex, (n,)), ("delta_j", float), ("rho_j", float), ("ratio", float)]
+    entries = np.rec.fromarrays([np.arange(1, count + 1), z, rho, rho, np.ones(count)], dtype=fields)
+    run = RescalingRun(parse("z1", n), entries, ())
+    grid = ball_grid(n, radius, grid_size)
+    with np.errstate(over="ignore"):
+        points = z[:, None, :] + rho[:, None, None] * grid  # (J, G, n)
+    overflowed = np.flatnonzero(~np.isfinite(points).all(axis=(1, 2)))
+    if len(overflowed):
+        j = overflowed[0] + 1
+        with pytest.raises(NormlabError, match=re.escape(f"grid point z_{j} + rho_{j}*zeta of g_{j} overflows")):
+            list(rescaling._grid_points(run, grid))
+    else:
+        chunks = np.concatenate(list(rescaling._grid_points(run, grid)))
+        assert chunks.tobytes() == points.reshape(-1, n).tobytes()
+
+
 def _counting(monkeypatch, module, name):
     calls = []
     inner = getattr(module, name)
